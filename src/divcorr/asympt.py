@@ -32,6 +32,7 @@ from .arith import (
 )
 from .errors import ConsistencyError
 from .euler import (
+    DEFAULT_PRIME_CUTOFF,
     DirichletPartials,
     cf_euler_jet,
     dirichlet_partials,
@@ -153,7 +154,7 @@ class CoefficientContext:
 
 
 def coefficient_context(h, k: int, l: int, source: str = "euler",
-                        Q: int = 10**6, prime_cutoff: int = 10**4,
+                        Q: int = 10**6, prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
                         partials: DirichletPartials | Jet2 | None = None,
                         mode: str = "auto") -> CoefficientContext:
     """Build the shared inputs; source is "euler" (tail-corrected Euler
@@ -487,19 +488,22 @@ class EstermannCheck:
 
 def estermann_closed_forms(h: int, dps: int | None = None) -> tuple:
     """(x log^2 x, x log x, x) coefficients of the classical expansion of
-    sum d(n+h) d(n), in terms of gamma, a', a'' and sigma moments of h."""
-    g = euler_gamma(30)
-    ap, app = estermann_a_constants()
-    s0, s1, s2 = sigma_minus1_moments(h)
-    six = 6 / mp.pi**2
-    c2 = six * s0
-    c1 = (2 * six * (2 * g - 1) + 4 * ap) * s0 - 4 * six * s1
-    c0 = (
-        (six * (2 * g - 1) ** 2 + six + 4 * ap * (2 * g - 1) + 4 * app) * s0
-        - (4 * six * (2 * g - 1) + 8 * ap) * s1
-        + 4 * six * s2
-    )
-    return (c2, c1, c0)
+    sum d(n+h) d(n), in terms of gamma, a', a'' and sigma moments of h,
+    at `dps` digits (default: the working precision, at least 30)."""
+    dps = dps or max(30, mp.mp.dps)
+    with mp.workdps(dps):
+        g = euler_gamma(dps)
+        ap, app = estermann_a_constants(dps)
+        s0, s1, s2 = sigma_minus1_moments(h)
+        six = 6 / mp.pi**2
+        c2 = six * s0
+        c1 = (2 * six * (2 * g - 1) + 4 * ap) * s0 - 4 * six * s1
+        c0 = (
+            (six * (2 * g - 1) ** 2 + six + 4 * ap * (2 * g - 1) + 4 * app) * s0
+            - (4 * six * (2 * g - 1) + 8 * ap) * s1
+            + 4 * six * s2
+        )
+        return (c2, c1, c0)
 
 
 def estermann_assembled(h: int, ctx: CoefficientContext | None = None,

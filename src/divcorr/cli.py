@@ -29,7 +29,7 @@ import mpmath as mp
 from . import asympt, oracle
 from .arith import DivisorTable, RationalExponent, sieve_dk
 from .errors import ConsistencyError, PrecisionError, ResourceBudgetError
-from .euler import evaluate_singular_series
+from .euler import DEFAULT_PRIME_CUTOFF, evaluate_singular_series
 from .zeta_series import c_coeffs, stieltjes_table, zeta_power_coeffs
 
 EXIT_OK = 0
@@ -423,7 +423,8 @@ def _add_common(p):
     p.add_argument("--dps", type=int, default=40, help="working decimal digits")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The divcorr parser; `defaults` replace the defaults of every subcommand."""
     ap = argparse.ArgumentParser(
         prog="divcorr",
         description="Divisor correlation sums: exact oracles and predictions")
@@ -441,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=parse_int_list, default=[2])
     p.add_argument("--l", type=parse_int_list, default=[2])
     p.add_argument("--h", type=parse_int_list, default=[1])
-    p.add_argument("--P", type=int, default=10**4, help="prime cutoff")
+    p.add_argument("--P", type=int, default=DEFAULT_PRIME_CUTOFF, help="prime cutoff")
     p.add_argument("--Q", type=int, default=10**4, help="Dirichlet truncation")
     p.add_argument("--digits", type=int, default=30)
     p.add_argument("--stieltjes-terms", type=int, default=6)
@@ -492,17 +493,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=parse_int_list, default=[10**5, 10**6])
     p.set_defaults(func=cmd_distribution)
 
+    if defaults:
+        for p in sub.choices.values():
+            p.set_defaults(**defaults)
     return ap
 
 
-def _apply_config_file(args):
+_UNSET = object()
+
+
+def _apply_config_file(args, argv=None):
+    """Fill args from the --config file, except where argv sets a value itself."""
     if not getattr(args, "config", None):
         return
     conf = load_config_file(args.config)
-    list_int_keys = {"k", "l", "h", "q", "x"}
-    for key, val in conf.items():
+    for key in conf:
         if not hasattr(args, key):
             raise ValueError(f"unknown config key {key!r}")
+    # parse argv again with every config key defaulting to a marker: a key
+    # that comes back unmarked was given on the command line
+    probe = build_parser({key: _UNSET for key in conf}).parse_args(argv)
+    list_int_keys = {"k", "l", "h", "q", "x"}
+    for key, val in conf.items():
+        if getattr(probe, key) is not _UNSET:
+            continue
         if key in list_int_keys and isinstance(getattr(args, key), list):
             setattr(args, key, parse_int_list(val))
         elif key in ("A", "B") and isinstance(getattr(args, key), list):
@@ -522,7 +536,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, argv)
         mp.mp.dps = args.dps
         return args.func(args)
     except ResourceBudgetError as exc:

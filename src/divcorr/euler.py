@@ -44,8 +44,8 @@ from .errors import PrecisionError, PrecisionWarning, ResourceBudgetError
 from .jets import Jet2, PowerJet
 from .zeta_series import prime_power_log_moments
 
-DEFAULT_PRIME_CUTOFF = 10_000
-_SERIES_DEGREE = 10  # total degree kept in local log-factor expansions
+DEFAULT_PRIME_CUTOFF = 1_000
+_SERIES_DEGREE = 14  # total degree kept in local log-factor expansions
 
 MAX_DIRICHLET_Q = 4 * 10**6
 _MP_TABLE_LIMIT = 30_000
@@ -144,7 +144,8 @@ def _tail_moments(prime_cutoff: int, m_max: int, d_max: int, dps: int) -> PrimeT
 
 
 def singular_constant(k: int, l: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-                      tol: float = 1e-25, dps: int | None = None) -> tuple[mp.mpf, mp.mpf]:
+                      tol: float = 1e-25, dps: int | None = None,
+                      degree: int = _SERIES_DEGREE) -> tuple[mp.mpf, mp.mpf]:
     """(C_{k,l}, tail bound).  The factor is identically 1 when min(k,l) = 1."""
     if k < 1 or l < 1:
         raise ValueError("singular_constant requires k, l >= 1")
@@ -160,7 +161,7 @@ def singular_constant(k: int, l: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
             for c in reversed(poly):
                 acc = acc * u + mp.mpf(c.numerator) / c.denominator
             prod *= acc
-        order = _SERIES_DEGREE + 2
+        order = degree + 2
         g = _poly_log_series(poly, order)
         assert g[0] == 0 and g[1] == 0, "local factor must be 1 + O(u^2)"
         tails = _tail_moments(prime_cutoff, order, 0, dps)
@@ -398,47 +399,63 @@ def _log_local_c_series(k: int, l: int, deg: int = _SERIES_DEGREE) -> tuple:
     return tuple(sorted((key, v) for key, v in out.items() if v != 0))
 
 
-def cf_euler_jet(h, k: int, l: int, order_t: int, order_w: int,
-                 prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-                 dps: int | None = None) -> tuple[Jet2, mp.mpf]:
-    """(jet of C(s,w) f(s,w) at (1,0), tail bound): product over p <= P with
-    exact series tail over p > P."""
-    dps = dps or max(30, mp.mp.dps)
-    hfac = _as_factored(h)
+def _prime_tail_log_jet(k: int, l: int, order_t: int, order_w: int, prime_cutoff: int,
+                        dps: int, degree: int) -> tuple[Jet2, mp.mpf]:
+    """(log of prod_{p > P} of the local C-factor as a jet, bound): the
+    log-factor series to total degree `degree`, each monomial summed over
+    p > P through the prime-tail moments."""
+    series = _log_local_c_series(k, l, degree)
+    tails = _tail_moments(prime_cutoff, degree, order_t + order_w, dps)
+    corr = Jet2.constant(0, order_t, order_w)
+    gmax = mp.mpf(0)
+    for (a, b, c), g in series:
+        m = a + b + c
+        gm = _mpf_frac(g)
+        gmax = max(gmax, abs(gm))
+        for i in range(order_t + 1):
+            if a == 0 and i > 0:
+                break
+            base = gm * (mp.mpf(-a)) ** i / mp.factorial(i)
+            for j in range(order_w + 1):
+                if b == 0 and j > 0:
+                    break
+                corr.coeffs[i][j] += (
+                    base * (mp.mpf(-b)) ** j / mp.factorial(j) * tails.tail(m, i + j)
+                )
+    bound = 2 * gmax * (tails.tail(degree - 1, order_t + order_w)
+                        + tails.tail(degree, order_t + order_w))
+    return corr, bound
+
+
+@lru_cache(maxsize=None)
+def _c_euler_base(k: int, l: int, order_t: int, order_w: int, prime_cutoff: int,
+                  dps: int, degree: int) -> tuple[Jet2, mp.mpf]:
+    """(jet of the shift-free C(s,w) at (1,0), tail bound): the local factors
+    over p <= P times the exp of the prime tail.  Shared by every shift;
+    callers must not mutate it."""
     with mp.workdps(dps + 10):
         prod = Jet2.constant(1, order_t, order_w)
         for p in primes_up_to(prime_cutoff):
-            p = int(p)
-            prod = prod * cf_local_jet(p, hfac.exponent_of(p), k, l, order_t, order_w)
-        deg = _SERIES_DEGREE
-        series = _log_local_c_series(k, l, deg)
-        tails = _tail_moments(prime_cutoff, deg, order_t + order_w, dps)
-        corr = Jet2.constant(0, order_t, order_w)
-        gmax = mp.mpf(0)
-        for (a, b, c), g in series:
-            m = a + b + c
-            gm = _mpf_frac(g)
-            gmax = max(gmax, abs(gm))
-            for i in range(order_t + 1):
-                if a == 0 and i > 0:
-                    break
-                base = gm * (mp.mpf(-a)) ** i / mp.factorial(i)
-                for j in range(order_w + 1):
-                    if b == 0 and j > 0:
-                        break
-                    corr.coeffs[i][j] += (
-                        base * (mp.mpf(-b)) ** j / mp.factorial(j) * tails.tail(m, i + j)
-                    )
-        result = prod * corr.exp()
-        # primes of h beyond the cutoff: swap their gamma=0 tail factor for
-        # the true local factor.
-        for p, gamma in hfac.factors:
-            if p > prime_cutoff:
-                result = result * cf_local_jet(p, gamma, k, l, order_t, order_w)
-                result = result / c_local_jet(p, k, l, order_t, order_w)
-        bound = 2 * gmax * (tails.tail(deg - 1, order_t + order_w)
-                            + tails.tail(deg, order_t + order_w))
-        return result, +bound
+            prod = prod * c_local_jet(int(p), k, l, order_t, order_w)
+        corr, bound = _prime_tail_log_jet(k, l, order_t, order_w, prime_cutoff, dps, degree)
+        return prod * corr.exp(), +bound
+
+
+def cf_euler_jet(h, k: int, l: int, order_t: int, order_w: int,
+                 prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
+                 dps: int | None = None,
+                 degree: int = _SERIES_DEGREE) -> tuple[Jet2, mp.mpf]:
+    """(jet of C(s,w) f(s,w) at (1,0), tail bound): the shift-free C-product
+    (built once per process for each set of parameters), with the local factor
+    of every p | h swapped from its gamma = 0 form to the true one."""
+    dps = dps or max(30, mp.mp.dps)
+    base, bound = _c_euler_base(k, l, order_t, order_w, prime_cutoff, dps, degree)
+    with mp.workdps(dps + 10):
+        result = Jet2(base.coeffs)
+        for p, gamma in _as_factored(h).factors:
+            result = result * cf_local_jet(p, gamma, k, l, order_t, order_w)
+            result = result / c_local_jet(p, k, l, order_t, order_w)
+        return result, bound
 
 
 # ---------------------------------------------------------------------------

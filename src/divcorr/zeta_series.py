@@ -13,6 +13,7 @@ coefficients of the shifted-divisor expansion of Ingham/Estermann type.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -110,20 +111,23 @@ def stieltjes_table(m_max: int, digits: int = 30) -> StieltjesTable:
             f"stieltjes_table ceilings are m <= {STIELTJES_MAX_INDEX}, "
             f"digits <= {STIELTJES_MAX_DIGITS}"
         )
-    out = []
-    for m in range(m_max + 1):
-        val, err = _stieltjes_em(m, digits)
-        if err > mp.mpf(10) ** (-digits):
-            raise PrecisionError(
-                f"gamma_{m}: achieved only {err} at the configured depth",
-                achieved=err,
-            )
-        out.append(val)
-    return StieltjesTable(out, digits)
+    return StieltjesTable([_stieltjes_checked(m, digits) for m in range(m_max + 1)], digits)
+
+
+def _stieltjes_checked(m: int, digits: int) -> mp.mpf:
+    val, err = _stieltjes_em(m, digits)
+    if err > mp.mpf(10) ** (-digits):
+        raise PrecisionError(
+            f"gamma_{m}: achieved only {err} at the configured depth",
+            achieved=err,
+        )
+    return val
 
 
 def euler_gamma(digits: int = 30) -> mp.mpf:
-    return stieltjes_table(0, digits)[0]
+    """gamma_0 to `digits` digits.  The table's digit ceiling does not apply:
+    the Euler-Maclaurin series for gamma_0 converges far beyond it."""
+    return _stieltjes_checked(0, digits)
 
 
 def zeta_laurent_jet(order: int, digits: int | None = None) -> PowerJet:
@@ -176,11 +180,66 @@ def c_coeffs_via_division(j: int, n_max: int, digits: int | None = None) -> list
     return [quotient[n] for n in range(n_max + 1)]
 
 
+# Most terms _log_zeta_jet_at sums directly; a longer series costs more than
+# mpmath's Euler-Maclaurin zeta.
+SHORT_SERIES_MAX_TERMS = 120
+
+
+def _short_series_terms(y: int, order: int, dps: int) -> int | None:
+    """Smallest K with sum_{k>K} (log k)^r k^(-y) / r! < 10^(-dps) for every
+    r <= order, or None when that takes more than SHORT_SERIES_MAX_TERMS.
+
+    (log t)^r t^(-y) decreases once log t >= r/y, so from such a K on the tail
+    is at most int_K^oo (log t)^r t^(-y) dt / r!, which is
+    K^(1-y) sum_{i<=r} z^i/i! / (y-1)^(r+1) with z = (y-1) log K.
+    """
+    if y < 2:
+        return None
+    target = -(dps + 1) * math.log(10)  # one digit spare for float rounding
+
+    def small_enough(K: int) -> bool:
+        z = (y - 1) * math.log(K)
+        term, acc = 1.0, 1.0
+        for r in range(order + 1):
+            if r:
+                term *= z / r
+                acc += term
+            if -z + math.log(acc) - (r + 1) * math.log(y - 1) >= target:
+                return False
+        return True
+
+    k_min = max(2, math.ceil(math.exp(order / y)))
+    if k_min > SHORT_SERIES_MAX_TERMS or not small_enough(SHORT_SERIES_MAX_TERMS):
+        return None
+    lo, hi = k_min - 1, SHORT_SERIES_MAX_TERMS  # small_enough(hi) holds
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if small_enough(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 @lru_cache(maxsize=None)
 def _log_zeta_jet_at(y: int, order: int, dps: int) -> PowerJet:
+    """log zeta(y + tau) as a jet in tau, from the Taylor coefficients
+    zeta^(r)(y) / r! = sum_k (-log k)^r k^(-y) / r!: summed over k <= K when
+    a short series reaches 10^(-dps), else by mpmath."""
+    K = _short_series_terms(y, order, dps)
     with mp.workdps(dps):
-        x = mp.mpf(y)
-        vals = [mp.zeta(x, derivative=r) / mp.factorial(r) for r in range(order + 1)]
+        if K is None:
+            x = mp.mpf(y)
+            vals = [mp.zeta(x, derivative=r) / mp.factorial(r) for r in range(order + 1)]
+        else:
+            vals = [mp.mpf(0)] * (order + 1)
+            for k in range(2, K + 1):
+                neg_log = -mp.log(k)
+                term = mp.mpf(1) / k**y
+                for r in range(order + 1):
+                    vals[r] += term
+                    term = term * neg_log / (r + 1)
+            vals[0] += 1
         return PowerJet(vals).log()
 
 

@@ -220,6 +220,32 @@ def test_estermann_closed_form_structure():
     assert abs((d1 - c1 * s0) - (-4 * six * s1)) < mp.mpf(10) ** -25
 
 
+def test_estermann_closed_forms_follow_dps():
+    """At 60 digits the closed forms match gamma and zeta(2) derivatives to
+    1e-55, whether the digits come from the context or the argument."""
+    from divcorr.arith import sigma_minus1_moments
+
+    h = 6
+    with mp.workdps(80):
+        g = mp.euler
+        z, z1, z2 = mp.zeta(2), mp.zeta(2, derivative=1), mp.zeta(2, derivative=2)
+        ap, app = -z1 / z**2, (2 * z1**2 - z2 * z) / z**3
+        s0, s1, s2 = sigma_minus1_moments(h)
+        six = 6 / mp.pi**2
+        want = (
+            six * s0,
+            (2 * six * (2 * g - 1) + 4 * ap) * s0 - 4 * six * s1,
+            (six * (2 * g - 1) ** 2 + six + 4 * ap * (2 * g - 1) + 4 * app) * s0
+            - (4 * six * (2 * g - 1) + 8 * ap) * s1 + 4 * six * s2,
+        )
+    with mp.workdps(60):
+        from_context = estermann_closed_forms(h)
+    from_argument = estermann_closed_forms(h, dps=60)
+    for got in (from_context, from_argument):
+        for c, w in zip(got, want):
+            assert abs(c - w) < mp.mpf(10) ** -55
+
+
 def test_estermann_consistency_error():
     ctx = ctx_for(3, 2, 2)
     ctx.partials.coeffs[0][0] += mp.mpf("1e-3")  # sabotage one partial

@@ -111,6 +111,18 @@ def test_config_file(tmp_path):
     assert blob["config"]["Q"] == 3000
 
 
+def test_config_file_flags_win(tmp_path):
+    """An explicit flag beats the config file; other keys still come from it."""
+    conf = tmp_path / "run.conf"
+    conf.write_text("h = 1,2\nQ = 3000\nsource = dirichlet\n")
+    code, out = run(tmp_path, "estermann", "--config", str(conf), "--Q", "2000")
+    assert code == 0
+    blob = json.loads((out / "estermann.json").read_text())
+    assert blob["config"]["Q"] == 2000
+    assert blob["config"]["h"] == [1, 2]
+    assert blob["config"]["source"] == "dirichlet"
+
+
 def test_bad_config_exit_2(tmp_path):
     conf = tmp_path / "bad.conf"
     conf.write_text("nonsense_key = 12\n")

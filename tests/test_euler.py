@@ -6,8 +6,11 @@ from math import gcd
 import mpmath as mp
 import pytest
 
-from divcorr.arith import dk_of_factored, factorize, sigma_minus1_exact
+from divcorr.arith import dk_of_factored, factorize, primes_up_to, sigma_minus1_exact
 from divcorr.euler import (
+    DEFAULT_PRIME_CUTOFF,
+    _SERIES_DEGREE,
+    _prime_tail_log_jet,
     c_local_jet,
     cf_euler_jet,
     cf_local_jet,
@@ -22,7 +25,7 @@ from divcorr.euler import (
     varphi_of,
     varphi_table,
 )
-from divcorr.jets import PowerJet
+from divcorr.jets import Jet2, PowerJet
 
 TIGHT = mp.mpf(10) ** -30
 
@@ -104,6 +107,74 @@ def test_shift_prime_above_cutoff():
     f = singular_shift_factor(h, 2, 2)
     want = C * mp.mpf(f.numerator) / f.denominator
     assert abs(jet[0, 0] - want) < mp.mpf(10) ** -20
+
+
+def _direct_cf_product(h, k, l, order_t, order_w, prime_cutoff):
+    """C(s,w) f(s,w) the per-prime way: cf_local_jet with gamma = v_p(h) at
+    every p <= P, the prime tail, then the true factor of each p | h above P."""
+    hfac = factorize(h)
+    with mp.workdps(mp.mp.dps + 10):
+        prod = Jet2.constant(1, order_t, order_w)
+        for p in primes_up_to(prime_cutoff):
+            p = int(p)
+            prod = prod * cf_local_jet(p, hfac.exponent_of(p), k, l, order_t, order_w)
+        corr, _ = _prime_tail_log_jet(k, l, order_t, order_w, prime_cutoff,
+                                      mp.mp.dps, _SERIES_DEGREE)
+        prod = prod * corr.exp()
+        for p, gamma in hfac.factors:
+            if p > prime_cutoff:
+                prod = prod * cf_local_jet(p, gamma, k, l, order_t, order_w)
+                prod = prod / c_local_jet(p, k, l, order_t, order_w)
+    return prod
+
+
+def _max_diff(a, b):
+    return max(abs(a[i, j] - b[i, j])
+               for i in range(a.order_t + 1) for j in range(a.order_w + 1))
+
+
+@pytest.mark.parametrize("k,l", [(2, 2), (3, 2)])
+def test_shared_base_matches_direct_product(k, l):
+    """The cached shift-free base with finite corrections at p | h equals the
+    direct per-prime product; 1009 lies between the cutoffs 10^3 and 10^4, so
+    2*1009 puts it above the default cutoff here and inside it at P = 2000."""
+    order_t, order_w = k, max(l, k + l - 2)
+    for h in (1, 2, 12, 2 * 1009, 10007):
+        got, _ = cf_euler_jet(h, k, l, order_t, order_w)
+        want = _direct_cf_product(h, k, l, order_t, order_w, DEFAULT_PRIME_CUTOFF)
+        assert _max_diff(got, want) < mp.mpf(10) ** -38, h
+    got, _ = cf_euler_jet(2 * 1009, k, l, order_t, order_w, prime_cutoff=2000)
+    want = _direct_cf_product(2 * 1009, k, l, order_t, order_w, 2000)
+    assert _max_diff(got, want) < mp.mpf(10) ** -38
+
+
+def test_euler_jet_is_a_fresh_copy():
+    """Mutating a returned jet leaves the shared base untouched."""
+    for h in (1, 6):
+        first, _ = cf_euler_jet(h, 2, 2, 2, 2)
+        kept = [list(row) for row in first.coeffs]
+        first.coeffs[0][0] += 1
+        first.coeffs[1][1] *= 3
+        again, _ = cf_euler_jet(h, 2, 2, 2, 2)
+        assert again.coeffs == kept, h
+
+
+@pytest.mark.parametrize("k,l", [(2, 2), (3, 2), (3, 3)])
+def test_euler_tail_bounds_are_honest(k, l):
+    """At the default cutoff and series degree the stated bounds cover the
+    distance to a reference at P = 10^4 with a degree-18 tail."""
+    order_t, order_w = k, max(l, k + l - 2)
+    for h in (1, 6):
+        got, bound = cf_euler_jet(h, k, l, order_t, order_w)
+        ref, ref_bound = cf_euler_jet(h, k, l, order_t, order_w,
+                                      prime_cutoff=10**4, degree=18)
+        assert ref_bound < bound / 1000
+        assert _max_diff(got, ref) <= bound, (h, _max_diff(got, ref), bound)
+    with mp.workdps(60):
+        C, bound = singular_constant(k, l)
+        ref, ref_bound = singular_constant(k, l, prime_cutoff=10**4, degree=18)
+        assert ref_bound < bound / 1000
+        assert abs(C - ref) <= bound
 
 
 def test_local_factor_cf_wrapper():

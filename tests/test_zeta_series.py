@@ -7,6 +7,8 @@ import pytest
 from divcorr.errors import PrecisionError
 from divcorr.jets import PowerJet
 from divcorr.zeta_series import (
+    _log_zeta_jet_at,
+    _short_series_terms,
     c_coeffs,
     c_coeffs_via_division,
     estermann_a_constants,
@@ -112,6 +114,22 @@ def test_prime_zeta_moments():
         got = float(prime_power_log_moments(m, d)[d])
         tail = (np.log(2e6) ** d) / (2e6 ** (m - 1) * (m - 1))
         assert abs(direct - got) < max(5 * tail, 1e-12), (m, d)
+
+
+@pytest.mark.parametrize("dps", [30, 45, 60])
+def test_log_zeta_short_series(dps):
+    """Short-series log-zeta jets agree with mpmath's zeta derivatives, on both
+    sides of the switch-over from mpmath to the direct sum."""
+    order = 6
+    switch = min(y for y in range(2, 400) if _short_series_terms(y, order, dps))
+    assert _short_series_terms(switch - 1, order, dps) is None
+    for y in (switch - 2, switch - 1, switch, switch + 1, 2 * switch, 6 * switch):
+        got = _log_zeta_jet_at(y, order, dps)
+        with mp.workdps(dps + 15):
+            vals = [mp.zeta(y, derivative=r) / mp.factorial(r) for r in range(order + 1)]
+            want = PowerJet(vals).log()
+            for r in range(order + 1):
+                assert abs(got[r] - want[r]) < mp.mpf(10) ** (2 - dps), (y, r)
 
 
 def test_inverse_zeta_jet():
