@@ -193,8 +193,6 @@ def _short_series_terms(y: int, order: int, dps: int) -> int | None:
     is at most int_K^oo (log t)^r t^(-y) dt / r!, which is
     K^(1-y) sum_{i<=r} z^i/i! / (y-1)^(r+1) with z = (y-1) log K.
     """
-    if y < 2:
-        return None
     target = -(dps + 1) * math.log(10)  # one digit spare for float rounding
 
     def small_enough(K: int) -> bool:
@@ -211,14 +209,7 @@ def _short_series_terms(y: int, order: int, dps: int) -> int | None:
     k_min = max(2, math.ceil(math.exp(order / y)))
     if k_min > SHORT_SERIES_MAX_TERMS or not small_enough(SHORT_SERIES_MAX_TERMS):
         return None
-    lo, hi = k_min - 1, SHORT_SERIES_MAX_TERMS  # small_enough(hi) holds
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if small_enough(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return next(K for K in range(k_min, SHORT_SERIES_MAX_TERMS + 1) if small_enough(K))
 
 
 @lru_cache(maxsize=None)
