@@ -46,6 +46,7 @@ from .zeta_series import prime_power_log_moments
 
 DEFAULT_PRIME_CUTOFF = 1_000
 _SERIES_DEGREE = 14  # total degree kept in local log-factor expansions
+_MAX_SCALAR_ORDER = 42  # the scalar constant's series in 1/p grows to this
 
 MAX_DIRICHLET_Q = 4 * 10**6
 _MP_TABLE_LIMIT = 30_000
@@ -143,16 +144,42 @@ def _tail_moments(prime_cutoff: int, m_max: int, d_max: int, dps: int) -> PrimeT
     return PrimeTailMoments(prime_cutoff, m_max, d_max, dps)
 
 
-def singular_constant(k: int, l: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-                      tol: float = 1e-25, dps: int | None = None,
-                      degree: int = _SERIES_DEGREE) -> tuple[mp.mpf, mp.mpf]:
-    """(C_{k,l}, tail bound).  The factor is identically 1 when min(k,l) = 1."""
-    if k < 1 or l < 1:
-        raise ValueError("singular_constant requires k, l >= 1")
-    dps = dps or max(30, mp.mp.dps)
-    if k == 1 or l == 1:
-        return mp.mpf(1), mp.mpf(0)
+def _guarded_dps(dps: int, growth: float) -> int:
+    """Digits for the prime-tail moments of a series whose terms reach
+    `growth` times 2^m at degree m.  A moment of degree m is a full sum less a
+    partial one, both near 2^-m, so its absolute error is near
+    2^-m 10^-(dps+10); past five of those ten guard digits, the series'
+    growth is made up with extra digits."""
+    if growth <= 0:
+        return dps
+    return dps + max(0, math.ceil(math.log10(growth)) - 5)
+
+
+def _prime_tail_upper(prime_cutoff: int, m: int) -> mp.mpf:
+    """Upper bound on sum_{p > P} p^(-m): the primes in (P, 2P] summed, the
+    integers beyond 2P by the integral (2P)^(1-m) / (m-1).  Taken as P^(-m)
+    times a float sum of (P/p)^m <= 1, so it does not underflow."""
+    P = max(prime_cutoff, 1)  # no prime is below 2
+    ps = primes_up_to(2 * P)
+    ratios = P / ps[ps > P].astype(float)
+    scaled = float(np.sum(ratios**m)) * (1 + 1e-12) + P * 2.0 ** (1 - m) / (m - 1)
+    return mp.mpf(scaled) * mp.mpf(P) ** (-m)
+
+
+def _scalar_tail_bound(g, order: int, prime_cutoff: int) -> mp.mpf:
+    """Stated bound of the 1/p series of log C_{k,l} cut at `order`: twice its
+    last two terms, summed over p > P."""
+    return 2 * sum(abs(_mpf_frac(g[m])) * _prime_tail_upper(prime_cutoff, m)
+                   for m in (order - 1, order))
+
+
+def _c_scalar(k: int, l: int, prime_cutoff: int, order: int, dps: int) -> mp.mpf:
+    """C_{k,l}: the local factors over p <= P times exp of the series of the
+    log-factor in u = 1/p, to u^order, summed over p > P."""
     poly = _c_factor_poly(k, l)
+    g = _poly_log_series(poly, order)
+    assert g[0] == 0 and g[1] == 0, "local factor must be 1 + O(u^2)"
+    growth = max(abs(float(c)) * 2.0**-m for m, c in enumerate(g))
     with mp.workdps(dps + 10):
         prod = mp.mpf(1)
         for p in primes_up_to(prime_cutoff):
@@ -161,17 +188,35 @@ def singular_constant(k: int, l: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
             for c in reversed(poly):
                 acc = acc * u + mp.mpf(c.numerator) / c.denominator
             prod *= acc
-        order = degree + 2
-        g = _poly_log_series(poly, order)
-        assert g[0] == 0 and g[1] == 0, "local factor must be 1 + O(u^2)"
-        tails = _tail_moments(prime_cutoff, order, 0, dps)
+        tails = _tail_moments(prime_cutoff, order, 0, _guarded_dps(dps, growth))
         corr = mp.mpf(0)
         for m in range(2, order + 1):
             if g[m] != 0:
                 corr += _mpf_frac(g[m]) * tails.tail(m, 0)
-        bound = 2 * (abs(_mpf_frac(g[order - 1])) * tails.tail(order - 1, 0)
-                     + abs(_mpf_frac(g[order])) * tails.tail(order, 0))
-        value = prod * mp.exp(corr)
+        return prod * mp.exp(corr)
+
+
+def singular_constant(k: int, l: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
+                      tol: float = 1e-25, dps: int | None = None) -> tuple[mp.mpf, mp.mpf]:
+    """(C_{k,l}, tail bound).  The factor is identically 1 when min(k,l) = 1.
+
+    The coefficients of the tail series in 1/p grow with k and l, so the
+    series is cut at the first order from _SERIES_DEGREE + 4 on, in steps of
+    two, whose stated bound is below 10^-dps; at _MAX_SCALAR_ORDER at most.
+    """
+    if k < 1 or l < 1:
+        raise ValueError("singular_constant requires k, l >= 1")
+    dps = dps or max(30, mp.mp.dps)
+    if k == 1 or l == 1:
+        return mp.mpf(1), mp.mpf(0)
+    g = _poly_log_series(_c_factor_poly(k, l), _MAX_SCALAR_ORDER)
+    with mp.workdps(dps + 10):
+        target = mp.mpf(10) ** (-dps)
+        for order in range(_SERIES_DEGREE + 4, _MAX_SCALAR_ORDER + 1, 2):
+            bound = _scalar_tail_bound(g, order, prime_cutoff)
+            if bound <= target:
+                break
+        value = _c_scalar(k, l, prime_cutoff, order, dps)
     if bound > tol:
         raise PrecisionError(
             f"singular_constant({k},{l}): achieved bound {mp.nstr(bound, 5)} > tol {tol}",
@@ -399,13 +444,21 @@ def _log_local_c_series(k: int, l: int, deg: int = _SERIES_DEGREE) -> tuple:
     return tuple(sorted((key, v) for key, v in out.items() if v != 0))
 
 
+def _max_power_term(a: int, order: int) -> float:
+    """max over i <= order of a^i / i!, the largest t- or w-factor of a
+    monomial's jet."""
+    return max(a**i / math.factorial(i) for i in range(order + 1))
+
+
 def _prime_tail_log_jet(k: int, l: int, order_t: int, order_w: int, prime_cutoff: int,
                         dps: int, degree: int) -> tuple[Jet2, mp.mpf]:
     """(log of prod_{p > P} of the local C-factor as a jet, bound): the
     log-factor series to total degree `degree`, each monomial summed over
     p > P through the prime-tail moments."""
     series = _log_local_c_series(k, l, degree)
-    tails = _tail_moments(prime_cutoff, degree, order_t + order_w, dps)
+    growth = max(abs(float(g)) * 2.0 ** -(a + b + c) * _max_power_term(a, order_t)
+                 * _max_power_term(b, order_w) for (a, b, c), g in series)
+    tails = _tail_moments(prime_cutoff, degree, order_t + order_w, _guarded_dps(dps, growth))
     corr = Jet2.constant(0, order_t, order_w)
     gmax = mp.mpf(0)
     for (a, b, c), g in series:
@@ -443,13 +496,13 @@ def _c_euler_base(k: int, l: int, order_t: int, order_w: int, prime_cutoff: int,
 
 def cf_euler_jet(h, k: int, l: int, order_t: int, order_w: int,
                  prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-                 dps: int | None = None,
-                 degree: int = _SERIES_DEGREE) -> tuple[Jet2, mp.mpf]:
+                 dps: int | None = None) -> tuple[Jet2, mp.mpf]:
     """(jet of C(s,w) f(s,w) at (1,0), tail bound): the shift-free C-product
     (built once per process for each set of parameters), with the local factor
     of every p | h swapped from its gamma = 0 form to the true one."""
     dps = dps or max(30, mp.mp.dps)
-    base, bound = _c_euler_base(k, l, order_t, order_w, prime_cutoff, dps, degree)
+    base, bound = _c_euler_base(k, l, order_t, order_w, prime_cutoff, dps,
+                                 _SERIES_DEGREE)
     with mp.workdps(dps + 10):
         result = Jet2(base.coeffs)
         for p, gamma in _as_factored(h).factors:

@@ -10,7 +10,12 @@ from divcorr.arith import dk_of_factored, factorize, primes_up_to, sigma_minus1_
 from divcorr.euler import (
     DEFAULT_PRIME_CUTOFF,
     _SERIES_DEGREE,
+    _c_euler_base,
+    _c_factor_poly,
+    _c_scalar,
+    _poly_log_series,
     _prime_tail_log_jet,
+    _scalar_tail_bound,
     c_local_jet,
     cf_euler_jet,
     cf_local_jet,
@@ -159,22 +164,49 @@ def test_euler_jet_is_a_fresh_copy():
         assert again.coeffs == kept, h
 
 
+def _reference_cf_jet(h, k, l, order_t, order_w, dps):
+    """C(s,w) f(s,w) at P = 10^4 with a degree-18 tail, and its bound."""
+    ref, ref_bound = _c_euler_base(k, l, order_t, order_w, 10**4, dps, 18)
+    with mp.workdps(dps + 10):
+        for p, gamma in factorize(h).factors:
+            ref = ref * cf_local_jet(p, gamma, k, l, order_t, order_w)
+            ref = ref / c_local_jet(p, k, l, order_t, order_w)
+    return ref, ref_bound
+
+
 @pytest.mark.parametrize("k,l", [(2, 2), (3, 2), (3, 3)])
 def test_euler_tail_bounds_are_honest(k, l):
-    """At the default cutoff and series degree the stated bounds cover the
-    distance to a reference at P = 10^4 with a degree-18 tail."""
+    """At the default cutoff and series degree the jet's stated bound covers
+    the distance to a reference at P = 10^4 with a degree-18 tail, and is no
+    looser than that of the old truncation (P = 10^4, degree 10)."""
     order_t, order_w = k, max(l, k + l - 2)
+    dps = 30
+    _, old_bound = _prime_tail_log_jet(k, l, order_t, order_w, 10**4, dps, 10)
     for h in (1, 6):
-        got, bound = cf_euler_jet(h, k, l, order_t, order_w)
-        ref, ref_bound = cf_euler_jet(h, k, l, order_t, order_w,
-                                      prime_cutoff=10**4, degree=18)
+        got, bound = cf_euler_jet(h, k, l, order_t, order_w, dps=dps)
+        ref, ref_bound = _reference_cf_jet(h, k, l, order_t, order_w, dps)
         assert ref_bound < bound / 1000
+        assert bound <= old_bound
         assert _max_diff(got, ref) <= bound, (h, _max_diff(got, ref), bound)
-    with mp.workdps(60):
-        C, bound = singular_constant(k, l)
-        ref, ref_bound = singular_constant(k, l, prime_cutoff=10**4, degree=18)
-        assert ref_bound < bound / 1000
-        assert abs(C - ref) <= bound
+
+
+@pytest.mark.parametrize("k,l", [(2, 2), (3, 2), (3, 3), (4, 4), (5, 5), (16, 2),
+                                 (16, 16), (30, 30)])
+def test_singular_constant_bound_is_honest(k, l):
+    """The scalar tail series grows with k and l until its bound meets the
+    working precision: no PrecisionError (16,16 raised at a fixed degree
+    14), a bound no looser than the old truncation's (P = 10^4, order 12)
+    and covering the distance to a reference at P = 10^4, order 30."""
+    dps = 50
+    g = _poly_log_series(_c_factor_poly(k, l), 30)
+    # the constant is returned at the caller's digits, so call from above dps
+    with mp.workdps(dps + 20):
+        C, bound = singular_constant(k, l, dps=dps)
+        ref = _c_scalar(k, l, 10**4, 30, dps + 10)
+        assert bound <= mp.mpf(10) ** -dps
+        assert bound <= _scalar_tail_bound(g, 12, 10**4)
+        assert _scalar_tail_bound(g, 30, 10**4) < bound / 1000
+        assert abs(C - ref) <= bound, (abs(C - ref), bound)
 
 
 def test_local_factor_cf_wrapper():
