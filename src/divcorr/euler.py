@@ -222,7 +222,7 @@ def singular_constant(k: int, l: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
             f"singular_constant({k},{l}): achieved bound {mp.nstr(bound, 5)} > tol {tol}",
             achieved=bound,
         )
-    return +value, +bound
+    return value, bound  # unrounded: `+` would cut them to the caller's digits
 
 
 def singular_shift_factor(h, k: int, l: int) -> Fraction:
@@ -582,176 +582,170 @@ def varphi_of(h, k: int, l: int, q: int, order_s: int) -> PowerJet:
     return out
 
 
-# --- float64 fast path -------------------------------------------------------
+# --- tables of varphi(q, s) for q <= Q -----------------------------------------
 
 
-def _fpoly_mul(a, b, n):
-    out = [0.0] * (n + 1)
-    for i, x in enumerate(a):
-        if x == 0.0:
-            continue
-        for j in range(0, n + 1 - i):
-            out[i + j] += x * b[j]
+def _jet_mul(a, b) -> np.ndarray:
+    """Truncated products of t-jets stored column-wise (row r holds the t^r
+    coefficients): out[i] = sum_{r <= i} a[r] b[i-r], on float64 or mpf arrays."""
+    return np.stack([sum(a[r] * b[i - r] for r in range(i + 1)) for i in range(len(a))])
+
+
+_CHUNK = 1 << 12  # columns per gather-multiply step, to bound temporaries
+
+
+def _chunks(a: np.ndarray):
+    return (a[i:i + _CHUNK] for i in range(0, len(a), _CHUNK))
+
+
+@lru_cache(maxsize=1)
+def _varphi_base(k: int, l: int, Q: int, order_s: int, mode: str, dps: int) -> np.ndarray:
+    """varphi(q, s) for 0 <= q <= Q at a shift with no prime factor, as a
+    read-only (order_s + 1, Q + 1) array: float64, or mpf built at the working
+    precision `dps` (mode "mp").  Only the latest base is kept.
+
+    A prime power takes the gamma = 0 closed form, vectorised over primes:
+    with u = 1/p, varphi(p^a) = u^a [(-1)^a C(l-1,a) + N_a (1-p^-s)^k / (1-u)]
+    and N_a = sum_{j < a, j <= l-1} (-1)^j C(l-1,j) d_{l-1}(p^(a-j)), which is
+    the (1-u)^(l-1) binomial applied to d_{l-1}(p^a)/phi(p^a) (1-p^-s)^k.
+    Every other q is varphi(p^a) varphi(m) with p^a || q and p = spf(q),
+    filled level by level: each pass takes every q whose cofactor m is done,
+    so Q <= 4*10^6 needs at most 7 passes.
+    """
+    n = order_s + 1
+    primes = primes_up_to(Q)
+    if mode == "mp":
+        table = np.full((n, Q + 1), mp.mpf(0), dtype=object)
+        table[0, 1] = mp.mpf(1)
+        p = np.array([mp.mpf(int(x)) for x in primes], dtype=object)
+        logp = np.frompyfunc(mp.log, 1, 1)(p)
+    else:
+        table = np.zeros((n, Q + 1))
+        table[0, 1] = 1.0
+        p = primes.astype(np.float64)
+        logp = np.log(p)
+    u = 1 / p
+    # (1 - p^-s)^k = sum_i C(k,i) (-u)^i e^(-i t log p): its t^r coefficient is
+    # (-log p)^r / r! times sum_i C(k,i) i^r (-u)^i
+    xk = []
+    for r in range(n):
+        acc = 0 * u
+        for i in range(k, -1, -1):
+            acc = acc * -u + comb(k, i) * i**r
+        xk.append(acc * (-logp) ** r / math.factorial(r))
+    # pe = p^a for the primes with p^a <= Q, a prefix of them; front = u^a / (1-u)
+    pe, front, a = primes, u / (1 - u), 1
+    while len(pe):
+        cnt = len(pe)
+        n_a = sum((-1) ** j * comb(l - 1, j) * _dl1(l, a - j)
+                  for j in range(min(a - 1, l - 1) + 1))
+        for r in range(n):
+            table[r, pe] = n_a * front * xk[r][:cnt]
+        if a < l:
+            table[0, pe] += (-1) ** a * comb(l - 1, a) * u[:cnt] ** a
+        cnt = int(np.count_nonzero(pe <= Q // primes[:cnt]))
+        pe, front, a = pe[:cnt] * primes[:cnt], front[:cnt] * u[:cnt], a + 1
+    spf = spf_array(Q).astype(np.int32)
+    spf[0] = 1
+    # cofactor m = q / p^a: p divides q/p iff spf(q/p) = p, as no prime of q is below p
+    m = np.arange(Q + 1, dtype=np.int32) // spf
+    rest = np.flatnonzero(spf[m] == spf)
+    rest = rest[rest >= 2]
+    while len(rest):
+        m[rest] //= spf[rest]
+        rest = rest[spf[m[rest]] == spf[rest]]
+    done = m == 1
+    pending = np.flatnonzero(m > 1).astype(np.int32)
+    while len(pending):
+        ready = done[m[pending]]
+        for qs in _chunks(pending[ready]):
+            ms = m[qs]
+            table[:, qs] = _jet_mul(table[:, qs // ms], table[:, ms])
+        done[pending] = ready
+        pending = pending[~ready]
+    table.flags.writeable = False
+    return table
+
+
+def _overlay(base: np.ndarray, pos: np.ndarray, cols: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Columns qs of `base`, with column q taken from cols[:, pos[q]] where
+    pos[q] >= 0, as a fresh array."""
+    out = base[:, qs]
+    at = pos[qs]
+    hit = at >= 0
+    out[:, hit] = cols[:, at[hit]]
     return out
 
 
-def _fpoly_pow(a, e, n):
-    out = [0.0] * (n + 1)
-    out[0] = 1.0
-    base = list(a)
-    while e:
-        if e & 1:
-            out = _fpoly_mul(out, base, n)
-        base = _fpoly_mul(base, base, n)
-        e >>= 1
-    return out
-
-
-def _phi_pp_float(gamma: int, k: int, l: int, p: int, alpha: int, order_s: int):
-    u = 1.0 / p
-    L = math.log(p)
-    X = [u * (-L) ** r / math.factorial(r) for r in range(order_s + 1)]
-    one_minus_x = [1.0 - X[0]] + [-c for c in X[1:]]
-    xk = _fpoly_pow(one_minus_x, k, order_s)
-    if alpha <= gamma:
-        partial = [0.0] * (order_s + 1)
-        xb = [1.0] + [0.0] * order_s
-        for b in range(alpha):
-            c = dk_prime_power(k, b)
-            for r in range(order_s + 1):
-                partial[r] += c * xb[r]
-            xb = _fpoly_mul(xb, X, order_s)
-        prod = _fpoly_mul(xk, partial, order_s)
-        out = [-c for c in prod]
-        out[0] += 1.0
-        d = _dl1(l, alpha)
-        return [d * c for c in out]
-    delta = gamma
-    front = _dl1(l, alpha) / euler_phi_prime_power(p, alpha - delta)
-    xd = _fpoly_pow(X, delta, order_s) if delta else [1.0] + [0.0] * order_s
-    prod = _fpoly_mul(xk, xd, order_s)
-    scale = front * dk_prime_power(k, delta)
-    return [scale * c for c in prod]
-
-
-def _varphi_pp_float(gamma: int, k: int, l: int, p: int, alpha: int, order_s: int):
-    u = 1.0 / p
-    out = [0.0] * (order_s + 1)
-    for j in range(min(alpha, l - 1) + 1):
-        coef = comb(l - 1, j) * (-u) ** j
-        if alpha - j == 0:
-            out[0] += coef
-        else:
-            loc = _phi_pp_float(gamma, k, l, p, alpha - j, order_s)
-            for r in range(order_s + 1):
-                out[r] += coef * loc[r]
-    return out
+def _shift_columns(base: np.ndarray, hfac: FactoredInteger, k: int, l: int):
+    """(pos, cols): the varphi columns at shift h of every q <= Q with a prime
+    factor p | h, in order of q, and pos[q], the place of q among them (-1
+    for the rest).  Prime by prime, varphi_h(p^a m) = varphi_h(p^a)
+    varphi_h(m) for every m with p not dividing m; the few local jets with
+    gamma > 0 come from varphi_prime_power."""
+    n, Q = base.shape[0], base.shape[1] - 1
+    factors = [p for p, _ in hfac.factors if p <= Q]
+    hit = np.zeros(Q + 1, dtype=bool)
+    for p in factors:
+        hit[p::p] = True
+    pos = np.full(Q + 1, -1, dtype=np.int32)
+    pos[hit] = np.arange(np.count_nonzero(hit), dtype=np.int32)
+    cols = base[:, hit]
+    for p in factors:
+        pe, a = p, 1
+        while pe <= Q:
+            loc = np.array(varphi_prime_power(hfac, k, l, p, a, n - 1).coeffs, dtype=base.dtype)
+            ms = np.arange(1, Q // pe + 1, dtype=np.int32)
+            for part in _chunks(ms[ms % p != 0]):
+                cols[:, pos[pe * part]] = _jet_mul(loc[:, None], _overlay(base, pos, cols, part))
+            pe, a = pe * p, a + 1
+    return pos, cols
 
 
 class VarphiTable:
-    """varphi(q, s) jets for q <= Q, stored as coefficient arrays in t.
+    """varphi(q, s) jets for q <= Q, stored as coefficient rows in t = s - 1.
 
     mode "mp" keeps mpmath coefficients (exact to working precision); mode
-    "float" keeps float64 numpy arrays for large Q, where the q-truncation
-    tail dwarfs double-precision rounding.
+    "float" keeps float64 for large Q, where the q-truncation tail dwarfs
+    double-precision rounding.  The shift-free table is shared, read-only,
+    by every table with the same (k, l, Q, order_s, mode, working digits);
+    a table keeps of its own only the columns at multiples of the p | h.
     """
 
     def __init__(self, h, k: int, l: int, Q: int, order_s: int, mode: str):
-        self.h = int(_as_factored(h).value)
+        if mode not in ("mp", "float"):
+            raise ValueError(f"unknown varphi table mode {mode!r}")
+        if Q > MAX_DIRICHLET_Q:
+            raise ResourceBudgetError(f"varphi table Q={Q} over budget {MAX_DIRICHLET_Q}")
+        if Q < 1:
+            raise ValueError("varphi table requires Q >= 1")
+        hfac = _as_factored(h)
+        self.h = int(hfac.value)
         self.k = k
         self.l = l
         self.Q = Q
         self.order_s = order_s
         self.mode = mode
-        hfac = _as_factored(h)
-        if Q > MAX_DIRICHLET_Q:
-            raise ResourceBudgetError(f"varphi table Q={Q} over budget {MAX_DIRICHLET_Q}")
-        spf = spf_array(Q) if Q >= 2 else np.array([0, 1], dtype=np.int64)
-        if mode == "mp":
-            self._build_mp(hfac, spf)
-        elif mode == "float":
-            self._build_float(hfac, spf)
-        else:
-            raise ValueError(f"unknown varphi table mode {mode!r}")
+        self._base = _varphi_base(k, l, Q, order_s, mode, mp.mp.dps if mode == "mp" else 0)
+        self._pos, self._cols = _shift_columns(self._base, hfac, k, l)
 
-    def _build_mp(self, hfac, spf):
-        Q, os = self.Q, self.order_s
-        vals = [None] * (Q + 1)
-        vals[1] = [mp.mpf(1)] + [mp.mpf(0)] * os
-        pw_cache = {}
-        expo = np.zeros(Q + 1, dtype=np.int64)
-        base = np.zeros(Q + 1, dtype=np.int64)
-        expo[1] = 0
-        base[1] = 1
-        for q in range(2, Q + 1):
-            p = int(spf[q])
-            m = q // p
-            if m % p == 0:
-                expo[q] = expo[m] + 1
-                base[q] = base[m]
-            else:
-                expo[q] = 1
-                base[q] = m
-            key = (p, int(expo[q]))
-            loc = pw_cache.get(key)
-            if loc is None:
-                jet = varphi_prime_power(hfac, self.k, self.l, p, key[1], os)
-                loc = jet.coeffs
-                pw_cache[key] = loc
-            b = int(base[q])
-            if b == 1:
-                vals[q] = list(loc)
-            else:
-                vb = vals[b]
-                out = [mp.mpf(0)] * (os + 1)
-                for i in range(os + 1):
-                    ci = loc[i]
-                    if ci == 0:
-                        continue
-                    for j in range(os + 1 - i):
-                        out[i + j] += ci * vb[j]
-                vals[q] = out
-        self._vals = vals
-
-    def _build_float(self, hfac, spf):
-        Q, os = self.Q, self.order_s
-        arr = np.zeros((os + 1, Q + 1), dtype=np.float64)
-        arr[0, 1] = 1.0
-        primes = primes_up_to(Q)
-        for p in primes[::-1]:
-            p = int(p)
-            gamma = hfac.exponent_of(p)
-            pe = p
-            alpha = 1
-            while pe <= Q:
-                loc = _varphi_pp_float(gamma, self.k, self.l, p, alpha, os)
-                mmax = Q // pe
-                ms = np.arange(1, mmax + 1, dtype=np.int64)
-                mask = (spf[ms] > p) | (ms == 1)
-                ms = ms[mask]
-                targets = ms * pe
-                for i in range(os + 1):
-                    acc = np.zeros(len(ms), dtype=np.float64)
-                    for r in range(i + 1):
-                        if loc[r] != 0.0:
-                            acc += loc[r] * arr[i - r, ms]
-                    arr[i, targets] = acc
-                pe *= p
-                alpha += 1
-        arr[:, 0] = 0.0
-        self._arr = arr
+    def columns(self, qs: np.ndarray) -> np.ndarray:
+        """The coefficients of varphi(q, s) for q in qs (row r: t^r), as a
+        fresh array."""
+        return _overlay(self._base, self._pos, self._cols, qs)
 
     def coefficient_array(self, i: int) -> np.ndarray:
-        if self.mode != "float":
-            raise ValueError("coefficient_array is only for float tables")
-        return self._arr[i]
+        """The t^i coefficients of varphi(q, s) for q = 0..Q (0 at q = 0), as
+        a fresh array."""
+        row = self._base[i].copy()
+        row[self._pos >= 0] = self._cols[i]
+        return row
 
     def jet(self, q: int) -> PowerJet:
         if not 1 <= q <= self.Q:
             raise IndexError(f"q={q} outside table range")
-        if self.mode == "mp":
-            return PowerJet(self._vals[q])
-        return PowerJet([mp.mpf(float(self._arr[i, q])) for i in range(self.order_s + 1)])
+        col = self.columns(np.array([q]))[:, 0]
+        return PowerJet([c if self.mode == "mp" else mp.mpf(float(c)) for c in col])
 
 
 def varphi_table(h, k: int, l: int, Q: int, order_s: int, mode: str = "auto") -> VarphiTable:
@@ -791,49 +785,32 @@ def dirichlet_partials(h, k: int, l: int, Q: int, order_t: int | None = None,
     """
     order_t = order_t if order_t is not None else k
     order_w = order_w if order_w is not None else max(l, k + l - 2)
-    if mode == "auto":
-        mode = "mp" if Q <= _MP_TABLE_LIMIT else "float"
     table = varphi_table(h, k, l, Q, order_t, mode)
-    lo_decade = Q // 10
-    if mode == "mp":
-        D = [[mp.mpf(0)] * (order_w + 1) for _ in range(order_t + 1)]
-        tail = [[mp.mpf(0)] * (order_w + 1) for _ in range(order_t + 1)]
-        for q in range(1, Q + 1):
-            coeffs = table._vals[q]
-            neglog = -mp.log(q) if q > 1 else mp.mpf(0)
-            wpow = mp.mpf(1)
+    if table.mode == "mp":  # fdot rounds once per block
+        dot, neglog = mp.fdot, np.frompyfunc(lambda q: -mp.log(int(q)), 1, 1)
+    else:
+        dot, neglog = np.dot, lambda qs: -np.log(qs)
+
+    def block_sums(lo: int, hi: int) -> list:
+        """sum over lo <= q < hi of varphi_i(q) (-log q)^j, block by block."""
+        S = [[0] * (order_w + 1) for _ in range(order_t + 1)]
+        for start in range(lo, hi, _CHUNK):
+            qs = np.arange(start, min(start + _CHUNK, hi))
+            cols, logs = table.columns(qs), neglog(qs)
+            wpow = np.ones_like(logs)
             for j in range(order_w + 1):
-                scale = wpow / mp.factorial(j)
                 for i in range(order_t + 1):
-                    term = coeffs[i] * scale
-                    D[i][j] += term
-                    if q > lo_decade:
-                        tail[i][j] += term
-                wpow *= neglog
-        tails = [[abs(t) for t in row] for row in tail]
-        out = DirichletPartials(h=int(_as_factored(h).value), k=k, l=l, Q=Q,
-                                jet=Jet2(D), tails=tails, mode=mode)
-        _tail_tolerance_check(out, tol)
-        return out
-    qs = np.arange(0, Q + 1, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        neglog = -np.log(qs)
-    neglog[0] = 0.0
-    neglog[1] = 0.0
-    D = [[mp.mpf(0)] * (order_w + 1) for _ in range(order_t + 1)]
-    tails = [[mp.mpf(0)] * (order_w + 1) for _ in range(order_t + 1)]
-    wpow = np.ones(Q + 1, dtype=np.float64)
-    for j in range(order_w + 1):
-        fj = float(mp.factorial(j))
-        for i in range(order_t + 1):
-            arr = table.coefficient_array(i)
-            full = float(np.dot(arr[1:], wpow[1:])) / fj
-            last = float(np.dot(arr[lo_decade + 1 :], wpow[lo_decade + 1 :])) / fj
-            D[i][j] = mp.mpf(full)
-            tails[i][j] = abs(mp.mpf(last))
-        wpow *= neglog
-    out = DirichletPartials(h=int(_as_factored(h).value), k=k, l=l, Q=Q,
-                            jet=Jet2(D), tails=tails, mode=mode)
+                    S[i][j] += dot(cols[i], wpow)
+                wpow = wpow * logs
+        return S
+
+    head, last = block_sums(1, Q // 10 + 1), block_sums(Q // 10 + 1, Q + 1)
+    D = [[mp.mpf(head[i][j] + last[i][j]) / math.factorial(j) for j in range(order_w + 1)]
+         for i in range(order_t + 1)]
+    tails = [[abs(mp.mpf(last[i][j])) / math.factorial(j) for j in range(order_w + 1)]
+             for i in range(order_t + 1)]
+    out = DirichletPartials(h=table.h, k=k, l=l, Q=Q, jet=Jet2(D), tails=tails,
+                            mode=table.mode)
     _tail_tolerance_check(out, tol)
     return out
 

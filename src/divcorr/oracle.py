@@ -345,14 +345,9 @@ def phi_partial_sum_jet(h: int, k: int, l: int, Q: int, order_s: int) -> PowerJe
         if w:
             acc += mp.mpf(w) / q
         H[q] = acc
-    coeffs = [mp.mpf(0)] * (order_s + 1)
-    for d in range(1, Q + 1):
-        hval = H[Q // d]
-        vj = table._vals[d]
-        for r in range(order_s + 1):
-            if vj[r] != 0:
-                coeffs[r] += vj[r] * hval
-    return PowerJet(coeffs)
+    weights = [H[Q // d] for d in range(1, Q + 1)]
+    return PowerJet([mp.fdot(table.coefficient_array(r)[1:], weights)
+                     for r in range(order_s + 1)])
 
 
 def direct_secondary_value(h: int, k: int, l: int, A, Q: int, logx,

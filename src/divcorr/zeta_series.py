@@ -25,7 +25,7 @@ from .jets import PowerJet
 
 # Configured ceilings for Stieltjes computations.
 STIELTJES_MAX_INDEX = 30
-STIELTJES_MAX_DIGITS = 50
+STIELTJES_MAX_DIGITS = 100
 
 
 def _log_power_derivative_polys(m: int, r_max: int) -> list[list[Fraction]]:

@@ -56,6 +56,15 @@ def test_polynomial_command(tmp_path):
     assert csv_text.splitlines()[1].startswith("2,2,1,1/2,2,")
 
 
+def test_polynomial_above_fifty_digits(tmp_path):
+    """--dps above 50 used to exit 4 at the Stieltjes digit ceiling."""
+    code, out = run(tmp_path, "polynomial", "--k", "2", "--l", "2", "--h", "1",
+                    "--A", "1/2", "--dps", "60")
+    assert code == 0
+    poly = json.loads((out / "polynomial.json").read_text())["polynomials"][0]
+    assert abs(float(poly["coefficients"][2]) - 0.30396355) < 1e-6
+
+
 def test_predict_command(tmp_path):
     code, out = run(tmp_path, "predict", "--k", "3", "--l", "3", "--h", "1")
     assert code == 0

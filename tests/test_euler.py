@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from divcorr.arith import dk_of_factored, factorize, primes_up_to, sigma_minus1_exact
@@ -16,6 +17,7 @@ from divcorr.euler import (
     _poly_log_series,
     _prime_tail_log_jet,
     _scalar_tail_bound,
+    _varphi_base,
     c_local_jet,
     cf_euler_jet,
     cf_local_jet,
@@ -43,6 +45,14 @@ def test_singular_constant_closed_forms():
     assert C15 == 1
     C51, _ = singular_constant(5, 1)
     assert C51 == 1
+
+
+def test_singular_constant_keeps_requested_digits():
+    """dps=50 asked for at mpmath's default 15 digits still gives 50 digits."""
+    with mp.workdps(15):
+        C, _ = singular_constant(2, 2, dps=50)
+    with mp.workdps(60):
+        assert abs(C - 6 / mp.pi**2) < mp.mpf(10) ** -45
 
 
 def test_singular_constant_symmetry():
@@ -199,7 +209,7 @@ def test_singular_constant_bound_is_honest(k, l):
     and covering the distance to a reference at P = 10^4, order 30."""
     dps = 50
     g = _poly_log_series(_c_factor_poly(k, l), 30)
-    # the constant is returned at the caller's digits, so call from above dps
+    # the constant carries more digits than dps: compare it above dps
     with mp.workdps(dps + 20):
         C, bound = singular_constant(k, l, dps=dps)
         ref = _c_scalar(k, l, 10**4, 30, dps + 10)
@@ -323,13 +333,70 @@ def test_dirichlet_convolution_identity():
 
 
 def test_varphi_float_matches_mp():
-    for (h, k, l) in ((1, 2, 2), (6, 3, 2)):
-        tm = varphi_table(h, k, l, 800, 2, mode="mp")
-        tf = varphi_table(h, k, l, 800, 2, mode="float")
-        for q in (1, 2, 64, 360, 799):
-            a, b = tm.jet(q), tf.jet(q)
+    """Both table modes against the per-q product varphi_of, at every q <= Q."""
+    Q = 3000
+    for (h, k, l) in ((1, 2, 2), (6, 3, 2), (96, 2, 3), (2 * 1009, 3, 3), (10007, 3, 2)):
+        tm = varphi_table(h, k, l, Q, 2, mode="mp")
+        tf = varphi_table(h, k, l, Q, 2, mode="float")
+        for q in range(1, Q + 1):
+            ref, a, b = varphi_of(h, k, l, q, 2), tm.jet(q), tf.jet(q)
             for r in range(3):
-                assert abs(a[r] - b[r]) < mp.mpf(10) ** -13, (h, k, l, q, r)
+                assert abs(a[r] - ref[r]) < TIGHT, (h, k, l, q, r)
+                assert abs(b[r] - ref[r]) < mp.mpf(10) ** -13, (h, k, l, q, r)
+
+
+def _cold_rows(h, k, l, Q, order_s, mode):
+    _varphi_base.cache_clear()
+    t = varphi_table(h, k, l, Q, order_s, mode)
+    return [t.coefficient_array(i) for i in range(order_s + 1)]
+
+
+@pytest.mark.parametrize("mode", ["mp", "float"])
+def test_varphi_shared_base_is_bit_identical_and_protected(mode):
+    """h = 6, then 1, then 6 on one shared base equal cold builds bit for bit,
+    and writing into what a table returns does not reach the next table."""
+    Q = 2000
+    cold = {h: _cold_rows(h, 3, 2, Q, 3, mode) for h in (6, 1)}
+    _varphi_base.cache_clear()
+    for h in (6, 1, 6):
+        t = varphi_table(h, 3, 2, Q, 3, mode)
+        for i in range(4):
+            row = t.coefficient_array(i)
+            assert row.dtype == cold[h][i].dtype
+            assert all(row == cold[h][i]), (h, i)
+            row[:] = 7
+        t.columns(np.arange(Q + 1))[:] = 7
+        t.jet(12).coeffs[0] = 7
+    assert _varphi_base.cache_info().misses == 1
+    with pytest.raises(ValueError):
+        t._base[0, 2] = 7
+    t = varphi_table(6, 3, 2, Q, 3, mode)
+    assert all(all(t.coefficient_array(i) == cold[6][i]) for i in range(4))
+
+
+def test_varphi_mp_table_follows_precision():
+    """A table built at 30 digits is not reused at 60."""
+    with mp.workdps(30):
+        varphi_table(6, 2, 2, 500, 1, mode="mp")
+    with mp.workdps(60):
+        t = varphi_table(6, 2, 2, 500, 1, mode="mp")
+        for q in (2, 3, 360, 499):
+            ref = varphi_of(6, 2, 2, q, 1)
+            for r in range(2):
+                assert abs(t.jet(q)[r] - ref[r]) < mp.mpf(10) ** -55, (q, r)
+
+
+@pytest.mark.parametrize("mode", ["mp", "float"])
+@pytest.mark.parametrize("Q", [1, 2])
+def test_varphi_smallest_tables(Q, mode):
+    for h in (1, 2):
+        t = varphi_table(h, 2, 2, Q, 1, mode=mode)
+        for q in range(1, Q + 1):
+            ref = varphi_of(h, 2, 2, q, 1)
+            assert all(abs(t.jet(q)[r] - ref[r]) < mp.mpf(10) ** -15 for r in range(2))
+        dp = dirichlet_partials(h, 2, 2, Q, 1, 1, mode=mode)
+        direct = sum(varphi_of(h, 2, 2, q, 0)[0] for q in range(1, Q + 1))
+        assert abs(dp.jet[0, 0] - direct) < mp.mpf(10) ** -15
 
 
 def test_two_route_identity():

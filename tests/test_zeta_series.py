@@ -54,7 +54,15 @@ def test_stieltjes_shape_and_ceilings():
     with pytest.raises(PrecisionError):
         stieltjes_table(31, 30)
     with pytest.raises(PrecisionError):
-        stieltjes_table(3, 51)
+        stieltjes_table(3, 101)
+
+
+def test_stieltjes_at_the_digit_ceiling():
+    """gamma_0..gamma_6 at 100 digits, as `--dps` up to 100 asks for."""
+    table = stieltjes_table(6, 100)
+    with mp.workdps(110):
+        for m, got in enumerate(table):
+            assert abs(got - mp.stieltjes(m)) < mp.mpf(10) ** -99, m
 
 
 def test_euler_gamma_matches_mpmath():
