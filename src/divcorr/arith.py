@@ -12,7 +12,9 @@ for A = a/b in lowest terms.  No floating point enters any membership test.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +33,7 @@ FACTORIZE_BOUND = 2**63 - 1
 MAX_TABLE_CELLS = 2 * 10**8
 
 _TABLE_MAGIC = b"DKTB"
+_TABLE_HEADER = "<4sIqqB"
 
 
 def introot(n: int, k: int) -> int:
@@ -250,31 +253,16 @@ def primes_up_to(n: int) -> np.ndarray:
 def divisor_count_array(x: int, k: int) -> np.ndarray:
     """Array of d_k(n) for 0 <= n <= x (index 0 is 0), exact int64.
 
-    Built by iterated Dirichlet convolution with the constant function 1;
-    the q-loop is split so large q are handled by vectorized scatter-adds
-    instead of millions of short slices.
+    k >= 2 comes from the segmented divide-out sieve, the same kernel as
+    sieve_dk.
     """
     if x < 1 or k < 0:
         raise ValueError("divisor_count_array requires x >= 1, k >= 0")
     _budget_check(x + 1)
-    if k == 0:
-        out = np.zeros(x + 1, dtype=np.int64)
-        out[1] = 1
-        return out
-    out = np.ones(x + 1, dtype=np.int64)
-    out[0] = 0
-    for _ in range(k - 1):
-        prev = out
-        out = np.zeros(x + 1, dtype=np.int64)
-        q_split = min(x, max(isqrt(x), 1024))
-        for q in range(1, q_split + 1):
-            out[q::q] += prev[q]
-        for m in range(1, x // q_split + 1):
-            q_hi = x // m
-            if q_hi <= q_split:
-                break
-            qs = np.arange(q_split + 1, q_hi + 1, dtype=np.int64)
-            out[qs * m] += prev[q_split + 1 : q_hi + 1]
+    if k >= 2:
+        return _sieve_window(k, 0, x, values=True, spf=False)[0]
+    out = np.zeros(x + 1, dtype=np.int64)
+    out[1 : None if k == 1 else 2] = 1  # d_1 = 1; d_0 is 1 at n = 1 only
     return out
 
 
@@ -285,60 +273,106 @@ def _budget_check(cells: int):
         )
 
 
-def _sieve_segment(k: int, lo: int, hi: int, primes: np.ndarray):
-    """Exact d_k values and smallest prime factors on [lo, hi] by divide-out.
+def _sieve_segment(k: int, lo: int, hi: int, primes: np.ndarray,
+                   values: bool = True, spf: bool = True):
+    """Exact d_k values and/or smallest prime factors on [lo, hi] (lo >= 0).
 
-    primes must cover every prime <= sqrt(hi).
+    A sieve on strided views: for each prime p <= sqrt(hi) and each
+    p^j <= hi, the multiples of p^j take one more factor p into `acc` (the
+    part of n made of the primes sieved so far) and move their d_k value
+    from d_k(p^(j-1)) to d_k(p^j) by an exact int64 rescale.  An n with
+    acc < n has one prime factor left, above sqrt(hi), worth a factor k.  Smallest prime factors are stride
+    writes in descending prime order, so the smallest prime is written
+    last; an n no prime <= sqrt(hi) divides is 1 or prime.  Index n = 0,
+    if in range, holds 0 in both arrays.  primes must cover every prime
+    <= sqrt(hi).  Returns (values, spf), None for an array not asked for.
     """
     size = hi - lo + 1
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
-    val = np.ones(size, dtype=np.int64)
-    spf = np.zeros(size, dtype=np.int64)
-    max_e = hi.bit_length() + 1
-    binom = np.array([dk_prime_power(k, a) for a in range(max_e)], dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        if p * p > hi:
-            break
-        first = lo + ((-lo) % p)
-        if first > hi:
-            continue
-        idx = np.arange(first - lo, size, p, dtype=np.int64)
-        sub = spf[idx]
-        spf[idx[sub == 0]] = p
-        rem[idx] //= p
-        e = np.ones(idx.size, dtype=np.int64)
-        pos = np.arange(idx.size, dtype=np.int64)
-        while True:
-            div = rem[idx[pos]] % p == 0
-            if not div.any():
-                break
-            pos = pos[div]
-            rem[idx[pos]] //= p
-            e[pos] += 1
-        val[idx] *= binom[e]
-    left = rem > 1
-    val[left] *= k
-    unset = (spf == 0) & left
-    spf[unset] = rem[unset]
-    if lo <= 1 <= hi:
-        spf[1 - lo] = 1
-        val[1 - lo] = 1
+    start = max(lo, 1)
+    small = primes[primes * primes <= hi]
+    small = small[(-start) % small < hi - start + 1].tolist()
+    val = None
+    if values:
+        val = np.ones(size, dtype=np.int64)
+        acc = np.ones(size, dtype=np.int64)
+        binom = [dk_prime_power(k, a) for a in range(hi.bit_length() + 1)]
+        for p in small:
+            q, j = p, 1
+            while q <= hi:
+                off = start - lo + (-start) % q
+                if off >= size:
+                    break
+                acc[off::q] *= p
+                step = val[off::q]
+                if j > 1:
+                    step //= binom[j - 1]
+                step *= binom[j]
+                q *= p
+                j += 1
+        val[acc < np.arange(lo, hi + 1, dtype=np.int64)] *= k
+    low = None
+    if spf:
+        low = np.zeros(size, dtype=np.int64)
+        for p in reversed(small):
+            low[start - lo + (-start) % p :: p] = p
+        unset = low == 0
+        low[unset] = np.arange(lo, hi + 1, dtype=np.int64)[unset]
     if lo == 0:
-        spf[0] = 0
-        val[0] = 0
-    return val, spf
+        for arr in (val, low):
+            if arr is not None:
+                arr[0] = 0
+    return val, low
 
 
-@dataclass
+# Segment length of the sieve: the working arrays of one segment stay in
+# cache, and each segment pays one Python pass over the sieving primes.
+SEGMENT_SIZE = 1 << 18
+
+
+def _sieve_window(k: int, lo: int, hi: int, values: bool, spf: bool,
+                  segment_size: int = SEGMENT_SIZE, threads: int = 1):
+    """_sieve_segment over [lo, hi] in segments written to fixed offsets.
+
+    Bit-identical for any segment size and thread count.
+    """
+    primes = primes_up_to(isqrt(hi))
+    size = hi - lo + 1
+    outs = [np.empty(size, dtype=np.int64) if want else None for want in (values, spf)]
+    spans = [(s, min(s + segment_size - 1, hi)) for s in range(lo, hi + 1, segment_size)]
+
+    def work(span):
+        s, e = span
+        for out, part in zip(outs, _sieve_segment(k, s, e, primes, values, spf)):
+            if out is not None:
+                out[s - lo : e - lo + 1] = part
+
+    if threads > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(work, spans))
+    else:
+        for span in spans:
+            work(span)
+    return outs
+
+
 class DivisorTable:
-    """Sieved d_k(n) values and smallest prime factors on [lo, hi]."""
+    """Sieved d_k(n) values on [lo, hi]; smallest prime factors on first use."""
 
-    k: int
-    lo: int
-    hi: int
-    values: np.ndarray
-    spf: np.ndarray
+    def __init__(self, k: int, lo: int, hi: int, values: np.ndarray,
+                 segment_size: int = SEGMENT_SIZE, threads: int = 1):
+        self.k, self.lo, self.hi = k, lo, hi
+        self.values = values
+        self._spf = None
+        self._segment_size, self._threads = segment_size, threads
+
+    @property
+    def spf(self) -> np.ndarray:
+        """Smallest prime factor of each n in [lo, hi], sieved once when first read."""
+        if self._spf is None:
+            self._spf = _sieve_window(self.k, self.lo, self.hi, values=False, spf=True,
+                                      segment_size=self._segment_size,
+                                      threads=self._threads)[1]
+        return self._spf
 
     def index(self, n: int) -> int:
         if not self.lo <= n <= self.hi:
@@ -357,10 +391,11 @@ class DivisorTable:
     def factor(self, n: int) -> FactoredInteger:
         """Factor n via the stored smallest-prime chain when possible."""
         if self.lo == 1 and self.lo <= n <= self.hi:
+            spf = self.spf
             m = n
             factors = []
             while m > 1:
-                p = int(self.spf[m - self.lo])
+                p = int(spf[m - self.lo])
                 e = 0
                 while m % p == 0:
                     m //= p
@@ -371,62 +406,58 @@ class DivisorTable:
         return factorize(n)
 
     def dump(self, path):
-        """Binary dump: (magic, k, lo, hi, element width) + little-endian values."""
-        header = struct.pack("<4sIqqB", _TABLE_MAGIC, self.k, self.lo, self.hi, 8)
+        """Binary dump: header (magic, k, lo, hi, element width), the values as
+        little-endian int64, then the CRC-32 of those value bytes (4 bytes,
+        little-endian).  The spf array is not stored."""
+        values = np.ascontiguousarray(self.values, dtype="<i8")
+        header = struct.pack(_TABLE_HEADER, _TABLE_MAGIC, self.k, self.lo, self.hi, 8)
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(self.values.astype("<i8").tobytes())
+            fh.write(values)
+            fh.write(struct.pack("<I", zlib.crc32(values)))
 
     @classmethod
     def load(cls, path) -> "DivisorTable":
-        """Load a dumped table; the spf array is resieved on demand."""
+        """Read a dumped table; ValueError unless its size and checksum match."""
+        head_len = struct.calcsize(_TABLE_HEADER)
         with open(path, "rb") as fh:
-            header = fh.read(struct.calcsize("<4sIqqB"))
-            magic, k, lo, hi, width = struct.unpack("<4sIqqB", header)
+            header = fh.read(head_len)
+            if len(header) < head_len:
+                raise ValueError(f"{path}: truncated header")
+            magic, k, lo, hi, width = struct.unpack(_TABLE_HEADER, header)
             if magic != _TABLE_MAGIC:
                 raise ValueError(f"{path}: not a divisor-table dump")
             if width != 8:
                 raise ValueError(f"{path}: unsupported element width {width}")
-            data = fh.read((hi - lo + 1) * 8)
-        values = np.frombuffer(data, dtype="<i8").astype(np.int64)
-        if values.size != hi - lo + 1:
-            raise ValueError(f"{path}: truncated value array")
-        primes = primes_up_to(isqrt(hi))
-        _, spf = _sieve_segment(k, lo, hi, primes)
-        return cls(k=k, lo=lo, hi=hi, values=values, spf=spf)
+            if not (k >= 1 and 1 <= lo <= hi):
+                raise ValueError(f"{path}: bad header (k={k}, lo={lo}, hi={hi})")
+            size = hi - lo + 1
+            if os.fstat(fh.fileno()).st_size != head_len + 8 * size + 4:
+                raise ValueError(f"{path}: file size does not match its header")
+            values = np.empty(size, dtype="<i8")
+            fh.readinto(values)
+            (crc,) = struct.unpack("<I", fh.read(4))
+        if zlib.crc32(values) != crc:
+            raise ValueError(f"{path}: checksum mismatch")
+        return cls(k=k, lo=lo, hi=hi, values=values.astype(np.int64, copy=False))
 
 
-def sieve_dk(k: int, lo: int, hi: int, segment_size: int = 1 << 21,
+def sieve_dk(k: int, lo: int, hi: int, segment_size: int = SEGMENT_SIZE,
              threads: int = 1) -> DivisorTable:
     """Build a DivisorTable on [lo, hi].
 
     Segments are independent and written to fixed offsets, so the result is
-    bit-identical for any thread count.
+    bit-identical for any segment size and thread count.
     """
     if not 1 <= lo <= hi:
         raise ValueError("sieve_dk requires 1 <= lo <= hi")
     if k < 1:
         raise ValueError("sieve_dk requires k >= 1")
     _budget_check(2 * (hi - lo + 1))
-    primes = primes_up_to(isqrt(hi))
-    size = hi - lo + 1
-    values = np.empty(size, dtype=np.int64)
-    spf = np.empty(size, dtype=np.int64)
-    spans = [(s, min(s + segment_size - 1, hi)) for s in range(lo, hi + 1, segment_size)]
-
-    def work(span):
-        s, e = span
-        v, f = _sieve_segment(k, s, e, primes)
-        values[s - lo : e - lo + 1] = v
-        spf[s - lo : e - lo + 1] = f
-
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, spans))
-    else:
-        for span in spans:
-            work(span)
-    return DivisorTable(k=k, lo=lo, hi=hi, values=values, spf=spf)
+    values = _sieve_window(k, lo, hi, values=True, spf=False,
+                           segment_size=segment_size, threads=threads)[0]
+    return DivisorTable(k=k, lo=lo, hi=hi, values=values,
+                        segment_size=segment_size, threads=threads)
 
 
 def dk_partial(n: int, k: int, A: RationalExponent, table: DivisorTable | None = None) -> int:

@@ -110,15 +110,22 @@ def _meta(args, **extra) -> dict:
 
 
 def _table_cache_path(args, k: int, lo: int, hi: int) -> str:
-    key = hashlib.sha256(f"dk:{k}:{lo}:{hi}:w8".encode()).hexdigest()[:16]
+    # the suffix names the file layout (int64 values, CRC-32 trailer), so
+    # files written in an older layout are cache misses
+    key = hashlib.sha256(f"dk:{k}:{lo}:{hi}:w8crc".encode()).hexdigest()[:16]
     os.makedirs(args.cache_dir, exist_ok=True)
     return os.path.join(args.cache_dir, f"dk_{k}_{lo}_{hi}_{key}.divtab")
 
 
 def _cached_table(args, k: int, lo: int, hi: int) -> DivisorTable:
+    """The cached table, or a fresh sieve written to the cache when the file
+    is missing or refused by DivisorTable.load (truncated, bad checksum)."""
     path = _table_cache_path(args, k, lo, hi)
     if os.path.exists(path):
-        return DivisorTable.load(path)
+        try:
+            return DivisorTable.load(path)
+        except ValueError:
+            pass
     table = sieve_dk(k, lo, hi, threads=args.threads)
     table.dump(path)
     return table
@@ -384,8 +391,7 @@ def cmd_estermann(args) -> int:
 
 def cmd_distribution(args) -> int:
     rows = []
-    for x in args.x:
-        dist = oracle.empirical_distribution(args.k, args.A, x)
+    for x, dist in zip(args.x, oracle.empirical_distribution(args.k, args.A, args.x)):
         limit = asympt.bareikis_cdf(args.k, args.A)
         resid = dist.scaling_residual()
         rows.append({

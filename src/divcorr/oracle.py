@@ -22,7 +22,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
+from numbers import Integral
 
 import mpmath as mp
 import numpy as np
@@ -38,62 +39,84 @@ MAX_BRUTE_X = 10**8
 
 _CHUNK = 1 << 16
 
-
-def _exact_sum(arr: np.ndarray) -> int:
-    """Exact integer sum of an int64 array via chunked Python-int promotion."""
-    total = 0
-    for start in range(0, arr.size, _CHUNK):
-        total += int(arr[start : start + _CHUNK].sum(dtype=np.int64))
-    return total
+_INT64_MAX = 2**63 - 1
 
 
-def _exact_sum_threaded(arr: np.ndarray, threads: int) -> int:
-    """Same value as _exact_sum for any thread count (fixed chunk grid)."""
-    if threads <= 1:
-        return _exact_sum(arr)
-    spans = range(0, arr.size, _CHUNK)
+def _abs_max(arr: np.ndarray) -> int:
+    """Largest |entry| of an int64 array as a Python int (0 when empty)."""
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+
+
+def _chunk_len(arr: np.ndarray, cap: int) -> int:
+    """Most entries of arr (at most cap) whose int64 sum cannot wrap."""
+    return max(1, min(cap, _INT64_MAX // max(_abs_max(arr), 1)))
+
+
+def _exact_sum(arr: np.ndarray, threads: int = 1) -> int:
+    """Exact integer sum of an int64 array: int64 sums over chunks short
+    enough not to wrap, promoted to Python ints.  The chunk grid depends
+    only on the data, so the value is the same for any thread count."""
+    step = _chunk_len(arr, _CHUNK)
 
     def part(start):
-        return int(arr[start : start + _CHUNK].sum(dtype=np.int64))
+        return int(arr[start : start + step].sum(dtype=np.int64))
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(part, spans))
+    spans = range(0, arr.size, step)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return sum(pool.map(part, spans))
+    return sum(map(part, spans))
 
 
-def partial_divisor_array(x: int, k: int, A, dkm1: np.ndarray | None = None) -> np.ndarray:
+def _checked_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left * right in int64; ResourceBudgetError where a product could wrap."""
+    bound = _abs_max(left) * _abs_max(right)
+    if bound > _INT64_MAX:
+        raise ResourceBudgetError(
+            f"products up to {bound} exceed int64; brute sums need smaller x")
+    return left * right
+
+
+def _group_sums(keys: np.ndarray, weights: np.ndarray) -> dict[int, int]:
+    """Exact sum of the weights for each key (keys small nonnegative ints).
+
+    int64 scatter-adds over chunks short enough not to wrap, promoted to
+    Python ints; keys whose weights sum to 0 are left out.
+    """
+    totals: dict[int, int] = {}
+    if not keys.size:
+        return totals
+    size = int(keys.max()) + 1
+    step = _chunk_len(weights, weights.size)
+    for start in range(0, weights.size, step):
+        acc = np.zeros(size, dtype=np.int64)
+        np.add.at(acc, keys[start : start + step], weights[start : start + step])
+        for key in np.flatnonzero(acc).tolist():
+            totals[key] = totals.get(key, 0) + int(acc[key])
+    return {key: s for key, s in totals.items() if s}
+
+
+def partial_divisor_array(x: int, k: int, A) -> np.ndarray:
     """d_k(n, A) for 0 <= n <= x as exact int64 (index 0 unused).
 
-    Scans divisors q and adds d_{k-1}(q) to every multiple n >= q with
-    q^b <= n^a; the first admitted multiple comes from an exact integer
-    root, and admission is monotone in n along each stride.
+    A = 1 is d_k(n) itself, from the sieve.  Otherwise scans divisors q and
+    adds d_{k-1}(q) to every multiple n >= q with q^b <= n^a; the first
+    admitted multiple comes from an exact integer root, and admission is
+    monotone in n along each stride.
     """
     if x < 1 or k < 1:
         raise ValueError("partial_divisor_array requires x >= 1, k >= 1")
     if x > MAX_BRUTE_X:
         raise ResourceBudgetError(f"x={x} over brute budget {MAX_BRUTE_X}")
     A = RationalExponent.parse(A)
+    if A.a == A.b:
+        return divisor_count_array(x, k)
     out = np.zeros(x + 1, dtype=np.int64)
-    if A.a == 0:
-        out[1:] = 1
-        return out
-    if k == 1:
+    if A.a == 0 or k == 1:
         out[1:] = 1
         return out
     qmax = A.divisor_cutoff(x)
-    if dkm1 is None:
-        dkm1 = divisor_count_array(qmax, k - 1)
-    if A.a == A.b:
-        # A = 1: plain Dirichlet convolution, split small/large q
-        q_split = min(qmax, max(isqrt(x), 1024))
-        for q in range(1, q_split + 1):
-            out[q::q] += int(dkm1[q])
-        for m in range(1, x // q_split + 1):
-            q_hi = x // m
-            if q_hi <= q_split:
-                break
-            qs = np.arange(q_split + 1, q_hi + 1, dtype=np.int64)
-            out[qs * m] += dkm1[q_split + 1 : q_hi + 1]
-        return out
+    dkm1 = divisor_count_array(qmax, k - 1)
     for q in range(1, qmax + 1):
         n0 = max(q, A.first_n_admitting(q))
         first = q * ((n0 + q - 1) // q)
@@ -119,14 +142,7 @@ class CorrelationResult:
 def brute_correlation(h: int, k: int, l: int, A, B, x: int,
                       threads: int = 1) -> CorrelationResult:
     """Exact sum over n <= x of d_k(n+h, A) d_l(n, B)."""
-    t0 = time.perf_counter()
-    A = RationalExponent.parse(A)
-    B = RationalExponent.parse(B)
-    left = partial_divisor_array(x + h, k, A)[h + 1 : x + h + 1]
-    right = partial_divisor_array(x, l, B)[1 : x + 1]
-    value = _exact_sum_threaded(left * right, threads)
-    return CorrelationResult(h=h, k=k, l=l, A=A, B=B, x=x, value=value,
-                             wall_time=time.perf_counter() - t0)
+    return brute_correlation_decades(h, k, l, A, B, [x], threads=threads)[0]
 
 
 def brute_correlation_decades(h: int, k: int, l: int, A, B,
@@ -139,12 +155,12 @@ def brute_correlation_decades(h: int, k: int, l: int, A, B,
     t0 = time.perf_counter()
     left = partial_divisor_array(xmax + h, k, A)[h + 1 : xmax + h + 1]
     right = partial_divisor_array(xmax, l, B)[1 : xmax + 1]
-    prod = left * right
+    prod = _checked_product(left, right)
     out = []
     prev_x = 0
     running = 0
     for x in xs:
-        running += _exact_sum_threaded(prod[prev_x:x], threads)
+        running += _exact_sum(prod[prev_x:x], threads)
         out.append(CorrelationResult(h=h, k=k, l=l, A=A, B=B, x=x, value=running,
                                      wall_time=time.perf_counter() - t0))
         prev_x = x
@@ -185,30 +201,44 @@ class DistributionResult:
         return abs(Fraction(self.sum_partial) - Af ** (self.k - 1) * self.sum_full)
 
 
-def empirical_distribution(k: int, A, x: int, bins: int = 20) -> DistributionResult:
+def empirical_distribution(k: int, A, x, bins: int = 20):
     """Exact-rational mean of d_k(n,A)/d_k(n) over n <= x, with histogram.
 
-    The ratio sum is grouped by the value of d_k(n): the accumulated
-    numerators are exact integers, so the mean is an exact rational.
+    x is one cutoff (one result) or a sequence of cutoffs (one result per
+    entry, in the given order).  Both arrays are sieved once, at the largest
+    cutoff; each cutoff's sums, ratio sum and histogram continue from the
+    previous one's over the n between them.  The ratio sum is grouped by the
+    value of d_k(n) with exact integer numerators, so the mean is an exact
+    rational.
     """
     A = RationalExponent.parse(A)
-    full = divisor_count_array(x, k)
-    part = partial_divisor_array(x, k, A)
-    vmax = int(full.max())
-    sums = np.bincount(full[1:], weights=part[1:].astype(np.float64), minlength=vmax + 1)
+    cuts = sorted({x} if isinstance(x, Integral) else set(x))
+    if cuts[0] < 1:
+        raise ValueError("empirical_distribution requires every x >= 1")
+    full = divisor_count_array(cuts[-1], k)
+    part = partial_divisor_array(cuts[-1], k, A)
+    counts = np.zeros(bins, dtype=np.int64)
     ratio_sum = Fraction(0)
-    for v in range(1, vmax + 1):
-        sv = int(round(sums[v]))
-        if sv:
-            ratio_sum += Fraction(sv, v)
-    mean = ratio_sum / x
-    ratios = part[1:] / full[1:]
-    counts, edges = np.histogram(ratios, bins=bins, range=(0.0, 1.0000001))
-    histogram = [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(bins)]
-    return DistributionResult(
-        k=k, A=A, x=x, mean=mean, histogram=histogram,
-        sum_partial=_exact_sum(part[1:]), sum_full=_exact_sum(full[1:]),
-    )
+    sum_partial = sum_full = 0
+    results = {}
+    prev = 0
+    for cut in cuts:
+        f, p = full[prev + 1 : cut + 1], part[prev + 1 : cut + 1]
+        ratio_sum += sum((Fraction(s, v) for v, s in _group_sums(f, p).items()), Fraction(0))
+        seg_counts, edges = np.histogram(p / f, bins=bins, range=(0.0, 1.0000001))
+        counts += seg_counts
+        sum_partial += _exact_sum(p)
+        sum_full += _exact_sum(f)
+        histogram = [(float(edges[i]), float(edges[i + 1]), int(counts[i]))
+                     for i in range(bins)]
+        results[cut] = DistributionResult(
+            k=k, A=A, x=cut, mean=ratio_sum / cut, histogram=histogram,
+            sum_partial=sum_partial, sum_full=sum_full,
+        )
+        prev = cut
+    if isinstance(x, Integral):
+        return results[x]
+    return [results[c] for c in x]
 
 
 # ---------------------------------------------------------------------------

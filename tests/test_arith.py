@@ -1,6 +1,7 @@
 """Exact integer layer: factorization, sieves, partial divisor functions."""
 
 import math
+import threading
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from divcorr.arith import (
     DivisorTable,
+    _sieve_segment,
     FactoredInteger,
     RationalExponent,
     divisor_count_array,
@@ -20,6 +22,7 @@ from divcorr.arith import (
     factorize,
     introot,
     introot_ceil,
+    primes_up_to,
     sieve_dk,
     sigma_minus1_exact,
     sigma_minus1_moments,
@@ -102,6 +105,76 @@ def test_divisor_count_array_matches_sieve():
         assert np.array_equal(arr[1:], table.values)
 
 
+def convolution_dk(x: int, k: int) -> np.ndarray:
+    """d_k(n) for 0 <= n <= x by iterated Dirichlet convolution with 1.
+
+    The reference route for the sieve: small q by strided adds, large q by
+    vectorised scatter-adds over the quotient m = n // q.
+    """
+    if k == 0:
+        out = np.zeros(x + 1, dtype=np.int64)
+        out[1] = 1
+        return out
+    out = np.ones(x + 1, dtype=np.int64)
+    out[0] = 0
+    for _ in range(k - 1):
+        prev = out
+        out = np.zeros(x + 1, dtype=np.int64)
+        q_split = min(x, max(math.isqrt(x), 1024))
+        for q in range(1, q_split + 1):
+            out[q::q] += prev[q]
+        for m in range(1, x // q_split + 1):
+            q_hi = x // m
+            if q_hi <= q_split:
+                break
+            qs = np.arange(q_split + 1, q_hi + 1, dtype=np.int64)
+            out[qs * m] += prev[q_split + 1 : q_hi + 1]
+    return out
+
+
+def test_divisor_count_array_matches_convolution():
+    x = 10**4
+    for k in range(6):
+        assert np.array_equal(divisor_count_array(x, k), convolution_dk(x, k)), k
+
+
+def test_sieve_segment_from_zero():
+    """A window starting at 0 returns (it used to loop forever on rem[0] = 0)."""
+    got = []
+    worker = threading.Thread(
+        target=lambda: got.append(_sieve_segment(2, 0, 20, primes_up_to(4))), daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "_sieve_segment(2, 0, 20, ...) did not return"
+    values, spf = got[0]
+    assert np.array_equal(values, convolution_dk(20, 2))
+    assert np.array_equal(spf, spf_array(20))
+    for k in (1, 3, 4):
+        values, spf = _sieve_segment(k, 0, 1, primes_up_to(1))
+        assert values.tolist() == [0, 1] and spf.tolist() == [0, 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.one_of(st.integers(1, 10**5), st.integers(10**9, 10**12)),
+       width=st.integers(1, 24), k=st.integers(1, 6),
+       segment_size=st.integers(1, 4096), threads=st.sampled_from([1, 2]))
+def test_sieve_matches_factorization(lo, width, k, segment_size, threads):
+    """Values and the lazily sieved spf against trial division, any window."""
+    hi = lo + width - 1
+    table = sieve_dk(k, lo, hi, segment_size=segment_size, threads=threads)
+    for n in range(lo, hi + 1):
+        fi = factorize(n)
+        assert table.dk(n) == dk_of_factored(k, fi), n
+        assert table.spf_of(n) == (fi.factors[0][0] if fi.factors else 1), n
+
+
+def test_spf_is_lazy():
+    table = sieve_dk(3, 1, 2000)
+    assert table._spf is None
+    assert np.array_equal(table.spf, spf_array(2000)[1:])
+    assert table.spf is table.spf
+
+
 def test_segmented_sieve_matches_plain():
     full = sieve_dk(3, 1, 5000)
     seg = sieve_dk(3, 1, 5000, segment_size=700)
@@ -148,6 +221,29 @@ def test_dump_load_roundtrip(tmp_path):
         bad = tmp_path / "bad.divtab"
         bad.write_bytes(b"XXXX" + raw[4:])
         DivisorTable.load(bad)
+
+
+def test_load_refuses_damaged_files(tmp_path):
+    """A flipped value byte or a short file raises instead of loading."""
+    table = sieve_dk(3, 1, 1000)
+    path = tmp_path / "t.divtab"
+    table.dump(path)
+    raw = path.read_bytes()
+    header = 4 + 4 + 8 + 8 + 1
+    assert len(raw) == header + 8 * 1000 + 4  # values, then a CRC-32
+    loaded = DivisorTable.load(path)
+    assert loaded._spf is None  # a load reads; it does not sieve
+    flipped = bytearray(raw)
+    flipped[header + 8 * 11] ^= 0x01  # d_3(12) = 18 becomes 19
+    bad = tmp_path / "flipped.divtab"
+    bad.write_bytes(bytes(flipped))
+    with pytest.raises(ValueError, match="checksum"):
+        DivisorTable.load(bad)
+    for cut in (3, header, header + 8 * 500, len(raw) - 1):
+        short = tmp_path / f"short{cut}.divtab"
+        short.write_bytes(raw[:cut])
+        with pytest.raises(ValueError):
+            DivisorTable.load(short)
 
 
 def test_rational_exponent():

@@ -32,6 +32,22 @@ def test_sieve_and_cache(tmp_path):
     assert code2 == 0  # second run reads the cache
 
 
+def test_damaged_cache_is_resieved(tmp_path):
+    """A cache file that fails its checksum is a miss: sieved again and rewritten."""
+    code, out = run(tmp_path, "sieve", "--k", "3", "--hi", "5000")
+    assert code == 0
+    report = (out / "sieve_k3_1_5000.json").read_bytes()
+    cache = tmp_path / "cache" / json.loads(report)["cache"]
+    good = cache.read_bytes()
+    damaged = bytearray(good)
+    damaged[25 + 8 * 11] ^= 0x01  # the value of n = 12
+    cache.write_bytes(bytes(damaged))
+    code, out = run(tmp_path, "sieve", "--k", "3", "--hi", "5000")
+    assert code == 0
+    assert (out / "sieve_k3_1_5000.json").read_bytes() == report
+    assert cache.read_bytes() == good
+
+
 def test_constants_command(tmp_path):
     code, out = run(tmp_path, "constants", "--k", "2", "--l", "2", "--h", "1,6",
                     "--P", "2000", "--Q", "2000")
@@ -158,6 +174,24 @@ def test_distribution_command(tmp_path):
     assert code == 0
     blob = json.loads((out / "distribution_k2.json").read_text())
     assert 0.5 <= float(blob["rows"][0]["mean_float"]) <= 0.53
+
+
+def test_distribution_rows_follow_x_not_its_order(tmp_path):
+    def rows(xs):
+        out = tmp_path / xs
+        code = main(["distribution", "--k", "3", "--A", "1/2", "--x", xs,
+                     "--out-dir", str(out), "--cache-dir", str(tmp_path / "cache")])
+        assert code == 0
+        blob = json.loads((out / "distribution_k3.json").read_text())
+        return {row["x"]: row for row in blob["rows"]}, [row["x"] for row in blob["rows"]]
+
+    ascending, order = rows("1000,5000,20000")
+    assert order == [1000, 5000, 20000]
+    shuffled, order = rows("20000,1000,5000")
+    assert order == [20000, 1000, 5000]
+    assert shuffled == ascending
+    single, _ = rows("5000")
+    assert single[5000] == ascending[5000]
 
 
 def test_determinism_across_threads(tmp_path):

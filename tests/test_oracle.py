@@ -8,8 +8,12 @@ import pytest
 
 from divcorr.arith import RationalExponent, divisor_count_array, dk_partial, sieve_dk
 from divcorr.asympt import a_coefficient, b_coefficient, coefficient_context
+from divcorr.errors import ResourceBudgetError
 from divcorr.oracle import (
     ComparisonReport,
+    _checked_product,
+    _exact_sum,
+    _group_sums,
     brute_ap_sum,
     brute_correlation,
     brute_correlation_decades,
@@ -103,6 +107,54 @@ def test_empirical_distribution_exact_mean():
     assert sum(c for _, _, c in half.histogram) == 10**4
     # the scaling residual for k=2, A=1/2 is exactly floor(sqrt(x))/2
     assert half.scaling_residual() == Fraction(100, 2)
+
+
+def test_empirical_distribution_cutoff_lists():
+    """A list of cutoffs, in any order, gives the single-cutoff results, and
+    those match a direct per-n rational sum."""
+    xs = [3000, 100, 1000]
+    table = sieve_dk(3, 1, 3000)
+    many = empirical_distribution(3, "1/2", xs)
+    assert [d.x for d in many] == xs
+    assert empirical_distribution(3, "1/2", sorted(xs)) == sorted(many, key=lambda d: d.x)
+    for dist in many:
+        assert dist == empirical_distribution(3, "1/2", dist.x)
+        ns = range(1, dist.x + 1)
+        parts = [dk_partial(n, 3, "1/2", table) for n in ns]
+        assert dist.mean == sum(Fraction(p, table.dk(n)) for n, p in zip(ns, parts)) / dist.x
+        assert dist.sum_partial == sum(parts)
+        assert dist.sum_full == sum(table.dk(n) for n in ns)
+        assert sum(c for _, _, c in dist.histogram) == dist.x
+
+
+def test_group_sums_are_exact_past_float_precision():
+    """Group sums past 2^53, where float64 weights round, stay exact."""
+    keys = np.array([1, 3, 1, 3, 1, 5], dtype=np.int64)
+    weights = np.array([2**52 + 1] * 5 + [7], dtype=np.int64)
+    want = {1: 3 * (2**52 + 1), 3: 2 * (2**52 + 1), 5: 7}
+    assert _group_sums(keys, weights) == want
+    as_float = np.bincount(keys, weights=weights.astype(np.float64))
+    assert int(as_float[1]) != want[1]  # the float route rounds this group
+    # sums past int64 come out exact too (chunks short enough not to wrap)
+    big = np.full(10, 2**62 - 1, dtype=np.int64)
+    assert _group_sums(np.zeros(10, dtype=np.int64), big) == {0: 10 * (2**62 - 1)}
+    assert _group_sums(np.array([2, 2]), np.array([4, -4])) == {}
+
+
+def test_exact_sum_never_wraps():
+    arr = np.full(2**16, 2**50, dtype=np.int64)
+    assert _exact_sum(arr) == 2**66
+    assert _exact_sum(arr, threads=2) == 2**66
+    mixed = np.array([2**63 - 1, 2**63 - 1, -(2**63) + 1, 5], dtype=np.int64)
+    assert _exact_sum(mixed) == 2**63 + 4
+    assert _exact_sum(np.zeros(0, dtype=np.int64)) == 0
+
+
+def test_checked_product_refuses_wrapping():
+    small = np.array([3, 2**31], dtype=np.int64)
+    assert _checked_product(small, small).tolist() == [9, 2**62]
+    with pytest.raises(ResourceBudgetError):
+        _checked_product(np.array([2**32]), np.array([1, 2**31]))
 
 
 def test_residue_routes_agree_with_ledgers():
