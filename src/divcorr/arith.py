@@ -29,7 +29,8 @@ from .errors import ResourceBudgetError
 # stay in desk-scale ranges in practice.
 FACTORIZE_BOUND = 2**63 - 1
 
-# Soft cap on table cells (values + spf arrays together), int64 cells.
+# Soft cap on the int64 cells one table holds: its values, plus its spf
+# array once that is read.
 MAX_TABLE_CELLS = 2 * 10**8
 
 _TABLE_MAGIC = b"DKTB"
@@ -369,6 +370,7 @@ class DivisorTable:
     def spf(self) -> np.ndarray:
         """Smallest prime factor of each n in [lo, hi], sieved once when first read."""
         if self._spf is None:
+            _budget_check(2 * len(self.values))  # values and spf together
             self._spf = _sieve_window(self.k, self.lo, self.hi, values=False, spf=True,
                                       segment_size=self._segment_size,
                                       threads=self._threads)[1]
@@ -453,7 +455,7 @@ def sieve_dk(k: int, lo: int, hi: int, segment_size: int = SEGMENT_SIZE,
         raise ValueError("sieve_dk requires 1 <= lo <= hi")
     if k < 1:
         raise ValueError("sieve_dk requires k >= 1")
-    _budget_check(2 * (hi - lo + 1))
+    _budget_check(hi - lo + 1)
     values = _sieve_window(k, lo, hi, values=True, spf=False,
                            segment_size=segment_size, threads=threads)[0]
     return DivisorTable(k=k, lo=lo, hi=hi, values=values,

@@ -144,7 +144,6 @@ def cmd_sieve(args) -> int:
         "k": args.k,
         "lo": args.lo,
         "hi": args.hi,
-        "cache": os.path.basename(_table_cache_path(args, args.k, args.lo, args.hi)),
         "sample_values": {str(n): v for n, v in sample.items()},
     }
     _write_report(args, f"sieve_k{args.k}_{args.lo}_{args.hi}.json",
@@ -316,6 +315,8 @@ def _verify_corollary3(args) -> list:
         for l in args.l:
             for h in args.h:
                 for A in args.A:
+                    # d_k(n, A), shared by the full and every partial sum
+                    left = oracle.partial_divisor_array(max(args.x) + h, k, A)
                     for B in args.B:
                         gap = asympt.partial_vs_full_leading_gap(h, k, l, A, B)
                         rep = oracle.ComparisonReport(
@@ -327,9 +328,9 @@ def _verify_corollary3(args) -> list:
                         )
                         full = oracle.brute_correlation_decades(
                             h, k, l, A, RationalExponent(1, 1), args.x,
-                            threads=args.threads)
+                            threads=args.threads, left=left)
                         partial = oracle.brute_correlation_decades(
-                            h, k, l, A, B, args.x, threads=args.threads)
+                            h, k, l, A, B, args.x, threads=args.threads, left=left)
                         Bf = B.as_fraction()
                         for rf, rp in zip(full, partial):
                             observed = Fraction(rf.value) - Fraction(rp.value) / Bf ** (l - 1)

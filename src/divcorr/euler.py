@@ -13,10 +13,12 @@ every coefficient of the asymptotic polynomial.
 
 Euler products are truncated at a prime cutoff P and corrected by exact
 tail sums: the local log-factor is expanded as a rational power series in
-(x, y, u) = (p^-s, p^(-w-1), 1/p), and each monomial u-degree m is summed
-over p > P through log-weighted prime zeta values.  This leaves truncation
-errors far below the working precision instead of the 1/(P log P) floor a
-bare cutoff would give.
+(x, y, u) = (p^-s, p^(-w-1), 1/p), and each monomial of total degree m is
+summed over p > P through the moments sum_{p>P} (log p)^d p^(-m).  Those
+come from Cohen's P-rough prime zeta series, on one table of partial prime
+sums over p <= P and a few zeta jets (PrimeTailMoments).  This leaves
+truncation errors far below the working precision instead of the
+1/(P log P) floor a bare cutoff would give.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 import mpmath as mp
@@ -42,7 +45,7 @@ from .arith import (
 )
 from .errors import PrecisionError, PrecisionWarning, ResourceBudgetError
 from .jets import Jet2, PowerJet
-from .zeta_series import prime_power_log_moments
+from .zeta_series import zeta_jet
 
 DEFAULT_PRIME_CUTOFF = 1_000
 _SERIES_DEGREE = 14  # total degree kept in local log-factor expansions
@@ -108,32 +111,106 @@ def _poly_mul1(a, b, order):
     return out
 
 
+def _mobius(n: int) -> int:
+    factors = factorize(n).factors
+    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
+
+
 class PrimeTailMoments:
-    """T(m, d) = sum over primes p > P of (log p)^d p^(-m), exactly."""
+    """T(m, d) = sum over primes p > P of (log p)^d p^(-m), for 2 <= m <= m_max
+    and d <= d_max, to about 2^-m 10^-(dps+10).
+
+    Cohen's P-rough series (High precision computation of Hardy-Littlewood
+    constants, 1998).  With zeta_{>P} the zeta function without its Euler
+    factors at p <= P and S(M, d) = sum_{p<=P} p^(-M) (log p)^d,
+
+      sum_{p>P} p^(-m-tau) = sum_{n squarefree} mu(n)/n log zeta_{>P}(nm + n tau),
+      log zeta_{>P}(y + tau) = log zeta(y + tau) - sum_{j>=1} sum_{p<=P} p^(-j(y+tau)) / j,
+
+    so T(m, d) = (-1)^d d! sum_n mu(n) n^(d-1) [tau^d] log zeta_{>P}(nm + tau),
+    and the tau^d coefficient of the j-th prime sum is (-j)^d S(jy, d) / (j d!).
+    The term of n is about n^(d-1) T(nm, d), which falls like q^(-nm) with q
+    the first prime above P, so only a few products y = nm are kept (2..16 at
+    P = 10^3, dps 30), each with one zeta jet.  The partial sums S(M, .) are
+    computed once per call for every M = jy they enter, by fdot over the
+    primes whose terms are not negligible.  Terms are kept down to 2^-m
+    10^-(dps+10) (float estimates decide); the working digits cover the d!
+    that multiplies a log-zeta coefficient and the M roundings in p^(-M),
+    and the zeta jets get y log10 2 more for the largest y, since log zeta(y)
+    is near 2^-y.
+    """
 
     def __init__(self, prime_cutoff: int, m_max: int, d_max: int, dps: int = 40):
-        self.prime_cutoff = prime_cutoff
-        self.m_max = m_max
-        self.d_max = d_max
-        self.dps = dps
-        with mp.workdps(dps + 10):
-            partial = [[mp.mpf(0)] * (d_max + 1) for _ in range(m_max + 1)]
-            for p in primes_up_to(prime_cutoff):
-                p = int(p)
-                u = mp.mpf(1) / p
-                L = mp.log(p)
-                um = u * u
-                for m in range(2, m_max + 1):
-                    Ld = um
-                    for d in range(d_max + 1):
-                        partial[m][d] += Ld
-                        Ld *= L
-                    um *= u
-            self._tails = {}
-            for m in range(2, m_max + 1):
-                full = prime_power_log_moments(m, d_max, dps + 5)
+        self.prime_cutoff, self.m_max, self.d_max, self.dps = prime_cutoff, m_max, d_max, dps
+        primes = primes_up_to(2 * prime_cutoff + 2)
+        q = int(primes[np.searchsorted(primes, prime_cutoff, side="right")])
+        primes = [int(p) for p in primes[primes <= prime_cutoff]]
+        logp = np.log(np.array(primes, dtype=float))
+        eps, ln2, lq = -(dps + 10) * math.log(10), math.log(2), math.log(q)
+
+        def size(n: int, M: int) -> float:
+            """log of n^(d-1) T(M, d) at d = 0 or d_max, whichever is larger:
+            the term at q times 1 + q / (M - 1 - d / log q) for the integral
+            over the rest."""
+            return max((d - 1) * math.log(n) + d * math.log(lq) - M * lq
+                       + math.log1p(q / max(M - 1 - d / lq, 0.5)) for d in (0, d_max))
+
+        def width(M: int, tol: float) -> int:
+            """How many primes, from 2 on, reach the last term of M^(d-1) S(M, d)
+            above tol / pi(P) for some d <= d_max: the rest sum to under tol."""
+            logs = np.maximum(-math.log(M), (d_max - 1) * math.log(M)
+                              + d_max * np.log(logp)) - M * logp
+            kept = np.flatnonzero(logs >= tol - math.log(len(primes)))
+            return int(kept[-1]) + 1 if len(kept) else 0
+
+        terms = {m: [] for m in range(2, m_max + 1)}
+        for m in terms:
+            n = 1
+            while size(n, n * m) >= eps - m * ln2:
+                if _mobius(n):
+                    terms[m].append(n)
+                n += 1
+        ys = sorted({n * m for m, ns in terms.items() for n in ns})
+        # need[M]: primes S(M, .) sums over; js[y]: prime sums j <= js[y] at y
+        need, js = {}, {}
+        for y in ys:
+            j = 0
+            while cnt := width((j + 1) * y, eps - y * ln2):
+                j += 1
+                need[j * y] = max(need.get(j * y, 0), cnt)
+            js[y] = j
+        top = max(need, default=1)
+        # p^(-M) gathers M roundings, and a log-zeta coefficient is multiplied by d!
+        work = dps + 10 + math.ceil(math.log10(math.factorial(d_max) * top))
+        with mp.workdps(work):
+            u = [mp.mpf(1) / p for p in primes]
+            logs = [mp.log(p) for p in primes]
+            rows = [[mp.mpf(1)] * len(primes)]
+            for _ in range(d_max):
+                rows.append([a * b for a, b in zip(rows[-1], logs)])
+            # carried[M - 1]: the primes whose powers some S(M' >= M) still needs
+            carried = list(accumulate((need.get(M, 0) for M in range(top, 0, -1)), max))[::-1]
+            S, pw = {}, [mp.mpf(1)] * len(primes)
+            for M in range(1, top + 1):
+                pw = [a * b for a, b in zip(pw[: carried[M - 1]], u)]
+                if M in need:
+                    S[M] = [mp.fdot(pw[: need[M]], row) for row in rows]
+            # weights[d][j - 1] = (-j)^d / (j d!): e^(-j tau log p) / j at tau^d
+            weights = [[mp.mpf(-j) ** d / (j * math.factorial(d))
+                        for j in range(1, max(js.values(), default=0) + 1)] for d in range(d_max + 1)]
+            logz = {}
+            digits = work + math.ceil(max(ys, default=0) * math.log10(2))
+            for y in ys:
+                with mp.workdps(digits):
+                    c = zeta_jet(y, d_max, digits).log().coeffs
                 for d in range(d_max + 1):
-                    self._tails[(m, d)] = +(full[d] - partial[m][d])
+                    c[d] -= mp.fdot(weights[d], [S[j * y][d] for j in range(1, js[y] + 1)])
+                logz[y] = c
+            self._tails = {}
+            for m, ns in terms.items():
+                for d in range(d_max + 1):
+                    acc = mp.fsum(_mobius(n) * mp.mpf(n) ** (d - 1) * logz[n * m][d] for n in ns)
+                    self._tails[(m, d)] = +((-1) ** d * math.factorial(d) * acc)
 
     def tail(self, m: int, d: int) -> mp.mpf:
         return self._tails[(m, d)]
@@ -146,10 +223,10 @@ def _tail_moments(prime_cutoff: int, m_max: int, d_max: int, dps: int) -> PrimeT
 
 def _guarded_dps(dps: int, growth: float) -> int:
     """Digits for the prime-tail moments of a series whose terms reach
-    `growth` times 2^m at degree m.  A moment of degree m is a full sum less a
-    partial one, both near 2^-m, so its absolute error is near
-    2^-m 10^-(dps+10); past five of those ten guard digits, the series'
-    growth is made up with extra digits."""
+    `growth` times 2^m at degree m.  A moment of degree m is kept to an
+    absolute error near 2^-m 10^-(dps+10) (PrimeTailMoments); past five of
+    those ten guard digits, the series' growth is made up with extra
+    digits."""
     if growth <= 0:
         return dps
     return dps + max(0, math.ceil(math.log10(growth)) - 5)
@@ -261,62 +338,39 @@ def singular_shift_factor(h, k: int, l: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _jet_x(p: int, order_t: int, order_w: int) -> Jet2:
-    """p^(-s) = (1/p) e^(-t log p) as a Jet2 in (t, w)."""
-    u = mp.mpf(1) / p
-    L = mp.log(p)
-    out = Jet2.constant(0, order_t, order_w)
-    for i in range(order_t + 1):
-        out.coeffs[i][0] = u * (-L) ** i / mp.factorial(i)
-    return out
+def _exp_coeffs(c: int, L, order: int) -> list:
+    """Taylor coefficients of e^(-c z L) in z, to z^order."""
+    return [(-c * L) ** i / math.factorial(i) for i in range(order + 1)]
 
 
-def _jet_y(p: int, order_t: int, order_w: int) -> Jet2:
-    """p^(-w-1) = (1/p) e^(-w log p) as a Jet2."""
-    u = mp.mpf(1) / p
-    L = mp.log(p)
-    out = Jet2.constant(0, order_t, order_w)
-    for j in range(order_w + 1):
-        out.coeffs[0][j] = u * (-L) ** j / mp.factorial(j)
-    return out
+def _monomial_jet(p: int, a: int, b: int, c: int, order_t: int, order_w: int) -> Jet2:
+    """p^(-a t - b w - c) as a Jet2 in (t, w) = (s - 1, w): p^(-s) is
+    (a, b, c) = (1, 0, 1), p^(-w-1) is (0, 1, 1), p^(-w) is (0, 1, 0)."""
+    L, u = mp.log(p), mp.mpf(p) ** -c
+    w_exp = _exp_coeffs(b, L, order_w)
+    return Jet2([[u * ti * wj for wj in w_exp] for ti in _exp_coeffs(a, L, order_t)])
 
 
-def _jet_w_exp(p: int, order_t: int, order_w: int) -> Jet2:
-    """p^(-w) = e^(-w log p) as a Jet2."""
-    L = mp.log(p)
-    out = Jet2.constant(0, order_t, order_w)
-    for j in range(order_w + 1):
-        out.coeffs[0][j] = (-L) ** j / mp.factorial(j)
-    return out
+def c_local_jet(p: int, k: int, l: int, order_t: int, order_w: int) -> Jet2:
+    """Local factor of C_{k,l}(s,w) at a prime not dividing the shift,
 
+      D + (1-X)^k (1-D) / (1-1/p),  X = p^(-s), Y = p^(-w-1), D = (1-Y)^(l-1),
 
-def c_local_jet(p: int, k: int, l: int, order_t: int, order_w: int,
-                form: str = "grouped") -> Jet2:
-    """Local factor of C_{k,l}(s,w) at a prime not dividing the shift.
-
-    form="grouped" uses D + (1-x)^k (1 - D) / (1 - 1/p) with
-    D = (1-y)^(l-1); form="split" distributes the last product.  The two
-    are algebraically identical; both are kept so tests can pin that down.
+    summed over its monomials X^a Y^b = p^(-a-b) e^(-(a t + b w) log p), whose
+    coefficients are (-1)^b C(l-1,b) ([a = 0] - [b > 0] (-1)^a C(k,a) / (1-1/p)).
     """
-    X = _jet_x(p, order_t, order_w)
-    Y = _jet_y(p, order_t, order_w)
-    u = mp.mpf(1) / p
-    D = (1 - Y) ** (l - 1)
-    Xk = (1 - X) ** k
-    if form == "grouped":
-        return D + Xk * (1 - D) * (1 / (1 - u))
-    if form == "split":
-        return D + Xk * (1 / (1 - u)) - Xk * D * (1 / (1 - u))
-    raise ValueError(f"unknown form {form!r}")
-
-
-def _jet_t_exp(p: int, gamma: int, order_t: int, order_w: int) -> Jet2:
-    """p^(-gamma (s-1)) = e^(-gamma t log p) as a Jet2."""
-    L = mp.log(p)
-    out = Jet2.constant(0, order_t, order_w)
-    for i in range(order_t + 1):
-        out.coeffs[i][0] = (-gamma * L) ** i / mp.factorial(i)
-    return out
+    u, L = mp.mpf(1) / p, mp.log(p)
+    inv = 1 / (1 - u)
+    w_exp = [_exp_coeffs(b, L, order_w) for b in range(l)]
+    coeffs = [[mp.mpf(0)] * (order_w + 1) for _ in range(order_t + 1)]
+    for a in range(k + 1):
+        mono = [(-1) ** b * comb(l - 1, b) * u ** (a + b)
+                * ((a == 0) - (b > 0) * (-1) ** a * comb(k, a) * inv) for b in range(l)]
+        row = [mp.fdot(mono, [w[j] for w in w_exp]) for j in range(order_w + 1)]
+        for i, ti in enumerate(_exp_coeffs(a, L, order_t)):
+            for j in range(order_w + 1):
+                coeffs[i][j] += ti * row[j]
+    return Jet2(coeffs)
 
 
 def _f_numerator_jet(p: int, gamma: int, k: int, l: int,
@@ -330,9 +384,9 @@ def _f_numerator_jet(p: int, gamma: int, k: int, l: int,
     The p^(-g(s-1)) weight on the second term is forced by the phi
     convolution identity (it is invisible at s = 1).
     """
-    X = _jet_x(p, order_t, order_w)
-    Y = _jet_y(p, order_t, order_w)
-    W = _jet_w_exp(p, order_t, order_w)
+    X = _monomial_jet(p, 1, 0, 1, order_t, order_w)
+    Y = _monomial_jet(p, 0, 1, 1, order_t, order_w)
+    W = _monomial_jet(p, 0, 1, 0, order_t, order_w)
     u = mp.mpf(1) / p
     inv_k = (1 - X) ** (-k)
     numer = Jet2.constant(0, order_t, order_w)
@@ -345,7 +399,7 @@ def _f_numerator_jet(p: int, gamma: int, k: int, l: int,
     tail_l = (1 - Y) ** (-(l - 1))
     for a in range(gamma + 1):
         tail_l = tail_l - dk_prime_power(l - 1, a) * (Y**a)
-    shift = _jet_t_exp(p, gamma, order_t, order_w)
+    shift = _monomial_jet(p, gamma, 0, 0, order_t, order_w)
     return numer + dk_prime_power(k, gamma) * shift * tail_l
 
 
@@ -353,8 +407,8 @@ def f_local_jet(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int) 
     """Local factor of f_{h,k,l}(s,w) at p with p^gamma || h (gamma >= 1)."""
     if gamma < 1:
         raise ValueError("f_local_jet requires gamma >= 1")
-    X = _jet_x(p, order_t, order_w)
-    Y = _jet_y(p, order_t, order_w)
+    X = _monomial_jet(p, 1, 0, 1, order_t, order_w)
+    Y = _monomial_jet(p, 0, 1, 1, order_t, order_w)
     u = mp.mpf(1) / p
     numer = _f_numerator_jet(p, gamma, k, l, order_t, order_w)
     denom = (1 - u) * (1 - X) ** (-k) + (1 - Y) ** (-(l - 1)) - 1
@@ -370,8 +424,8 @@ def cf_local_jet(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int)
     """
     if gamma == 0:
         return c_local_jet(p, k, l, order_t, order_w)
-    X = _jet_x(p, order_t, order_w)
-    Y = _jet_y(p, order_t, order_w)
+    X = _monomial_jet(p, 1, 0, 1, order_t, order_w)
+    Y = _monomial_jet(p, 0, 1, 1, order_t, order_w)
     u = mp.mpf(1) / p
     numer = _f_numerator_jet(p, gamma, k, l, order_t, order_w)
     return (1 - X) ** k * (1 - Y) ** (l - 1) * numer * (1 / (1 - u))
@@ -516,12 +570,6 @@ def cf_euler_jet(h, k: int, l: int, order_t: int, order_w: int,
 # ---------------------------------------------------------------------------
 
 
-def _jet_x1(p: int, order_s: int) -> PowerJet:
-    u = mp.mpf(1) / p
-    L = mp.log(p)
-    return PowerJet([u * (-L) ** r / mp.factorial(r) for r in range(order_s + 1)])
-
-
 def _dl1(l: int, alpha: int) -> int:
     """d_{l-1}(p^alpha), with the l = 1 convention d_0 = indicator of 1."""
     if l >= 2:
@@ -540,7 +588,7 @@ def phi_local(h, k: int, l: int, p: int, alpha: int, order_s: int) -> PowerJet:
     if alpha < 1:
         raise ValueError("phi_local requires alpha >= 1")
     gamma = _as_factored(h).exponent_of(p)
-    X = _jet_x1(p, order_s)
+    X = PowerJet([c / p for c in _exp_coeffs(1, mp.log(p), order_s)])
     xk = (1 - X) ** k
     if alpha <= gamma:
         partial = PowerJet.constant(0, order_s)
@@ -554,7 +602,15 @@ def phi_local(h, k: int, l: int, p: int, alpha: int, order_s: int) -> PowerJet:
 
 
 def varphi_prime_power(h, k: int, l: int, p: int, alpha: int, order_s: int) -> PowerJet:
-    """varphi(p^alpha, s): local phi-series multiplied by (1 - p^(-w-1))^(l-1)."""
+    """varphi(p^alpha, s): local phi-series multiplied by (1 - p^(-w-1))^(l-1).
+    A fresh jet from a cache on (v_p(h), k, l, p, alpha, order_s, working dps)."""
+    gamma = _as_factored(h).exponent_of(p)
+    return PowerJet(_varphi_prime_power(gamma, k, l, p, alpha, order_s, mp.mp.dps))
+
+
+@lru_cache(maxsize=None)
+def _varphi_prime_power(gamma: int, k: int, l: int, p: int, alpha: int, order_s: int,
+                        dps: int) -> tuple:
     u = mp.mpf(1) / p
     out = PowerJet.constant(0, order_s)
     for j in range(min(alpha, l - 1) + 1):
@@ -562,8 +618,8 @@ def varphi_prime_power(h, k: int, l: int, p: int, alpha: int, order_s: int) -> P
         if alpha - j == 0:
             out = out + PowerJet.constant(coef, order_s)
         else:
-            out = out + coef * phi_local(h, k, l, p, alpha - j, order_s)
-    return out
+            out = out + coef * phi_local(p**gamma, k, l, p, alpha - j, order_s)
+    return tuple(out.coeffs)
 
 
 def phi_of(h, k: int, l: int, q: int, order_s: int) -> PowerJet:

@@ -145,17 +145,27 @@ def brute_correlation(h: int, k: int, l: int, A, B, x: int,
     return brute_correlation_decades(h, k, l, A, B, [x], threads=threads)[0]
 
 
-def brute_correlation_decades(h: int, k: int, l: int, A, B,
-                              xs: list[int], threads: int = 1) -> list[CorrelationResult]:
-    """Exact correlation sums at several cutoffs from one pass at max(xs)."""
+def brute_correlation_decades(h: int, k: int, l: int, A, B, xs: list[int],
+                              threads: int = 1, left: np.ndarray | None = None,
+                              right: np.ndarray | None = None) -> list[CorrelationResult]:
+    """Exact correlation sums at several cutoffs from one pass at max(xs).
+
+    `left` and `right` may hold d_k(n, A) and d_l(n, B) for 0 <= n <= N, as
+    partial_divisor_array gives them, with N >= max(xs) + h and N >= max(xs);
+    they are read instead of being sieved again.
+    """
     A = RationalExponent.parse(A)
     B = RationalExponent.parse(B)
     xs = sorted(xs)
     xmax = xs[-1]
     t0 = time.perf_counter()
-    left = partial_divisor_array(xmax + h, k, A)[h + 1 : xmax + h + 1]
-    right = partial_divisor_array(xmax, l, B)[1 : xmax + 1]
-    prod = _checked_product(left, right)
+    if left is None:
+        left = partial_divisor_array(xmax + h, k, A)
+    if right is None:
+        right = partial_divisor_array(xmax, l, B)
+    if len(left) <= xmax + h or len(right) <= xmax:
+        raise ValueError("precomputed arrays must reach max(xs) + h and max(xs)")
+    prod = _checked_product(left[h + 1 : xmax + h + 1], right[1 : xmax + 1])
     out = []
     prev_x = 0
     running = 0

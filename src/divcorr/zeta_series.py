@@ -2,20 +2,16 @@
 
 Provides Stieltjes constants by Euler-Maclaurin summation, the Taylor
 coefficients of powers (s-1)^j zeta(s)^j around s = 1, the alternating-sum
-coefficients of (s-1)^j zeta(s)^j / s, log-weighted prime sums
-
-    pi_d(m) = sum over primes of (log p)^d * p^(-m)
-
-obtained from derivatives of the prime zeta function, and the classical
+coefficients of (s-1)^j zeta(s)^j / s, Taylor jets of zeta at integers
+y >= 2 (every derivative from one Euler-Maclaurin pass), and the classical
 constants attached to 1/zeta at s = 2 that show up in the closed-form
 coefficients of the shifted-divisor expansion of Ingham/Estermann type.
 """
-
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 import mpmath as mp
 import numpy as np
@@ -180,111 +176,66 @@ def c_coeffs_via_division(j: int, n_max: int, digits: int | None = None) -> list
     return [quotient[n] for n in range(n_max + 1)]
 
 
-# Most terms _log_zeta_jet_at sums directly.  At order 8 and 45-55 digits
-# (2-core Xeon VM) a term costs about 0.09 ms and mpmath's zeta with its
-# derivatives 15-20 ms, so the routes break even near K = 170-210: 1.7-1.9x
-# faster at K = 84-100, 0.6-0.8x at K = 280.  120 keeps a margin.
-SHORT_SERIES_MAX_TERMS = 120
-
-
-def _short_series_terms(y: int, order: int, dps: int) -> int | None:
-    """Smallest K with sum_{k>K} (log k)^r k^(-y) / r! < 10^(-dps) for every
-    r <= order, or None when that takes more than SHORT_SERIES_MAX_TERMS.
-
-    (log t)^r t^(-y) decreases once log t >= r/y, so from such a K on the tail
-    is at most int_K^oo (log t)^r t^(-y) dt / r!, which is
-    K^(1-y) sum_{i<=r} z^i/i! / (y-1)^(r+1) with z = (y-1) log K.
-    """
-    target = -(dps + 1) * math.log(10)  # one digit spare for float rounding
-
-    def small_enough(K: int) -> bool:
-        z = (y - 1) * math.log(K)
-        term, acc = 1.0, 1.0
-        for r in range(order + 1):
-            if r:
-                term *= z / r
-                acc += term
-            if -z + math.log(acc) - (r + 1) * math.log(y - 1) >= target:
-                return False
-        return True
-
-    k_min = max(2, math.ceil(math.exp(order / y)))
-    if k_min > SHORT_SERIES_MAX_TERMS or not small_enough(SHORT_SERIES_MAX_TERMS):
-        return None
-    return next(K for K in range(k_min, SHORT_SERIES_MAX_TERMS + 1) if small_enough(K))
-
-
 @lru_cache(maxsize=None)
-def _log_zeta_jet_at(y: int, order: int, dps: int) -> PowerJet:
-    """log zeta(y + tau) as a jet in tau, from the Taylor coefficients
-    zeta^(r)(y) / r! = sum_k (-log k)^r k^(-y) / r!: summed over k <= K when
-    a short series reaches 10^(-dps), else by mpmath."""
-    K = _short_series_terms(y, order, dps)
+def _log_power_rows(N: int, order: int, dps: int) -> tuple:
+    """(-log n)^r / r! for 2 <= n < N, one row per r <= order."""
     with mp.workdps(dps):
-        if K is None:
-            x = mp.mpf(y)
-            vals = [mp.zeta(x, derivative=r) / mp.factorial(r) for r in range(order + 1)]
-        else:
-            vals = [mp.mpf(0)] * (order + 1)
-            for k in range(2, K + 1):
-                neg_log = -mp.log(k)
-                term = mp.mpf(1) / k**y
-                for r in range(order + 1):
-                    vals[r] += term
-                    term = term * neg_log / (r + 1)
-            vals[0] += 1
-        return PowerJet(vals).log()
+        neg_logs = [-mp.log(n) for n in range(2, N)]
+        rows = [[mp.mpf(1)] * (N - 2)]
+        for r in range(1, order + 1):
+            rows.append([a * b / r for a, b in zip(rows[-1], neg_logs)])
+        return tuple(map(tuple, rows))
 
 
 @lru_cache(maxsize=None)
-def prime_power_log_moments(m: int, d_max: int, dps: int = 40) -> tuple:
-    """pi_d(m) = sum_p (log p)^d p^(-m) for d = 0..d_max, via the prime zeta
-    function P(s) = sum_n mu(n)/n log zeta(n s) expanded at s = m.
-    """
-    if m < 2:
-        raise ValueError("prime_power_log_moments requires m >= 2")
-    with mp.workdps(dps + 10):
-        coeffs = [mp.mpf(0)] * (d_max + 1)
-        eps = mp.mpf(10) ** (-(dps + 8))
-        cutoff = (dps + 12) * 3.33 + 4
-        mob = _mobius_list(256)
-        for n in range(1, 257):
-            if mob[n] == 0:
-                continue
-            if n * m > cutoff:
+def _zeta_taylor(y: int, order: int, dps: int) -> tuple:
+    """zeta^(r)(y) / r! for r = 0..order, at an integer y >= 2, from one
+    Euler-Maclaurin pass (Edwards, Riemann's Zeta Function, ch. 6).  With
+    s = y + tau and (s)_j the rising factorial s (s+1) ... (s+j-1),
+
+      zeta(s) = sum_{n<N} n^(-s)
+                + N^(-s) [N/(s-1) + 1/2 + sum_{k>=1} B_2k/(2k)! (s)_(2k-1) N^(1-2k)],
+
+    every factor taken as a jet in tau: n^(-s) = n^(-y) e^(-tau log n), with
+    the rows of (-log n)^r / r! shared by every y; the Pochhammer jet, with
+    integer coefficients, grows by two linear factors per k; N^(-s)
+    multiplies the bracket once.  The corrections fall like (2k)! / (2 pi N)^(2k) until
+    2k nears 2 pi N; N = 10 + dps puts that floor far below 10^-dps, and
+    the series stops at its first term under 10^-(dps+2) in every
+    coefficient (a tau^r coefficient of the product is at most N times the
+    bracket's largest one)."""
+    if y < 2:
+        raise ValueError("_zeta_taylor requires y >= 2")
+    N = 10 + dps
+    rows = _log_power_rows(N, order, dps + 5)
+    with mp.workdps(dps + 5):
+        powers = [mp.mpf(n) ** -y for n in range(2, N)]
+        vals = [mp.fdot(powers, row) for row in rows]
+        vals[0] += 1
+        poch = ([y, 1] + [0] * order)[: order + 1]
+        weights, pochs = [], []
+        eps = mp.mpf(10) ** -(dps + 2) * mp.mpf(N) ** (y - 1)
+        for k in count(1):
+            weights.append(mp.bernoulli(2 * k) / mp.factorial(2 * k) * mp.mpf(N) ** (1 - 2 * k))
+            pochs.append(poch)
+            if abs(weights[-1]) * max(poch) < eps:
                 break
-            ljet = _log_zeta_jet_at(n * m, d_max, dps + 10)
-            scale = mp.mpf(1)
-            contrib0 = abs(ljet[0]) / n
-            for d in range(d_max + 1):
-                coeffs[d] += mob[n] * ljet[d] * scale / n
-                scale *= n
-            if contrib0 < eps and n > 4:
-                break
-        # P(m + tau) jet coefficient d equals (-1)^d pi_d(m) / d!
-        return tuple(
-            (-1) ** d * mp.factorial(d) * coeffs[d] for d in range(d_max + 1)
-        )
+            for a in (y + 2 * k - 1, y + 2 * k):
+                poch = [a * poch[0]] + [a * poch[r] + poch[r - 1] for r in range(1, order + 1)]
+        bracket = [N * mp.mpf(-1) ** r / mp.mpf(y - 1) ** (r + 1)
+                   + mp.fdot(weights, [pc[r] for pc in pochs]) for r in range(order + 1)]
+        bracket[0] += mp.mpf(1) / 2
+        n_pow = [mp.mpf(N) ** -y]
+        for r in range(order):
+            n_pow.append(n_pow[-1] * -mp.log(N) / (r + 1))
+        return tuple(vals[r] + mp.fdot(bracket[: r + 1], n_pow[r::-1])
+                     for r in range(order + 1))
 
 
-def _mobius_list(n: int) -> list[int]:
-    mu = [1] * (n + 1)
-    mu[0] = 0
-    primes = []
-    is_comp = [False] * (n + 1)
-    for i in range(2, n + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > n:
-                break
-            is_comp[i * p] = True
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
-    return mu
+def zeta_jet(y: int, order: int, dps: int = 40) -> PowerJet:
+    """zeta(y + tau) as a jet in tau (coefficients zeta^(r)(y) / r!), to
+    about 10^-(dps+2), at an integer y >= 2; a fresh jet on every call."""
+    return PowerJet(_zeta_taylor(y, order, dps))
 
 
 def mobius_sieve(n: int) -> np.ndarray:
@@ -328,25 +279,10 @@ def mobius_log_moment_sieve(d: int, n_terms: int) -> tuple[float, float]:
 
 @lru_cache(maxsize=None)
 def inverse_zeta_jet_at_2(order: int = 2, dps: int = 40) -> PowerJet:
-    """Jet of 1/zeta(2 + tau): Euler-product route via prime zeta moments.
-
-    log(1/zeta(2+tau)) = -sum_{i>=1} (1/i) sum_p p^(-2i) e^(-i tau log p);
-    the tau^d coefficient is -sum_i (-i)^d / (i d!) pi_d(2i).
-    """
+    """Jet of 1/zeta(2 + tau): the reciprocal of the Euler-Maclaurin jet of
+    zeta at 2."""
     with mp.workdps(dps + 8):
-        coeffs = [mp.mpf(0)] * (order + 1)
-        i = 1
-        while True:
-            moments = prime_power_log_moments(2 * i, order, dps + 8)
-            if abs(moments[0]) < mp.mpf(10) ** (-(dps + 6)) and i > 2:
-                break
-            for d in range(order + 1):
-                coeffs[d] += (mp.mpf(-i)) ** d / (i * mp.factorial(d)) * moments[d]
-            i += 1
-            if i > 200:
-                break
-        logjet = PowerJet([-c for c in coeffs])
-        return logjet.exp()
+        return zeta_jet(2, order, dps + 8).reciprocal()
 
 
 def estermann_a_constants(dps: int = 40) -> tuple[mp.mpf, mp.mpf]:

@@ -234,10 +234,12 @@ def test_criterion_6_doubly_partial_leading():
     window_ok = controls_ok = trend_ok = True
     lines = []
     summary = []
+    right = partial_divisor_array(BIG_X, 2, "1/4")  # d_l(n, B), l = 2 on the whole grid
     for (k, l) in ((2, 2), (3, 2)):
+        left = partial_divisor_array(BIG_X + 2, k, "2/3")  # d_k(n+h, A) for h <= 2
         for h in (1, 2):
             d = k + l - 2
-            res = brute_correlation_decades(h, k, l, "2/3", "1/4", xs)
+            res = brute_correlation_decades(h, k, l, "2/3", "1/4", xs, left=left, right=right)
             ratios, c0 = _leading_fit(res, d, correlation_leading(h, k, l, "2/3", "1/4"))
             _, c0_no_a = _leading_fit(res, d, correlation_leading(h, k, l, 1, "1/4"))
             _, c0_no_b = _leading_fit(res, d, correlation_leading(h, k, l, "2/3", 1))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divcorr import arith
 from divcorr.arith import (
     DivisorTable,
     _sieve_segment,
@@ -203,6 +204,19 @@ def test_high_window_segment():
 def test_sieve_budget():
     with pytest.raises(ResourceBudgetError):
         sieve_dk(2, 1, 10**9 + 1)
+
+
+def test_sieve_budget_charges_values_then_spf(monkeypatch):
+    """A window of n cells sieves under a budget of n (its one array); the
+    spf array, sieved when first read, is charged on top of the values."""
+    monkeypatch.setattr(arith, "MAX_TABLE_CELLS", 1000)
+    table = sieve_dk(3, 10**6, 10**6 + 999)  # n = budget < 2n
+    assert len(table.values) == 1000
+    with pytest.raises(ResourceBudgetError):
+        table.spf
+    assert table._spf is None
+    with pytest.raises(ResourceBudgetError):
+        sieve_dk(3, 10**6, 10**6 + 1000)
 
 
 def test_dump_load_roundtrip(tmp_path):

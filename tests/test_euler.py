@@ -14,6 +14,7 @@ from divcorr.euler import (
     _c_euler_base,
     _c_factor_poly,
     _c_scalar,
+    _monomial_jet,
     _poly_log_series,
     _prime_tail_log_jet,
     _scalar_tail_bound,
@@ -96,15 +97,29 @@ def test_local_factor_constant_coeffs():
                     assert abs(unit[i, j]) < TIGHT
 
 
+def _c_local_by_jet_ops(p, k, l, order_t, order_w, split):
+    """The local C-factor by Jet2 operations: D + (1-X)^k (1-D) / (1-1/p)
+    with D = (1-Y)^(l-1), or with the last product distributed (split)."""
+    X = _monomial_jet(p, 1, 0, 1, order_t, order_w)
+    Y = _monomial_jet(p, 0, 1, 1, order_t, order_w)
+    u = mp.mpf(1) / p
+    D = (1 - Y) ** (l - 1)
+    Xk = (1 - X) ** k
+    if split:
+        return D + Xk * (1 / (1 - u)) - Xk * D * (1 / (1 - u))
+    return D + Xk * (1 - D) * (1 / (1 - u))
+
+
 def test_display_grouping_forms_agree():
-    """The two printed groupings of the C-factor are the same function."""
-    for p in (2, 7, 31):
+    """The two printed groupings of the C-factor, built by Jet2 operations,
+    equal the closed form of c_local_jet."""
+    for p in (2, 7, 31, 997):
         for (k, l) in ((2, 2), (3, 2), (3, 4)):
-            a = c_local_jet(p, k, l, 2, 2, form="grouped")
-            b = c_local_jet(p, k, l, 2, 2, form="split")
-            for i in range(3):
-                for j in range(3):
-                    assert abs(a[i, j] - b[i, j]) < TIGHT
+            for order_t, order_w in ((2, 2), (3, 4)):
+                closed = c_local_jet(p, k, l, order_t, order_w)
+                for split in (False, True):
+                    ref = _c_local_by_jet_ops(p, k, l, order_t, order_w, split)
+                    assert _max_diff(closed, ref) < TIGHT, (p, k, l, split)
 
 
 def test_local_factor_h2_product():

@@ -87,6 +87,20 @@ def test_brute_decades_prefix_consistency():
         assert r.value == single.value, r.x
 
 
+def test_brute_decades_reads_precomputed_arrays():
+    """Arrays passed in, longer than needed, give the sums of a fresh sieve;
+    arrays too short are refused."""
+    xs = [1000, 10000]
+    left = partial_divisor_array(20000, 3, "2/3")
+    right = partial_divisor_array(20000, 2, "1/4")
+    for h in (1, 6):
+        fresh = brute_correlation_decades(h, 3, 2, "2/3", "1/4", xs)
+        given = brute_correlation_decades(h, 3, 2, "2/3", "1/4", xs, left=left, right=right)
+        assert [r.value for r in given] == [r.value for r in fresh], h
+    with pytest.raises(ValueError):
+        brute_correlation_decades(6, 3, 2, "2/3", "1/4", [20000], left=left, right=right)
+
+
 def test_brute_ap_sum_values():
     # k = 1 counts progression members
     assert brute_ap_sum(100, 7, 3, 1, "1/2") == len(range(3, 101, 7))

@@ -1,14 +1,15 @@
 """Stieltjes constants, zeta-power Taylor data, prime-zeta moments."""
 
+from functools import lru_cache
+
 import mpmath as mp
 import numpy as np
 import pytest
 
+from divcorr.arith import primes_up_to
 from divcorr.errors import PrecisionError
-from divcorr.jets import PowerJet
+from divcorr.euler import PrimeTailMoments
 from divcorr.zeta_series import (
-    _log_zeta_jet_at,
-    _short_series_terms,
     c_coeffs,
     c_coeffs_via_division,
     estermann_a_constants,
@@ -16,8 +17,8 @@ from divcorr.zeta_series import (
     inverse_zeta_jet_at_2,
     mobius_log_moment_sieve,
     mobius_sieve,
-    prime_power_log_moments,
     stieltjes_table,
+    zeta_jet,
     zeta_laurent_jet,
     zeta_power_coeffs,
 )
@@ -110,6 +111,30 @@ def test_c_coeffs_against_jet_division():
                 assert abs(alt[n] - div[n]) < mp.mpf(10) ** -20, (j, n)
 
 
+@lru_cache(maxsize=None)
+def prime_power_log_moments(m: int, d_max: int, dps: int = 40) -> tuple:
+    """pi_d(m) = sum_p (log p)^d p^(-m) for d = 0..d_max, via the prime zeta
+    function P(s) = sum_n mu(n)/n log zeta(n s) expanded at s = m: the
+    Moebius route over all primes, a second route to the prime-tail moments."""
+    mob = mobius_sieve(256)
+    with mp.workdps(dps + 10):
+        coeffs = [mp.mpf(0)] * (d_max + 1)
+        eps = mp.mpf(10) ** (-(dps + 8))
+        cutoff = (dps + 12) * 3.33 + 4
+        for n in range(1, 257):
+            if mob[n] == 0:
+                continue
+            if n * m > cutoff:
+                break
+            ljet = zeta_jet(n * m, d_max, dps + 10).log()
+            for d in range(d_max + 1):
+                coeffs[d] += int(mob[n]) * ljet[d] * n**d / n
+            if abs(ljet[0]) / n < eps and n > 4:
+                break
+        # P(m + tau) jet coefficient d equals (-1)^d pi_d(m) / d!
+        return tuple((-1) ** d * mp.factorial(d) * coeffs[d] for d in range(d_max + 1))
+
+
 def test_prime_zeta_moments():
     assert abs(prime_power_log_moments(2, 0)[0] - mp.primezeta(2)) < mp.mpf(10) ** -35
     assert abs(prime_power_log_moments(3, 0)[0] - mp.primezeta(3)) < mp.mpf(10) ** -35
@@ -124,20 +149,38 @@ def test_prime_zeta_moments():
         assert abs(direct - got) < max(5 * tail, 1e-12), (m, d)
 
 
+@pytest.mark.parametrize("P,m_max,d_max,dps", [(10**3, 14, 6, 30), (10**3, 14, 4, 30),
+                                                (10**4, 18, 6, 30)])
+def test_prime_tail_moments(P, m_max, d_max, dps):
+    """Every moment lies within 10^-(dps+5) of the same series at dps + 25;
+    for m = 2, 3, 7, that reference plus the partial sum over p <= P is the
+    full prime-zeta moment of the Moebius route, pi_d(m)."""
+    got = PrimeTailMoments(P, m_max, d_max, dps)
+    ref = PrimeTailMoments(P, m_max, d_max, dps + 25)
+    for m in range(2, m_max + 1):
+        for d in range(d_max + 1):
+            assert abs(got.tail(m, d) - ref.tail(m, d)) < mp.mpf(10) ** -(dps + 5), (m, d)
+    with mp.workdps(dps + 10):
+        logs = [mp.log(int(p)) for p in primes_up_to(P)]
+        for m in (2, 3, 7):
+            full = prime_power_log_moments(m, d_max, dps + 5)
+            for d in range(d_max + 1):
+                partial = mp.fsum(L**d * mp.exp(-m * L) for L in logs)
+                assert abs(ref.tail(m, d) + partial - full[d]) < mp.mpf(10) ** -(dps + 3), (m, d)
+
+
 @pytest.mark.parametrize("dps", [30, 45, 60])
-def test_log_zeta_short_series(dps):
-    """Short-series log-zeta jets agree with mpmath's zeta derivatives, on both
-    sides of the switch-over from mpmath to the direct sum."""
+def test_zeta_jet_matches_mpmath(dps):
+    """Euler-Maclaurin jets of zeta agree with mpmath's zeta derivatives,
+    from y = 2, where the corrections carry the value, to y = 100, where the
+    head sum does."""
     order = 6
-    switch = min(y for y in range(2, 400) if _short_series_terms(y, order, dps))
-    assert _short_series_terms(switch - 1, order, dps) is None
-    for y in (switch - 2, switch - 1, switch, switch + 1, 2 * switch, 6 * switch):
-        got = _log_zeta_jet_at(y, order, dps)
+    for y in (2, 3, 5, 10, 22, 40, 100):
+        got = zeta_jet(y, order, dps)
         with mp.workdps(dps + 15):
-            vals = [mp.zeta(y, derivative=r) / mp.factorial(r) for r in range(order + 1)]
-            want = PowerJet(vals).log()
             for r in range(order + 1):
-                assert abs(got[r] - want[r]) < mp.mpf(10) ** (2 - dps), (y, r)
+                want = mp.zeta(y, derivative=r) / mp.factorial(r)
+                assert abs(got[r] - want) < mp.mpf(10) ** -(dps + 2), (y, r)
 
 
 def test_inverse_zeta_jet():
