@@ -29,8 +29,9 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 from math import comb
+from operator import mul
 
 import mpmath as mp
 import numpy as np
@@ -45,7 +46,7 @@ from .arith import (
 )
 from .errors import PrecisionError, PrecisionWarning, ResourceBudgetError
 from .jets import Jet2, PowerJet
-from .zeta_series import zeta_jet
+from .zeta_series import mobius_sieve, zeta_jet
 
 DEFAULT_PRIME_CUTOFF = 1_000
 _SERIES_DEGREE = 14  # total degree kept in local log-factor expansions
@@ -111,11 +112,6 @@ def _poly_mul1(a, b, order):
     return out
 
 
-def _mobius(n: int) -> int:
-    factors = factorize(n).factors
-    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
-
-
 class PrimeTailMoments:
     """T(m, d) = sum over primes p > P of (log p)^d p^(-m), for 2 <= m <= m_max
     and d <= d_max, to about 2^-m 10^-(dps+10).
@@ -132,12 +128,10 @@ class PrimeTailMoments:
     The term of n is about n^(d-1) T(nm, d), which falls like q^(-nm) with q
     the first prime above P, so only a few products y = nm are kept (2..16 at
     P = 10^3, dps 30), each with one zeta jet.  The partial sums S(M, .) are
-    computed once per call for every M = jy they enter, by fdot over the
-    primes whose terms are not negligible.  Terms are kept down to 2^-m
-    10^-(dps+10) (float estimates decide); the working digits cover the d!
-    that multiplies a log-zeta coefficient and the M roundings in p^(-M),
-    and the zeta jets get y log10 2 more for the largest y, since log zeta(y)
-    is near 2^-y.
+    computed once per call for every M = jy they enter, in fixed point, over
+    the primes whose terms are not negligible.  Terms are kept down to 2^-m
+    10^-(dps+10) (float estimates decide); the zeta jets get y log10 2 more
+    digits for the largest y, since log zeta(y) is near 2^-y.
     """
 
     def __init__(self, prime_cutoff: int, m_max: int, d_max: int, dps: int = 40):
@@ -160,16 +154,14 @@ class PrimeTailMoments:
             above tol / pi(P) for some d <= d_max: the rest sum to under tol."""
             logs = np.maximum(-math.log(M), (d_max - 1) * math.log(M)
                               + d_max * np.log(logp)) - M * logp
-            kept = np.flatnonzero(logs >= tol - math.log(len(primes)))
+            kept = np.flatnonzero(logs >= tol - math.log(max(len(primes), 1)))
             return int(kept[-1]) + 1 if len(kept) else 0
 
-        terms = {m: [] for m in range(2, m_max + 1)}
-        for m in terms:
-            n = 1
-            while size(n, n * m) >= eps - m * ln2:
-                if _mobius(n):
-                    terms[m].append(n)
-                n += 1
+        # terms[m]: the squarefree n below the first n whose term is dropped
+        ends = {m: next(n for n in count(1) if size(n, n * m) < eps - m * ln2)
+                for m in range(2, m_max + 1)}
+        mu = mobius_sieve(max(ends.values(), default=1))
+        terms = {m: [n for n in range(1, end) if mu[n]] for m, end in ends.items()}
         ys = sorted({n * m for m, ns in terms.items() for n in ns})
         # need[M]: primes S(M, .) sums over; js[y]: prime sums j <= js[y] at y
         need, js = {}, {}
@@ -180,24 +172,29 @@ class PrimeTailMoments:
                 need[j * y] = max(need.get(j * y, 0), cnt)
             js[y] = j
         top = max(need, default=1)
-        # p^(-M) gathers M roundings, and a log-zeta coefficient is multiplied by d!
-        work = dps + 10 + math.ceil(math.log10(math.factorial(d_max) * top))
+        work = dps + 10 + math.ceil(math.log10(math.factorial(d_max)))  # d! times log zeta
+        # S(M, d) as integers over 2^bits: p^(-M) is off by under 4 units, a term
+        # by under 5 (log q)^d, and a moment multiplies S(jy, d) by (nj)^(d-1);
+        # bits keep the sum of those under 2^-y 10^-(dps+10) for every y.
+        bits = math.ceil(-eps / ln2 + max(ys, default=0) + math.log2(
+            5 * max(len(primes), 1) * lq ** d_max * top ** max(d_max - 1, 0)))
+        with mp.workprec(bits + 64):
+            rows = [[int(mp.ldexp(mp.log(p) ** d, bits)) for p in primes]
+                    for d in range(d_max + 1)]
+        # carried[M - 1]: the primes whose powers some S(M' >= M) still needs
+        carried = list(accumulate((need.get(M, 0) for M in range(top, 0, -1)), max))[::-1]
+        u = [(1 << bits) // p for p in primes]
+        S, pw = {}, [1 << bits] * len(primes)
+        for M in range(1, top + 1):
+            pw = [(a * b) >> bits for a, b in zip(pw[: carried[M - 1]], u)]
+            if M in need:
+                S[M] = [sum(map(mul, pw[: need[M]], row)) for row in rows]
         with mp.workdps(work):
-            u = [mp.mpf(1) / p for p in primes]
-            logs = [mp.log(p) for p in primes]
-            rows = [[mp.mpf(1)] * len(primes)]
-            for _ in range(d_max):
-                rows.append([a * b for a, b in zip(rows[-1], logs)])
-            # carried[M - 1]: the primes whose powers some S(M' >= M) still needs
-            carried = list(accumulate((need.get(M, 0) for M in range(top, 0, -1)), max))[::-1]
-            S, pw = {}, [mp.mpf(1)] * len(primes)
-            for M in range(1, top + 1):
-                pw = [a * b for a, b in zip(pw[: carried[M - 1]], u)]
-                if M in need:
-                    S[M] = [mp.fdot(pw[: need[M]], row) for row in rows]
+            S = {M: [mp.ldexp(v, -2 * bits) for v in row] for M, row in S.items()}
             # weights[d][j - 1] = (-j)^d / (j d!): e^(-j tau log p) / j at tau^d
             weights = [[mp.mpf(-j) ** d / (j * math.factorial(d))
-                        for j in range(1, max(js.values(), default=0) + 1)] for d in range(d_max + 1)]
+                        for j in range(1, max(js.values(), default=0) + 1)]
+                       for d in range(d_max + 1)]
             logz = {}
             digits = work + math.ceil(max(ys, default=0) * math.log10(2))
             for y in ys:
@@ -209,7 +206,7 @@ class PrimeTailMoments:
             self._tails = {}
             for m, ns in terms.items():
                 for d in range(d_max + 1):
-                    acc = mp.fsum(_mobius(n) * mp.mpf(n) ** (d - 1) * logz[n * m][d] for n in ns)
+                    acc = mp.fsum(int(mu[n]) * mp.mpf(n) ** (d - 1) * logz[n * m][d] for n in ns)
                     self._tails[(m, d)] = +((-1) ** d * math.factorial(d) * acc)
 
     def tail(self, m: int, d: int) -> mp.mpf:

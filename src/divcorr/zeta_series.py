@@ -178,13 +178,20 @@ def c_coeffs_via_division(j: int, n_max: int, digits: int | None = None) -> list
 
 @lru_cache(maxsize=None)
 def _log_power_rows(N: int, order: int, dps: int) -> tuple:
-    """(-log n)^r / r! for 2 <= n < N, one row per r <= order."""
+    """(-log n)^r / r! for 2 <= n <= N, one row per r <= order."""
     with mp.workdps(dps):
-        neg_logs = [-mp.log(n) for n in range(2, N)]
-        rows = [[mp.mpf(1)] * (N - 2)]
+        neg_logs = [-mp.log(n) for n in range(2, N + 1)]
+        rows = [[mp.mpf(1)] * (N - 1)]
         for r in range(1, order + 1):
             rows.append([a * b / r for a, b in zip(rows[-1], neg_logs)])
         return tuple(map(tuple, rows))
+
+
+@lru_cache(maxsize=None)
+def _em_weight(k: int, N: int, dps: int) -> mp.mpf:
+    """B_2k / (2k)! N^(1-2k), shared by the zeta jets at every y."""
+    with mp.workdps(dps):
+        return mp.bernoulli(2 * k) / mp.factorial(2 * k) * mp.mpf(N) ** (1 - 2 * k)
 
 
 @lru_cache(maxsize=None)
@@ -199,24 +206,24 @@ def _zeta_taylor(y: int, order: int, dps: int) -> tuple:
     every factor taken as a jet in tau: n^(-s) = n^(-y) e^(-tau log n), with
     the rows of (-log n)^r / r! shared by every y; the Pochhammer jet, with
     integer coefficients, grows by two linear factors per k; N^(-s)
-    multiplies the bracket once.  The corrections fall like (2k)! / (2 pi N)^(2k) until
-    2k nears 2 pi N; N = 10 + dps puts that floor far below 10^-dps, and
-    the series stops at its first term under 10^-(dps+2) in every
-    coefficient (a tau^r coefficient of the product is at most N times the
-    bracket's largest one)."""
+    multiplies the bracket once.  The corrections fall like
+    (2k)! / (2 pi N)^(2k) until 2k nears 2 pi N; N = 10 + dps puts that
+    floor far below 10^-dps, and the series stops at its first term under
+    10^-(dps+2) in every coefficient (a tau^r coefficient of the product is
+    at most N times the bracket's largest one)."""
     if y < 2:
         raise ValueError("_zeta_taylor requires y >= 2")
     N = 10 + dps
     rows = _log_power_rows(N, order, dps + 5)
     with mp.workdps(dps + 5):
         powers = [mp.mpf(n) ** -y for n in range(2, N)]
-        vals = [mp.fdot(powers, row) for row in rows]
+        vals = [mp.fdot(powers, row) for row in rows]  # n < N: zip stops at powers
         vals[0] += 1
         poch = ([y, 1] + [0] * order)[: order + 1]
         weights, pochs = [], []
         eps = mp.mpf(10) ** -(dps + 2) * mp.mpf(N) ** (y - 1)
         for k in count(1):
-            weights.append(mp.bernoulli(2 * k) / mp.factorial(2 * k) * mp.mpf(N) ** (1 - 2 * k))
+            weights.append(_em_weight(k, N, dps + 5))
             pochs.append(poch)
             if abs(weights[-1]) * max(poch) < eps:
                 break
@@ -225,9 +232,7 @@ def _zeta_taylor(y: int, order: int, dps: int) -> tuple:
         bracket = [N * mp.mpf(-1) ** r / mp.mpf(y - 1) ** (r + 1)
                    + mp.fdot(weights, [pc[r] for pc in pochs]) for r in range(order + 1)]
         bracket[0] += mp.mpf(1) / 2
-        n_pow = [mp.mpf(N) ** -y]
-        for r in range(order):
-            n_pow.append(n_pow[-1] * -mp.log(N) / (r + 1))
+        n_pow = [mp.mpf(N) ** -y * row[-1] for row in rows]  # N^(-s)
         return tuple(vals[r] + mp.fdot(bracket[: r + 1], n_pow[r::-1])
                      for r in range(order + 1))
 

@@ -150,11 +150,12 @@ def test_prime_zeta_moments():
 
 
 @pytest.mark.parametrize("P,m_max,d_max,dps", [(10**3, 14, 6, 30), (10**3, 14, 4, 30),
-                                                (10**4, 18, 6, 30)])
+                                                (10**4, 18, 6, 30), (10**3, 42, 0, 40)])
 def test_prime_tail_moments(P, m_max, d_max, dps):
-    """Every moment lies within 10^-(dps+5) of the same series at dps + 25;
-    for m = 2, 3, 7, that reference plus the partial sum over p <= P is the
-    full prime-zeta moment of the Moebius route, pi_d(m)."""
+    """Every moment lies within 10^-(dps+5) of the same series at dps + 25
+    (the last case has the shape of the scalar constant's); for m = 2, 3, 7,
+    that reference plus the partial sum over p <= P is the full prime-zeta
+    moment of the Moebius route, pi_d(m)."""
     got = PrimeTailMoments(P, m_max, d_max, dps)
     ref = PrimeTailMoments(P, m_max, d_max, dps + 25)
     for m in range(2, m_max + 1):
