@@ -150,8 +150,8 @@ class PrimeTailMoments:
                        + math.log1p(q / max(M - 1 - d / lq, 0.5)) for d in (0, d_max))
 
         def width(M: int, tol: float) -> int:
-            """How many primes, from 2 on, reach the last term of M^(d-1) S(M, d)
-            above tol / pi(P) for some d <= d_max: the rest sum to under tol."""
+            """The primes from 2 up to the last whose term M^(d-1) p^(-M) (log p)^d
+            is above tol / pi(P) for some d <= d_max, counted: the rest add under tol."""
             logs = np.maximum(-math.log(M), (d_max - 1) * math.log(M)
                               + d_max * np.log(logp)) - M * logp
             kept = np.flatnonzero(logs >= tol - math.log(max(len(primes), 1)))
