@@ -47,19 +47,17 @@ from .asympt import (
 )
 from .errors import ConsistencyError, DivcorrError, PrecisionError, ResourceBudgetError
 from .euler import (
-    LocalFactor,
     SingularSeries,
     cf_euler_jet,
     dirichlet_partials,
     evaluate_singular_series,
-    local_factor_cf,
     phi_local,
     singular_constant,
     singular_shift_factor,
     varphi_prime_power,
     varphi_table,
 )
-from .jets import Jet2, PowerJet, jet_arith
+from .jets import Jet2, PowerJet
 from .oracle import (
     ComparisonReport,
     CorrelationResult,

@@ -112,6 +112,16 @@ def _poly_mul1(a, b, order):
     return out
 
 
+@lru_cache(maxsize=32)
+def _log_powers(primes: tuple, d_max: int, bits: int) -> tuple:
+    """rows[d][i] = (log p_i)^d over 2^bits, floored, for d <= d_max: one log
+    per prime, each entry under two units below its value.  The prime-tail
+    moments and the local C-factors of the Euler base share it."""
+    with mp.workprec(bits + 64):
+        logs = [mp.log(p) for p in primes]
+        return tuple([int(mp.ldexp(L**d, bits)) for L in logs] for d in range(d_max + 1))
+
+
 class PrimeTailMoments:
     """T(m, d) = sum over primes p > P of (log p)^d p^(-m), for 2 <= m <= m_max
     and d <= d_max, to about 2^-m 10^-(dps+10).
@@ -178,9 +188,8 @@ class PrimeTailMoments:
         # bits keep the sum of those under 2^-y 10^-(dps+10) for every y.
         bits = math.ceil(-eps / ln2 + max(ys, default=0) + math.log2(
             5 * max(len(primes), 1) * lq ** d_max * top ** max(d_max - 1, 0)))
-        with mp.workprec(bits + 64):
-            rows = [[int(mp.ldexp(mp.log(p) ** d, bits)) for p in primes]
-                    for d in range(d_max + 1)]
+        self.bits = bits
+        rows = _log_powers(tuple(primes), d_max, bits)
         # carried[M - 1]: the primes whose powers some S(M' >= M) still needs
         carried = list(accumulate((need.get(M, 0) for M in range(top, 0, -1)), max))[::-1]
         u = [(1 << bits) // p for p in primes]
@@ -348,6 +357,31 @@ def _monomial_jet(p: int, a: int, b: int, c: int, order_t: int, order_w: int) ->
     return Jet2([[u * ti * wj for wj in w_exp] for ti in _exp_coeffs(a, L, order_t)])
 
 
+def _table_guard(k: int, l: int) -> int:
+    """Bits of (log p)^d below a local factor's unit: its rational weight is
+    at most 3 (1 + e/2)^(k+l-1), so a table entry's error adds under one unit."""
+    return math.ceil(math.log2(6) + (k + l - 1) * math.log2(1 + math.e / 2))
+
+
+def _c_local_fixed(p: int, k: int, l: int, order_t: int, order_w: int,
+                   logs, guard: int) -> list[list[int]]:
+    """c_local_jet over 2^bits, each integer under two units off, from
+    logs[d] = (log p)^d over 2^(bits + guard): w[a][b] is the weight of X^a Y^b
+    over (p-1) p^(k+l-1), and t^i w^j sums w[a][b] (-a)^i (-b)^j (log p)^(i+j) / i! j!."""
+    e = k + l - 1
+    w = {(a, b): (-1) ** b * comb(l - 1, b) * p ** (e - a - b)
+         * ((a == 0) * (p - 1) - (b > 0) * (-1) ** a * comb(k, a) * p)
+         for a in range(k + 1) for b in range(l)}
+    denom = (p - 1) * p**e << guard
+    return [[sum(x * (-a) ** i * (-b) ** j for (a, b), x in w.items()) * logs[i + j]
+             // (denom * math.factorial(i) * math.factorial(j))
+             for j in range(order_w + 1)] for i in range(order_t + 1)]
+
+
+def _jet_from_fixed(rows, bits: int) -> Jet2:
+    return Jet2([[mp.ldexp(c, -bits) for c in row] for row in rows])
+
+
 def c_local_jet(p: int, k: int, l: int, order_t: int, order_w: int) -> Jet2:
     """Local factor of C_{k,l}(s,w) at a prime not dividing the shift,
 
@@ -355,19 +389,10 @@ def c_local_jet(p: int, k: int, l: int, order_t: int, order_w: int) -> Jet2:
 
     summed over its monomials X^a Y^b = p^(-a-b) e^(-(a t + b w) log p), whose
     coefficients are (-1)^b C(l-1,b) ([a = 0] - [b > 0] (-1)^a C(k,a) / (1-1/p)).
-    """
-    u, L = mp.mpf(1) / p, mp.log(p)
-    inv = 1 / (1 - u)
-    w_exp = [_exp_coeffs(b, L, order_w) for b in range(l)]
-    coeffs = [[mp.mpf(0)] * (order_w + 1) for _ in range(order_t + 1)]
-    for a in range(k + 1):
-        mono = [(-1) ** b * comb(l - 1, b) * u ** (a + b)
-                * ((a == 0) - (b > 0) * (-1) ** a * comb(k, a) * inv) for b in range(l)]
-        row = [mp.fdot(mono, [w[j] for w in w_exp]) for j in range(order_w + 1)]
-        for i, ti in enumerate(_exp_coeffs(a, L, order_t)):
-            for j in range(order_w + 1):
-                coeffs[i][j] += ti * row[j]
-    return Jet2(coeffs)
+    The integers of _c_local_fixed, 10 bits past the working precision."""
+    bits, guard = mp.mp.prec + 10, _table_guard(k, l)
+    logs = [row[0] for row in _log_powers((p,), order_t + order_w, bits + guard)]
+    return _jet_from_fixed(_c_local_fixed(p, k, l, order_t, order_w, logs, guard), bits)
 
 
 def _f_numerator_jet(p: int, gamma: int, k: int, l: int,
@@ -400,18 +425,6 @@ def _f_numerator_jet(p: int, gamma: int, k: int, l: int,
     return numer + dk_prime_power(k, gamma) * shift * tail_l
 
 
-def f_local_jet(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int) -> Jet2:
-    """Local factor of f_{h,k,l}(s,w) at p with p^gamma || h (gamma >= 1)."""
-    if gamma < 1:
-        raise ValueError("f_local_jet requires gamma >= 1")
-    X = _monomial_jet(p, 1, 0, 1, order_t, order_w)
-    Y = _monomial_jet(p, 0, 1, 1, order_t, order_w)
-    u = mp.mpf(1) / p
-    numer = _f_numerator_jet(p, gamma, k, l, order_t, order_w)
-    denom = (1 - u) * (1 - X) ** (-k) + (1 - Y) ** (-(l - 1)) - 1
-    return numer / denom
-
-
 def cf_local_jet(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int) -> Jet2:
     """Local factor of C(s,w) f(s,w) at p, for any gamma = v_p(h) >= 0.
 
@@ -426,23 +439,6 @@ def cf_local_jet(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int)
     u = mp.mpf(1) / p
     numer = _f_numerator_jet(p, gamma, k, l, order_t, order_w)
     return (1 - X) ** k * (1 - Y) ** (l - 1) * numer * (1 / (1 - u))
-
-
-@dataclass(frozen=True)
-class LocalFactor:
-    """Euler factor of C(s,w) f(s,w) at a single prime, as a Jet2."""
-
-    p: int
-    gamma: int
-    k: int
-    l: int
-    value: Jet2
-
-
-def local_factor_cf(p: int, h, k: int, l: int, order_t: int, order_w: int) -> LocalFactor:
-    gamma = _as_factored(h).exponent_of(p)
-    return LocalFactor(p=p, gamma=gamma, k=k, l=l,
-                       value=cf_local_jet(p, gamma, k, l, order_t, order_w))
 
 
 # --- trivariate log-factor series for prime tails ---------------------------
@@ -501,48 +497,90 @@ def _max_power_term(a: int, order: int) -> float:
     return max(a**i / math.factorial(i) for i in range(order + 1))
 
 
+@lru_cache(maxsize=None)
+def _log_jet_weights(k: int, l: int, order_t: int, order_w: int, degree: int) -> tuple:
+    """(num, den, growth, gmax): num[i][j][m] / (den i! j!), the sum of
+    g (-a)^i (-b)^j over the series' monomials x^a y^b u^c of degree m, weighs
+    T(m, i+j) in the log-jet's t^i w^j; growth (_guarded_dps), gmax = max |g|."""
+    series = _log_local_c_series(k, l, degree)
+    den = math.lcm(*(g.denominator for _, g in series))
+    num = [[[0] * (degree + 1) for _ in range(order_w + 1)] for _ in range(order_t + 1)]
+    for (a, b, c), g in series:
+        g_den = g.numerator * (den // g.denominator)
+        for i in range(order_t + 1 if a else 1):
+            for j in range(order_w + 1 if b else 1):
+                num[i][j][a + b + c] += g_den * (-a) ** i * (-b) ** j
+    growth = max(abs(float(g)) * 2.0 ** -(a + b + c) * _max_power_term(a, order_t)
+                 * _max_power_term(b, order_w) for (a, b, c), g in series)
+    return num, den, growth, max(abs(g) for _, g in series)
+
+
 def _prime_tail_log_jet(k: int, l: int, order_t: int, order_w: int, prime_cutoff: int,
                         dps: int, degree: int) -> tuple[Jet2, mp.mpf]:
     """(log of prod_{p > P} of the local C-factor as a jet, bound): the
     log-factor series to total degree `degree`, each monomial summed over
-    p > P through the prime-tail moments."""
-    series = _log_local_c_series(k, l, degree)
-    growth = max(abs(float(g)) * 2.0 ** -(a + b + c) * _max_power_term(a, order_t)
-                 * _max_power_term(b, order_w) for (a, b, c), g in series)
+    p > P through the prime-tail moments, in integers over the moments' 2^bits.
+    The bound is twice the last two degrees' terms plus the weighted moments'
+    own errors 2^-m 10^-(dps'+10) and a unit for each rounding."""
+    num, den, growth, gmax = _log_jet_weights(k, l, order_t, order_w, degree)
     tails = _tail_moments(prime_cutoff, degree, order_t + order_w, _guarded_dps(dps, growth))
-    corr = Jet2.constant(0, order_t, order_w)
-    gmax = mp.mpf(0)
-    for (a, b, c), g in series:
-        m = a + b + c
-        gm = _mpf_frac(g)
-        gmax = max(gmax, abs(gm))
-        for i in range(order_t + 1):
-            if a == 0 and i > 0:
-                break
-            base = gm * (mp.mpf(-a)) ** i / mp.factorial(i)
-            for j in range(order_w + 1):
-                if b == 0 and j > 0:
-                    break
-                corr.coeffs[i][j] += (
-                    base * (mp.mpf(-b)) ** j / mp.factorial(j) * tails.tail(m, i + j)
-                )
-    bound = 2 * gmax * (tails.tail(degree - 1, order_t + order_w)
-                        + tails.tail(degree, order_t + order_w))
-    return corr, bound
+    bits, dmax = tails.bits, order_t + order_w
+    moments = [[int(mp.ldexp(tails.tail(m, d), bits)) if m >= 2 else 0
+                for m in range(degree + 1)] for d in range(dmax + 1)]
+    scales = [[den * math.factorial(i) * math.factorial(j) for j in range(order_w + 1)]
+              for i in range(order_t + 1)]
+    corr = [[sum(map(mul, num[i][j], moments[i + j])) // scales[i][j]
+             for j in range(order_w + 1)] for i in range(order_t + 1)]
+    unit = 2.0**-bits
+    rounding = max(unit + sum(abs(n) / scales[i][j] * (2.0**-m * 10.0 ** -(tails.dps + 10) + unit)
+                              for m, n in enumerate(num[i][j]))
+                   for i in range(order_t + 1) for j in range(order_w + 1))
+    bound = 2 * _mpf_frac(gmax) * (tails.tail(degree - 1, dmax) + tails.tail(degree, dmax))
+    return _jet_from_fixed(corr, bits), bound + rounding
+
+
+def _fixed_mul(a: list, b: list, bits: int) -> list[list[int]]:
+    """Truncated product of two jets held as integers over 2^bits, floored."""
+    return [[sum(a[i1][j1] * b[i - i1][j - j1] for i1 in range(i + 1) for j1 in range(j + 1))
+             >> bits for j in range(len(a[0]))] for i in range(len(a))]
 
 
 @lru_cache(maxsize=None)
 def _c_euler_base(k: int, l: int, order_t: int, order_w: int, prime_cutoff: int,
                   dps: int, degree: int) -> tuple[Jet2, mp.mpf]:
     """(jet of the shift-free C(s,w) at (1,0), tail bound): the local factors
-    over p <= P times the exp of the prime tail.  Shared by every shift;
-    callers must not mutate it."""
+    over p <= P, multiplied as integers over 2^bits, times the exp of the prime
+    tail.  Shared by every shift; callers must not mutate it.  Per prime,
+    every coefficient is rounded twice (factor, two units; product, one), and
+    the other factors, bounded termwise by exp(X) with X = sum_p |factor - 1|,
+    carry a rounding on: to first order by at most exp(X(rho, rho)) /
+    ((1-rho)^2 rho^(order_t+order_w)), rho in (0, 1): 2^9 at (2,2) to 2^25 at
+    (4,4).  bits keep 3 pi(P) 2^32 units under 10^-(dps+10) and reach the
+    moments' bits, to share their (log p)^d table."""
+    primes = [int(p) for p in primes_up_to(prime_cutoff)]
+    guard, count = _table_guard(k, l), 3 * len(primes)
+    growth = _log_jet_weights(k, l, order_t, order_w, degree)[2]
+    tails = _tail_moments(prime_cutoff, degree, order_t + order_w, _guarded_dps(dps, growth))
+    table_bits = max(tails.bits, guard + math.ceil(
+        (dps + 10) * math.log2(10) + math.log2(max(count, 1)) + 32))
+    bits = table_bits - guard
+    logs = zip(*_log_powers(tuple(primes), order_t + order_w, table_bits))
+    spread = [[0] * (order_w + 1) for _ in range(order_t + 1)]
+    prod = [[(i == j == 0) << bits for j in range(order_w + 1)] for i in range(order_t + 1)]
+    for p, lg in zip(primes, logs):
+        factor = _c_local_fixed(p, k, l, order_t, order_w, lg, guard)
+        prod = _fixed_mul(prod, factor, bits)
+        factor[0][0] -= 1 << bits
+        spread = [[s + abs(f) for s, f in zip(*rows)] for rows in zip(spread, factor)]
+    amplifier = min(math.exp(sum(s / (1 << bits) * rho ** (i + j)
+                                 for i, row in enumerate(spread) for j, s in enumerate(row)))
+                    / ((1 - rho) ** 2 * rho ** (order_t + order_w))
+                    for rho in (r / 16 for r in range(1, 16)))
     with mp.workdps(dps + 10):
-        prod = Jet2.constant(1, order_t, order_w)
-        for p in primes_up_to(prime_cutoff):
-            prod = prod * c_local_jet(int(p), k, l, order_t, order_w)
         corr, bound = _prime_tail_log_jet(k, l, order_t, order_w, prime_cutoff, dps, degree)
-        return prod * corr.exp(), +bound
+        bound = +(bound + count * amplifier * 2.0**-bits)
+    with mp.workprec(bits):  # dps + 10 digits would round the exp off by units in the last
+        return _jet_from_fixed(prod, bits) * corr.exp(), bound
 
 
 def cf_euler_jet(h, k: int, l: int, order_t: int, order_w: int,
@@ -896,9 +934,6 @@ class SingularSeries:
     Q: int
     P: int
     tail_bound: mp.mpf
-
-    def leading_product(self) -> mp.mpf:
-        return self.C * self.f
 
     def to_json(self, digits: int = 30) -> str:
         payload = {

@@ -23,7 +23,42 @@ def _num(x):
     return x if isinstance(x, (mp.mpf, mp.mpc)) else mp.mpf(x)
 
 
-class PowerJet:
+class _Jet:
+    """What PowerJet and Jet2 share, built on their constant, +, -x, * and
+    reciprocal."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, type(self)) else -_num(other))
+
+    def __rsub__(self, other):
+        return (-self) + _num(other)
+
+    def __pow__(self, m: int):
+        if not isinstance(m, int):
+            raise TypeError("jet powers must have integer exponents")
+        if m < 0:
+            return (self**(-m)).reciprocal()
+        out = self.constant(1, *self.orders)
+        base = self
+        while m:
+            if m & 1:
+                out = out * base
+            base = base * base
+            m >>= 1
+        return out
+
+    def __truediv__(self, other):
+        if isinstance(other, type(self)):
+            return self * other.reciprocal()
+        return self * (1 / _num(other))
+
+    def __rtruediv__(self, other):
+        return self.reciprocal() * _num(other)
+
+
+class PowerJet(_Jet):
     """Truncated one-variable Taylor series with mpmath coefficients."""
 
     __slots__ = ("coeffs",)
@@ -46,6 +81,10 @@ class PowerJet:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
+
+    @property
+    def orders(self) -> tuple[int]:
+        return (self.order,)
 
     def __getitem__(self, r: int):
         return self.coeffs[r]
@@ -75,12 +114,6 @@ class PowerJet:
     def __neg__(self):
         return PowerJet([-c for c in self.coeffs])
 
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, PowerJet) else -_num(other))
-
-    def __rsub__(self, other):
-        return (-self) + _num(other)
-
     def __mul__(self, other):
         if not isinstance(other, PowerJet):
             c = _num(other)
@@ -98,20 +131,6 @@ class PowerJet:
 
     __rmul__ = __mul__
 
-    def __pow__(self, m: int):
-        if not isinstance(m, int):
-            raise TypeError("jet powers must have integer exponents")
-        if m < 0:
-            return (self**(-m)).reciprocal()
-        out = PowerJet.constant(1, self.order)
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
-
     def reciprocal(self) -> "PowerJet":
         c0 = self.coeffs[0]
         if c0 == 0:
@@ -124,14 +143,6 @@ class PowerJet:
             term = term * rest
             out = out - term if _ % 2 == 0 else out + term
         return out * (1 / c0)
-
-    def __truediv__(self, other):
-        if isinstance(other, PowerJet):
-            return self * other.reciprocal()
-        return self * (1 / _num(other))
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * _num(other)
 
     def log(self) -> "PowerJet":
         c0 = self.coeffs[0]
@@ -168,7 +179,7 @@ class PowerJet:
         return f"PowerJet({[mp.nstr(c, 12) for c in self.coeffs]})"
 
 
-class Jet2:
+class Jet2(_Jet):
     """Truncated bivariate Taylor series sum c[i][j] t^i w^j."""
 
     __slots__ = ("coeffs", "order_t", "order_w")
@@ -236,12 +247,6 @@ class Jet2:
     def __neg__(self):
         return Jet2([[-c for c in row] for row in self.coeffs])
 
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet2) else -_num(other))
-
-    def __rsub__(self, other):
-        return (-self) + _num(other)
-
     def __mul__(self, other):
         if not isinstance(other, Jet2):
             c = _num(other)
@@ -266,20 +271,6 @@ class Jet2:
 
     __rmul__ = __mul__
 
-    def __pow__(self, m: int):
-        if not isinstance(m, int):
-            raise TypeError("jet powers must have integer exponents")
-        if m < 0:
-            return (self**(-m)).reciprocal()
-        out = Jet2.constant(1, self.order_t, self.order_w)
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
-
     def _nilpotent_steps(self) -> int:
         return self.order_t + self.order_w
 
@@ -296,14 +287,6 @@ class Jet2:
             out = out + term * sign
             sign = -sign
         return out * (1 / c0)
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet2):
-            return self * other.reciprocal()
-        return self * (1 / _num(other))
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * _num(other)
 
     def log(self) -> "Jet2":
         c0 = self.coeffs[0][0]
@@ -326,10 +309,6 @@ class Jet2:
             out = out + term
         return out * mp.exp(self.coeffs[0][0])
 
-    def t_slice(self, j: int) -> PowerJet:
-        """The coefficient of w^j as a one-variable jet in t."""
-        return PowerJet([self.coeffs[i][j] for i in range(self.order_t + 1)])
-
     def __call__(self, t, w):
         t, w = _num(t), _num(w)
         acc = mp.mpf(0)
@@ -344,18 +323,3 @@ class Jet2:
         rows = [[mp.nstr(c, 10) for c in row] for row in self.coeffs]
         return f"Jet2({rows})"
 
-
-def jet_arith(x, y, op: str):
-    """Dispatch-style entry point for the supported jet operations."""
-    ops = {
-        "add": lambda: x + y,
-        "sub": lambda: x - y,
-        "mul": lambda: x * y,
-        "div": lambda: x / y,
-        "pow_int": lambda: x**y,
-        "log": lambda: x.log(),
-        "exp": lambda: x.exp(),
-    }
-    if op not in ops:
-        raise ValueError(f"unknown jet operation {op!r}")
-    return ops[op]()

@@ -1,6 +1,7 @@
 """Singular series: Euler products, local jets, Dirichlet coefficients."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import mpmath as mp
@@ -24,8 +25,6 @@ from divcorr.euler import (
     cf_local_jet,
     dirichlet_partials,
     evaluate_singular_series,
-    f_local_jet,
-    local_factor_cf,
     phi_local,
     phi_of,
     singular_constant,
@@ -210,9 +209,44 @@ def test_euler_tail_bounds_are_honest(k, l):
     for h in (1, 6):
         got, bound = cf_euler_jet(h, k, l, order_t, order_w, dps=dps)
         ref, ref_bound = _reference_cf_jet(h, k, l, order_t, order_w, dps)
-        assert ref_bound < bound / 1000
+        assert 0 < ref_bound < bound / 1000
         assert bound <= old_bound
         assert _max_diff(got, ref) <= bound, (h, _max_diff(got, ref), bound)
+
+
+@lru_cache(maxsize=None)
+def _mp_local_product(k, l, order_t, order_w, dps):
+    """The local C-factors over p <= 10^3 by Jet2 operations, multiplied one
+    by one at dps digits."""
+    with mp.workdps(dps):
+        prod = Jet2.constant(1, order_t, order_w)
+        for p in primes_up_to(DEFAULT_PRIME_CUTOFF):
+            prod = prod * _c_local_by_jet_ops(int(p), k, l, order_t, order_w, split=False)
+        return prod
+
+
+@pytest.mark.parametrize("dps", [30, 40, 60, 100])
+@pytest.mark.parametrize("k,l", [(2, 2), (3, 2), (3, 3)])
+def test_fixed_point_base_matches_mpf_product(k, l, dps):
+    """The integer product of the base equals the per-prime mpf product at
+    dps + 25 digits (built once, at the largest) times the same prime-tail
+    correction, within 10^-(dps+10), and its stated bound stays that of the
+    tail series: the rounding term adds under 10^-(dps+10)."""
+    order_t, order_w = k, max(l, k + l - 2)
+    got, bound = _c_euler_base(k, l, order_t, order_w, DEFAULT_PRIME_CUTOFF, dps, _SERIES_DEGREE)
+    prod = _mp_local_product(k, l, order_t, order_w, 125)
+    with mp.workdps(dps + 25):
+        corr, tail_bound = _prime_tail_log_jet(k, l, order_t, order_w, DEFAULT_PRIME_CUTOFF,
+                                               dps, _SERIES_DEGREE)
+        want = prod * corr.exp()
+        assert _max_diff(got, want) < mp.mpf(10) ** -(dps + 10)
+        assert tail_bound < bound < tail_bound + mp.mpf(10) ** -(dps + 10)
+
+
+def test_truncated_log_jet_states_a_bound():
+    """At P = 10^4 every moment of the last two degrees is below the moments'
+    tolerance, but the moments' error and the rounding keep the bound above 0."""
+    assert _prime_tail_log_jet(3, 2, 3, 3, 10**4, 30, 18)[1] > 0
 
 
 @pytest.mark.parametrize("k,l", [(2, 2), (3, 2), (3, 3), (4, 4), (5, 5), (16, 2),
@@ -235,10 +269,16 @@ def test_singular_constant_bound_is_honest(k, l):
 
 
 def test_local_factor_cf_wrapper():
-    lf = local_factor_cf(3, 18, 2, 2, 1, 1)
-    assert lf.p == 3 and lf.gamma == 2
+    """v_3(18) = 2: the local factor at 3 is C_{2,2}'s factor (1 - 1/9) times
+    f_{2,2}'s, sigma_{-1}(9) = 13/9."""
+    assert factorize(18).exponent_of(3) == 2
     direct = cf_local_jet(3, 2, 2, 2, 1, 1)
-    assert abs(lf.value[0, 0] - direct[0, 0]) < TIGHT
+    assert abs(direct[0, 0] - mp.mpf(8) / 9 * mp.mpf(13) / 9) < TIGHT
+
+
+def _f_local_jet(p, gamma, k, l, order_t, order_w):
+    """Local factor of f_{h,k,l}(s,w) at p with p^gamma || h: C f over C."""
+    return cf_local_jet(p, gamma, k, l, order_t, order_w) / c_local_jet(p, k, l, order_t, order_w)
 
 
 def test_f_local_against_scalar_series():
@@ -274,7 +314,7 @@ def test_f_local_against_scalar_series():
         return num / den
 
     for (p, gamma, k, l) in ((2, 1, 2, 2), (3, 2, 3, 2), (2, 1, 2, 3)):
-        jet = f_local_jet(p, gamma, k, l, 2, 2)
+        jet = _f_local_jet(p, gamma, k, l, 2, 2)
         eps = mp.mpf(10) ** -10
         val = f_scalar(p, gamma, k, l, mp.mpf(1), mp.mpf(0))
         assert abs(jet[0, 0] - val) < mp.mpf(10) ** -25
@@ -289,7 +329,7 @@ def test_f_local_against_scalar_series():
 def test_shift_factor_derivative_identity():
     """2 d_w f + d_s f = -4 sigma'_{-1}(h) at k = l = 2 (h = p prime)."""
     for p in (2, 5):
-        jet = f_local_jet(p, 1, 2, 2, 2, 2)
+        jet = _f_local_jet(p, 1, 2, 2, 2, 2)
         got = 2 * jet.partial(0, 1) + jet.partial(1, 0)
         want = -4 * (mp.log(p) / p)  # -4 sigma'_{-1}(p)
         assert abs(got - want) < mp.mpf(10) ** -25, p
