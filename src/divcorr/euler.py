@@ -18,7 +18,8 @@ summed over p > P through the moments sum_{p>P} (log p)^d p^(-m).  Those
 come from Cohen's P-rough prime zeta series, on one table of partial prime
 sums over p <= P and a few zeta jets (PrimeTailMoments).  This leaves
 truncation errors far below the working precision instead of the
-1/(P log P) floor a bare cutoff would give.
+1/(P log P) floor a bare cutoff would give.  The product over p <= P and the
+tail's log-jet run in integers over 2^bits, on the moments' (log p)^d table.
 """
 
 from __future__ import annotations
@@ -115,10 +116,10 @@ def _poly_mul1(a, b, order):
 @lru_cache(maxsize=32)
 def _log_powers(primes: tuple, d_max: int, bits: int) -> tuple:
     """rows[d][i] = (log p_i)^d over 2^bits, floored, for d <= d_max: one log
-    per prime, each entry under two units below its value.  The prime-tail
-    moments and the local C-factors of the Euler base share it."""
-    with mp.workprec(bits + 64):
-        logs = [mp.log(p) for p in primes]
+    per prime, each entry under two units below its value ((log p)^d < 2^(4d)
+    for p < e^16).  The prime-tail moments and the Euler base share it."""
+    with mp.workprec(bits + 64 + 4 * d_max):
+        logs = [mp.log(p) if d_max else 1 for p in primes]
         return tuple([int(mp.ldexp(L**d, bits)) for L in logs] for d in range(d_max + 1))
 
 
@@ -579,7 +580,7 @@ def _c_euler_base(k: int, l: int, order_t: int, order_w: int, prime_cutoff: int,
     with mp.workdps(dps + 10):
         corr, bound = _prime_tail_log_jet(k, l, order_t, order_w, prime_cutoff, dps, degree)
         bound = +(bound + count * amplifier * 2.0**-bits)
-    with mp.workprec(bits):  # dps + 10 digits would round the exp off by units in the last
+    with mp.workprec(bits):  # at dps + 10 digits, exp and product err by units in the last
         return _jet_from_fixed(prod, bits) * corr.exp(), bound
 
 
