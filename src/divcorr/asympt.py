@@ -33,7 +33,6 @@ from .arith import (
 from .errors import ConsistencyError
 from .euler import (
     DEFAULT_PRIME_CUTOFF,
-    DirichletPartials,
     cf_euler_jet,
     dirichlet_partials,
     singular_constant,
@@ -94,17 +93,6 @@ def _theta_for_validity(k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _gen_binom(a: int, b: int) -> Fraction:
-    """Binomial with the generalized convention: 0 for b < 0, product
-    formula a(a-1)...(a-b+1)/b! for any integer a (negative tops allowed)."""
-    if b < 0:
-        return Fraction(0)
-    num = Fraction(1)
-    for i in range(b):
-        num *= a - i
-    return num / factorial(b)
-
-
 def _falling(x: int, r: int) -> Fraction:
     """Falling factorial x (x-1) ... (x-r+1), with ( )_0 = 1; r >= 0."""
     if r < 0:
@@ -155,7 +143,6 @@ class CoefficientContext:
 
 def coefficient_context(h, k: int, l: int, source: str = "euler",
                         Q: int = 10**6, prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-                        partials: DirichletPartials | Jet2 | None = None,
                         mode: str = "auto") -> CoefficientContext:
     """Build the shared inputs; source is "euler" (tail-corrected Euler
     product, essentially exact) or "dirichlet" (q <= Q truncation)."""
@@ -163,22 +150,12 @@ def coefficient_context(h, k: int, l: int, source: str = "euler",
         raise ValueError("coefficient_context requires k, l >= 1")
     order_t = k
     order_w = max(l, k + l - 2)
-    tail = mp.mpf(0)
     tails = None
-    if partials is not None:
-        jet = partials.jet if isinstance(partials, DirichletPartials) else partials
-        if isinstance(partials, DirichletPartials):
-            tail = partials.tail_bound()
-            tails = partials.tails
-        src = "given"
-    elif source == "euler":
+    if source == "euler":
         jet, tail = cf_euler_jet(h, k, l, order_t, order_w, prime_cutoff)
-        src = "euler"
     elif source == "dirichlet":
         dp = dirichlet_partials(h, k, l, Q, order_t, order_w, mode)
-        jet, tail = dp.jet, dp.tail_bound()
-        tails = dp.tails
-        src = "dirichlet"
+        jet, tail, tails = dp.jet, dp.tail_bound(), dp.tails
     else:
         raise ValueError(f"unknown partials source {source!r}")
     h_val = int(h.value) if hasattr(h, "value") else int(h)
@@ -186,7 +163,7 @@ def coefficient_context(h, k: int, l: int, source: str = "euler",
         h=h_val, k=k, l=l, partials=jet,
         a_l1=zeta_power_coeffs(l - 1, max(l, k + l - 2) + 1),
         c_k=c_coeffs(k, k + 1),
-        source=src, tail_bound=tail, tails=tails,
+        source=source, tail_bound=tail, tails=tails,
     )
 
 
@@ -220,54 +197,6 @@ def _m_collapse(j: int, w: int, x: int) -> Fraction:
     for m in range(max(0, j - w), j + 1):
         total += comb(j, m) * _falling(x, m) / Fraction(factorial(w - j + m))
     return total
-
-
-def _a_coefficient_compact(ctx: CoefficientContext, A: RationalExponent, m: int) -> mp.mpf:
-    """Compact double-sum form of the boundary ledger entry.
-
-    This is the collapsed presentation with (v-l+1)_r and the generalized
-    binomial {l-v-2 choose j-r} (carrying the (-1)^(j-r) reflection of the
-    Vandermonde collapse).  It reproduces a_coefficient exactly for l = 2,
-    where only the j = r diagonal survives, but loses low-order w-partials
-    for l >= 3; it is kept as documentation of that reduction and is
-    exercised only by tests.
-    """
-    k, l = ctx.k, ctx.l
-    A = RationalExponent.parse(A)
-    Af = A.mpf()
-    total = mp.mpf(0)
-    for j in range(max(m - l + 2, 0), k):
-        for r in range(max(m - l + 2, 0), j + 1):
-            vmax = r - m + l - 2
-            if vmax < 0:
-                continue
-            word = j + l - r - 2
-            for v in range(vmax + 1):
-                fall = _falling(v - l + 1, r)
-                if fall == 0:
-                    continue
-                gb = _gen_binom(l - v - 2, j - r) * (-1) ** (j - r)
-                if gb == 0:
-                    continue
-                weight = (
-                    (-Af) ** (r - j - v + l - 1)
-                    * ctx.a_l1[v]
-                    * _mpf_frac(fall)
-                    / mp.factorial(v)
-                    * _mpf_frac(gb)
-                )
-                inner = mp.mpf(0)
-                for i in range(j, k):
-                    inner += (
-                        ctx.c_k[k - 1 - i]
-                        / mp.factorial(i)
-                        * comb(i, j)
-                        * mp.factorial(i - j)
-                        * mp.factorial(word)
-                        * ctx.partials[i - j, word]
-                    )
-                total += weight * inner
-    return (-1) ** m * total
 
 
 def a_coefficient(ctx: CoefficientContext, A: RationalExponent, m: int) -> mp.mpf:

@@ -157,9 +157,7 @@ def cmd_constants(args) -> int:
     for k in args.k:
         for l in args.l:
             for h in args.h:
-                record = evaluate_singular_series(
-                    h, k, l, Q=args.Q, P=args.P,
-                    mode="mp" if args.Q <= 30000 else "float")
+                record = evaluate_singular_series(h, k, l, Q=args.Q, P=args.P)
                 results.append(json.loads(record.to_json(digits=args.digits)))
                 print(f"k={k} l={l} h={h}: C={mp.nstr(record.C, 12)} "
                       f"f={mp.nstr(record.f, 12)}")
@@ -259,8 +257,7 @@ def _verify_theorem23(args) -> list:
                                    in_proven_range=poly.in_proven_range),
                     )
                     results = oracle.brute_correlation_decades(
-                        h, k, l, RationalExponent(1, 1), A, args.x,
-                        threads=args.threads)
+                        h, k, l, RationalExponent(1, 1), A, args.x)
                     for r in results:
                         rep.add(r.x, r.value, mp.mpf(r.x) * poly(mp.log(r.x)))
                     reports.append(rep)
@@ -281,8 +278,7 @@ def _verify_theorem22(args) -> list:
                                        A=str(A), B=str(B),
                                        in_proven_range=asympt.correlation_validity(k, l, A, B)),
                         )
-                        results = oracle.brute_correlation_decades(
-                            h, k, l, A, B, args.x, threads=args.threads)
+                        results = oracle.brute_correlation_decades(h, k, l, A, B, args.x)
                         for r in results:
                             pred = lead * r.x * mp.log(r.x) ** (k + l - 2)
                             rep.add(r.x, r.value, pred)
@@ -327,10 +323,9 @@ def _verify_corollary3(args) -> list:
                                        note="predicted column is the x log^(k+l-3) x scale"),
                         )
                         full = oracle.brute_correlation_decades(
-                            h, k, l, A, RationalExponent(1, 1), args.x,
-                            threads=args.threads, left=left)
+                            h, k, l, A, RationalExponent(1, 1), args.x, left=left)
                         partial = oracle.brute_correlation_decades(
-                            h, k, l, A, B, args.x, threads=args.threads, left=left)
+                            h, k, l, A, B, args.x, left=left)
                         Bf = B.as_fraction()
                         for rf, rp in zip(full, partial):
                             observed = Fraction(rf.value) - Fraction(rp.value) / Bf ** (l - 1)
@@ -423,15 +418,14 @@ def cmd_distribution(args) -> int:
 
 
 def _add_common(p):
-    p.add_argument("--config", help="flat key=value config file; CLI flags win")
+    p.add_argument("--config", help="flat key=value config file, read as flags; CLI flags win")
     p.add_argument("--out-dir", default="reports", help="report directory")
     p.add_argument("--cache-dir", default=".divcorr-cache")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--dps", type=int, default=40, help="working decimal digits")
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The divcorr parser; `defaults` replace the defaults of every subcommand."""
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="divcorr",
         description="Divisor correlation sums: exact oracles and predictions")
@@ -500,50 +494,32 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--x", type=parse_int_list, default=[10**5, 10**6])
     p.set_defaults(func=cmd_distribution)
 
-    if defaults:
-        for p in sub.choices.values():
-            p.set_defaults(**defaults)
     return ap
 
 
-_UNSET = object()
-
-
-def _apply_config_file(args, argv=None):
-    """Fill args from the --config file, except where argv sets a value itself."""
-    if not getattr(args, "config", None):
-        return
-    conf = load_config_file(args.config)
-    for key in conf:
-        if not hasattr(args, key):
-            raise ValueError(f"unknown config key {key!r}")
-    # parse argv again with every config key defaulting to a marker: a key
-    # that comes back unmarked was given on the command line
-    probe = build_parser({key: _UNSET for key in conf}).parse_args(argv)
-    list_int_keys = {"k", "l", "h", "q", "x"}
-    for key, val in conf.items():
-        if getattr(probe, key) is not _UNSET:
-            continue
-        if key in list_int_keys and isinstance(getattr(args, key), list):
-            setattr(args, key, parse_int_list(val))
-        elif key in ("A", "B") and isinstance(getattr(args, key), list):
-            setattr(args, key, parse_rational_list(val))
-        elif key in ("threads", "dps", "P", "Q", "digits", "lo", "hi"):
-            setattr(args, key, int(float(val)))
-        elif key == "tol":
-            setattr(args, key, float(val))
-        else:
-            setattr(args, key, val)
+def _with_config_flags(argv: list[str]) -> list[str]:
+    """argv with each `key = value` of its --config file put in as the flag
+    --key=value right after the subcommand, so the parser types and checks
+    it like any flag, and a flag the user gives, coming later, wins."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if not path:
+        return argv
+    flags = [f"--{key.replace('_', '-')}={val}" for key, val in load_config_file(path).items()]
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(
+            _with_config_flags(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
+    except (ValueError, OSError) as exc:  # an unreadable config file
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
-        _apply_config_file(args, argv)
         mp.mp.dps = args.dps
         return args.func(args)
     except ResourceBudgetError as exc:

@@ -18,8 +18,9 @@ summed over p > P through the moments sum_{p>P} (log p)^d p^(-m).  Those
 come from Cohen's P-rough prime zeta series, on one table of partial prime
 sums over p <= P and a few zeta jets (PrimeTailMoments).  This leaves
 truncation errors far below the working precision instead of the
-1/(P log P) floor a bare cutoff would give.  The product over p <= P and the
-tail's log-jet run in integers over 2^bits, on the moments' (log p)^d table.
+1/(P log P) floor a bare cutoff would give.  Every local factor, at p^gamma
+|| h for any gamma, is one closed form in integers; their product over
+p <= P, the patch at p | h and the tail's log-jet run over 2^bits.
 """
 
 from __future__ import annotations
@@ -310,33 +311,14 @@ def singular_constant(k: int, l: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
 
 
 def singular_shift_factor(h, k: int, l: int) -> Fraction:
-    """f_{k,l}(h), exactly, as a finite product over p | h.
-
-    The two geometric-type tails are evaluated in closed form from the
-    negative-binomial generating function sum_b d_k(p^b) x^b = (1-x)^(-k).
-    """
+    """f_{k,l}(h), exactly: over p | h, the local factor of C(s,w) f(s,w) at
+    (1,0) over that of C alone, from the weights of _local_weights."""
     if k < 1 or l < 1:
         raise ValueError("singular_shift_factor requires k, l >= 1")
-    hfac = _as_factored(h)
     out = Fraction(1)
-    for p, gamma in hfac.factors:
-        u = Fraction(1, p)
-        one_minus_u = 1 - u
-        # sum_{b >= a} d_k(p^b) u^b = (1-u)^(-k) - partial sum
-        full_k = one_minus_u ** (-k)
-        partial = Fraction(0)
-        numer = Fraction(0)
-        for a in range(gamma + 1):
-            tail_k = full_k - partial
-            numer += dk_prime_power(l - 1, a) * tail_k if l >= 2 else (tail_k if a == 0 else 0)
-            partial += dk_prime_power(k, a) * u**a
-        full_l1 = one_minus_u ** (-(l - 1)) if l >= 2 else Fraction(1)
-        partial_l1 = Fraction(0)
-        for a in range(gamma + 1):
-            partial_l1 += (dk_prime_power(l - 1, a) if l >= 2 else (1 if a == 0 else 0)) * u**a
-        numer = one_minus_u * numer + dk_prime_power(k, gamma) * (full_l1 - partial_l1)
-        denom = one_minus_u ** (1 - k) + one_minus_u ** (1 - l) - 1
-        out *= numer / denom
+    for p, gamma in _as_factored(h).factors:
+        (w, den, _), (w0, den0, _) = _local_weights(p, gamma, k, l), _local_weights(p, 0, k, l)
+        out *= Fraction(sum(v for _, v in w) * den0, den * sum(v for _, v in w0))
     return out
 
 
@@ -350,96 +332,91 @@ def _exp_coeffs(c: int, L, order: int) -> list:
     return [(-c * L) ** i / math.factorial(i) for i in range(order + 1)]
 
 
-def _monomial_jet(p: int, a: int, b: int, c: int, order_t: int, order_w: int) -> Jet2:
-    """p^(-a t - b w - c) as a Jet2 in (t, w) = (s - 1, w): p^(-s) is
-    (a, b, c) = (1, 0, 1), p^(-w-1) is (0, 1, 1), p^(-w) is (0, 1, 0)."""
-    L, u = mp.log(p), mp.mpf(p) ** -c
-    w_exp = _exp_coeffs(b, L, order_w)
-    return Jet2([[u * ti * wj for wj in w_exp] for ti in _exp_coeffs(a, L, order_t)])
+def _dl1(l: int, alpha: int) -> int:
+    """d_{l-1}(p^alpha), with the l = 1 convention d_0 = indicator of 1."""
+    if l >= 2:
+        return dk_prime_power(l - 1, alpha)
+    return 1 if alpha == 0 else 0
+
+
+def _conv(a: list, b: list) -> list:
+    """Product of two polynomials held as coefficient lists."""
+    return [sum(a[i] * b[n - i] for i in range(max(0, n - len(b) + 1), min(n + 1, len(a))))
+            for n in range(len(a) + len(b) - 1)]
+
+
+def _local_weights(p: int, gamma: int, k: int, l: int) -> tuple[tuple, int, int]:
+    """(w, den, guard): the local factor of C(s,w) f(s,w) at p, p^gamma || h, is
+    the sum of v / den e^(-(a t + b w) log p) over ((a, b), v) in w, the
+    monomials X^a Y^b of
+
+      sum_{a<=gamma} d_{l-1}(p^a) p^a Y^a (1-Y)^(l-1) [1 - (1-X)^k sum_{b<a} d_k(p^b) X^b]
+      + d_k(p^gamma) p^(gamma+1)/(p-1) X^gamma (1-X)^k [1 - (1-Y)^(l-1) sum_{a<=gamma} d_{l-1}(p^a) Y^a],
+
+    X = p^(-s), Y = p^(-w-1), their value p^(-a-b) at (1,0) taken into w: that
+    is (1-X)^k (1-Y)^(l-1) / (1-1/p) times the numerator of f derived from phi,
+    (1-1/p) sum_{a<=gamma} d_{l-1}(p^a) p^(-aw) sum_{b>=a} d_k(p^b) p^(-bs)
+    + d_k(p^gamma) p^(-gamma(s-1)) sum_{a>gamma} d_{l-1}(p^a) p^(-a(w+1)).
+    At gamma = 0 it is C's factor D + (1-X)^k (1-D)/(1-1/p), D = (1-Y)^(l-1).
+    2^guard >= 2 sum |v| e^(a+b) / den bounds the growth of a table's unit."""
+    xk = [(-1) ** a * comb(k, a) for a in range(k + 1)]
+    yl = [(-1) ** b * comb(l - 1, b) for b in range(l)]
+    dk = [dk_prime_power(k, b) for b in range(gamma + 1)]
+    dl = [_dl1(l, a) for a in range(gamma + 1)]
+    terms = []  # (scalar times p - 1, X-polynomial, Y-polynomial)
+    for a in range(gamma + 1):
+        c, ys = (p - 1) * p**a * dl[a], [0] * a + yl
+        terms += [(c, [1], ys), (-c, _conv(xk, dk[:a]), ys)]
+    c, xs = dk[gamma] * p ** (gamma + 1), [0] * gamma + xk
+    terms += [(c, xs, [1]), (-c, xs, _conv(yl, dl))]
+    e = max(len(xs) + len(ys) - 2 for _, xs, ys in terms)
+    w = {}
+    for c, xs, ys in terms:
+        for a, x in enumerate(xs):
+            for b, y in enumerate(ys):
+                w[a, b] = w.get((a, b), 0) + c * x * y * p ** (e - a - b)
+    w = tuple((ab, v) for ab, v in w.items() if v)
+    den = (p - 1) * p**e
+    guard = (-(-2 * sum(abs(v) * 3 ** sum(ab) for ab, v in w) // den) - 1).bit_length()
+    return w, den, guard
 
 
 def _table_guard(k: int, l: int) -> int:
-    """Bits of (log p)^d below a local factor's unit: its rational weight is
-    at most 3 (1 + e/2)^(k+l-1), so a table entry's error adds under one unit."""
+    """Bits of (log p)^d below a gamma = 0 local factor's unit, for every p:
+    its rational weight is at most 3 (1 + e/2)^(k+l-1), so a table entry's
+    error adds under one unit."""
     return math.ceil(math.log2(6) + (k + l - 1) * math.log2(1 + math.e / 2))
 
 
-def _c_local_fixed(p: int, k: int, l: int, order_t: int, order_w: int,
+def _c_local_fixed(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int,
                    logs, guard: int) -> list[list[int]]:
-    """c_local_jet over 2^bits, each integer under two units off, from
-    logs[d] = (log p)^d over 2^(bits + guard): w[a][b] is the weight of X^a Y^b
-    over (p-1) p^(k+l-1), and t^i w^j sums w[a][b] (-a)^i (-b)^j (log p)^(i+j) / i! j!."""
-    e = k + l - 1
-    w = {(a, b): (-1) ** b * comb(l - 1, b) * p ** (e - a - b)
-         * ((a == 0) * (p - 1) - (b > 0) * (-1) ** a * comb(k, a) * p)
-         for a in range(k + 1) for b in range(l)}
-    denom = (p - 1) * p**e << guard
-    return [[sum(x * (-a) ** i * (-b) ** j for (a, b), x in w.items()) * logs[i + j]
-             // (denom * math.factorial(i) * math.factorial(j))
+    """The local factor over 2^bits, each integer under two units off, from
+    logs[d] = (log p)^d over 2^(bits + guard), guard at least _local_weights':
+    t^i w^j sums v (-a)^i (-b)^j (log p)^(i+j) / (den i! j!) over w."""
+    w, den = _local_weights(p, gamma, k, l)[:2]
+    den <<= guard
+    return [[sum(x * (-a) ** i * (-b) ** j for (a, b), x in w) * logs[i + j]
+             // (den * math.factorial(i) * math.factorial(j))
              for j in range(order_w + 1)] for i in range(order_t + 1)]
+
+
+def _local_fixed(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int,
+                 bits: int) -> list[list[int]]:
+    """_c_local_fixed on a (log p)^d table of the weights' own guard."""
+    guard = _local_weights(p, gamma, k, l)[2]
+    logs = [row[0] for row in _log_powers((p,), order_t + order_w, bits + guard)]
+    return _c_local_fixed(p, gamma, k, l, order_t, order_w, logs, guard)
 
 
 def _jet_from_fixed(rows, bits: int) -> Jet2:
     return Jet2([[mp.ldexp(c, -bits) for c in row] for row in rows])
 
 
-def c_local_jet(p: int, k: int, l: int, order_t: int, order_w: int) -> Jet2:
-    """Local factor of C_{k,l}(s,w) at a prime not dividing the shift,
-
-      D + (1-X)^k (1-D) / (1-1/p),  X = p^(-s), Y = p^(-w-1), D = (1-Y)^(l-1),
-
-    summed over its monomials X^a Y^b = p^(-a-b) e^(-(a t + b w) log p), whose
-    coefficients are (-1)^b C(l-1,b) ([a = 0] - [b > 0] (-1)^a C(k,a) / (1-1/p)).
-    The integers of _c_local_fixed, 10 bits past the working precision."""
-    bits, guard = mp.mp.prec + 10, _table_guard(k, l)
-    logs = [row[0] for row in _log_powers((p,), order_t + order_w, bits + guard)]
-    return _jet_from_fixed(_c_local_fixed(p, k, l, order_t, order_w, logs, guard), bits)
-
-
-def _f_numerator_jet(p: int, gamma: int, k: int, l: int,
-                     order_t: int, order_w: int) -> Jet2:
-    """Numerator of the local shift factor, derived from the multiplicative
-    summand phi rather than transcribed:
-
-      (1-1/p) sum_{a<=g} d_{l-1}(p^a) p^(-aw) sum_{b>=a} d_k(p^b) p^(-bs)
-      + d_k(p^g) p^(-g(s-1)) sum_{a>g} d_{l-1}(p^a) p^(-a(w+1)).
-
-    The p^(-g(s-1)) weight on the second term is forced by the phi
-    convolution identity (it is invisible at s = 1).
-    """
-    X = _monomial_jet(p, 1, 0, 1, order_t, order_w)
-    Y = _monomial_jet(p, 0, 1, 1, order_t, order_w)
-    W = _monomial_jet(p, 0, 1, 0, order_t, order_w)
-    u = mp.mpf(1) / p
-    inv_k = (1 - X) ** (-k)
-    numer = Jet2.constant(0, order_t, order_w)
-    partial_k = Jet2.constant(0, order_t, order_w)
-    for a in range(gamma + 1):
-        tail = inv_k - partial_k
-        numer = numer + dk_prime_power(l - 1, a) * (W**a) * tail
-        partial_k = partial_k + dk_prime_power(k, a) * (X**a)
-    numer = numer * (1 - u)
-    tail_l = (1 - Y) ** (-(l - 1))
-    for a in range(gamma + 1):
-        tail_l = tail_l - dk_prime_power(l - 1, a) * (Y**a)
-    shift = _monomial_jet(p, gamma, 0, 0, order_t, order_w)
-    return numer + dk_prime_power(k, gamma) * shift * tail_l
-
-
 def cf_local_jet(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int) -> Jet2:
-    """Local factor of C(s,w) f(s,w) at p, for any gamma = v_p(h) >= 0.
-
-    For gamma >= 1 the denominator of the f-factor cancels against the
-    C-factor, leaving (1-x)^k (1-y)^(l-1) * numerator / (1-1/p); computed in
-    that division-free form.
-    """
-    if gamma == 0:
-        return c_local_jet(p, k, l, order_t, order_w)
-    X = _monomial_jet(p, 1, 0, 1, order_t, order_w)
-    Y = _monomial_jet(p, 0, 1, 1, order_t, order_w)
-    u = mp.mpf(1) / p
-    numer = _f_numerator_jet(p, gamma, k, l, order_t, order_w)
-    return (1 - X) ** k * (1 - Y) ** (l - 1) * numer * (1 / (1 - u))
+    """Local factor of C(s,w) f(s,w) at p, gamma = v_p(h) >= 0 (C's alone at
+    gamma = 0): the integers of _local_weights, 10 bits past working precision."""
+    bits = mp.mp.prec + 10
+    return _jet_from_fixed(_local_fixed(p, gamma, k, l, order_t, order_w, bits), bits)
 
 
 # --- trivariate log-factor series for prime tails ---------------------------
@@ -546,10 +523,28 @@ def _fixed_mul(a: list, b: list, bits: int) -> list[list[int]]:
              >> bits for j in range(len(a[0]))] for i in range(len(a))]
 
 
+def _fixed_div(a: list, b: list, bits: int) -> list[list[int]]:
+    """Truncated quotient a / b of two jets held as integers over 2^bits,
+    solved coefficient by coefficient, each floored: q b equals a less under
+    b[0][0] / 2^bits units in every coefficient."""
+    q = [[0] * len(a[0]) for _ in a]
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            rest = sum(b[i1][j1] * q[i - i1][j - j1] for i1 in range(i + 1)
+                       for j1 in range(j + 1) if i1 or j1)
+            q[i][j] = ((x << bits) - rest) // b[0][0]
+    return q
+
+
+def _l1(rows: list, bits: int) -> float:
+    """The sum of |coefficients| of a jet held as integers over 2^bits."""
+    return sum(abs(c) for row in rows for c in row) / (1 << bits)
+
+
 @lru_cache(maxsize=None)
 def _c_euler_base(k: int, l: int, order_t: int, order_w: int, prime_cutoff: int,
-                  dps: int, degree: int) -> tuple[Jet2, mp.mpf]:
-    """(jet of the shift-free C(s,w) at (1,0), tail bound): the local factors
+                  dps: int, degree: int) -> tuple[Jet2, mp.mpf, int]:
+    """(jet of the shift-free C(s,w) at (1,0), tail bound, bits): the local factors
     over p <= P, multiplied as integers over 2^bits, times the exp of the prime
     tail.  Shared by every shift; callers must not mutate it.  Per prime,
     every coefficient is rounded twice (factor, two units; product, one), and
@@ -569,7 +564,7 @@ def _c_euler_base(k: int, l: int, order_t: int, order_w: int, prime_cutoff: int,
     spread = [[0] * (order_w + 1) for _ in range(order_t + 1)]
     prod = [[(i == j == 0) << bits for j in range(order_w + 1)] for i in range(order_t + 1)]
     for p, lg in zip(primes, logs):
-        factor = _c_local_fixed(p, k, l, order_t, order_w, lg, guard)
+        factor = _c_local_fixed(p, 0, k, l, order_t, order_w, lg, guard)
         prod = _fixed_mul(prod, factor, bits)
         factor[0][0] -= 1 << bits
         spread = [[s + abs(f) for s, f in zip(*rows)] for rows in zip(spread, factor)]
@@ -581,36 +576,43 @@ def _c_euler_base(k: int, l: int, order_t: int, order_w: int, prime_cutoff: int,
         corr, bound = _prime_tail_log_jet(k, l, order_t, order_w, prime_cutoff, dps, degree)
         bound = +(bound + count * amplifier * 2.0**-bits)
     with mp.workprec(bits):  # at dps + 10 digits, exp and product err by units in the last
-        return _jet_from_fixed(prod, bits) * corr.exp(), bound
+        return _jet_from_fixed(prod, bits) * corr.exp(), bound, bits
 
 
 def cf_euler_jet(h, k: int, l: int, order_t: int, order_w: int,
                  prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
                  dps: int | None = None) -> tuple[Jet2, mp.mpf]:
-    """(jet of C(s,w) f(s,w) at (1,0), tail bound): the shift-free C-product
-    (built once per process for each set of parameters), with the local factor
-    of every p | h swapped from its gamma = 0 form to the true one."""
+    """(jet of C(s,w) f(s,w) at (1,0), bound): the shift-free C-product (built
+    once per process for each set of parameters) as integers over its 2^bits,
+    times the local factor N of each p | h over its gamma = 0 form D.  The
+    bound adds the rounding, to first order in units (|.| sums |coefficients|):
+    one for the base's integers; then err |N| + 2 |R| + 1 for R N, and
+    |1/D| (err + 2 |Q| + 1) for Q = R N / D, each factor two units off, with
+    |1/D| <= sum_{r<=order_t+order_w} (|D| / D_00 - 1)^r / D_00; |Q| for the mpfs."""
     dps = dps or max(30, mp.mp.dps)
-    base, bound = _c_euler_base(k, l, order_t, order_w, prime_cutoff, dps,
-                                 _SERIES_DEGREE)
-    with mp.workdps(dps + 10):
-        result = Jet2(base.coeffs)
-        for p, gamma in _as_factored(h).factors:
-            result = result * cf_local_jet(p, gamma, k, l, order_t, order_w)
-            result = result / c_local_jet(p, k, l, order_t, order_w)
-        return result, bound
+    base, bound, bits = _c_euler_base(k, l, order_t, order_w, prime_cutoff, dps,
+                                       _SERIES_DEGREE)
+    factors = _as_factored(h).factors
+    if not factors:
+        return Jet2(base.coeffs), bound
+    prod = [[int(mp.ldexp(c, bits)) for c in row] for row in base.coeffs]
+    err = 1.0
+    for p, gamma in factors:
+        new = _local_fixed(p, gamma, k, l, order_t, order_w, bits)
+        old = _local_fixed(p, 0, k, l, order_t, order_w, bits)
+        err = err * _l1(new, bits) + 2 * _l1(prod, bits) + 1
+        prod = _fixed_div(_fixed_mul(prod, new, bits), old, bits)
+        d00 = old[0][0] / (1 << bits)
+        inverse = sum((_l1(old, bits) / d00 - 1) ** r
+                      for r in range(order_t + order_w + 1)) / d00
+        err = inverse * (err + 2 * _l1(prod, bits) + 1)
+    with mp.workprec(bits):
+        return _jet_from_fixed(prod, bits), bound + (err + _l1(prod, bits)) * 2.0**-bits
 
 
 # ---------------------------------------------------------------------------
 # the multiplicative summand phi and the Dirichlet coefficients varphi
 # ---------------------------------------------------------------------------
-
-
-def _dl1(l: int, alpha: int) -> int:
-    """d_{l-1}(p^alpha), with the l = 1 convention d_0 = indicator of 1."""
-    if l >= 2:
-        return dk_prime_power(l - 1, alpha)
-    return 1 if alpha == 0 else 0
 
 
 def phi_local(h, k: int, l: int, p: int, alpha: int, order_s: int) -> PowerJet:
@@ -954,13 +956,10 @@ class SingularSeries:
 
 
 def evaluate_singular_series(h, k: int, l: int, Q: int = 100_000,
-                             P: int = DEFAULT_PRIME_CUTOFF,
-                             order_t: int | None = None,
-                             order_w: int | None = None,
-                             mode: str = "auto") -> SingularSeries:
+                             P: int = DEFAULT_PRIME_CUTOFF) -> SingularSeries:
     C, cbound = singular_constant(k, l, prime_cutoff=P)
     f = singular_shift_factor(h, k, l)
-    partials = dirichlet_partials(h, k, l, Q, order_t, order_w, mode)
+    partials = dirichlet_partials(h, k, l, Q)
     return SingularSeries(
         k=k, l=l, h=int(_as_factored(h).value), C=C, f=_mpf_frac(f),
         partials=partials, Q=Q, P=P,

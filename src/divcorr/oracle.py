@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -52,20 +51,12 @@ def _chunk_len(arr: np.ndarray, cap: int) -> int:
     return max(1, min(cap, _INT64_MAX // max(_abs_max(arr), 1)))
 
 
-def _exact_sum(arr: np.ndarray, threads: int = 1) -> int:
+def _exact_sum(arr: np.ndarray) -> int:
     """Exact integer sum of an int64 array: int64 sums over chunks short
-    enough not to wrap, promoted to Python ints.  The chunk grid depends
-    only on the data, so the value is the same for any thread count."""
+    enough not to wrap, promoted to Python ints."""
     step = _chunk_len(arr, _CHUNK)
-
-    def part(start):
-        return int(arr[start : start + step].sum(dtype=np.int64))
-
-    spans = range(0, arr.size, step)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(part, spans))
-    return sum(map(part, spans))
+    return sum(int(arr[start : start + step].sum(dtype=np.int64))
+               for start in range(0, arr.size, step))
 
 
 def _checked_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -139,14 +130,13 @@ class CorrelationResult:
     wall_time: float = 0.0
 
 
-def brute_correlation(h: int, k: int, l: int, A, B, x: int,
-                      threads: int = 1) -> CorrelationResult:
+def brute_correlation(h: int, k: int, l: int, A, B, x: int) -> CorrelationResult:
     """Exact sum over n <= x of d_k(n+h, A) d_l(n, B)."""
-    return brute_correlation_decades(h, k, l, A, B, [x], threads=threads)[0]
+    return brute_correlation_decades(h, k, l, A, B, [x])[0]
 
 
 def brute_correlation_decades(h: int, k: int, l: int, A, B, xs: list[int],
-                              threads: int = 1, left: np.ndarray | None = None,
+                              left: np.ndarray | None = None,
                               right: np.ndarray | None = None) -> list[CorrelationResult]:
     """Exact correlation sums at several cutoffs from one pass at max(xs).
 
@@ -170,7 +160,7 @@ def brute_correlation_decades(h: int, k: int, l: int, A, B, xs: list[int],
     prev_x = 0
     running = 0
     for x in xs:
-        running += _exact_sum(prod[prev_x:x], threads)
+        running += _exact_sum(prod[prev_x:x])
         out.append(CorrelationResult(h=h, k=k, l=l, A=A, B=B, x=x, value=running,
                                      wall_time=time.perf_counter() - t0))
         prev_x = x

@@ -98,24 +98,6 @@ def test_a_coefficient_classical_values():
             assert abs(a0 - want) < mp.mpf(10) ** -25
 
 
-def test_a_coefficient_compact_reduction():
-    """The compact double-sum form matches the canonical assembly for l = 2
-    and demonstrably diverges from it for l = 3 (why it is not used)."""
-    from divcorr.asympt import _a_coefficient_compact
-
-    A = RationalExponent(1, 2)
-    for (k, h) in ((2, 1), (3, 2)):
-        ctx = ctx_for(h, k, 2)
-        for m in range(k + 2 - 3 + 1):
-            a = a_coefficient(ctx, A, m)
-            b = _a_coefficient_compact(ctx, A, m)
-            assert abs(a - b) < mp.mpf(10) ** -25, (k, h, m)
-    ctx3 = ctx_for(1, 2, 3)
-    diffs = [abs(a_coefficient(ctx3, A, m) - _a_coefficient_compact(ctx3, A, m))
-             for m in range(3)]
-    assert max(diffs) > mp.mpf(10) ** -3
-
-
 def test_a_coefficient_index_guards():
     ctx = ctx_for(1, 2, 2)
     with pytest.raises(ValueError):

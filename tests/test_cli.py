@@ -157,6 +157,33 @@ def test_bad_config_exit_2(tmp_path):
     assert main(["no-such-command"]) == 2
 
 
+def test_config_values_are_typed_by_the_parser(tmp_path):
+    """A config value goes through its flag's type: k = 3 is an int."""
+    conf = tmp_path / "dist.conf"
+    conf.write_text("k = 3\nx = 1e4\n")
+    code, out = run(tmp_path, "distribution", "--config", str(conf))
+    assert code == 0
+    blob = json.loads((out / "distribution_k3.json").read_text())
+    assert blob["config"]["k"] == 3 and blob["config"]["x"] == [10**4]
+
+
+def test_config_supplies_required_flags(tmp_path):
+    conf = tmp_path / "sieve.conf"
+    conf.write_text("k = 2\nhi = 5000\n")
+    code, out = run(tmp_path, "sieve", "--config", str(conf))
+    assert code == 0
+    assert json.loads((out / "sieve_k2_1_5000.json").read_text())["sample_values"]["12"] == 6
+
+
+def test_config_values_meet_the_flag_choices(tmp_path, capsys):
+    conf = tmp_path / "bogus.conf"
+    conf.write_text("source = bogus\n")
+    code, out = run(tmp_path, "polynomial", "--config", str(conf))
+    assert code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resource_exit_3(tmp_path):
     code, _ = run(tmp_path, "sieve", "--k", "2", "--hi", str(10**9 + 7))
     assert code == 3
@@ -196,17 +223,18 @@ def test_distribution_rows_follow_x_not_its_order(tmp_path):
 
 
 def test_determinism_across_threads(tmp_path):
-    """Identical reports for different thread counts, byte for byte."""
+    """The sieve, the one threaded path, writes identical reports and cache
+    files for different thread counts, byte for byte (three segments)."""
 
-    def run_with(threads, sub):
+    def run_with(threads):
         out = tmp_path / f"rep{threads}"
         cache = tmp_path / f"cache{threads}"
-        argv = ["verify", "theorem23", "--k", "2", "--l", "2", "--A", "1/2",
-                "--h", "1", "--x", "1e3..1e5", "--threads", str(threads),
-                "--out-dir", str(out), "--cache-dir", str(cache)]
+        argv = ["sieve", "--k", "3", "--lo", "1000", "--hi", "600000",
+                "--threads", str(threads), "--out-dir", str(out), "--cache-dir", str(cache)]
         assert main(argv) == 0
-        return (out / "theorem23_k2_l2_h1_A1d2.csv").read_bytes()
+        (table,) = cache.iterdir()
+        return (out / "sieve_k3_1000_600000.json").read_bytes(), table.read_bytes()
 
-    a = run_with(1, "theorem23")
-    b = run_with(3, "theorem23")
-    assert a and a == b
+    a = run_with(1)
+    b = run_with(3)
+    assert a[0] and a == b

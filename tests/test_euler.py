@@ -8,19 +8,25 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from divcorr.arith import dk_of_factored, factorize, primes_up_to, sigma_minus1_exact
+from divcorr.arith import (
+    dk_of_factored,
+    dk_prime_power,
+    factorize,
+    primes_up_to,
+    sigma_minus1_exact,
+)
 from divcorr.euler import (
     DEFAULT_PRIME_CUTOFF,
     _SERIES_DEGREE,
     _c_euler_base,
     _c_factor_poly,
     _c_scalar,
-    _monomial_jet,
+    _exp_coeffs,
+    _local_fixed,
     _poly_log_series,
     _prime_tail_log_jet,
     _scalar_tail_bound,
     _varphi_base,
-    c_local_jet,
     cf_euler_jet,
     cf_local_jet,
     dirichlet_partials,
@@ -84,9 +90,43 @@ def test_shift_factor_trivial_orders():
     assert singular_shift_factor(12, 3, 1) == 1
 
 
+def _shift_factor_by_tails(h, k, l):
+    """f_{k,l}(h) as a finite product over p | h, its two geometric-type
+    tails in closed form from sum_b d_k(p^b) x^b = (1-x)^(-k), over the
+    C-factor (1-u)^(1-k) + (1-u)^(1-l) - 1, u = 1/p."""
+    out = Fraction(1)
+    for p, gamma in factorize(h).factors:
+        u = Fraction(1, p)
+        one_minus_u = 1 - u
+        # sum_{b >= a} d_k(p^b) u^b = (1-u)^(-k) - partial sum
+        full_k = one_minus_u ** (-k)
+        partial = Fraction(0)
+        numer = Fraction(0)
+        for a in range(gamma + 1):
+            tail_k = full_k - partial
+            numer += dk_prime_power(l - 1, a) * tail_k if l >= 2 else (tail_k if a == 0 else 0)
+            partial += dk_prime_power(k, a) * u**a
+        full_l1 = one_minus_u ** (-(l - 1)) if l >= 2 else Fraction(1)
+        partial_l1 = Fraction(0)
+        for a in range(gamma + 1):
+            partial_l1 += (dk_prime_power(l - 1, a) if l >= 2 else (1 if a == 0 else 0)) * u**a
+        numer = one_minus_u * numer + dk_prime_power(k, gamma) * (full_l1 - partial_l1)
+        denom = one_minus_u ** (1 - k) + one_minus_u ** (1 - l) - 1
+        out *= numer / denom
+    return out
+
+
+def test_shift_factor_matches_tail_sums():
+    """The closed form at (s, w) = (1, 0) equals the tail-sum route exactly."""
+    for k in range(1, 5):
+        for l in range(1, 5):
+            for h in list(range(1, 61)) + [2 * 1009, 10007, 2**10, 3**7 * 5, 720720]:
+                assert singular_shift_factor(h, k, l) == _shift_factor_by_tails(h, k, l), (h, k, l)
+
+
 def test_local_factor_constant_coeffs():
     for p in (2, 3, 13):
-        loc = c_local_jet(p, 2, 2, 2, 2)
+        loc = cf_local_jet(p, 0, 2, 2, 2, 2)
         assert abs(loc[0, 0] - (1 - mp.mpf(p) ** -2)) < TIGHT
         unit = cf_local_jet(p, 0, 1, 1, 2, 2)
         assert abs(unit[0, 0] - 1) < TIGHT
@@ -94,6 +134,14 @@ def test_local_factor_constant_coeffs():
             for j in range(3):
                 if (i, j) != (0, 0):
                     assert abs(unit[i, j]) < TIGHT
+
+
+def _monomial_jet(p, a, b, c, order_t, order_w):
+    """p^(-a t - b w - c) as a Jet2 in (t, w) = (s - 1, w): p^(-s) is
+    (a, b, c) = (1, 0, 1), p^(-w-1) is (0, 1, 1), p^(-w) is (0, 1, 0)."""
+    L, u = mp.log(p), mp.mpf(p) ** -c
+    w_exp = _exp_coeffs(b, L, order_w)
+    return Jet2([[u * ti * wj for wj in w_exp] for ti in _exp_coeffs(a, L, order_t)])
 
 
 def _c_local_by_jet_ops(p, k, l, order_t, order_w, split):
@@ -109,16 +157,65 @@ def _c_local_by_jet_ops(p, k, l, order_t, order_w, split):
     return D + Xk * (1 - D) * (1 / (1 - u))
 
 
+def _cf_local_by_jet_ops(p, gamma, k, l, order_t, order_w):
+    """The local factor of C f at p^gamma || h by Jet2 operations, from the
+    numerator of f derived from the multiplicative summand phi:
+
+      (1-1/p) sum_{a<=g} d_{l-1}(p^a) p^(-aw) sum_{b>=a} d_k(p^b) p^(-bs)
+      + d_k(p^g) p^(-g(s-1)) sum_{a>g} d_{l-1}(p^a) p^(-a(w+1)),
+
+    times (1-X)^k (1-Y)^(l-1) / (1-1/p), the two tails by reciprocals."""
+    X = _monomial_jet(p, 1, 0, 1, order_t, order_w)
+    Y = _monomial_jet(p, 0, 1, 1, order_t, order_w)
+    W = _monomial_jet(p, 0, 1, 0, order_t, order_w)
+    u = mp.mpf(1) / p
+    inv_k = (1 - X) ** (-k)
+    numer = Jet2.constant(0, order_t, order_w)
+    partial_k = Jet2.constant(0, order_t, order_w)
+    for a in range(gamma + 1):
+        numer = numer + dk_prime_power(l - 1, a) * (W**a) * (inv_k - partial_k)
+        partial_k = partial_k + dk_prime_power(k, a) * (X**a)
+    numer = numer * (1 - u)
+    tail_l = (1 - Y) ** (-(l - 1))
+    for a in range(gamma + 1):
+        tail_l = tail_l - dk_prime_power(l - 1, a) * (Y**a)
+    shift = _monomial_jet(p, gamma, 0, 0, order_t, order_w)
+    numer = numer + dk_prime_power(k, gamma) * shift * tail_l
+    return (1 - X) ** k * (1 - Y) ** (l - 1) * numer * (1 / (1 - u))
+
+
 def test_display_grouping_forms_agree():
-    """The two printed groupings of the C-factor, built by Jet2 operations,
-    equal the closed form of c_local_jet."""
+    """The printed forms of the local factor, built by Jet2 operations, equal
+    the closed form of cf_local_jet: for every gamma the phi-derived
+    numerator times the C-factor's cancelled denominator, and at gamma = 0
+    the two groupings of the C-factor."""
     for p in (2, 7, 31, 997):
         for (k, l) in ((2, 2), (3, 2), (3, 4)):
             for order_t, order_w in ((2, 2), (3, 4)):
-                closed = c_local_jet(p, k, l, order_t, order_w)
-                for split in (False, True):
-                    ref = _c_local_by_jet_ops(p, k, l, order_t, order_w, split)
-                    assert _max_diff(closed, ref) < TIGHT, (p, k, l, split)
+                for gamma in range(4):
+                    closed = cf_local_jet(p, gamma, k, l, order_t, order_w)
+                    refs = [_cf_local_by_jet_ops(p, gamma, k, l, order_t, order_w)]
+                    if gamma == 0:
+                        refs += [_c_local_by_jet_ops(p, k, l, order_t, order_w, split)
+                                 for split in (False, True)]
+                    for ref in refs:
+                        assert _max_diff(closed, ref) < TIGHT, (p, k, l, gamma)
+
+
+def test_local_factor_integers_within_two_units():
+    """The local factor's integers over 2^bits, on a (log p)^d table of the
+    weights' own guard, lie under two units from the Jet2 reference at 100
+    more bits, for every gamma."""
+    bits = 200
+    for p in (2, 3, 1009):
+        for (k, l) in ((2, 2), (3, 2), (2, 4), (4, 2)):
+            for gamma in range(4):
+                got = _local_fixed(p, gamma, k, l, 3, 4, bits)
+                with mp.workprec(bits + 100):
+                    ref = _cf_local_by_jet_ops(p, gamma, k, l, 3, 4)
+                    units = max(abs(got[i][j] - mp.ldexp(ref[i, j], bits))
+                                for i in range(4) for j in range(5))
+                assert units < 2, (p, k, l, gamma, units)
 
 
 def test_local_factor_h2_product():
@@ -153,7 +250,7 @@ def _direct_cf_product(h, k, l, order_t, order_w, prime_cutoff):
         for p, gamma in hfac.factors:
             if p > prime_cutoff:
                 prod = prod * cf_local_jet(p, gamma, k, l, order_t, order_w)
-                prod = prod / c_local_jet(p, k, l, order_t, order_w)
+                prod = prod / cf_local_jet(p, 0, k, l, order_t, order_w)
     return prod
 
 
@@ -190,11 +287,11 @@ def test_euler_jet_is_a_fresh_copy():
 
 def _reference_cf_jet(h, k, l, order_t, order_w, dps):
     """C(s,w) f(s,w) at P = 10^4 with a degree-18 tail, and its bound."""
-    ref, ref_bound = _c_euler_base(k, l, order_t, order_w, 10**4, dps, 18)
+    ref, ref_bound, _ = _c_euler_base(k, l, order_t, order_w, 10**4, dps, 18)
     with mp.workdps(dps + 10):
         for p, gamma in factorize(h).factors:
             ref = ref * cf_local_jet(p, gamma, k, l, order_t, order_w)
-            ref = ref / c_local_jet(p, k, l, order_t, order_w)
+            ref = ref / cf_local_jet(p, 0, k, l, order_t, order_w)
     return ref, ref_bound
 
 
@@ -212,6 +309,28 @@ def test_euler_tail_bounds_are_honest(k, l):
         assert 0 < ref_bound < bound / 1000
         assert bound <= old_bound
         assert _max_diff(got, ref) <= bound, (h, _max_diff(got, ref), bound)
+
+
+@pytest.mark.parametrize("dps", [30, 40])
+@pytest.mark.parametrize("k,l", [(2, 2), (3, 2), (3, 3)])
+def test_shift_patch_holds_the_base_precision(k, l, dps):
+    """The factors at p | h, patched into the cached base, lie within
+    10^-(dps+10) of the same base patched at dps + 40 digits, and the stated
+    bound grows by the patch's rounding alone: more than the distance, less
+    than 10^-(dps+10)."""
+    order_t, order_w = k, max(l, k + l - 2)
+    base, base_bound, _ = _c_euler_base(k, l, order_t, order_w, DEFAULT_PRIME_CUTOFF, dps,
+                                        _SERIES_DEGREE)
+    for h in (6, 12, 2 * 1009, 10007):
+        got, bound = cf_euler_jet(h, k, l, order_t, order_w, dps=dps)
+        with mp.workdps(dps + 40):
+            want = Jet2(base.coeffs)
+            for p, gamma in factorize(h).factors:
+                want = want * cf_local_jet(p, gamma, k, l, order_t, order_w)
+                want = want / cf_local_jet(p, 0, k, l, order_t, order_w)
+            diff = _max_diff(got, want)
+            assert diff < mp.mpf(10) ** -(dps + 10), (h, diff)
+            assert diff <= bound - base_bound < mp.mpf(10) ** -(dps + 10), h
 
 
 @lru_cache(maxsize=None)
@@ -233,7 +352,8 @@ def test_fixed_point_base_matches_mpf_product(k, l, dps):
     correction, within 10^-(dps+10), and its stated bound stays that of the
     tail series: the rounding term adds under 10^-(dps+10)."""
     order_t, order_w = k, max(l, k + l - 2)
-    got, bound = _c_euler_base(k, l, order_t, order_w, DEFAULT_PRIME_CUTOFF, dps, _SERIES_DEGREE)
+    got, bound, _ = _c_euler_base(k, l, order_t, order_w, DEFAULT_PRIME_CUTOFF, dps,
+                                  _SERIES_DEGREE)
     prod = _mp_local_product(k, l, order_t, order_w, 125)
     with mp.workdps(dps + 25):
         corr, tail_bound = _prime_tail_log_jet(k, l, order_t, order_w, DEFAULT_PRIME_CUTOFF,
@@ -278,7 +398,8 @@ def test_local_factor_cf_wrapper():
 
 def _f_local_jet(p, gamma, k, l, order_t, order_w):
     """Local factor of f_{h,k,l}(s,w) at p with p^gamma || h: C f over C."""
-    return cf_local_jet(p, gamma, k, l, order_t, order_w) / c_local_jet(p, k, l, order_t, order_w)
+    return (cf_local_jet(p, gamma, k, l, order_t, order_w)
+            / cf_local_jet(p, 0, k, l, order_t, order_w))
 
 
 def test_f_local_against_scalar_series():
