@@ -64,6 +64,7 @@ from .oracle import (
     brute_ap_sum,
     brute_correlation,
     brute_correlation_decades,
+    brute_correlation_sweep,
     empirical_distribution,
     partial_divisor_array,
     residue_polynomial_routes,

@@ -270,7 +270,9 @@ def _verify_theorem22(args) -> list:
         for l in args.l:
             for h in args.h:
                 for A in args.A:
-                    for B in args.B:
+                    # one pass over d_k(n+h, A) for every B
+                    sweep = oracle.brute_correlation_sweep(h, k, l, A, args.B, args.x)
+                    for B, results in zip(args.B, sweep):
                         lead = asympt.correlation_leading(h, k, l, A, B)
                         rep = oracle.ComparisonReport(
                             title=f"theorem22_k{k}_l{l}_h{h}_A{A.a}d{A.b}_B{B.a}d{B.b}",
@@ -278,7 +280,6 @@ def _verify_theorem22(args) -> list:
                                        A=str(A), B=str(B),
                                        in_proven_range=asympt.correlation_validity(k, l, A, B)),
                         )
-                        results = oracle.brute_correlation_decades(h, k, l, A, B, args.x)
                         for r in results:
                             pred = lead * r.x * mp.log(r.x) ** (k + l - 2)
                             rep.add(r.x, r.value, pred)
@@ -311,9 +312,10 @@ def _verify_corollary3(args) -> list:
         for l in args.l:
             for h in args.h:
                 for A in args.A:
-                    # d_k(n, A), shared by the full and every partial sum
-                    left = oracle.partial_divisor_array(max(args.x) + h, k, A)
-                    for B in args.B:
+                    # one pass over d_k(n+h, A) for the full and every partial sum
+                    full, *partials = oracle.brute_correlation_sweep(
+                        h, k, l, A, [RationalExponent(1, 1), *args.B], args.x)
+                    for B, partial in zip(args.B, partials):
                         gap = asympt.partial_vs_full_leading_gap(h, k, l, A, B)
                         rep = oracle.ComparisonReport(
                             title=f"corollary3_k{k}_l{l}_h{h}_A{A.a}d{A.b}_B{B.a}d{B.b}",
@@ -322,10 +324,6 @@ def _verify_corollary3(args) -> list:
                                        leading_gap=mp.nstr(abs(gap), 6),
                                        note="predicted column is the x log^(k+l-3) x scale"),
                         )
-                        full = oracle.brute_correlation_decades(
-                            h, k, l, A, RationalExponent(1, 1), args.x, left=left)
-                        partial = oracle.brute_correlation_decades(
-                            h, k, l, A, B, args.x, left=left)
                         Bf = B.as_fraction()
                         for rf, rp in zip(full, partial):
                             observed = Fraction(rf.value) - Fraction(rp.value) / Bf ** (l - 1)

@@ -479,7 +479,8 @@ def _max_power_term(a: int, order: int) -> float:
 def _log_jet_weights(k: int, l: int, order_t: int, order_w: int, degree: int) -> tuple:
     """(num, den, growth, gmax): num[i][j][m] / (den i! j!), the sum of
     g (-a)^i (-b)^j over the series' monomials x^a y^b u^c of degree m, weighs
-    T(m, i+j) in the log-jet's t^i w^j; growth (_guarded_dps), gmax = max |g|."""
+    T(m, i+j) in the log-jet's t^i w^j; growth (_guarded_dps), gmax = max |g|.
+    k = 1 or l = 1 makes the C-factor 1: its series is empty, growth and gmax 0."""
     series = _log_local_c_series(k, l, degree)
     den = math.lcm(*(g.denominator for _, g in series))
     num = [[[0] * (degree + 1) for _ in range(order_w + 1)] for _ in range(order_t + 1)]
@@ -488,9 +489,9 @@ def _log_jet_weights(k: int, l: int, order_t: int, order_w: int, degree: int) ->
         for i in range(order_t + 1 if a else 1):
             for j in range(order_w + 1 if b else 1):
                 num[i][j][a + b + c] += g_den * (-a) ** i * (-b) ** j
-    growth = max(abs(float(g)) * 2.0 ** -(a + b + c) * _max_power_term(a, order_t)
-                 * _max_power_term(b, order_w) for (a, b, c), g in series)
-    return num, den, growth, max(abs(g) for _, g in series)
+    growth = max((abs(float(g)) * 2.0 ** -(a + b + c) * _max_power_term(a, order_t)
+                  * _max_power_term(b, order_w) for (a, b, c), g in series), default=0.0)
+    return num, den, growth, max((abs(g) for _, g in series), default=0)
 
 
 def _prime_tail_log_jet(k: int, l: int, order_t: int, order_w: int, prime_cutoff: int,

@@ -82,6 +82,15 @@ def test_polynomial_above_fifty_digits(tmp_path):
     assert abs(float(poly["coefficients"][2]) - 0.30396355) < 1e-6
 
 
+def test_polynomial_with_l_1(tmp_path):
+    """l = 1 used to exit 2: the empty log series of the C-factor had no max."""
+    code, out = run(tmp_path, "polynomial", "--k", "2", "--l", "1", "--h", "2")
+    assert code == 0
+    poly = json.loads((out / "polynomial.json").read_text())["polynomials"][0]
+    assert poly["coefficients"][0].startswith("0.154431329803065721")  # 2 gamma - 1
+    assert float(poly["coefficients"][1]) == 1
+
+
 def test_predict_command(tmp_path):
     code, out = run(tmp_path, "predict", "--k", "3", "--l", "3", "--h", "1")
     assert code == 0
@@ -186,6 +195,13 @@ def test_config_values_meet_the_flag_choices(tmp_path, capsys):
 
 def test_resource_exit_3(tmp_path):
     code, _ = run(tmp_path, "sieve", "--k", "2", "--hi", str(10**9 + 7))
+    assert code == 3
+
+
+def test_brute_budget_exit_3(tmp_path):
+    """Streaming holds memory to a window, but x past MAX_BRUTE_X still exits 3."""
+    code, _ = run(tmp_path, "verify", "theorem22", "--k", "2", "--l", "2", "--A", "1/2",
+                  "--B", "1/2", "--h", "1", "--x", str(10**8 + 1))
     assert code == 3
 
 

@@ -369,6 +369,23 @@ def test_truncated_log_jet_states_a_bound():
     assert _prime_tail_log_jet(3, 2, 3, 3, 10**4, 30, 18)[1] > 0
 
 
+def test_l1_euler_polynomial_matches_dirichlet():
+    """l = 1: the C-factor is 1, its log series is empty, and the Euler route
+    gives the Dirichlet route's (2,1) coefficients [2 gamma - 1, 1] within
+    the stated bound."""
+    from divcorr.asympt import main_polynomial
+
+    for h in (1, 2, 6):
+        euler = main_polynomial("1/2", h, 2, 1, source="euler")
+        dirichlet = main_polynomial("1/2", h, 2, 1, source="dirichlet", Q=1000)
+        bound = euler.tail_bound + dirichlet.tail_bound
+        assert len(euler.coeffs) == len(dirichlet.coeffs) == 2
+        for got, want in zip(euler.coeffs, dirichlet.coeffs):
+            assert abs(got - want) <= bound, (h, got, want)
+        assert abs(dirichlet.coeffs[0] - (2 * mp.euler - 1)) <= mp.mpf(10) ** -35
+        assert dirichlet.coeffs[1] == 1
+
+
 @pytest.mark.parametrize("k,l", [(2, 2), (3, 2), (3, 3), (4, 4), (5, 5), (16, 2),
                                  (16, 16), (30, 30)])
 def test_singular_constant_bound_is_honest(k, l):
@@ -626,7 +643,7 @@ def test_partials_match_w_finite_differences():
 
 def test_phi_partial_sum_growth():
     """Z(1,Q) = sum_{q<=Q} phi(1,q) grows like C f log^(l-1)Q / (l-1)!."""
-    from divcorr.oracle import phi_partial_sum_jet
+    from second_routes import phi_partial_sum_jet
 
     C, _ = singular_constant(2, 2)
     gaps = []

@@ -1,12 +1,15 @@
 """Brute-force oracles and the residue pipeline cross-checks."""
 
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from divcorr.arith import RationalExponent, divisor_count_array, dk_partial, sieve_dk
+from divcorr.arith import RationalExponent, divisor_count_array, dk_partial, introot, sieve_dk
 from divcorr.asympt import a_coefficient, b_coefficient, coefficient_context
 from divcorr.errors import ResourceBudgetError
 from divcorr.oracle import (
@@ -14,16 +17,18 @@ from divcorr.oracle import (
     _checked_product,
     _exact_sum,
     _group_sums,
+    _PartialSieve,
+    _spans,
     brute_ap_sum,
     brute_correlation,
     brute_correlation_decades,
-    direct_secondary_value,
+    brute_correlation_sweep,
     empirical_distribution,
     partial_divisor_array,
-    phi_partial_sum_jet,
     residue_polynomial_routes,
 )
 from divcorr.euler import phi_of
+from second_routes import direct_secondary_value, phi_partial_sum_jet
 
 
 def test_partial_divisor_array_matches_pointwise():
@@ -42,6 +47,99 @@ def test_partial_divisor_array_full_is_dk():
         arr = partial_divisor_array(x, k, RationalExponent(1, 1))
         want = divisor_count_array(x, k)
         assert np.array_equal(arr, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.one_of(st.integers(1, 10**5), st.integers(1, 10**7)),
+       width=st.integers(1, 5000), k=st.integers(1, 5),
+       A=st.sampled_from(["0", "1/4", "1/3", "1/2", "2/3", "3/7", "1"]),
+       segment_size=st.integers(1, 4096))
+def test_window_kernel_matches_pointwise(lo, width, k, A, segment_size):
+    """The window kernel on [lo, hi], window by window, against the divisor
+    scan of dk_partial: on a spread of n and on every n = m^b, where q = m^a
+    is exactly n^A; and against partial_divisor_array where that is cheap."""
+    hi = lo + width - 1
+    window = _PartialSieve(k, A, hi)
+    got = np.concatenate([window(s, e) for s, e in _spans(lo, hi, segment_size)])
+    assert got.dtype == np.int64 and got.size == width
+    E = RationalExponent.parse(A)
+    ns = set(range(lo, hi + 1, max(1, width // 60))) | {hi}
+    if 0 < E.a < E.b:
+        ns |= {m**E.b for m in range(introot(lo - 1, E.b) + 1, introot(hi, E.b) + 1)}
+    for n in sorted(ns):
+        assert got[n - lo] == dk_partial(n, k, E), (n, k, A)
+    if hi <= 2 * 10**5:
+        assert np.array_equal(got, partial_divisor_array(hi, k, A)[lo:])
+
+
+def _full_scan(x: int, k: int, A) -> np.ndarray:
+    """d_k(n, A) for n <= x by one divisor scan over the whole array: each q
+    adds d_{k-1}(q) to every multiple n >= q with q^b <= n^a."""
+    A = RationalExponent.parse(A)
+    out = np.zeros(x + 1, dtype=np.int64)
+    dkm1 = divisor_count_array(x, k - 1)
+    for q in range(1, x + 1):
+        for n in range(q, x + 1, q):
+            if q**A.b <= n**A.a:
+                out[n] += dkm1[q]
+    return out
+
+
+def test_partial_divisor_array_matches_a_full_scan():
+    """Every entry, for windows of 1, 7, 4096 and 2^18 integers."""
+    for k, A in ((2, "1/2"), (3, "2/3"), (4, "3/7"), (3, "1/4"), (2, "1"), (3, "0")):
+        want = _full_scan(3000, k, A)
+        for size in (1, 7, 4096, 2**18):
+            assert np.array_equal(partial_divisor_array(3000, k, A, segment_size=size),
+                                  want), (k, A, size)
+
+
+def test_streamed_sums_do_not_depend_on_the_window():
+    """Correlation sums, progression sums and the distribution, streamed in
+    windows of 1, 7, 4096 and 2^18 integers, are bit-identical."""
+    xs = [300, 2000, 2500]
+
+    def run(size):
+        return ([r.value for r in brute_correlation_decades(3, 3, 2, "2/3", "1/4", xs,
+                                                            segment_size=size)],
+                [r.value for r in brute_correlation_decades(1, 2, 2, 1, "1/2", xs,
+                                                            segment_size=size)],
+                empirical_distribution(3, "1/3", xs, segment_size=size),
+                [brute_ap_sum(2500, q, 2, 3, "1/2", segment_size=size) for q in (1, 6, 7)])
+
+    want = run(2**18)
+    for size in (1, 7, 4096):
+        assert run(size) == want, size
+
+
+def test_correlation_sweep_matches_one_B_at_a_time():
+    xs = [1000, 5000]
+    Bs = [RationalExponent(1, 1), "1/2", "1/3", "1/2"]
+    sweep = brute_correlation_sweep(2, 3, 2, "1/2", Bs, xs)
+    assert len(sweep) == len(Bs)
+    for B, results in zip(Bs, sweep):
+        alone = brute_correlation_decades(2, 3, 2, "1/2", B, xs)
+        assert [(r.x, r.B, r.value) for r in results] == [(r.x, r.B, r.value) for r in alone]
+
+
+def test_streamed_memory_does_not_grow_with_x():
+    """Traced peak memory at x = 4*10^6 stays within 1.2x of that at 10^6:
+    the exact side holds a window and the q <= x^A tables, not arrays of
+    length x."""
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for run in (lambda x: empirical_distribution(3, "1/2", x),
+                lambda x: brute_correlation_decades(1, 2, 2, 1, "1/2", [x])):
+        small = peak(lambda: run(10**6))
+        big = peak(lambda: run(4 * 10**6))
+        assert big < 1.2 * small, (small, big)
 
 
 def test_brute_correlation_hand_value():
