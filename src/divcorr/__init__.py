@@ -62,6 +62,7 @@ from .oracle import (
     ComparisonReport,
     CorrelationResult,
     brute_ap_sum,
+    brute_ap_sweep,
     brute_correlation,
     brute_correlation_decades,
     brute_correlation_sweep,

@@ -18,6 +18,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, isqrt
 
 import mpmath as mp
@@ -261,7 +262,7 @@ def divisor_count_array(x: int, k: int) -> np.ndarray:
         raise ValueError("divisor_count_array requires x >= 1, k >= 0")
     _budget_check(x + 1)
     if k >= 2:
-        return _sieve_window(k, 0, x, values=True, spf=False)[0]
+        return _dk_values(k, 0, x)
     out = np.zeros(x + 1, dtype=np.int64)
     out[1 : None if k == 1 else 2] = 1  # d_1 = 1; d_0 is 1 at n = 1 only
     return out
@@ -274,86 +275,225 @@ def _budget_check(cells: int):
         )
 
 
-def _sieve_segment(k: int, lo: int, hi: int, primes: np.ndarray,
-                   values: bool = True, spf: bool = True):
-    """Exact d_k values and/or smallest prime factors on [lo, hi] (lo >= 0).
-
-    A sieve on strided views: for each prime p <= sqrt(hi) and each
-    p^j <= hi, the multiples of p^j take one more factor p into `acc` (the
-    part of n made of the primes sieved so far) and move their d_k value
-    from d_k(p^(j-1)) to d_k(p^j) by an exact int64 rescale.  An n with
-    acc < n has one prime factor left, above sqrt(hi), worth a factor k.  Smallest prime factors are stride
-    writes in descending prime order, so the smallest prime is written
-    last; an n no prime <= sqrt(hi) divides is 1 or prime.  Index n = 0,
-    if in range, holds 0 in both arrays.  primes must cover every prime
-    <= sqrt(hi).  Returns (values, spf), None for an array not asked for.
-    """
-    size = hi - lo + 1
-    start = max(lo, 1)
-    small = primes[primes * primes <= hi]
-    small = small[(-start) % small < hi - start + 1].tolist()
-    val = None
-    if values:
-        val = np.ones(size, dtype=np.int64)
-        acc = np.ones(size, dtype=np.int64)
-        binom = [dk_prime_power(k, a) for a in range(hi.bit_length() + 1)]
-        for p in small:
-            q, j = p, 1
-            while q <= hi:
-                off = start - lo + (-start) % q
-                if off >= size:
-                    break
-                acc[off::q] *= p
-                step = val[off::q]
-                if j > 1:
-                    step //= binom[j - 1]
-                step *= binom[j]
-                q *= p
-                j += 1
-        val[acc < np.arange(lo, hi + 1, dtype=np.int64)] *= k
-    low = None
-    if spf:
-        low = np.zeros(size, dtype=np.int64)
-        for p in reversed(small):
-            low[start - lo + (-start) % p :: p] = p
-        unset = low == 0
-        low[unset] = np.arange(lo, hi + 1, dtype=np.int64)[unset]
-    if lo == 0:
-        for arr in (val, low):
-            if arr is not None:
-                arr[0] = 0
-    return val, low
-
-
 # Segment length of the sieve: the working arrays of one segment stay in
 # cache, and each segment pays one Python pass over the sieving primes.
 SEGMENT_SIZE = 1 << 18
 
+# The factors 2^2, 3, 5, 7, 11 and 13 of n, and what they make of d_k(n),
+# repeat with this period; the kernel copies them from one cached pattern.
+_PRESIEVED = (2, 3, 5, 7, 11, 13)
+_PERIOD = 4 * 3 * 5 * 7 * 11 * 13
 
-def _sieve_window(k: int, lo: int, hi: int, values: bool, spf: bool,
-                  segment_size: int = SEGMENT_SIZE, threads: int = 1):
-    """_sieve_segment over [lo, hi] in segments written to fixed offsets.
+# Primes above this have few multiples in a window, so they are sieved
+# together, one vectorised scatter per window, not one strided pass each.
+_LARGE_PRIME = 1024
 
-    Bit-identical for any segment size and thread count.
+
+@lru_cache(maxsize=None)
+def _presieve_acc(dtype) -> np.ndarray:
+    """For n mod _PERIOD, the part of n made of 2^min(v_2(n), 2) and of the
+    odd primes up to 13."""
+    acc = np.ones(_PERIOD, dtype=dtype)
+    acc[::4] = 2
+    for p in _PRESIEVED:
+        acc[::p] *= p
+    acc.flags.writeable = False
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _presieve_val(k: int) -> np.ndarray:
+    """For n mod _PERIOD, the d_k factor of that part of n, in int32 while
+    it fits (a copy into the int64 values casts it)."""
+    binom = [dk_prime_power(k, a) for a in range(3)]
+    val = np.ones(_PERIOD, dtype=np.int64)
+    val[::2] = binom[1]
+    val[::4] = binom[2]
+    for p in _PRESIEVED[1:]:
+        val[::p] *= k
+    if binom[2] * k ** 5 < 2**31:
+        val = val.astype(np.int32)
+    val.flags.writeable = False
+    return val
+
+
+# The final acc < n test runs over blocks of this many integers, so that its
+# index and mask stay small.
+_BLOCK = 1 << 14
+
+
+def _tile(out: np.ndarray, pattern: np.ndarray, phase: int):
+    """out[i] = pattern[(phase + i) % len(pattern)], by slice copies."""
+    n, period = len(out), len(pattern)
+    head = min(n, period - phase)
+    out[:head] = pattern[phase : phase + head]
+    for s in range(head, n, period):
+        out[s : s + period] = pattern[: n - s]
+
+
+class _DkSieve:
+    """The d_k window kernel: exact d_k(n) for lo <= n <= hi <= top, written
+    into a caller's int64 array, with every working array allocated once.
+
+    `acc` holds the part of n made of the primes sieved so far, and the
+    values move from d_k(p^(j-1)) to d_k(p^j) by an exact int64 rescale
+    when a multiple of p^j takes one more factor p.  The factors 4, 3, 5,
+    7, 11 and 13 are copied from a periodic pattern; the other primes up to
+    _LARGE_PRIME and every higher power take strided passes; the larger
+    primes up to sqrt(hi) are one scatter (`np.multiply.at`) over all their
+    multiples.  An n with acc < n then has one prime factor left, above
+    sqrt(hi), worth a factor k.  Index n = 0, if in range, holds 0.
+    `acc`, the block index and the scatter buffers are int32 when
+    top < 2^31.  One kernel per stream or thread: windows reuse its arrays.
     """
-    primes = primes_up_to(isqrt(hi))
-    size = hi - lo + 1
-    outs = [np.empty(size, dtype=np.int64) if want else None for want in (values, spf)]
+
+    def __init__(self, k: int, top: int):
+        self.k = k
+        self.dtype = np.int32 if top < 2**31 else np.int64
+        primes = primes_up_to(isqrt(top))
+        self.small = primes[primes <= _LARGE_PRIME]
+        self.large = primes[primes > _LARGE_PRIME]
+        self.binom = [dk_prime_power(k, a) for a in range(top.bit_length() + 1)]
+        self.acc_pattern, self.val_pattern = _presieve_acc(self.dtype), _presieve_val(k)
+        self.idx = np.arange(_BLOCK, dtype=self.dtype)
+        self.mask = np.empty(_BLOCK, dtype=bool)
+        self.width = 0
+
+    def _reserve(self, width: int):
+        """Working arrays for windows of up to `width` integers."""
+        if width <= self.width:
+            return
+        self.width = width
+        self.acc = np.empty(width, dtype=self.dtype)
+        hits = int(np.sum(width // self.large + 1))  # large-prime multiples in a window
+        self.step = np.empty(hits, dtype=self.dtype)
+        self.pos = np.empty(hits, dtype=self.dtype)
+
+    def __call__(self, lo: int, out: np.ndarray) -> np.ndarray:
+        """d_k(n) for lo <= n < lo + len(out), written into out."""
+        size = len(out)
+        hi = lo + size - 1
+        start = max(lo, 1)
+        self._reserve(size)
+        acc = self.acc[:size]
+        _tile(acc, self.acc_pattern, lo % _PERIOD)
+        _tile(out, self.val_pattern, lo % _PERIOD)
+        root = isqrt(hi)
+        small = self.small[: np.searchsorted(self.small, root, side="right")]
+        for p in small[(-start) % small <= hi - start].tolist():
+            q, j = (8, 3) if p == 2 else (p * p, 2) if p in _PRESIEVED else (p, 1)
+            self._powers(out, acc, lo, start, p, q, j)
+        large = self.large[: np.searchsorted(self.large, root, side="right")]
+        if large.size:
+            self._scatter(out, acc, lo, start, large)
+        for s in range(0, size, _BLOCK):
+            part, vals = acc[s : s + _BLOCK], out[s : s + _BLOCK]
+            mask = self.mask[: len(part)]
+            np.subtract(part, lo + s, out=part)
+            np.less(part, self.idx[: len(part)], out=mask)  # acc < n
+            np.multiply(vals, self.k, out=vals, where=mask)
+        if lo == 0:
+            out[0] = 0
+        return out
+
+    def _powers(self, out, acc, lo, start, p, q, j):
+        """Strided passes over the multiples of q = p^j, p^(j+1), ... in the window."""
+        size, hi, binom = len(out), lo + len(out) - 1, self.binom
+        while q <= hi:
+            off = start - lo + (-start) % q
+            if off >= size:
+                break
+            acc[off::q] *= p
+            step = out[off::q]
+            if j > 1:
+                step //= binom[j - 1]
+            step *= binom[j]
+            q *= p
+            j += 1
+
+    def _scatter(self, out, acc, lo, start, primes):
+        """Every multiple of the primes in the window, in one pass; their
+        squares, at most one multiple each in a window under 2^20, stride."""
+        size = len(out)
+        off = (-start) % primes + (start - lo)
+        live = off < size
+        primes, off = primes[live], off[live]
+        if not primes.size:
+            return
+        counts = (size - 1 - off) // primes + 1
+        ends = np.cumsum(counts)
+        heads = ends - counts
+        step, pos = self.step[: ends[-1]], self.pos[: ends[-1]]
+        step.fill(0)
+        step[heads] = np.diff(primes, prepend=0)
+        np.add.accumulate(step, out=step)  # each prime, once per multiple
+        np.copyto(pos, step)
+        jumps = off.copy()
+        jumps[1:] -= off[:-1] + (counts[:-1] - 1) * primes[:-1]  # from the last multiple before
+        pos[heads] = jumps
+        np.add.accumulate(pos, out=pos)  # the multiples' offsets
+        np.multiply.at(acc, pos, step)
+        np.multiply.at(out, pos, self.k)
+        hi = lo + size - 1
+        for p in primes[(-start) % (primes * primes) <= hi - start].tolist():
+            self._powers(out, acc, lo, start, p, p * p, 2)
+
+
+def _spf_segment(lo: int, hi: int, primes: np.ndarray, out: np.ndarray):
+    """Smallest prime factors on [lo, hi] (lo >= 0) into out: stride writes
+    in descending prime order, so the smallest prime is written last; an n
+    no prime <= sqrt(hi) divides is 1 or prime.  Index n = 0 holds 0.
+    primes must cover every prime <= sqrt(hi)."""
+    start = max(lo, 1)
+    small = primes[primes * primes <= hi]
+    small = small[(-start) % small <= hi - start].tolist()
+    out.fill(0)
+    for p in reversed(small):
+        out[start - lo + (-start) % p :: p] = p
+    unset = out == 0
+    out[unset] = np.arange(lo, hi + 1, dtype=np.int64)[unset]
+    if lo == 0:
+        out[0] = 0
+
+
+def _segments(lo: int, hi: int, segment_size: int, threads: int, work):
+    """work(spans) over the segments of [lo, hi], dealt to `threads` workers."""
     spans = [(s, min(s + segment_size - 1, hi)) for s in range(lo, hi + 1, segment_size)]
-
-    def work(span):
-        s, e = span
-        for out, part in zip(outs, _sieve_segment(k, s, e, primes, values, spf)):
-            if out is not None:
-                out[s - lo : e - lo + 1] = part
-
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, spans))
+            list(pool.map(work, [spans[i::threads] for i in range(threads)]))
     else:
-        for span in spans:
-            work(span)
-    return outs
+        work(spans)
+
+
+def _dk_values(k: int, lo: int, hi: int, segment_size: int = SEGMENT_SIZE,
+               threads: int = 1) -> np.ndarray:
+    """d_k(n) for lo <= n <= hi (lo >= 0), each segment sieved into its slice
+    of one array by the kernel of its worker; bit-identical for any segment
+    size and thread count."""
+    out = np.empty(hi - lo + 1, dtype=np.int64)
+
+    def work(spans):
+        kernel = _DkSieve(k, hi)
+        for s, e in spans:
+            kernel(s, out[s - lo : e - lo + 1])
+
+    _segments(lo, hi, segment_size, threads, work)
+    return out
+
+
+def _spf_values(lo: int, hi: int, segment_size: int = SEGMENT_SIZE,
+                threads: int = 1) -> np.ndarray:
+    """Smallest prime factors for lo <= n <= hi, segment by segment."""
+    out = np.empty(hi - lo + 1, dtype=np.int64)
+    primes = primes_up_to(isqrt(hi))
+
+    def work(spans):
+        for s, e in spans:
+            _spf_segment(s, e, primes, out[s - lo : e - lo + 1])
+
+    _segments(lo, hi, segment_size, threads, work)
+    return out
 
 
 class DivisorTable:
@@ -371,9 +511,7 @@ class DivisorTable:
         """Smallest prime factor of each n in [lo, hi], sieved once when first read."""
         if self._spf is None:
             _budget_check(2 * len(self.values))  # values and spf together
-            self._spf = _sieve_window(self.k, self.lo, self.hi, values=False, spf=True,
-                                      segment_size=self._segment_size,
-                                      threads=self._threads)[1]
+            self._spf = _spf_values(self.lo, self.hi, self._segment_size, self._threads)
         return self._spf
 
     def index(self, n: int) -> int:
@@ -456,8 +594,7 @@ def sieve_dk(k: int, lo: int, hi: int, segment_size: int = SEGMENT_SIZE,
     if k < 1:
         raise ValueError("sieve_dk requires k >= 1")
     _budget_check(hi - lo + 1)
-    values = _sieve_window(k, lo, hi, values=True, spf=False,
-                           segment_size=segment_size, threads=threads)[0]
+    values = _dk_values(k, lo, hi, segment_size, threads)
     return DivisorTable(k=k, lo=lo, hi=hi, values=values,
                         segment_size=segment_size, threads=threads)
 

@@ -515,25 +515,6 @@ def bareikis_cdf(k: int, A) -> mp.mpf:
     return unnorm * mp.sin(mp.pi / k) / mp.pi
 
 
-def bareikis_cdf_quadrature(k: int, A, dps: int | None = None) -> mp.mpf:
-    """Independent route: adaptive quadrature with endpoint substitution
-    u = v^k to absorb the u^(-1/k) singularity at 0."""
-    if k < 2:
-        raise ValueError("bareikis_cdf_quadrature requires k >= 2")
-    A = RationalExponent.parse(A)
-    x = A.mpf()
-    if x == 0:
-        return mp.mpf(0)
-    kk = mp.mpf(k)
-
-    def integrand(v):
-        u = v**kk
-        return kk * v ** (kk - 2) * (1 - u) ** (1 / kk - 1)
-
-    val = mp.quad(integrand, [0, x ** (1 / kk)])
-    return val * mp.sin(mp.pi / k) / mp.pi
-
-
 # ---------------------------------------------------------------------------
 # arithmetic-progression main term
 # ---------------------------------------------------------------------------

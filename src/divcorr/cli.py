@@ -291,6 +291,8 @@ def _verify_theorem21(args) -> list:
     reports = []
     for k in args.k:
         for A in args.A:
+            # one stream of d_k(n, A) for every q, h and x
+            sums = oracle.brute_ap_sweep(k, A, [(q, h) for q in args.q for h in args.h], args.x)
             for q in args.q:
                 for h in args.h:
                     rep = oracle.ComparisonReport(
@@ -298,8 +300,7 @@ def _verify_theorem21(args) -> list:
                         meta=_meta(args, mode="theorem21", k=k, q=q, h=h, A=str(A),
                                    residue_class_ok=(h % q != 0)),
                     )
-                    for x in args.x:
-                        obs = oracle.brute_ap_sum(x, q, h, k, A)
+                    for x, obs in zip(args.x, sums[q, h]):
                         pred = asympt.ap_main_term(x, q, h, k, A).value
                         rep.add(x, obs, pred)
                     reports.append(rep)

@@ -28,7 +28,7 @@ import io
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 from numbers import Integral
 
 import mpmath as mp
@@ -37,9 +37,8 @@ import numpy as np
 from .arith import (
     SEGMENT_SIZE,
     RationalExponent,
-    _sieve_segment,
+    _DkSieve,
     divisor_count_array,
-    primes_up_to,
 )
 from .asympt import CoefficientContext, _falling, coefficient_context
 from .errors import ResourceBudgetError
@@ -48,11 +47,14 @@ from .jets import PowerJet
 from .zeta_series import zeta_power_coeffs
 
 # Largest x of a brute sum.  Memory no longer grows with x, so this bounds
-# time: a correlation or distribution stream to 10^8 takes 17-21 s (2-core
-# machine), against 1.1-1.4 s to 10^7.
+# time: a correlation or distribution stream to 10^8 takes 11-15 s (2-core
+# machine, 47-48 MB peak RSS), against 1.1-1.5 s to 10^7.
 MAX_BRUTE_X = 10**8
 
 _CHUNK = 1 << 16
+
+# The distribution's float ratios are formed this many at a time.
+_RATIO_CHUNK = 1 << 14
 
 _INT64_MAX = 2**63 - 1
 
@@ -84,6 +86,13 @@ def _checked_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return left * right
 
 
+def _product_sum(left: np.ndarray, right: np.ndarray) -> int:
+    """Exact sum of left * right, its products formed _CHUNK at a time and
+    checked against int64 wrap."""
+    return sum(_exact_sum(_checked_product(left[s : s + _CHUNK], right[s : s + _CHUNK]))
+               for s in range(0, left.size, _CHUNK))
+
+
 def _group_sums(keys: np.ndarray, weights: np.ndarray) -> dict[int, int]:
     """Exact sum of the weights for each key (keys small nonnegative ints).
 
@@ -106,7 +115,7 @@ def _group_sums(keys: np.ndarray, weights: np.ndarray) -> dict[int, int]:
 class _PartialSieve:
     """d_k(n, A) on windows [lo, hi] inside [0, top], as exact int64.
 
-    A = 1 is the d_k sieve, `_sieve_segment` (k = 1 aside).  Otherwise every
+    A = 1 is the d_k window kernel, `_DkSieve` (k = 1 aside).  Otherwise every
     q <= top^A (q = 1 alone when A = 0 or k = 1) adds d_{k-1}(q) to its multiples
     n >= first[q], the least n with q <= n^A.  first is an exact integer root,
     taken once per q here, and admission is monotone in n along each stride.
@@ -121,20 +130,22 @@ class _PartialSieve:
         if top > MAX_BRUTE_X:
             raise ResourceBudgetError(f"x={top} over brute budget {MAX_BRUTE_X}")
         A = RationalExponent.parse(A)
-        self.k, self.primes = k, None
+        self.sieve = None
         if A.a == A.b and k > 1:
-            self.primes = primes_up_to(isqrt(top))
+            self.sieve = _DkSieve(k, top)
             return
         qmax = 1 if k == 1 or A.a == 0 else A.divisor_cutoff(top)
         self.weight = divisor_count_array(qmax, k - 1)
         self.first = np.array([0, 1] + [A.first_n_admitting(q) for q in range(2, qmax + 1)],
                               dtype=np.int64)
 
-    def __call__(self, lo: int, hi: int) -> np.ndarray:
-        if self.primes is not None:
-            return _sieve_segment(self.k, lo, hi, self.primes, values=True, spf=False)[0]
+    def __call__(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The window [lo, hi], written into `out` (hi - lo + 1 int64) when given."""
         size = hi - lo + 1
-        out = np.zeros(size, dtype=np.int64)
+        out = np.empty(size, dtype=np.int64) if out is None else out
+        if self.sieve is not None:
+            return self.sieve(lo, out)
+        out.fill(0)
         count = int(np.searchsorted(self.first, hi, side="right")) - 1  # q with first[q] <= hi
         small = min(count, size // 64)
         for q, n0, w in zip(range(1, small + 1), self.first[1 : small + 1].tolist(),
@@ -159,11 +170,18 @@ def _spans(lo: int, hi: int, size: int):
     return ((s, min(s + size - 1, hi)) for s in range(lo, hi + 1, size))
 
 
-def _windows(values: np.ndarray | None, k: int, A, top: int):
+def _buffer(segment_size: int, x: int) -> np.ndarray:
+    """Room for one window of a stream over 1 <= n <= x."""
+    return np.empty(min(segment_size, x), dtype=np.int64)
+
+
+def _windows(values: np.ndarray | None, k: int, A, top: int, buf: np.ndarray):
     """d_k(n, A) on [lo, hi] by window: slices of `values` (which must reach
-    n = top) when given, else the window kernel."""
+    n = top) when given, else the window kernel written into the front of
+    `buf`, which the next window overwrites."""
     if values is None:
-        return _PartialSieve(k, A, top)
+        kernel = _PartialSieve(k, A, top)
+        return lambda lo, hi: kernel(lo, hi, out=buf[: hi - lo + 1])
     if len(values) <= top:
         raise ValueError(f"precomputed arrays must reach n = {top}")
     return lambda lo, hi: values[lo : hi + 1]
@@ -176,7 +194,7 @@ def partial_divisor_array(x: int, k: int, A, segment_size: int = SEGMENT_SIZE) -
     window = _PartialSieve(k, A, x)
     out = np.empty(x + 1, dtype=np.int64)
     for lo, hi in _spans(0, x, segment_size):
-        out[lo : hi + 1] = window(lo, hi)
+        window(lo, hi, out=out[lo : hi + 1])
     return out
 
 
@@ -226,8 +244,9 @@ def _correlation_sums(h, k, l, A, Bs, xs, left, rights, segment_size):
     Bs = [RationalExponent.parse(B) for B in Bs]
     xs = sorted(xs)
     t0 = time.perf_counter()
-    left_w = _windows(left, k, A, xs[-1] + h)
-    right_ws = [_windows(right, l, B, xs[-1]) for right, B in zip(rights, Bs)]
+    left_w = _windows(left, k, A, xs[-1] + h, _buffer(segment_size, xs[-1]))
+    right_buf = _buffer(segment_size, xs[-1])  # each right window is summed before the next
+    right_ws = [_windows(right, l, B, xs[-1], right_buf) for right, B in zip(rights, Bs)]
     running = [0] * len(Bs)
     out = [[] for _ in Bs]
     prev = 0
@@ -235,8 +254,7 @@ def _correlation_sums(h, k, l, A, Bs, xs, left, rights, segment_size):
         for lo, hi in _spans(prev + 1, x, segment_size):
             lw = left_w(lo + h, hi + h)
             for i, right_w in enumerate(right_ws):
-                running[i] += _exact_sum(_checked_product(lw, right_w(lo, hi)))
-            del lw  # so that it is not held while the next window is sieved
+                running[i] += _product_sum(lw, right_w(lo, hi))
         for i, B in enumerate(Bs):
             out[i].append(CorrelationResult(h=h, k=k, l=l, A=A, B=B, x=x, value=running[i],
                                             wall_time=time.perf_counter() - t0))
@@ -251,9 +269,31 @@ def brute_ap_sum(x: int, q: int, h: int, k: int, A,
     window; `partial`, when given, holds d_k(n, A) for n <= x at least."""
     if q < 1:
         raise ValueError("brute_ap_sum requires q >= 1")
-    window = _windows(partial, k, A, x)
+    window = _windows(partial, k, A, x, _buffer(segment_size, x))
     return sum(_exact_sum(window(lo, hi)[(h - lo) % q :: q])
                for lo, hi in _spans(1, x, segment_size))
+
+
+def brute_ap_sweep(k: int, A, classes, xs, segment_size: int = SEGMENT_SIZE) -> dict:
+    """brute_ap_sum for every residue class (q, h) in `classes` and every
+    cutoff in `xs`, from one stream of d_k(n, A) to max(xs) that carries an
+    exact sum per class across windows and cutoffs.  Returns
+    {(q, h): [the sum to x for x in xs]}."""
+    running = dict.fromkeys(classes, 0)
+    if any(q < 1 for q, _ in running):
+        raise ValueError("brute_ap_sweep requires q >= 1")
+    cuts = sorted(set(xs))
+    window = _windows(None, k, A, cuts[-1], _buffer(segment_size, cuts[-1]))
+    at_cut = {}
+    prev = 0
+    for cut in cuts:
+        for lo, hi in _spans(prev + 1, cut, segment_size):
+            values = window(lo, hi)
+            for q, h in running:
+                running[q, h] += _exact_sum(values[(h - lo) % q :: q])
+        at_cut[cut] = dict(running)
+        prev = cut
+    return {c: [at_cut[x][c] for x in xs] for c in running}
 
 
 @dataclass
@@ -292,8 +332,9 @@ def empirical_distribution(k: int, A, x, bins: int = 20, segment_size: int = SEG
     cuts = sorted({x} if isinstance(x, Integral) else set(x))
     if cuts[0] < 1:
         raise ValueError("empirical_distribution requires every x >= 1")
-    full_w = _PartialSieve(k, RationalExponent(1, 1), cuts[-1])
-    part_w = full_w if A.a == A.b else _PartialSieve(k, A, cuts[-1])
+    full_w = _windows(None, k, RationalExponent(1, 1), cuts[-1], _buffer(segment_size, cuts[-1]))
+    part_w = full_w if A.a == A.b else _windows(None, k, A, cuts[-1],
+                                                 _buffer(segment_size, cuts[-1]))
     hist_range = (0.0, 1.0000001)
     edges = np.histogram_bin_edges(np.zeros(0), bins=bins, range=hist_range).tolist()
     counts = np.zeros(bins, dtype=np.int64)
@@ -309,12 +350,9 @@ def empirical_distribution(k: int, A, x, bins: int = 20, segment_size: int = SEG
                 numerators[v] = numerators.get(v, 0) + s
             sum_partial += _exact_sum(p)
             sum_full += _exact_sum(f)
-            # one window's arrays at a time: neither the histogram's
-            # temporaries nor the next window's sieve meet f and p
-            ratio = p / f
-            del f, p
-            counts += np.histogram(ratio, bins=bins, range=hist_range)[0]
-            del ratio
+            for c in range(0, f.size, _RATIO_CHUNK):
+                counts += np.histogram(p[c : c + _RATIO_CHUNK] / f[c : c + _RATIO_CHUNK],
+                                       bins=bins, range=hist_range)[0]
         ratio_sum = sum((Fraction(s, v) for v, s in numerators.items()), Fraction(0))
         histogram = [(edges[i], edges[i + 1], int(counts[i])) for i in range(bins)]
         results[cut] = DistributionResult(

@@ -167,15 +167,6 @@ def c_coeffs(j: int, n_max: int, digits: int | None = None) -> list[mp.mpf]:
     return out
 
 
-def c_coeffs_via_division(j: int, n_max: int, digits: int | None = None) -> list[mp.mpf]:
-    """Same coefficients via jet division by s = 1 + t; independent route."""
-    jet = zeta_power_jet(j, n_max, digits)
-    one_plus_t = PowerJet([mp.mpf(1), mp.mpf(1)] + [mp.mpf(0)] * (n_max - 1)) \
-        if n_max >= 1 else PowerJet([mp.mpf(1)])
-    quotient = jet / one_plus_t
-    return [quotient[n] for n in range(n_max + 1)]
-
-
 @lru_cache(maxsize=None)
 def _log_power_rows(N: int, order: int, dps: int) -> tuple:
     """(-log n)^r / r! for 2 <= n <= N, one row per r <= order."""
@@ -258,28 +249,6 @@ def mobius_sieve(n: int) -> np.ndarray:
             if pp <= n:
                 mu[pp::pp] = 0
     return mu
-
-
-def mobius_log_moment_sieve(d: int, n_terms: int) -> tuple[float, float]:
-    """(sum_{2<=n<=N} mu(n) log^d n / n^2, integral tail bound).
-
-    Direct sieve route; float64 with pairwise summation is far below the
-    truncation uncertainty.  The bound is on the absolute tail
-    sum_{n>N} log^d n / n^2 = (sum_{i<=d} d!/i! log^i N) / N.
-    """
-    mu = mobius_sieve(n_terms)
-    total = 0.0
-    chunk = 1 << 20
-    for start in range(2, n_terms + 1, chunk):
-        stop = min(start + chunk - 1, n_terms)
-        ns = np.arange(start, stop + 1, dtype=np.float64)
-        terms = np.log(ns) ** d / ns**2 if d > 0 else 1.0 / ns**2
-        total += float(np.dot(mu[start : stop + 1].astype(np.float64), terms))
-    logn = float(np.log(n_terms))
-    dfact = float(mp.factorial(d))
-    bound = sum(dfact / float(mp.factorial(i)) * logn**i for i in range(d + 1))
-    bound /= n_terms
-    return total, bound
 
 
 @lru_cache(maxsize=None)

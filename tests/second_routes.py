@@ -1,13 +1,103 @@
 """Second routes that only the tests use: the phi partial sum through the
-varphi convolution and the secondary term from explicit boundary weights.
-They arbitrate the library's routes and are not part of the package."""
+varphi convolution, the secondary term from explicit boundary weights, the
+strided d_k sieve, the beta law by quadrature, the c-coefficients by jet
+division and the Moebius log-moments by a direct sieve.  They arbitrate the
+library's routes and are not part of the package."""
 
 import mpmath as mp
+import numpy as np
 
-from divcorr.arith import RationalExponent, divisor_count_array, introot_ceil
+from divcorr.arith import RationalExponent, divisor_count_array, dk_prime_power, introot_ceil
 from divcorr.euler import phi_of, varphi_table
 from divcorr.jets import PowerJet
-from divcorr.zeta_series import zeta_power_coeffs
+from divcorr.zeta_series import mobius_sieve, zeta_power_coeffs, zeta_power_jet
+
+
+def strided_dk_segment(k: int, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """Exact d_k(n) on [lo, hi] (lo >= 0) by strided passes alone.
+
+    For each prime p <= sqrt(hi) and each p^j <= hi, the multiples of p^j
+    take one more factor p into `acc` (the part of n made of the primes
+    sieved so far) and move their d_k value from d_k(p^(j-1)) to d_k(p^j)
+    by an exact int64 rescale.  An n with acc < n has one prime factor left,
+    above sqrt(hi), worth a factor k.  Index n = 0, if in range, holds 0.
+    primes must cover every prime <= sqrt(hi).
+    """
+    size = hi - lo + 1
+    start = max(lo, 1)
+    small = primes[primes * primes <= hi]
+    small = small[(-start) % small < hi - start + 1].tolist()
+    val = np.ones(size, dtype=np.int64)
+    acc = np.ones(size, dtype=np.int64)
+    binom = [dk_prime_power(k, a) for a in range(hi.bit_length() + 1)]
+    for p in small:
+        q, j = p, 1
+        while q <= hi:
+            off = start - lo + (-start) % q
+            if off >= size:
+                break
+            acc[off::q] *= p
+            step = val[off::q]
+            if j > 1:
+                step //= binom[j - 1]
+            step *= binom[j]
+            q *= p
+            j += 1
+    val[acc < np.arange(lo, hi + 1, dtype=np.int64)] *= k
+    if lo == 0:
+        val[0] = 0
+    return val
+
+
+def bareikis_cdf_quadrature(k: int, A, dps: int | None = None) -> mp.mpf:
+    """Independent route: adaptive quadrature with endpoint substitution
+    u = v^k to absorb the u^(-1/k) singularity at 0."""
+    if k < 2:
+        raise ValueError("bareikis_cdf_quadrature requires k >= 2")
+    A = RationalExponent.parse(A)
+    x = A.mpf()
+    if x == 0:
+        return mp.mpf(0)
+    kk = mp.mpf(k)
+
+    def integrand(v):
+        u = v**kk
+        return kk * v ** (kk - 2) * (1 - u) ** (1 / kk - 1)
+
+    val = mp.quad(integrand, [0, x ** (1 / kk)])
+    return val * mp.sin(mp.pi / k) / mp.pi
+
+
+def c_coeffs_via_division(j: int, n_max: int, digits: int | None = None) -> list[mp.mpf]:
+    """Same coefficients as zeta_series.c_coeffs via jet division by
+    s = 1 + t; independent route."""
+    jet = zeta_power_jet(j, n_max, digits)
+    one_plus_t = PowerJet([mp.mpf(1), mp.mpf(1)] + [mp.mpf(0)] * (n_max - 1)) \
+        if n_max >= 1 else PowerJet([mp.mpf(1)])
+    quotient = jet / one_plus_t
+    return [quotient[n] for n in range(n_max + 1)]
+
+
+def mobius_log_moment_sieve(d: int, n_terms: int) -> tuple[float, float]:
+    """(sum_{2<=n<=N} mu(n) log^d n / n^2, integral tail bound).
+
+    Direct sieve route; float64 with pairwise summation is far below the
+    truncation uncertainty.  The bound is on the absolute tail
+    sum_{n>N} log^d n / n^2 = (sum_{i<=d} d!/i! log^i N) / N.
+    """
+    mu = mobius_sieve(n_terms)
+    total = 0.0
+    chunk = 1 << 20
+    for start in range(2, n_terms + 1, chunk):
+        stop = min(start + chunk - 1, n_terms)
+        ns = np.arange(start, stop + 1, dtype=np.float64)
+        terms = np.log(ns) ** d / ns**2 if d > 0 else 1.0 / ns**2
+        total += float(np.dot(mu[start : stop + 1].astype(np.float64), terms))
+    logn = float(np.log(n_terms))
+    dfact = float(mp.factorial(d))
+    bound = sum(dfact / float(mp.factorial(i)) * logn**i for i in range(d + 1))
+    bound /= n_terms
+    return total, bound
 
 
 def phi_partial_sum_jet(h: int, k: int, l: int, Q: int, order_s: int) -> PowerJet:

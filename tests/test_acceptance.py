@@ -52,7 +52,8 @@ from divcorr.oracle import (
     partial_divisor_array,
     residue_polynomial_routes,
 )
-from divcorr.zeta_series import c_coeffs, c_coeffs_via_division, euler_gamma, zeta_power_coeffs
+from divcorr.zeta_series import c_coeffs, euler_gamma, zeta_power_coeffs
+from second_routes import c_coeffs_via_division
 
 BIG_X = 10**7
 

@@ -7,13 +7,16 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divcorr import arith
 from divcorr.arith import (
+    SEGMENT_SIZE,
     DivisorTable,
-    _sieve_segment,
+    _dk_values,
+    _DkSieve,
+    _spf_values,
     FactoredInteger,
     RationalExponent,
     divisor_count_array,
@@ -30,6 +33,7 @@ from divcorr.arith import (
     spf_array,
 )
 from divcorr.errors import ResourceBudgetError
+from second_routes import strided_dk_segment
 
 
 def brute_dk(n: int, k: int) -> int:
@@ -143,16 +147,50 @@ def test_sieve_segment_from_zero():
     """A window starting at 0 returns (it used to loop forever on rem[0] = 0)."""
     got = []
     worker = threading.Thread(
-        target=lambda: got.append(_sieve_segment(2, 0, 20, primes_up_to(4))), daemon=True)
+        target=lambda: got.append((_dk_values(2, 0, 20), _spf_values(0, 20))), daemon=True)
     worker.start()
     worker.join(timeout=30)
-    assert not worker.is_alive(), "_sieve_segment(2, 0, 20, ...) did not return"
+    assert not worker.is_alive(), "the window [0, 20] did not return"
     values, spf = got[0]
     assert np.array_equal(values, convolution_dk(20, 2))
     assert np.array_equal(spf, spf_array(20))
     for k in (1, 3, 4):
-        values, spf = _sieve_segment(k, 0, 1, primes_up_to(1))
+        values, spf = _dk_values(k, 0, 1), _spf_values(0, 1)
         assert values.tolist() == [0, 1] and spf.tolist() == [0, 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.one_of(st.integers(0, 10**4), st.integers(0, 10**9), st.integers(0, 10**12)),
+       width=st.one_of(st.integers(1, 5000), st.integers(60061, 2**18)), k=st.integers(1, 6),
+       segment_size=st.sampled_from([1, 7, 4096, 2**18]), threads=st.sampled_from([1, 2]))
+@example(lo=0, width=2**18, k=3, segment_size=2**18, threads=1)
+@example(lo=10**12 - 2**17, width=2**18, k=6, segment_size=2**18, threads=2)
+@example(lo=2**31 - 3 * 60060, width=4 * 60060, k=4, segment_size=4096, threads=2)
+def test_window_kernel_matches_the_strided_sieve(lo, width, k, segment_size, threads):
+    """The d_k window kernel (pre-sieve pattern, strided passes, one scatter
+    for the primes above 1024) against the plain strided sieve, for windows
+    past the pattern's period and the large-prime threshold, at any segment
+    size and thread count; at most 64 segments a window."""
+    width = min(width, 64 * segment_size)
+    hi = lo + width - 1
+    want = strided_dk_segment(k, lo, hi, primes_up_to(math.isqrt(hi)))
+    assert np.array_equal(_dk_values(k, lo, hi, segment_size, threads), want)
+
+
+def test_window_kernel_reuse_matches_fresh_kernels():
+    """One kernel over windows A, B, A, a wider one and a short last one
+    gives what a fresh kernel gives for each: no window leaks into the next."""
+    top = 10**9
+    W = SEGMENT_SIZE
+    windows = [(top - 9, 10), (top - W + 1, W), (12345, W), (top - W + 1, W),
+               (0, 2 * W + 3), (10**8 + 1, 7)]
+    kernel = _DkSieve(3, top)
+    for lo, width in windows:
+        got = kernel(lo, np.empty(width, dtype=np.int64)).copy()
+        fresh = _DkSieve(3, top)(lo, np.empty(width, dtype=np.int64))
+        assert np.array_equal(got, fresh), (lo, width)
+        assert np.array_equal(got, strided_dk_segment(3, lo, lo + width - 1,
+                                                      primes_up_to(math.isqrt(top)))), (lo, width)
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,7 +12,6 @@ from divcorr.asympt import (
     ap_main_term,
     b_coefficient,
     bareikis_cdf,
-    bareikis_cdf_quadrature,
     coefficient_context,
     conjecture_leading,
     corollary_lower_bound,
@@ -28,6 +27,7 @@ from divcorr.asympt import (
 from divcorr.errors import ConsistencyError
 from divcorr.euler import singular_constant, singular_shift_factor
 from divcorr.zeta_series import euler_gamma
+from second_routes import bareikis_cdf_quadrature
 
 
 def ctx_for(h, k, l):

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divcorr.arith import RationalExponent, divisor_count_array, dk_partial, introot, sieve_dk
+from divcorr.arith import (
+    SEGMENT_SIZE,
+    RationalExponent,
+    divisor_count_array,
+    dk_partial,
+    introot,
+    sieve_dk,
+)
 from divcorr.asympt import a_coefficient, b_coefficient, coefficient_context
 from divcorr.errors import ResourceBudgetError
 from divcorr.oracle import (
@@ -20,6 +27,7 @@ from divcorr.oracle import (
     _PartialSieve,
     _spans,
     brute_ap_sum,
+    brute_ap_sweep,
     brute_correlation,
     brute_correlation_decades,
     brute_correlation_sweep,
@@ -142,6 +150,24 @@ def test_streamed_memory_does_not_grow_with_x():
         assert big < 1.2 * small, (small, big)
 
 
+def test_window_kernel_allocates_nothing_per_window():
+    """After one warm window, the next 2^18-wide window of the A = 1 kernel,
+    written into the stream's buffer, traces under 1 MB (its values alone
+    are 2 MB): the kernel's working arrays are allocated once."""
+    top, W = 10**8, SEGMENT_SIZE
+    window = _PartialSieve(3, 1, top)
+    buf = np.empty(W, dtype=np.int64)
+    window(top - 2 * W + 1, top - W, out=buf)
+    tracemalloc.start()
+    try:
+        window(top - W + 1, top, out=buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, peak
+    assert np.array_equal(buf, sieve_dk(3, top - W + 1, top).values)
+
+
 def test_brute_correlation_hand_value():
     """Recomputed by hand: sum_{n<=10} d(n+1) d(n) over plain divisor counts."""
     d = [0, 1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2]  # d(0..11)
@@ -202,6 +228,21 @@ def test_brute_ap_sum_values():
     assert brute_ap_sum(x, 1, 0, 2, "1/2") == int(arr[1:].sum())
     # frozen regression value, recomputed once by a direct per-n scan
     assert brute_ap_sum(10**6, 7, 3, 2, "1/2") == 895024
+
+
+def test_brute_ap_sweep_matches_one_sum_at_a_time():
+    """One stream per (k, A) gives every (q, h, x) that brute_ap_sum gives,
+    in the order of xs, at any window size."""
+    qs, hs, xs = (1, 3, 7, 12), (0, 1, 2, 5), [3000, 100, 2500, 3000]
+    classes = [(q, h) for q in qs for h in hs]
+    for k, A in ((1, "1/2"), (2, "1/2"), (3, "1/3"), (3, 1)):
+        for size in (7, 4096, SEGMENT_SIZE):
+            sums = brute_ap_sweep(k, A, classes, xs, segment_size=size)
+            assert sorted(sums) == sorted(classes)
+            for q, h in classes:
+                assert sums[q, h] == [brute_ap_sum(x, q, h, k, A) for x in xs], (k, A, q, h, size)
+    with pytest.raises(ValueError):
+        brute_ap_sweep(2, "1/2", [(0, 1)], [100])
 
 
 def test_empirical_distribution_exact_mean():

@@ -11,17 +11,16 @@ from divcorr.errors import PrecisionError
 from divcorr.euler import PrimeTailMoments
 from divcorr.zeta_series import (
     c_coeffs,
-    c_coeffs_via_division,
     estermann_a_constants,
     euler_gamma,
     inverse_zeta_jet_at_2,
-    mobius_log_moment_sieve,
     mobius_sieve,
     stieltjes_table,
     zeta_jet,
     zeta_laurent_jet,
     zeta_power_coeffs,
 )
+from second_routes import c_coeffs_via_division, mobius_log_moment_sieve
 
 # Regression fixture: gamma_0..gamma_5 at 30 digits from the Euler-Maclaurin
 # run, cross-checked against an independent high-precision evaluation.
