@@ -12,7 +12,7 @@ import mpmath as mp
 
 from divcorr import (
     ap_main_term,
-    brute_ap_sum,
+    brute_ap_sweep,
     brute_correlation_decades,
     correlation_leading,
     main_polynomial,
@@ -24,7 +24,7 @@ mp.mp.dps = 40
 print("1) correlation vs full polynomial, (h, k, l, A) = (1, 2, 2, 1/2)")
 poly = main_polynomial("1/2", 1, 2, 2, source="euler")
 rep = ComparisonReport(title="demo", meta={"mode": "theorem-2.3-style"})
-for r in brute_correlation_decades(1, 2, 2, 1, "1/2", [10**3, 10**4, 10**5, 10**6]):
+for r in brute_correlation_decades(1, 2, 2, 1, ["1/2"], [10**3, 10**4, 10**5, 10**6])[0]:
     rep.add(r.x, r.value, mp.mpf(r.x) * poly(mp.log(r.x)))
 for row in rep.rows:
     print(f"   x = {row['x']:>8}: observed {row['observed']:>12}  "
@@ -32,7 +32,7 @@ for row in rep.rows:
 
 print("\n2) progression sums vs exact main term, x = 10^5, A = 1/2")
 for (k, q, h) in ((2, 7, 3), (3, 5, 2)):
-    obs = brute_ap_sum(10**5, q, h, k, "1/2")
+    [obs] = brute_ap_sweep(k, "1/2", [(q, h)], [10**5])[q, h]
     pred = ap_main_term(10**5, q, h, k, "1/2").value
     print(f"   k={k} q={q} h={h}: observed {obs}, main term "
           f"{mp.nstr(pred, 10)}, ratio {mp.nstr(obs / pred, 8)}")
@@ -41,7 +41,7 @@ print("\n3) doubly-partial correlation vs leading constant, A = 2/3, B = 1/4")
 print("   (the normalized ratio drifts toward 1 like 1/log x)")
 for (k, l, h) in ((2, 2, 2), (3, 2, 1)):
     lead = correlation_leading(h, k, l, "2/3", "1/4")
-    rows = brute_correlation_decades(h, k, l, "2/3", "1/4", [10**4, 10**5, 10**6])
+    [rows] = brute_correlation_decades(h, k, l, "2/3", ["1/4"], [10**4, 10**5, 10**6])
     ratios = [mp.nstr(mp.mpf(r.value) / (r.x * mp.log(r.x) ** (k + l - 2) * lead), 6)
               for r in rows]
     print(f"   k={k} l={l} h={h}: ratios across decades {ratios}")

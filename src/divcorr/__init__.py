@@ -61,11 +61,8 @@ from .jets import Jet2, PowerJet
 from .oracle import (
     ComparisonReport,
     CorrelationResult,
-    brute_ap_sum,
     brute_ap_sweep,
-    brute_correlation,
     brute_correlation_decades,
-    brute_correlation_sweep,
     empirical_distribution,
     partial_divisor_array,
     residue_polynomial_routes,

@@ -30,8 +30,8 @@ from .errors import ResourceBudgetError
 # stay in desk-scale ranges in practice.
 FACTORIZE_BOUND = 2**63 - 1
 
-# Soft cap on the int64 cells one table holds: its values, plus its spf
-# array once that is read.
+# Soft cap on the int64 cells of one sieved d_k array: a table's values or a
+# divisor_count_array.
 MAX_TABLE_CELLS = 2 * 10**8
 
 _TABLE_MAGIC = b"DKTB"
@@ -275,8 +275,10 @@ def _budget_check(cells: int):
         )
 
 
-# Segment length of the sieve: the working arrays of one segment stay in
-# cache, and each segment pays one Python pass over the sieving primes.
+# Segment length of the sieve and window length of every exact stream: the
+# working arrays of one segment stay in cache, and each segment pays one
+# Python pass over the sieving primes.  Read when a sieve or stream starts;
+# no result depends on it.
 SEGMENT_SIZE = 1 << 18
 
 # The factors 2^2, 3, 5, 7, 11 and 13 of n, and what they make of d_k(n),
@@ -439,116 +441,44 @@ class _DkSieve:
             self._powers(out, acc, lo, start, p, p * p, 2)
 
 
-def _spf_segment(lo: int, hi: int, primes: np.ndarray, out: np.ndarray):
-    """Smallest prime factors on [lo, hi] (lo >= 0) into out: stride writes
-    in descending prime order, so the smallest prime is written last; an n
-    no prime <= sqrt(hi) divides is 1 or prime.  Index n = 0 holds 0.
-    primes must cover every prime <= sqrt(hi)."""
-    start = max(lo, 1)
-    small = primes[primes * primes <= hi]
-    small = small[(-start) % small <= hi - start].tolist()
-    out.fill(0)
-    for p in reversed(small):
-        out[start - lo + (-start) % p :: p] = p
-    unset = out == 0
-    out[unset] = np.arange(lo, hi + 1, dtype=np.int64)[unset]
-    if lo == 0:
-        out[0] = 0
+def _dk_values(k: int, lo: int, hi: int, threads: int = 1) -> np.ndarray:
+    """d_k(n) for lo <= n <= hi (lo >= 0): segments of SEGMENT_SIZE integers,
+    dealt to `threads` workers, each sieved into its slice of one array by
+    its worker's kernel; bit-identical for any segment size and thread count."""
+    out = np.empty(hi - lo + 1, dtype=np.int64)
+    spans = [(s, min(s + SEGMENT_SIZE - 1, hi)) for s in range(lo, hi + 1, SEGMENT_SIZE)]
 
+    def work(part):
+        kernel = _DkSieve(k, hi)
+        for s, e in part:
+            kernel(s, out[s - lo : e - lo + 1])
 
-def _segments(lo: int, hi: int, segment_size: int, threads: int, work):
-    """work(spans) over the segments of [lo, hi], dealt to `threads` workers."""
-    spans = [(s, min(s + segment_size - 1, hi)) for s in range(lo, hi + 1, segment_size)]
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, [spans[i::threads] for i in range(threads)]))
     else:
         work(spans)
-
-
-def _dk_values(k: int, lo: int, hi: int, segment_size: int = SEGMENT_SIZE,
-               threads: int = 1) -> np.ndarray:
-    """d_k(n) for lo <= n <= hi (lo >= 0), each segment sieved into its slice
-    of one array by the kernel of its worker; bit-identical for any segment
-    size and thread count."""
-    out = np.empty(hi - lo + 1, dtype=np.int64)
-
-    def work(spans):
-        kernel = _DkSieve(k, hi)
-        for s, e in spans:
-            kernel(s, out[s - lo : e - lo + 1])
-
-    _segments(lo, hi, segment_size, threads, work)
     return out
 
 
-def _spf_values(lo: int, hi: int, segment_size: int = SEGMENT_SIZE,
-                threads: int = 1) -> np.ndarray:
-    """Smallest prime factors for lo <= n <= hi, segment by segment."""
-    out = np.empty(hi - lo + 1, dtype=np.int64)
-    primes = primes_up_to(isqrt(hi))
-
-    def work(spans):
-        for s, e in spans:
-            _spf_segment(s, e, primes, out[s - lo : e - lo + 1])
-
-    _segments(lo, hi, segment_size, threads, work)
-    return out
-
-
+@dataclass(eq=False)
 class DivisorTable:
-    """Sieved d_k(n) values on [lo, hi]; smallest prime factors on first use."""
+    """Sieved d_k(n) values on [lo, hi]."""
 
-    def __init__(self, k: int, lo: int, hi: int, values: np.ndarray,
-                 segment_size: int = SEGMENT_SIZE, threads: int = 1):
-        self.k, self.lo, self.hi = k, lo, hi
-        self.values = values
-        self._spf = None
-        self._segment_size, self._threads = segment_size, threads
-
-    @property
-    def spf(self) -> np.ndarray:
-        """Smallest prime factor of each n in [lo, hi], sieved once when first read."""
-        if self._spf is None:
-            _budget_check(2 * len(self.values))  # values and spf together
-            self._spf = _spf_values(self.lo, self.hi, self._segment_size, self._threads)
-        return self._spf
-
-    def index(self, n: int) -> int:
-        if not self.lo <= n <= self.hi:
-            raise IndexError(f"n={n} outside table range [{self.lo}, {self.hi}]")
-        return n - self.lo
+    k: int
+    lo: int
+    hi: int
+    values: np.ndarray
 
     def dk(self, n: int) -> int:
-        return int(self.values[self.index(n)])
-
-    def __getitem__(self, n: int) -> int:
-        return self.dk(n)
-
-    def spf_of(self, n: int) -> int:
-        return int(self.spf[self.index(n)])
-
-    def factor(self, n: int) -> FactoredInteger:
-        """Factor n via the stored smallest-prime chain when possible."""
-        if self.lo == 1 and self.lo <= n <= self.hi:
-            spf = self.spf
-            m = n
-            factors = []
-            while m > 1:
-                p = int(spf[m - self.lo])
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                factors.append((p, e))
-            factors.sort()
-            return FactoredInteger(n, tuple(factors))
-        return factorize(n)
+        if not self.lo <= n <= self.hi:
+            raise IndexError(f"n={n} outside table range [{self.lo}, {self.hi}]")
+        return int(self.values[n - self.lo])
 
     def dump(self, path):
         """Binary dump: header (magic, k, lo, hi, element width), the values as
         little-endian int64, then the CRC-32 of those value bytes (4 bytes,
-        little-endian).  The spf array is not stored."""
+        little-endian)."""
         values = np.ascontiguousarray(self.values, dtype="<i8")
         header = struct.pack(_TABLE_HEADER, _TABLE_MAGIC, self.k, self.lo, self.hi, 8)
         with open(path, "wb") as fh:
@@ -582,8 +512,7 @@ class DivisorTable:
         return cls(k=k, lo=lo, hi=hi, values=values.astype(np.int64, copy=False))
 
 
-def sieve_dk(k: int, lo: int, hi: int, segment_size: int = SEGMENT_SIZE,
-             threads: int = 1) -> DivisorTable:
+def sieve_dk(k: int, lo: int, hi: int, threads: int = 1) -> DivisorTable:
     """Build a DivisorTable on [lo, hi].
 
     Segments are independent and written to fixed offsets, so the result is
@@ -594,12 +523,10 @@ def sieve_dk(k: int, lo: int, hi: int, segment_size: int = SEGMENT_SIZE,
     if k < 1:
         raise ValueError("sieve_dk requires k >= 1")
     _budget_check(hi - lo + 1)
-    values = _dk_values(k, lo, hi, segment_size, threads)
-    return DivisorTable(k=k, lo=lo, hi=hi, values=values,
-                        segment_size=segment_size, threads=threads)
+    return DivisorTable(k=k, lo=lo, hi=hi, values=_dk_values(k, lo, hi, threads))
 
 
-def dk_partial(n: int, k: int, A: RationalExponent, table: DivisorTable | None = None) -> int:
+def dk_partial(n: int, k: int, A: RationalExponent) -> int:
     """Partial divisor function d_k(n, A); exact rational boundary rule.
 
     The divisor bound is the largest integer T with T^b <= n^a, so the
@@ -610,7 +537,7 @@ def dk_partial(n: int, k: int, A: RationalExponent, table: DivisorTable | None =
     A = RationalExponent.parse(A)
     if A.a == 0:
         return 1
-    fi = table.factor(n) if table is not None else factorize(n)
+    fi = factorize(n)
     cutoff = A.divisor_cutoff(n)
     total = 0
     for q, fac in fi.divisors_factored():

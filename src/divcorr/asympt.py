@@ -24,12 +24,7 @@ from math import comb, factorial, gcd
 
 import mpmath as mp
 
-from .arith import (
-    RationalExponent,
-    dk_prime_power,
-    factorize,
-    sigma_minus1_moments,
-)
+from .arith import RationalExponent, dk_of_factored, factorize, sigma_minus1_moments
 from .errors import ConsistencyError
 from .euler import (
     DEFAULT_PRIME_CUTOFF,
@@ -531,12 +526,11 @@ class ApMainTerm:
     residue_ok: bool  # False when h = 0 mod q (outside the stated theorem)
 
 
-def ap_main_term(x: int, q: int, h: int, k: int, A,
-                 dkm1_of=None) -> ApMainTerm:
+def ap_main_term(x: int, q: int, h: int, k: int, A) -> ApMainTerm:
     """(x/q) * sum over n <= x^A with (n,q) | h of (n,q) d_{k-1}(n) / n.
 
-    The n-sum is exact rational; d_{k-1} values come from factorization (or
-    a caller-provided lookup).  h = 0 mod q is evaluated but flagged.
+    The n-sum is exact rational; d_{k-1} values come from factorization.
+    h = 0 mod q is evaluated but flagged.
     """
     if q < 1 or x < 1 or k < 1:
         raise ValueError("ap_main_term requires x, q >= 1, k >= 1")
@@ -547,15 +541,7 @@ def ap_main_term(x: int, q: int, h: int, k: int, A,
         g = gcd(n, q)
         if h % g != 0:
             continue
-        if dkm1_of is not None:
-            d = dkm1_of(n)
-        elif k == 1:
-            d = 1 if n == 1 else 0
-        else:
-            fi = factorize(n)
-            d = 1
-            for _, e in fi.factors:
-                d *= dk_prime_power(k - 1, e)
+        d = dk_of_factored(k - 1, factorize(n)) if k > 1 else int(n == 1)
         total += Fraction(g * d, n)
     value = mp.mpf(x) / q * _mpf_frac(total)
     return ApMainTerm(value=value, x=x, q=q, h=h, k=k, A=A,

@@ -256,8 +256,8 @@ def _verify_theorem23(args) -> list:
                         meta=_meta(args, mode="theorem23", k=k, l=l, h=h, A=str(A),
                                    in_proven_range=poly.in_proven_range),
                     )
-                    results = oracle.brute_correlation_decades(
-                        h, k, l, RationalExponent(1, 1), A, args.x)
+                    [results] = oracle.brute_correlation_decades(
+                        h, k, l, RationalExponent(1, 1), [A], args.x)
                     for r in results:
                         rep.add(r.x, r.value, mp.mpf(r.x) * poly(mp.log(r.x)))
                     reports.append(rep)
@@ -271,7 +271,7 @@ def _verify_theorem22(args) -> list:
             for h in args.h:
                 for A in args.A:
                     # one pass over d_k(n+h, A) for every B
-                    sweep = oracle.brute_correlation_sweep(h, k, l, A, args.B, args.x)
+                    sweep = oracle.brute_correlation_decades(h, k, l, A, args.B, args.x)
                     for B, results in zip(args.B, sweep):
                         lead = asympt.correlation_leading(h, k, l, A, B)
                         rep = oracle.ComparisonReport(
@@ -314,7 +314,7 @@ def _verify_corollary3(args) -> list:
             for h in args.h:
                 for A in args.A:
                     # one pass over d_k(n+h, A) for the full and every partial sum
-                    full, *partials = oracle.brute_correlation_sweep(
+                    full, *partials = oracle.brute_correlation_decades(
                         h, k, l, A, [RationalExponent(1, 1), *args.B], args.x)
                     for B, partial in zip(args.B, partials):
                         gap = asympt.partial_vs_full_leading_gap(h, k, l, A, B)

@@ -2,16 +2,14 @@
 
 Everything on the brute side is an exact integer: correlation sums of
 (partial) divisor functions, arithmetic-progression sums, and the
-exact-rational mean of d_k(n,A)/d_k(n).  Partial divisor values are built
-by a divisor-scan that decides every boundary q <= n^A through integer
-root thresholds, never floating point.
-
-The brute side streams: one window kernel gives d_k(n, A) on [lo, hi] for
-any A, a segmented sieve in the manner of Bays and Hudson (BIT 17, 1977),
-and every sum runs window by window (SEGMENT_SIZE integers), carrying its
-exact sums, grouped ratio numerators and histogram counts across windows
-and cutoffs.  Memory is O(window + x^A), not O(x).  MAX_BRUTE_X still caps
-x: it now bounds the time a brute sum takes, not its memory.
+exact-rational mean of d_k(n,A)/d_k(n).  One window kernel gives d_k(n, A)
+on [lo, hi] for any A, a segmented sieve in the manner of Bays and Hudson
+(BIT 17, 1977) that decides every boundary q <= n^A through integer root
+thresholds, never floating point.  Every sum streams window by window
+(SEGMENT_SIZE integers), carrying its exact sums, grouped ratio numerators
+and histogram counts across windows and cutoffs.  Memory is O(window +
+x^A), not O(x).  MAX_BRUTE_X still caps x: it now bounds the time a brute
+sum takes, not its memory.
 
 The residue side re-derives the polynomial coefficients from the
 Perron-style pipeline: the order-(k-1) Taylor coefficient of
@@ -25,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -34,12 +31,8 @@ from numbers import Integral
 import mpmath as mp
 import numpy as np
 
-from .arith import (
-    SEGMENT_SIZE,
-    RationalExponent,
-    _DkSieve,
-    divisor_count_array,
-)
+from . import arith
+from .arith import RationalExponent, _DkSieve, divisor_count_array
 from .asympt import CoefficientContext, _falling, coefficient_context
 from .errors import ResourceBudgetError
 from .euler import _mpf_frac
@@ -139,10 +132,9 @@ class _PartialSieve:
         self.first = np.array([0, 1] + [A.first_n_admitting(q) for q in range(2, qmax + 1)],
                               dtype=np.int64)
 
-    def __call__(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The window [lo, hi], written into `out` (hi - lo + 1 int64) when given."""
+    def __call__(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """The window [lo, hi], written into `out` (hi - lo + 1 int64)."""
         size = hi - lo + 1
-        out = np.empty(size, dtype=np.int64) if out is None else out
         if self.sieve is not None:
             return self.sieve(lo, out)
         out.fill(0)
@@ -165,35 +157,30 @@ class _PartialSieve:
             pos += qs
 
 
-def _spans(lo: int, hi: int, size: int):
-    """Consecutive windows [s, e] of at most `size` integers covering [lo, hi]."""
+def _spans(lo: int, hi: int):
+    """Consecutive windows [s, e] of at most SEGMENT_SIZE integers covering [lo, hi]."""
+    size = arith.SEGMENT_SIZE
     return ((s, min(s + size - 1, hi)) for s in range(lo, hi + 1, size))
 
 
-def _buffer(segment_size: int, x: int) -> np.ndarray:
+def _buffer(x: int) -> np.ndarray:
     """Room for one window of a stream over 1 <= n <= x."""
-    return np.empty(min(segment_size, x), dtype=np.int64)
+    return np.empty(min(arith.SEGMENT_SIZE, x), dtype=np.int64)
 
 
-def _windows(values: np.ndarray | None, k: int, A, top: int, buf: np.ndarray):
-    """d_k(n, A) on [lo, hi] by window: slices of `values` (which must reach
-    n = top) when given, else the window kernel written into the front of
-    `buf`, which the next window overwrites."""
-    if values is None:
-        kernel = _PartialSieve(k, A, top)
-        return lambda lo, hi: kernel(lo, hi, out=buf[: hi - lo + 1])
-    if len(values) <= top:
-        raise ValueError(f"precomputed arrays must reach n = {top}")
-    return lambda lo, hi: values[lo : hi + 1]
+def _windows(k: int, A, top: int, buf: np.ndarray):
+    """d_k(n, A) on [lo, hi] inside [0, top] by window: the window kernel
+    written into the front of `buf`, which the next window overwrites."""
+    kernel = _PartialSieve(k, A, top)
+    return lambda lo, hi: kernel(lo, hi, out=buf[: hi - lo + 1])
 
 
-def partial_divisor_array(x: int, k: int, A, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
+def partial_divisor_array(x: int, k: int, A) -> np.ndarray:
     """d_k(n, A) for 0 <= n <= x as exact int64 (index 0 unused): the window
-    kernel, written window by window.  segment_size is for tests only; the
-    values do not depend on it."""
+    kernel, written window by window."""
     window = _PartialSieve(k, A, x)
     out = np.empty(x + 1, dtype=np.int64)
-    for lo, hi in _spans(0, x, segment_size):
+    for lo, hi in _spans(0, x):
         window(lo, hi, out=out[lo : hi + 1])
     return out
 
@@ -209,85 +196,51 @@ class CorrelationResult:
     B: RationalExponent
     x: int
     value: int
-    wall_time: float = 0.0
 
 
-def brute_correlation(h: int, k: int, l: int, A, B, x: int) -> CorrelationResult:
-    """Exact sum over n <= x of d_k(n+h, A) d_l(n, B)."""
-    return brute_correlation_decades(h, k, l, A, B, [x])[0]
-
-
-def brute_correlation_decades(h: int, k: int, l: int, A, B, xs: list[int],
-                              left: np.ndarray | None = None,
-                              right: np.ndarray | None = None,
-                              segment_size: int = SEGMENT_SIZE) -> list[CorrelationResult]:
-    """Exact correlation sums at several cutoffs from one pass at max(xs).
-
-    `left` and `right` may hold d_k(n, A) and d_l(n, B) for 0 <= n <= N, as
-    partial_divisor_array gives them, with N >= max(xs) + h and N >= max(xs);
-    they are read one window at a time instead of being sieved.
-    """
-    return _correlation_sums(h, k, l, A, [B], xs, left, [right], segment_size)[0]
-
-
-def brute_correlation_sweep(h: int, k: int, l: int, A, Bs: list, xs: list[int],
-                            segment_size: int = SEGMENT_SIZE) -> list[list[CorrelationResult]]:
-    """brute_correlation_decades for each B in Bs (one list per B) from one
-    pass: each window of d_k(n+h, A) is sieved once for all of them."""
-    return _correlation_sums(h, k, l, A, Bs, xs, None, [None] * len(Bs), segment_size)
-
-
-def _correlation_sums(h, k, l, A, Bs, xs, left, rights, segment_size):
-    """Correlation sums streamed over windows of n: each window's products
-    are checked against int64 wrap and summed exactly into Python ints."""
+def brute_correlation_decades(h: int, k: int, l: int, A, Bs: list,
+                              xs: list[int]) -> list[list[CorrelationResult]]:
+    """Exact sums over n <= x of d_k(n+h, A) d_l(n, B) for each B in Bs (one
+    list per B, ascending in x) and each x in xs, from one stream to max(xs):
+    each window of d_k(n+h, A) is sieved once for every B, and each window's
+    products are checked against int64 wrap and summed exactly into Python
+    ints.  A negative h raises ValueError: its windows would reach n + h <= 0."""
+    if h < 0:
+        raise ValueError(f"brute correlation sums require h >= 0, not h={h}")
     A = RationalExponent.parse(A)
     Bs = [RationalExponent.parse(B) for B in Bs]
     xs = sorted(xs)
-    t0 = time.perf_counter()
-    left_w = _windows(left, k, A, xs[-1] + h, _buffer(segment_size, xs[-1]))
-    right_buf = _buffer(segment_size, xs[-1])  # each right window is summed before the next
-    right_ws = [_windows(right, l, B, xs[-1], right_buf) for right, B in zip(rights, Bs)]
+    left = _windows(k, A, xs[-1] + h, _buffer(xs[-1]))
+    right_buf = _buffer(xs[-1])  # each right window is summed before the next
+    rights = [_windows(l, B, xs[-1], right_buf) for B in Bs]
     running = [0] * len(Bs)
     out = [[] for _ in Bs]
     prev = 0
     for x in xs:
-        for lo, hi in _spans(prev + 1, x, segment_size):
-            lw = left_w(lo + h, hi + h)
-            for i, right_w in enumerate(right_ws):
-                running[i] += _product_sum(lw, right_w(lo, hi))
+        for lo, hi in _spans(prev + 1, x):
+            lw = left(lo + h, hi + h)
+            for i, right in enumerate(rights):
+                running[i] += _product_sum(lw, right(lo, hi))
         for i, B in enumerate(Bs):
-            out[i].append(CorrelationResult(h=h, k=k, l=l, A=A, B=B, x=x, value=running[i],
-                                            wall_time=time.perf_counter() - t0))
+            out[i].append(CorrelationResult(h=h, k=k, l=l, A=A, B=B, x=x, value=running[i]))
         prev = x
     return out
 
 
-def brute_ap_sum(x: int, q: int, h: int, k: int, A,
-                 partial: np.ndarray | None = None,
-                 segment_size: int = SEGMENT_SIZE) -> int:
-    """Exact sum of d_k(n, A) over n <= x with n = h (mod q), streamed by
-    window; `partial`, when given, holds d_k(n, A) for n <= x at least."""
-    if q < 1:
-        raise ValueError("brute_ap_sum requires q >= 1")
-    window = _windows(partial, k, A, x, _buffer(segment_size, x))
-    return sum(_exact_sum(window(lo, hi)[(h - lo) % q :: q])
-               for lo, hi in _spans(1, x, segment_size))
-
-
-def brute_ap_sweep(k: int, A, classes, xs, segment_size: int = SEGMENT_SIZE) -> dict:
-    """brute_ap_sum for every residue class (q, h) in `classes` and every
-    cutoff in `xs`, from one stream of d_k(n, A) to max(xs) that carries an
-    exact sum per class across windows and cutoffs.  Returns
-    {(q, h): [the sum to x for x in xs]}."""
+def brute_ap_sweep(k: int, A, classes, xs) -> dict:
+    """Exact sums of d_k(n, A) over n <= x with n = h (mod q), for every
+    residue class (q, h) in `classes` and every cutoff x in `xs`, from one
+    stream of d_k(n, A) to max(xs) that carries an exact sum per class
+    across windows and cutoffs.  Returns {(q, h): [the sum to x for x in xs]}."""
     running = dict.fromkeys(classes, 0)
     if any(q < 1 for q, _ in running):
         raise ValueError("brute_ap_sweep requires q >= 1")
     cuts = sorted(set(xs))
-    window = _windows(None, k, A, cuts[-1], _buffer(segment_size, cuts[-1]))
+    window = _windows(k, A, cuts[-1], _buffer(cuts[-1]))
     at_cut = {}
     prev = 0
     for cut in cuts:
-        for lo, hi in _spans(prev + 1, cut, segment_size):
+        for lo, hi in _spans(prev + 1, cut):
             values = window(lo, hi)
             for q, h in running:
                 running[q, h] += _exact_sum(values[(h - lo) % q :: q])
@@ -308,17 +261,13 @@ class DistributionResult:
     sum_partial: int
     sum_full: int
 
-    @property
-    def mean_float(self) -> float:
-        return float(self.mean)
-
     def scaling_residual(self) -> Fraction:
         """|sum d_k(n,A) - A^(k-1) sum d_k(n)|, exact."""
         Af = self.A.as_fraction()
         return abs(Fraction(self.sum_partial) - Af ** (self.k - 1) * self.sum_full)
 
 
-def empirical_distribution(k: int, A, x, bins: int = 20, segment_size: int = SEGMENT_SIZE):
+def empirical_distribution(k: int, A, x, bins: int = 20):
     """Exact-rational mean of d_k(n,A)/d_k(n) over n <= x, with histogram.
 
     x is one cutoff (one result) or a sequence of cutoffs (one result per
@@ -332,9 +281,8 @@ def empirical_distribution(k: int, A, x, bins: int = 20, segment_size: int = SEG
     cuts = sorted({x} if isinstance(x, Integral) else set(x))
     if cuts[0] < 1:
         raise ValueError("empirical_distribution requires every x >= 1")
-    full_w = _windows(None, k, RationalExponent(1, 1), cuts[-1], _buffer(segment_size, cuts[-1]))
-    part_w = full_w if A.a == A.b else _windows(None, k, A, cuts[-1],
-                                                 _buffer(segment_size, cuts[-1]))
+    full_w = _windows(k, RationalExponent(1, 1), cuts[-1], _buffer(cuts[-1]))
+    part_w = full_w if A.a == A.b else _windows(k, A, cuts[-1], _buffer(cuts[-1]))
     hist_range = (0.0, 1.0000001)
     edges = np.histogram_bin_edges(np.zeros(0), bins=bins, range=hist_range).tolist()
     counts = np.zeros(bins, dtype=np.int64)
@@ -343,7 +291,7 @@ def empirical_distribution(k: int, A, x, bins: int = 20, segment_size: int = SEG
     results = {}
     prev = 0
     for cut in cuts:
-        for lo, hi in _spans(prev + 1, cut, segment_size):
+        for lo, hi in _spans(prev + 1, cut):
             f = full_w(lo, hi)
             p = f if part_w is full_w else part_w(lo, hi)
             for v, s in _group_sums(f, p).items():
@@ -355,10 +303,8 @@ def empirical_distribution(k: int, A, x, bins: int = 20, segment_size: int = SEG
                                        bins=bins, range=hist_range)[0]
         ratio_sum = sum((Fraction(s, v) for v, s in numerators.items()), Fraction(0))
         histogram = [(edges[i], edges[i + 1], int(counts[i])) for i in range(bins)]
-        results[cut] = DistributionResult(
-            k=k, A=A, x=cut, mean=ratio_sum / cut, histogram=histogram,
-            sum_partial=sum_partial, sum_full=sum_full,
-        )
+        results[cut] = DistributionResult(k, A, cut, ratio_sum / cut, histogram,
+                                          sum_partial, sum_full)
         prev = cut
     if isinstance(x, Integral):
         return results[x]

@@ -46,7 +46,7 @@ from divcorr.asympt import (
 )
 from divcorr.euler import dirichlet_partials, singular_constant, singular_shift_factor
 from divcorr.oracle import (
-    brute_ap_sum,
+    brute_ap_sweep,
     brute_correlation_decades,
     empirical_distribution,
     partial_divisor_array,
@@ -192,10 +192,10 @@ def test_criterion_5_progression_main_term():
     with runtime_cap(300) as box:
         fits = {2: [], 3: []}
         for k in (2, 3):
-            arr = partial_divisor_array(x, k, "1/2")
+            sums = brute_ap_sweep(k, "1/2", [(q, h) for q in (3, 5, 7, 12) for h in (1, 2)], [x])
             for q in (3, 5, 7, 12):
                 for h in (1, 2):
-                    obs = brute_ap_sum(x, q, h, k, "1/2", partial=arr)
+                    [obs] = sums[q, h]
                     pred = ap_main_term(x, q, h, k, "1/2").value
                     scale = mp.mpf(x) * mp.log(x) ** (k - 2) / q
                     fits[k].append(abs(obs - pred) / scale)
@@ -235,12 +235,10 @@ def test_criterion_6_doubly_partial_leading():
     window_ok = controls_ok = trend_ok = True
     lines = []
     summary = []
-    right = partial_divisor_array(BIG_X, 2, "1/4")  # d_l(n, B), l = 2 on the whole grid
     for (k, l) in ((2, 2), (3, 2)):
-        left = partial_divisor_array(BIG_X + 2, k, "2/3")  # d_k(n+h, A) for h <= 2
         for h in (1, 2):
             d = k + l - 2
-            res = brute_correlation_decades(h, k, l, "2/3", "1/4", xs, left=left, right=right)
+            [res] = brute_correlation_decades(h, k, l, "2/3", ["1/4"], xs)
             ratios, c0 = _leading_fit(res, d, correlation_leading(h, k, l, "2/3", "1/4"))
             _, c0_no_a = _leading_fit(res, d, correlation_leading(h, k, l, 1, "1/4"))
             _, c0_no_b = _leading_fit(res, d, correlation_leading(h, k, l, "2/3", 1))
@@ -368,10 +366,9 @@ def test_criterion_10_exact_identity_suite():
     squares[np.arange(1, 101) ** 2] = 1
     ok &= bool(np.array_equal(d2[1:], 2 * d2h[1:] - squares[1:]))
     # A-monotonicity over a rational grid
-    table = sieve_dk(3, 1, N)
     grid = [RationalExponent.parse(s) for s in ("0", "1/5", "1/3", "1/2", "3/5", "4/5", "1")]
     for n in (7, 96, 1024, 5040, 9999):
-        vals = [dk_partial(n, 3, A, table) for A in grid]
+        vals = [dk_partial(n, 3, A) for A in grid]
         ok &= vals == sorted(vals)
     # multiplicativity on the big table, spot pairs up to 1e6
     big = sieve_dk(2, 1, 10**6)

@@ -16,7 +16,6 @@ from divcorr.arith import (
     DivisorTable,
     _dk_values,
     _DkSieve,
-    _spf_values,
     FactoredInteger,
     RationalExponent,
     divisor_count_array,
@@ -146,35 +145,33 @@ def test_divisor_count_array_matches_convolution():
 def test_sieve_segment_from_zero():
     """A window starting at 0 returns (it used to loop forever on rem[0] = 0)."""
     got = []
-    worker = threading.Thread(
-        target=lambda: got.append((_dk_values(2, 0, 20), _spf_values(0, 20))), daemon=True)
+    worker = threading.Thread(target=lambda: got.append(_dk_values(2, 0, 20)), daemon=True)
     worker.start()
     worker.join(timeout=30)
     assert not worker.is_alive(), "the window [0, 20] did not return"
-    values, spf = got[0]
-    assert np.array_equal(values, convolution_dk(20, 2))
-    assert np.array_equal(spf, spf_array(20))
+    assert np.array_equal(got[0], convolution_dk(20, 2))
     for k in (1, 3, 4):
-        values, spf = _dk_values(k, 0, 1), _spf_values(0, 1)
-        assert values.tolist() == [0, 1] and spf.tolist() == [0, 1]
+        assert _dk_values(k, 0, 1).tolist() == [0, 1]
 
 
 @settings(max_examples=40, deadline=None)
 @given(lo=st.one_of(st.integers(0, 10**4), st.integers(0, 10**9), st.integers(0, 10**12)),
        width=st.one_of(st.integers(1, 5000), st.integers(60061, 2**18)), k=st.integers(1, 6),
-       segment_size=st.sampled_from([1, 7, 4096, 2**18]), threads=st.sampled_from([1, 2]))
-@example(lo=0, width=2**18, k=3, segment_size=2**18, threads=1)
-@example(lo=10**12 - 2**17, width=2**18, k=6, segment_size=2**18, threads=2)
-@example(lo=2**31 - 3 * 60060, width=4 * 60060, k=4, segment_size=4096, threads=2)
-def test_window_kernel_matches_the_strided_sieve(lo, width, k, segment_size, threads):
+       size=st.sampled_from([1, 7, 4096, 2**18]), threads=st.sampled_from([1, 2]))
+@example(lo=0, width=2**18, k=3, size=2**18, threads=1)
+@example(lo=10**12 - 2**17, width=2**18, k=6, size=2**18, threads=2)
+@example(lo=2**31 - 3 * 60060, width=4 * 60060, k=4, size=4096, threads=2)
+def test_window_kernel_matches_the_strided_sieve(lo, width, k, size, threads):
     """The d_k window kernel (pre-sieve pattern, strided passes, one scatter
     for the primes above 1024) against the plain strided sieve, for windows
     past the pattern's period and the large-prime threshold, at any segment
     size and thread count; at most 64 segments a window."""
-    width = min(width, 64 * segment_size)
+    width = min(width, 64 * size)
     hi = lo + width - 1
     want = strided_dk_segment(k, lo, hi, primes_up_to(math.isqrt(hi)))
-    assert np.array_equal(_dk_values(k, lo, hi, segment_size, threads), want)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arith, "SEGMENT_SIZE", size)
+        assert np.array_equal(_dk_values(k, lo, hi, threads), want)
 
 
 def test_window_kernel_reuse_matches_fresh_kernels():
@@ -196,38 +193,31 @@ def test_window_kernel_reuse_matches_fresh_kernels():
 @settings(max_examples=40, deadline=None)
 @given(lo=st.one_of(st.integers(1, 10**5), st.integers(10**9, 10**12)),
        width=st.integers(1, 24), k=st.integers(1, 6),
-       segment_size=st.integers(1, 4096), threads=st.sampled_from([1, 2]))
-def test_sieve_matches_factorization(lo, width, k, segment_size, threads):
-    """Values and the lazily sieved spf against trial division, any window."""
+       size=st.integers(1, 4096), threads=st.sampled_from([1, 2]))
+def test_sieve_matches_factorization(lo, width, k, size, threads):
+    """Values against trial division, any window."""
     hi = lo + width - 1
-    table = sieve_dk(k, lo, hi, segment_size=segment_size, threads=threads)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arith, "SEGMENT_SIZE", size)
+        table = sieve_dk(k, lo, hi, threads=threads)
     for n in range(lo, hi + 1):
-        fi = factorize(n)
-        assert table.dk(n) == dk_of_factored(k, fi), n
-        assert table.spf_of(n) == (fi.factors[0][0] if fi.factors else 1), n
+        assert table.dk(n) == dk_of_factored(k, factorize(n)), n
 
 
-def test_spf_is_lazy():
-    table = sieve_dk(3, 1, 2000)
-    assert table._spf is None
-    assert np.array_equal(table.spf, spf_array(2000)[1:])
-    assert table.spf is table.spf
-
-
-def test_segmented_sieve_matches_plain():
+def test_segmented_sieve_matches_plain(monkeypatch):
     full = sieve_dk(3, 1, 5000)
-    seg = sieve_dk(3, 1, 5000, segment_size=700)
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", 700)
+    seg = sieve_dk(3, 1, 5000)
     assert np.array_equal(full.values, seg.values)
-    assert np.array_equal(full.spf, seg.spf)
     window = sieve_dk(3, 2001, 2500)
     assert np.array_equal(window.values, full.values[2000:2500])
 
 
-def test_sieve_threads_bit_identical():
-    one = sieve_dk(2, 1, 20000, segment_size=3000, threads=1)
-    four = sieve_dk(2, 1, 20000, segment_size=3000, threads=4)
+def test_sieve_threads_bit_identical(monkeypatch):
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", 3000)
+    one = sieve_dk(2, 1, 20000, threads=1)
+    four = sieve_dk(2, 1, 20000, threads=4)
     assert np.array_equal(one.values, four.values)
-    assert np.array_equal(one.spf, four.spf)
 
 
 def test_high_window_segment():
@@ -244,15 +234,12 @@ def test_sieve_budget():
         sieve_dk(2, 1, 10**9 + 1)
 
 
-def test_sieve_budget_charges_values_then_spf(monkeypatch):
-    """A window of n cells sieves under a budget of n (its one array); the
-    spf array, sieved when first read, is charged on top of the values."""
+def test_sieve_budget_charges_the_values(monkeypatch):
+    """A window of n cells sieves under a budget of n (its one array); a
+    window of n + 1 cells does not."""
     monkeypatch.setattr(arith, "MAX_TABLE_CELLS", 1000)
-    table = sieve_dk(3, 10**6, 10**6 + 999)  # n = budget < 2n
+    table = sieve_dk(3, 10**6, 10**6 + 999)
     assert len(table.values) == 1000
-    with pytest.raises(ResourceBudgetError):
-        table.spf
-    assert table._spf is None
     with pytest.raises(ResourceBudgetError):
         sieve_dk(3, 10**6, 10**6 + 1000)
 
@@ -264,7 +251,6 @@ def test_dump_load_roundtrip(tmp_path):
     back = DivisorTable.load(path)
     assert back.k == 3 and back.lo == 1 and back.hi == 1000
     assert np.array_equal(back.values, table.values)
-    assert np.array_equal(back.spf, table.spf)
     # header is the documented little-endian layout
     raw = path.read_bytes()
     assert raw[:4] == b"DKTB"
@@ -283,8 +269,7 @@ def test_load_refuses_damaged_files(tmp_path):
     raw = path.read_bytes()
     header = 4 + 4 + 8 + 8 + 1
     assert len(raw) == header + 8 * 1000 + 4  # values, then a CRC-32
-    loaded = DivisorTable.load(path)
-    assert loaded._spf is None  # a load reads; it does not sieve
+    assert np.array_equal(DivisorTable.load(path).values, table.values)
     flipped = bytearray(raw)
     flipped[header + 8 * 11] ^= 0x01  # d_3(12) = 18 becomes 19
     bad = tmp_path / "flipped.divtab"
@@ -318,11 +303,11 @@ def test_rational_exponent():
 def test_dk_partial_examples():
     table = sieve_dk(2, 1, 1000)
     half = RationalExponent(1, 2)
-    assert dk_partial(12, 2, half, table) == 3
-    assert dk_partial(12, 3, half, table) == 5
+    assert dk_partial(12, 2, half) == 3
+    assert dk_partial(12, 3, half) == 5
     one = RationalExponent(1, 1)
     for n in (1, 12, 360, 997):
-        assert dk_partial(n, 2, one, table) == table.dk(n)
+        assert dk_partial(n, 2, one) == table.dk(n)
     zero = RationalExponent(0, 1)
     assert dk_partial(720, 4, zero) == 1
 
@@ -346,15 +331,14 @@ def test_square_pairing_identity():
     half = RationalExponent(1, 2)
     for n in range(1, N + 1):
         square = 1 if math.isqrt(n) ** 2 == n else 0
-        assert table.dk(n) == 2 * dk_partial(n, 2, half, table) - square, n
+        assert table.dk(n) == 2 * dk_partial(n, 2, half) - square, n
 
 
 def test_partial_monotone_in_A():
-    table = sieve_dk(2, 1, 2000)
     grid = [RationalExponent.parse(s) for s in ("0", "1/4", "1/3", "1/2", "2/3", "3/4", "1")]
     for n in (2, 36, 360, 1024, 1999):
         for k in (2, 3):
-            vals = [dk_partial(n, k, A, table) for A in grid]
+            vals = [dk_partial(n, k, A) for A in grid]
             assert vals == sorted(vals), (n, k, vals)
 
 

@@ -205,6 +205,15 @@ def test_brute_budget_exit_3(tmp_path):
     assert code == 3
 
 
+def test_negative_shift_exits_2_before_any_sum(tmp_path):
+    """A negative h is a configuration error, raised before any window is
+    sieved; no report is written."""
+    code, out = run(tmp_path, "verify", "theorem22", "--k", "2", "--l", "2", "--A", "1/2",
+                    "--B", "1/2", "--h=-3", "--x", "1e3..1e4")
+    assert code == 2
+    assert not out.exists()
+
+
 def test_precision_exit_4(tmp_path):
     code, _ = run(tmp_path, "constants", "--k", "2", "--l", "2", "--h", "1",
                   "--P", "2000", "--Q", "2000", "--digits", "90",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divcorr import arith
 from divcorr.arith import (
     SEGMENT_SIZE,
     RationalExponent,
@@ -26,11 +27,8 @@ from divcorr.oracle import (
     _group_sums,
     _PartialSieve,
     _spans,
-    brute_ap_sum,
     brute_ap_sweep,
-    brute_correlation,
     brute_correlation_decades,
-    brute_correlation_sweep,
     empirical_distribution,
     partial_divisor_array,
     residue_polynomial_routes,
@@ -41,12 +39,11 @@ from second_routes import direct_secondary_value, phi_partial_sum_jet
 
 def test_partial_divisor_array_matches_pointwise():
     x = 3000
-    table = sieve_dk(3, 1, x)
     for Astr in ("0", "1/3", "1/2", "2/3", "1"):
         A = RationalExponent.parse(Astr)
         arr = partial_divisor_array(x, 3, A)
         for n in (1, 2, 36, 97, 1024, 2999, 3000):
-            assert arr[n] == dk_partial(n, 3, A, table), (Astr, n)
+            assert arr[n] == dk_partial(n, 3, A), (Astr, n)
 
 
 def test_partial_divisor_array_full_is_dk():
@@ -61,14 +58,17 @@ def test_partial_divisor_array_full_is_dk():
 @given(lo=st.one_of(st.integers(1, 10**5), st.integers(1, 10**7)),
        width=st.integers(1, 5000), k=st.integers(1, 5),
        A=st.sampled_from(["0", "1/4", "1/3", "1/2", "2/3", "3/7", "1"]),
-       segment_size=st.integers(1, 4096))
-def test_window_kernel_matches_pointwise(lo, width, k, A, segment_size):
+       size=st.integers(1, 4096))
+def test_window_kernel_matches_pointwise(lo, width, k, A, size):
     """The window kernel on [lo, hi], window by window, against the divisor
     scan of dk_partial: on a spread of n and on every n = m^b, where q = m^a
     is exactly n^A; and against partial_divisor_array where that is cheap."""
     hi = lo + width - 1
     window = _PartialSieve(k, A, hi)
-    got = np.concatenate([window(s, e) for s, e in _spans(lo, hi, segment_size)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arith, "SEGMENT_SIZE", size)
+        got = np.concatenate([window(s, e, np.empty(e - s + 1, dtype=np.int64))
+                              for s, e in _spans(lo, hi)])
     assert got.dtype == np.int64 and got.size == width
     E = RationalExponent.parse(A)
     ns = set(range(lo, hi + 1, max(1, width // 60))) | {hi}
@@ -98,8 +98,9 @@ def test_partial_divisor_array_matches_a_full_scan():
     for k, A in ((2, "1/2"), (3, "2/3"), (4, "3/7"), (3, "1/4"), (2, "1"), (3, "0")):
         want = _full_scan(3000, k, A)
         for size in (1, 7, 4096, 2**18):
-            assert np.array_equal(partial_divisor_array(3000, k, A, segment_size=size),
-                                  want), (k, A, size)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(arith, "SEGMENT_SIZE", size)
+                assert np.array_equal(partial_divisor_array(3000, k, A), want), (k, A, size)
 
 
 def test_streamed_sums_do_not_depend_on_the_window():
@@ -108,12 +109,13 @@ def test_streamed_sums_do_not_depend_on_the_window():
     xs = [300, 2000, 2500]
 
     def run(size):
-        return ([r.value for r in brute_correlation_decades(3, 3, 2, "2/3", "1/4", xs,
-                                                            segment_size=size)],
-                [r.value for r in brute_correlation_decades(1, 2, 2, 1, "1/2", xs,
-                                                            segment_size=size)],
-                empirical_distribution(3, "1/3", xs, segment_size=size),
-                [brute_ap_sum(2500, q, 2, 3, "1/2", segment_size=size) for q in (1, 6, 7)])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arith, "SEGMENT_SIZE", size)
+            return ([[r.value for r in rs]
+                     for rs in brute_correlation_decades(3, 3, 2, "2/3", ["1/4", "1/2"], xs)],
+                    [r.value for r in brute_correlation_decades(1, 2, 2, 1, ["1/2"], xs)[0]],
+                    empirical_distribution(3, "1/3", xs),
+                    brute_ap_sweep(3, "1/2", [(q, 2) for q in (1, 6, 7)], xs))
 
     want = run(2**18)
     for size in (1, 7, 4096):
@@ -123,10 +125,10 @@ def test_streamed_sums_do_not_depend_on_the_window():
 def test_correlation_sweep_matches_one_B_at_a_time():
     xs = [1000, 5000]
     Bs = [RationalExponent(1, 1), "1/2", "1/3", "1/2"]
-    sweep = brute_correlation_sweep(2, 3, 2, "1/2", Bs, xs)
+    sweep = brute_correlation_decades(2, 3, 2, "1/2", Bs, xs)
     assert len(sweep) == len(Bs)
     for B, results in zip(Bs, sweep):
-        alone = brute_correlation_decades(2, 3, 2, "1/2", B, xs)
+        [alone] = brute_correlation_decades(2, 3, 2, "1/2", [B], xs)
         assert [(r.x, r.B, r.value) for r in results] == [(r.x, r.B, r.value) for r in alone]
 
 
@@ -144,7 +146,7 @@ def test_streamed_memory_does_not_grow_with_x():
             tracemalloc.stop()
 
     for run in (lambda x: empirical_distribution(3, "1/2", x),
-                lambda x: brute_correlation_decades(1, 2, 2, 1, "1/2", [x])):
+                lambda x: brute_correlation_decades(1, 2, 2, 1, ["1/2"], [x])):
         small = peak(lambda: run(10**6))
         big = peak(lambda: run(4 * 10**6))
         assert big < 1.2 * small, (small, big)
@@ -173,25 +175,28 @@ def test_brute_correlation_hand_value():
     d = [0, 1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2]  # d(0..11)
     want = sum(d[n + 1] * d[n] for n in range(1, 11))
     assert want == 74
-    got = brute_correlation(1, 2, 2, 1, 1, 10)
+    [[got]] = brute_correlation_decades(1, 2, 2, 1, [1], [10])
     assert got.value == 74
 
 
-def test_correlation_result_wall_time():
-    r = brute_correlation(1, 2, 2, 1, 1, 100)
-    assert r.wall_time >= 0.0
-
-
 def test_brute_correlation_trivial_orders():
-    for h in (1, 5, 12):
-        r = brute_correlation(h, 1, 1, 1, 1, 777)
+    for h in (0, 1, 5, 12):
+        [[r]] = brute_correlation_decades(h, 1, 1, 1, [1], [777])
         assert r.value == 777
+
+
+def test_brute_correlation_rejects_a_negative_shift():
+    """A negative h raises before anything is sieved: its left windows would
+    reach n + h <= 0, where the kernel does not give d(m) = 0."""
+    with pytest.raises(ValueError, match="h >= 0"):
+        brute_correlation_decades(-3, 2, 2, 1, [1], [50])
 
 
 def test_brute_correlation_two_paths_agree():
     """A = 1 through the partial-array path equals the plain d_k route."""
     x, h = 2000, 2
-    via_partial = brute_correlation(h, 2, 2, RationalExponent(1, 1), "1/2", x).value
+    [[r]] = brute_correlation_decades(h, 2, 2, RationalExponent(1, 1), ["1/2"], [x])
+    via_partial = r.value
     left = divisor_count_array(x + h, 2)[h + 1 : x + h + 1]
     right = partial_divisor_array(x, 2, RationalExponent(1, 2))[1 : x + 1]
     assert via_partial == int(np.dot(left, right))
@@ -199,48 +204,39 @@ def test_brute_correlation_two_paths_agree():
 
 def test_brute_decades_prefix_consistency():
     xs = [100, 1000, 10000]
-    rs = brute_correlation_decades(1, 2, 2, 1, "1/2", xs)
+    [rs] = brute_correlation_decades(1, 2, 2, 1, ["1/2"], xs)
     for r in rs:
-        single = brute_correlation(1, 2, 2, 1, "1/2", r.x)
+        [[single]] = brute_correlation_decades(1, 2, 2, 1, ["1/2"], [r.x])
         assert r.value == single.value, r.x
 
 
-def test_brute_decades_reads_precomputed_arrays():
-    """Arrays passed in, longer than needed, give the sums of a fresh sieve;
-    arrays too short are refused."""
-    xs = [1000, 10000]
-    left = partial_divisor_array(20000, 3, "2/3")
-    right = partial_divisor_array(20000, 2, "1/4")
-    for h in (1, 6):
-        fresh = brute_correlation_decades(h, 3, 2, "2/3", "1/4", xs)
-        given = brute_correlation_decades(h, 3, 2, "2/3", "1/4", xs, left=left, right=right)
-        assert [r.value for r in given] == [r.value for r in fresh], h
-    with pytest.raises(ValueError):
-        brute_correlation_decades(6, 3, 2, "2/3", "1/4", [20000], left=left, right=right)
-
-
-def test_brute_ap_sum_values():
+def test_brute_ap_sweep_values():
     # k = 1 counts progression members
-    assert brute_ap_sum(100, 7, 3, 1, "1/2") == len(range(3, 101, 7))
+    assert brute_ap_sweep(1, "1/2", [(7, 3)], [100]) == {(7, 3): [len(range(3, 101, 7))]}
     # q = 1 reduces to the full partial sum
     x = 4000
     arr = partial_divisor_array(x, 2, "1/2")
-    assert brute_ap_sum(x, 1, 0, 2, "1/2") == int(arr[1:].sum())
+    assert brute_ap_sweep(2, "1/2", [(1, 0)], [x])[1, 0] == [int(arr[1:].sum())]
     # frozen regression value, recomputed once by a direct per-n scan
-    assert brute_ap_sum(10**6, 7, 3, 2, "1/2") == 895024
+    assert brute_ap_sweep(2, "1/2", [(7, 3)], [10**6])[7, 3] == [895024]
 
 
 def test_brute_ap_sweep_matches_one_sum_at_a_time():
-    """One stream per (k, A) gives every (q, h, x) that brute_ap_sum gives,
-    in the order of xs, at any window size."""
+    """One stream per (k, A) gives, in the order of xs and at any window
+    size, every (q, h, x) sum that strided slices of one
+    partial_divisor_array give."""
     qs, hs, xs = (1, 3, 7, 12), (0, 1, 2, 5), [3000, 100, 2500, 3000]
     classes = [(q, h) for q in qs for h in hs]
     for k, A in ((1, "1/2"), (2, "1/2"), (3, "1/3"), (3, 1)):
+        arr = partial_divisor_array(max(xs), k, A)
         for size in (7, 4096, SEGMENT_SIZE):
-            sums = brute_ap_sweep(k, A, classes, xs, segment_size=size)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(arith, "SEGMENT_SIZE", size)
+                sums = brute_ap_sweep(k, A, classes, xs)
             assert sorted(sums) == sorted(classes)
             for q, h in classes:
-                assert sums[q, h] == [brute_ap_sum(x, q, h, k, A) for x in xs], (k, A, q, h, size)
+                want = [int(arr[1 : x + 1][(h - 1) % q :: q].sum()) for x in xs]
+                assert sums[q, h] == want, (k, A, q, h, size)
     with pytest.raises(ValueError):
         brute_ap_sweep(2, "1/2", [(0, 1)], [100])
 
@@ -267,7 +263,7 @@ def test_empirical_distribution_cutoff_lists():
     for dist in many:
         assert dist == empirical_distribution(3, "1/2", dist.x)
         ns = range(1, dist.x + 1)
-        parts = [dk_partial(n, 3, "1/2", table) for n in ns]
+        parts = [dk_partial(n, 3, "1/2") for n in ns]
         assert dist.mean == sum(Fraction(p, table.dk(n)) for n, p in zip(ns, parts)) / dist.x
         assert dist.sum_partial == sum(parts)
         assert dist.sum_full == sum(table.dk(n) for n in ns)
@@ -398,7 +394,7 @@ def test_theorem23_decade_stability():
     poly = main_polynomial("1/2", 1, 2, 2,
                            ctx=coefficient_context(1, 2, 2, source="euler",
                                                    prime_cutoff=2000))
-    rs = brute_correlation_decades(1, 2, 2, 1, "1/2", [10**3, 10**4, 10**5, 10**6])
+    [rs] = brute_correlation_decades(1, 2, 2, 1, ["1/2"], [10**3, 10**4, 10**5, 10**6])
     gaps = [abs(mp.mpf(r.value) / (r.x * poly(mp.log(r.x))) - 1) for r in rs]
     violations = sum(1 for a, b in zip(gaps, gaps[1:]) if b >= a)
     assert violations <= 1, gaps
