@@ -51,10 +51,8 @@ from .euler import (
     cf_euler_jet,
     dirichlet_partials,
     evaluate_singular_series,
-    phi_local,
     singular_constant,
     singular_shift_factor,
-    varphi_prime_power,
     varphi_table,
 )
 from .jets import Jet2, PowerJet

@@ -158,13 +158,6 @@ def dk_of_factored(k: int, fi: FactoredInteger | tuple) -> int:
     return out
 
 
-def euler_phi_prime_power(p: int, e: int) -> int:
-    """Euler's totient at p^e."""
-    if e == 0:
-        return 1
-    return p ** (e - 1) * (p - 1)
-
-
 @dataclass(frozen=True)
 class RationalExponent:
     """A rational A = a/b in [0, 1]; the exponent in partial divisor cutoffs."""

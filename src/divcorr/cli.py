@@ -39,6 +39,13 @@ EXIT_PRECISION = 4
 EXIT_CONSISTENCY = 5
 
 
+def parse_dps(text: str) -> int:
+    """--dps: working digits, 30 to 100 (the Stieltjes-constant ceiling)."""
+    if not 30 <= (dps := int(text)) <= 100:
+        raise argparse.ArgumentTypeError(f"--dps must be 30 to 100, not {dps}")
+    return dps
+
+
 def parse_int_list(text: str) -> list[int]:
     """Comma lists and ranges: '3,5,7', '1..20' (unit step), '1e4..1e7'
     (decade steps for scientific-notation endpoints)."""
@@ -193,9 +200,9 @@ def cmd_polynomial(args) -> int:
     for k in args.k:
         for l in args.l:
             for h in args.h:
+                ctx = asympt.coefficient_context(h, k, l, source=args.source, Q=args.Q)
                 for A in args.A:
-                    poly = asympt.main_polynomial(A, h, k, l, source=args.source,
-                                                  Q=args.Q)
+                    poly = asympt.main_polynomial(A, h, k, l, ctx=ctx)
                     payloads.append(json.loads(poly.to_json()))
                     coeffs = [mp.nstr(c, 17) for c in poly.coeffs]
                     coeffs += [""] * (9 - len(coeffs))
@@ -249,8 +256,9 @@ def _verify_theorem23(args) -> list:
     for k in args.k:
         for l in args.l:
             for h in args.h:
+                ctx = asympt.coefficient_context(h, k, l, source="euler")
                 for A in args.A:
-                    poly = asympt.main_polynomial(A, h, k, l, source="euler")
+                    poly = asympt.main_polynomial(A, h, k, l, ctx=ctx)
                     rep = oracle.ComparisonReport(
                         title=f"theorem23_k{k}_l{l}_h{h}_A{A.a}d{A.b}",
                         meta=_meta(args, mode="theorem23", k=k, l=l, h=h, A=str(A),
@@ -421,7 +429,7 @@ def _add_common(p):
     p.add_argument("--out-dir", default="reports", help="report directory")
     p.add_argument("--cache-dir", default=".divcorr-cache")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--dps", type=int, default=40, help="working decimal digits")
+    p.add_argument("--dps", type=parse_dps, default=40, help="working decimal digits, 30 to 100")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -41,7 +41,6 @@ import numpy as np
 from .arith import (
     FactoredInteger,
     dk_prime_power,
-    euler_phi_prime_power,
     factorize,
     primes_up_to,
     spf_array,
@@ -327,11 +326,6 @@ def singular_shift_factor(h, k: int, l: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _exp_coeffs(c: int, L, order: int) -> list:
-    """Taylor coefficients of e^(-c z L) in z, to z^order."""
-    return [(-c * L) ** i / math.factorial(i) for i in range(order + 1)]
-
-
 def _dl1(l: int, alpha: int) -> int:
     """d_{l-1}(p^alpha), with the l = 1 convention d_0 = indicator of 1."""
     if l >= 2:
@@ -389,11 +383,15 @@ def _table_guard(k: int, l: int) -> int:
 
 
 def _c_local_fixed(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int,
-                   logs, guard: int) -> list[list[int]]:
+                   logs, guard: int, alpha: int | None = None) -> list[list[int]]:
     """The local factor over 2^bits, each integer under two units off, from
     logs[d] = (log p)^d over 2^(bits + guard), guard at least _local_weights':
-    t^i w^j sums v (-a)^i (-b)^j (log p)^(i+j) / (den i! j!) over w."""
+    t^i w^j sums v (-a)^i (-b)^j (log p)^(i+j) / (den i! j!) over w.  With
+    alpha, only its part in p^(-alpha w), the monomials with b = alpha: at
+    order_w = 0 that is the t-jet of varphi(p^alpha, s)."""
     w, den = _local_weights(p, gamma, k, l)[:2]
+    if alpha is not None:
+        w = tuple(((a, 0), v) for (a, b), v in w if b == alpha)
     den <<= guard
     return [[sum(x * (-a) ** i * (-b) ** j for (a, b), x in w) * logs[i + j]
              // (den * math.factorial(i) * math.factorial(j))
@@ -401,11 +399,11 @@ def _c_local_fixed(p: int, gamma: int, k: int, l: int, order_t: int, order_w: in
 
 
 def _local_fixed(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int,
-                 bits: int) -> list[list[int]]:
+                 bits: int, alpha: int | None = None) -> list[list[int]]:
     """_c_local_fixed on a (log p)^d table of the weights' own guard."""
     guard = _local_weights(p, gamma, k, l)[2]
     logs = [row[0] for row in _log_powers((p,), order_t + order_w, bits + guard)]
-    return _c_local_fixed(p, gamma, k, l, order_t, order_w, logs, guard)
+    return _c_local_fixed(p, gamma, k, l, order_t, order_w, logs, guard, alpha)
 
 
 def _jet_from_fixed(rows, bits: int) -> Jet2:
@@ -612,78 +610,16 @@ def cf_euler_jet(h, k: int, l: int, order_t: int, order_w: int,
 
 
 # ---------------------------------------------------------------------------
-# the multiplicative summand phi and the Dirichlet coefficients varphi
+# tables of the Dirichlet coefficients varphi(q, s) for q <= Q
 # ---------------------------------------------------------------------------
 
 
-def phi_local(h, k: int, l: int, p: int, alpha: int, order_s: int) -> PowerJet:
-    """phi(s, p^alpha) as a jet in t = s - 1.
-
-    With gamma = v_p(h) and delta = min(alpha, gamma):
-      alpha <= gamma:  d_{l-1}(p^a) (1-p^-s)^k sum_{b>=a} d_k(p^b) p^(-bs),
-                       the tail sum in closed form;
-      alpha > gamma:   d_{l-1}(p^a)/phi(p^(a-g)) (1-p^-s)^k d_k(p^g) p^(-gs).
-    """
-    if alpha < 1:
-        raise ValueError("phi_local requires alpha >= 1")
-    gamma = _as_factored(h).exponent_of(p)
-    X = PowerJet([c / p for c in _exp_coeffs(1, mp.log(p), order_s)])
-    xk = (1 - X) ** k
-    if alpha <= gamma:
-        partial = PowerJet.constant(0, order_s)
-        for b in range(alpha):
-            partial = partial + dk_prime_power(k, b) * X**b
-        return _dl1(l, alpha) * (1 - xk * partial)
-    delta = gamma
-    front = Fraction(_dl1(l, alpha), euler_phi_prime_power(p, alpha - delta))
-    jet = xk * (dk_prime_power(k, delta) * X**delta)
-    return _mpf_frac(front) * jet
-
-
-def varphi_prime_power(h, k: int, l: int, p: int, alpha: int, order_s: int) -> PowerJet:
-    """varphi(p^alpha, s): local phi-series multiplied by (1 - p^(-w-1))^(l-1).
-    A fresh jet from a cache on (v_p(h), k, l, p, alpha, order_s, working dps)."""
-    gamma = _as_factored(h).exponent_of(p)
-    return PowerJet(_varphi_prime_power(gamma, k, l, p, alpha, order_s, mp.mp.dps))
-
-
-@lru_cache(maxsize=None)
-def _varphi_prime_power(gamma: int, k: int, l: int, p: int, alpha: int, order_s: int,
-                        dps: int) -> tuple:
-    u = mp.mpf(1) / p
-    out = PowerJet.constant(0, order_s)
-    for j in range(min(alpha, l - 1) + 1):
-        coef = comb(l - 1, j) * (-u) ** j
-        if alpha - j == 0:
-            out = out + PowerJet.constant(coef, order_s)
-        else:
-            out = out + coef * phi_local(p**gamma, k, l, p, alpha - j, order_s)
-    return tuple(out.coeffs)
-
-
-def phi_of(h, k: int, l: int, q: int, order_s: int) -> PowerJet:
-    """phi(s, q) by multiplicativity."""
-    out = PowerJet.constant(1, order_s)
-    for p, e in factorize(q).factors:
-        out = out * phi_local(h, k, l, p, e, order_s)
-    return out
-
-
-def varphi_of(h, k: int, l: int, q: int, order_s: int) -> PowerJet:
-    """varphi(q, s) by multiplicativity."""
-    out = PowerJet.constant(1, order_s)
-    for p, e in factorize(q).factors:
-        out = out * varphi_prime_power(h, k, l, p, e, order_s)
-    return out
-
-
-# --- tables of varphi(q, s) for q <= Q -----------------------------------------
-
-
-def _jet_mul(a, b) -> np.ndarray:
+def _jet_mul(a, b, bits: int = 0) -> np.ndarray:
     """Truncated products of t-jets stored column-wise (row r holds the t^r
-    coefficients): out[i] = sum_{r <= i} a[r] b[i-r], on float64 or mpf arrays."""
-    return np.stack([sum(a[r] * b[i - r] for r in range(i + 1)) for i in range(len(a))])
+    coefficients): out[i] = sum_{r <= i} a[r] b[i-r], on float64 arrays, or on
+    integers over 2^bits (bits > 0), floored."""
+    out = np.stack([sum(a[r] * b[i - r] for r in range(i + 1)) for i in range(len(a))])
+    return out >> bits if bits else out
 
 
 _CHUNK = 1 << 12  # columns per gather-multiply step, to bound temporaries
@@ -694,52 +630,70 @@ def _chunks(a: np.ndarray):
 
 
 @lru_cache(maxsize=1)
-def _varphi_base(k: int, l: int, Q: int, order_s: int, mode: str, dps: int) -> np.ndarray:
-    """varphi(q, s) for 0 <= q <= Q at a shift with no prime factor, as a
-    read-only (order_s + 1, Q + 1) array: float64, or mpf built at the working
-    precision `dps` (mode "mp").  Only the latest base is kept.
+def _varphi_base(k: int, l: int, Q: int, order_s: int, bits: int) -> tuple[np.ndarray, dict]:
+    """(table, norms): varphi(q, s) for 0 <= q <= Q at a shift with no prime
+    factor, as a read-only (order_s + 1, Q + 1) array of float64 (bits = 0) or
+    of Python integers over 2^bits, and norms[p] = max_a sum_r |t^r coefficient
+    of varphi(p^a)| where that is above 1 (fixed point only).  Only the latest
+    base is kept.
 
     A prime power takes the gamma = 0 closed form, vectorised over primes:
-    with u = 1/p, varphi(p^a) = u^a [(-1)^a C(l-1,a) + N_a (1-p^-s)^k / (1-u)]
-    and N_a = sum_{j < a, j <= l-1} (-1)^j C(l-1,j) d_{l-1}(p^(a-j)), which is
-    the (1-u)^(l-1) binomial applied to d_{l-1}(p^a)/phi(p^a) (1-p^-s)^k.
+    with u = 1/p, varphi(p^a) = (-1)^a C(l-1,a) u^a [1 - (1-p^-s)^k / (1-u)],
+    0 for a >= l.  In fixed point the t^r coefficient of (1-p^-s)^k / (1-u) is
+    (-1)^r S_r(p) (log p)^r / (r! (p-1) p^(k-1)), S_r(p) = sum_i C(k,i) i^r
+    (-1)^i p^(k-i), each entry floored once from (log p)^r over 2^(bits +
+    _table_guard), which bounds its weight: under two units off.  float64
+    takes it as u^a [(-1)^a C(l-1,a) + N_a (1-p^-s)^k / (1-u)], N_a = sum_{j < a,
+    j <= l-1} (-1)^j C(l-1,j) d_{l-1}(p^(a-j)) = -(-1)^a C(l-1,a).
     Every other q is varphi(p^a) varphi(m) with p^a || q and p = spf(q),
     filled level by level: each pass takes every q whose cofactor m is done,
     so Q <= 4*10^6 needs at most 7 passes.
     """
     n = order_s + 1
     primes = primes_up_to(Q)
-    if mode == "mp":
-        table = np.full((n, Q + 1), mp.mpf(0), dtype=object)
-        table[0, 1] = mp.mpf(1)
-        p = np.array([mp.mpf(int(x)) for x in primes], dtype=object)
-        logp = np.frompyfunc(mp.log, 1, 1)(p)
+    table, norms = np.zeros((n, Q + 1), dtype=object if bits else np.float64), {}
+    table[0, 1] = 1 << bits if bits else 1.0
+    if bits:
+        guard = _table_guard(k, l)
+        p = np.array(primes.tolist(), dtype=object)
+        logs = _log_powers(tuple(primes.tolist()), n - 1, bits + guard)
+        den = (p - 1) * p ** (k - 1)
+        num = [(den << bits + guard if r == 0 else 0) - np.array(logs[r], dtype=object)
+               * sum((-1) ** (i + r) * comb(k, i) * i**r * p ** (k - i) for i in range(k + 1))
+               for r in range(n)]
+        for a in range(1, l):
+            cnt = int(np.count_nonzero(p ** a <= Q))
+            den, pe = den[:cnt] * p[:cnt], primes[:cnt] ** a
+            for r in range(n):
+                table[r, pe] = (-1) ** a * comb(l - 1, a) * num[r][:cnt] \
+                    // (den * math.factorial(r) << guard)
+            size = np.abs(table[:, pe]).sum(axis=0) / (1 << bits)
+            norms.update((q, max(g, norms.get(q, 1))) for q, g in zip(primes.tolist(), size)
+                         if g > 1)
     else:
-        table = np.zeros((n, Q + 1))
-        table[0, 1] = 1.0
         p = primes.astype(np.float64)
         logp = np.log(p)
-    u = 1 / p
-    # (1 - p^-s)^k = sum_i C(k,i) (-u)^i e^(-i t log p): its t^r coefficient is
-    # (-log p)^r / r! times sum_i C(k,i) i^r (-u)^i
-    xk = []
-    for r in range(n):
-        acc = 0 * u
-        for i in range(k, -1, -1):
-            acc = acc * -u + comb(k, i) * i**r
-        xk.append(acc * (-logp) ** r / math.factorial(r))
-    # pe = p^a for the primes with p^a <= Q, a prefix of them; front = u^a / (1-u)
-    pe, front, a = primes, u / (1 - u), 1
-    while len(pe):
-        cnt = len(pe)
-        n_a = sum((-1) ** j * comb(l - 1, j) * _dl1(l, a - j)
-                  for j in range(min(a - 1, l - 1) + 1))
+        u = 1 / p
+        # (1 - p^-s)^k = sum_i C(k,i) (-u)^i e^(-i t log p): its t^r coefficient is
+        # (-log p)^r / r! times sum_i C(k,i) i^r (-u)^i
+        xk = []
         for r in range(n):
-            table[r, pe] = n_a * front * xk[r][:cnt]
-        if a < l:
-            table[0, pe] += (-1) ** a * comb(l - 1, a) * u[:cnt] ** a
-        cnt = int(np.count_nonzero(pe <= Q // primes[:cnt]))
-        pe, front, a = pe[:cnt] * primes[:cnt], front[:cnt] * u[:cnt], a + 1
+            acc = 0 * u
+            for i in range(k, -1, -1):
+                acc = acc * -u + comb(k, i) * i**r
+            xk.append(acc * (-logp) ** r / math.factorial(r))
+        # pe = p^a for the primes with p^a <= Q, a prefix of them; front = u^a / (1-u)
+        pe, front, a = primes, u / (1 - u), 1
+        while len(pe):
+            cnt = len(pe)
+            n_a = sum((-1) ** j * comb(l - 1, j) * _dl1(l, a - j)
+                      for j in range(min(a - 1, l - 1) + 1))
+            for r in range(n):
+                table[r, pe] = n_a * front * xk[r][:cnt]
+            if a < l:
+                table[0, pe] += (-1) ** a * comb(l - 1, a) * u[:cnt] ** a
+            cnt = int(np.count_nonzero(pe <= Q // primes[:cnt]))
+            pe, front, a = pe[:cnt] * primes[:cnt], front[:cnt] * u[:cnt], a + 1
     spf = spf_array(Q).astype(np.int32)
     spf[0] = 1
     # cofactor m = q / p^a: p divides q/p iff spf(q/p) = p, as no prime of q is below p
@@ -755,11 +709,11 @@ def _varphi_base(k: int, l: int, Q: int, order_s: int, mode: str, dps: int) -> n
         ready = done[m[pending]]
         for qs in _chunks(pending[ready]):
             ms = m[qs]
-            table[:, qs] = _jet_mul(table[:, qs // ms], table[:, ms])
+            table[:, qs] = _jet_mul(table[:, qs // ms], table[:, ms], bits)
         done[pending] = ready
         pending = pending[~ready]
     table.flags.writeable = False
-    return table
+    return table, norms
 
 
 def _overlay(base: np.ndarray, pos: np.ndarray, cols: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -772,39 +726,53 @@ def _overlay(base: np.ndarray, pos: np.ndarray, cols: np.ndarray, qs: np.ndarray
     return out
 
 
-def _shift_columns(base: np.ndarray, hfac: FactoredInteger, k: int, l: int):
-    """(pos, cols): the varphi columns at shift h of every q <= Q with a prime
-    factor p | h, in order of q, and pos[q], the place of q among them (-1
-    for the rest).  Prime by prime, varphi_h(p^a m) = varphi_h(p^a)
-    varphi_h(m) for every m with p not dividing m; the few local jets with
-    gamma > 0 come from varphi_prime_power."""
+def _shift_columns(base: np.ndarray, hfac: FactoredInteger, k: int, l: int, bits: int):
+    """(pos, cols, norms): the varphi columns at shift h of every q <= Q with a
+    prime factor p | h, in order of q, pos[q], the place of q among them (-1
+    for the rest), and norms[p], the largest sum of |coefficients| of a local
+    jet at p.  Prime by prime, varphi_h(p^a m) = varphi_h(p^a) varphi_h(m) for
+    every m with p not dividing m, one jet product per column; the local jets
+    are _local_fixed's, over the base's 2^bits or, for float64, 2^128."""
     n, Q = base.shape[0], base.shape[1] - 1
-    factors = [p for p, _ in hfac.factors if p <= Q]
+    factors = [(p, g) for p, g in hfac.factors if p <= Q]
     hit = np.zeros(Q + 1, dtype=bool)
-    for p in factors:
+    for p, _ in factors:
         hit[p::p] = True
     pos = np.full(Q + 1, -1, dtype=np.int32)
     pos[hit] = np.arange(np.count_nonzero(hit), dtype=np.int32)
-    cols = base[:, hit]
-    for p in factors:
+    cols, norms, unit = base[:, hit], {}, 1 << (bits or 128)
+    for p, gamma in factors:
         pe, a = p, 1
         while pe <= Q:
-            loc = np.array(varphi_prime_power(hfac, k, l, p, a, n - 1).coeffs, dtype=base.dtype)
+            loc = [row[0] for row in _local_fixed(p, gamma, k, l, n - 1, 0, bits or 128, a)]
+            norms[p] = max(norms.get(p, 0.0), sum(map(abs, loc)) / unit)
+            loc = np.array(loc if bits else [c / unit for c in loc], dtype=base.dtype)
             ms = np.arange(1, Q // pe + 1, dtype=np.int32)
             for part in _chunks(ms[ms % p != 0]):
-                cols[:, pos[pe * part]] = _jet_mul(loc[:, None], _overlay(base, pos, cols, part))
+                cols[:, pos[pe * part]] = _jet_mul(loc[:, None], _overlay(base, pos, cols, part),
+                                                   bits)
             pe, a = pe * p, a + 1
-    return pos, cols
+    return pos, cols, norms
 
 
 class VarphiTable:
     """varphi(q, s) jets for q <= Q, stored as coefficient rows in t = s - 1.
 
-    mode "mp" keeps mpmath coefficients (exact to working precision); mode
-    "float" keeps float64 for large Q, where the q-truncation tail dwarfs
-    double-precision rounding.  The shift-free table is shared, read-only,
-    by every table with the same (k, l, Q, order_s, mode, working digits);
-    a table keeps of its own only the columns at multiples of the p | h.
+    Mode "mp" holds Python integers over 2^bits and hands out mpmath numbers
+    at the working precision; mode "float" keeps float64 for large Q, where
+    the q-truncation tail dwarfs double-precision rounding.  The shift-free
+    table is shared, read-only, by every table with the same (k, l, Q,
+    order_s, bits); a table keeps of its own only the columns at multiples of
+    the p | h.  In mode "mp", every stored integer is within `error` =
+    4 omega G units of its value, with omega the most prime factors of a
+    q <= Q and G = `norm`, the product over p of max(1, the largest sum of
+    |coefficients| of a local jet at p), which bounds every column's: a
+    product rounds once and carries its factors' errors by their sums,
+    3 omega(q) G units by induction on omega(q), from prime powers under two.
+    bits keeps dirichlet_partials' stated rounding, about Q 4 omega G
+    (log Q + 1)^j units (omega <= 7, j <= order_s + l covers the default
+    w-order), under 10^-(dps+10) while G < 2^16 (1 to 17 for k, l <= 3 and
+    h | 96).
     """
 
     def __init__(self, h, k: int, l: int, Q: int, order_s: int, mode: str):
@@ -815,26 +783,36 @@ class VarphiTable:
         if Q < 1:
             raise ValueError("varphi table requires Q >= 1")
         hfac = _as_factored(h)
-        self.h = int(hfac.value)
-        self.k = k
-        self.l = l
-        self.Q = Q
-        self.order_s = order_s
-        self.mode = mode
-        self._base = _varphi_base(k, l, Q, order_s, mode, mp.mp.dps if mode == "mp" else 0)
-        self._pos, self._cols = _shift_columns(self._base, hfac, k, l)
+        self.h, self.k, self.l = int(hfac.value), k, l
+        self.Q, self.order_s, self.mode = Q, order_s, mode
+        self.bits = 0 if mode == "float" else math.ceil(
+            (mp.mp.dps + 10) * math.log2(10) + math.log2(32 * Q)
+            + (order_s + l) * math.log2(math.log(Q) + 1)) + 16
+        self._base, norms = _varphi_base(k, l, Q, order_s, self.bits)
+        self._pos, self._cols, local = _shift_columns(self._base, hfac, k, l, self.bits)
+        omega = int(np.searchsorted(np.cumprod(primes_up_to(30).astype(float)), Q, side="right"))
+        self.norm = math.prod(max(1.0, g) for g in {**norms, **local}.values())
+        self.error = 4 * omega * self.norm
+
+    def _stored(self, qs: np.ndarray) -> np.ndarray:
+        return _overlay(self._base, self._pos, self._cols, qs)
+
+    def _numbers(self, stored: np.ndarray) -> np.ndarray:
+        if not self.bits:
+            return stored
+        return np.frompyfunc(lambda c: mp.ldexp(c, -self.bits), 1, 1)(stored)
 
     def columns(self, qs: np.ndarray) -> np.ndarray:
         """The coefficients of varphi(q, s) for q in qs (row r: t^r), as a
         fresh array."""
-        return _overlay(self._base, self._pos, self._cols, qs)
+        return self._numbers(self._stored(qs))
 
     def coefficient_array(self, i: int) -> np.ndarray:
         """The t^i coefficients of varphi(q, s) for q = 0..Q (0 at q = 0), as
         a fresh array."""
         row = self._base[i].copy()
         row[self._pos >= 0] = self._cols[i]
-        return row
+        return self._numbers(row)
 
     def jet(self, q: int) -> PowerJet:
         if not 1 <= q <= self.Q:
@@ -854,7 +832,9 @@ class DirichletPartials:
     """Truncated mixed partials of sum_q varphi(q,s) q^(-w) at (1,0).
 
     jet[i][j] = (1/i!j!) d^i_s d^j_w of the partial sum; tails[i][j] is the
-    magnitude of the last decade's contribution, the empirical tail proxy.
+    magnitude of the last decade's contribution, the empirical tail proxy;
+    rounding bounds the fixed-point fill's error in every jet[i][j] (0 in
+    float64, whose rounding is measured, not stated).
     """
 
     h: int
@@ -864,15 +844,25 @@ class DirichletPartials:
     jet: Jet2
     tails: list
     mode: str
+    rounding: float = 0.0
 
     def tail_bound(self) -> mp.mpf:
-        return max(max(row) for row in self.tails)
+        return max(max(row) for row in self.tails) + self.rounding
 
 
 def dirichlet_partials(h, k: int, l: int, Q: int, order_t: int | None = None,
                        order_w: int | None = None, mode: str = "auto",
                        tol: float | None = None) -> DirichletPartials:
     """Assemble D[i][j] = sum_{q<=Q} varphi_i(q) (-log q)^j / j! with tail data.
+
+    In mode "mp" the sums are exact integer dots of the table's integers with
+    (-log q)^j over 2^lb, lb = bits + _table_guard, each power floored and
+    log q = sum v_p(q) log p from the base's (log p)^d table; D[i][j] becomes
+    an mpf once, at the table's precision.  The stated rounding, with the
+    table's e = `error`, G = `norm` and L = log Q + 1, is the largest over j of
+    Q [(e + 2G) L^j 2^-bits + G j L^(j-1) (2 log2 Q + 1) 2^-lb] / j!: each
+    entry's error times (log q)^j, the powers' errors (log q is under
+    2 Omega(q) units low) times |varphi_i(q)| <= G, and 2G for the conversion.
 
     When `tol` is given and the empirical tail estimate exceeds it, a
     PrecisionWarning is attached (the series converge absolutely, so a
@@ -881,43 +871,50 @@ def dirichlet_partials(h, k: int, l: int, Q: int, order_t: int | None = None,
     order_t = order_t if order_t is not None else k
     order_w = order_w if order_w is not None else max(l, k + l - 2)
     table = varphi_table(h, k, l, Q, order_t, mode)
-    if table.mode == "mp":  # fdot rounds once per block
-        dot, neglog = mp.fdot, np.frompyfunc(lambda q: -mp.log(int(q)), 1, 1)
+    bits = table.bits
+    if bits:  # log q = log spf(q) + log(q / spf(q)), q / spf(q) < lo for q < 2 lo
+        lb, primes, spf = bits + _table_guard(k, l), primes_up_to(Q), spf_array(Q)
+        logq = np.zeros(Q + 1, dtype=object)
+        logq[primes] = _log_powers(tuple(primes.tolist()), max(order_t, 1), lb)[1]
+        for lo in (2**e for e in range(1, Q.bit_length())):
+            qs = np.arange(lo, min(2 * lo, Q + 1))
+            logq[qs] = logq[qs // spf[qs]] + logq[spf[qs]]
+        neglog, one, floor = (lambda qs: -logq[qs]), 1 << lb, (lambda x: x >> lb)
     else:
-        dot, neglog = np.dot, lambda qs: -np.log(qs)
+        lb, neglog, one, floor = 0, (lambda qs: -np.log(qs)), 1.0, (lambda x: x)
 
     def block_sums(lo: int, hi: int) -> list:
         """sum over lo <= q < hi of varphi_i(q) (-log q)^j, block by block."""
         S = [[0] * (order_w + 1) for _ in range(order_t + 1)]
         for start in range(lo, hi, _CHUNK):
             qs = np.arange(start, min(start + _CHUNK, hi))
-            cols, logs = table.columns(qs), neglog(qs)
-            wpow = np.ones_like(logs)
+            cols, logs = table._stored(qs), neglog(qs)
+            wpow = np.full(len(qs), one, dtype=logs.dtype)
             for j in range(order_w + 1):
                 for i in range(order_t + 1):
-                    S[i][j] += dot(cols[i], wpow)
-                wpow = wpow * logs
+                    S[i][j] += np.dot(cols[i], wpow)
+                wpow = floor(wpow * logs)
         return S
 
     head, last = block_sums(1, Q // 10 + 1), block_sums(Q // 10 + 1, Q + 1)
-    D = [[mp.mpf(head[i][j] + last[i][j]) / math.factorial(j) for j in range(order_w + 1)]
-         for i in range(order_t + 1)]
-    tails = [[abs(mp.mpf(last[i][j])) / math.factorial(j) for j in range(order_w + 1)]
-             for i in range(order_t + 1)]
+    with mp.workprec(max(bits, mp.mp.prec)):
+        D = [[mp.ldexp(head[i][j] + last[i][j], -bits - lb) / math.factorial(j)
+              for j in range(order_w + 1)] for i in range(order_t + 1)]
+        tails = [[abs(mp.ldexp(last[i][j], -bits - lb)) / math.factorial(j)
+                  for j in range(order_w + 1)] for i in range(order_t + 1)]
+    rounding = 0.0
+    if bits:
+        L, e, G = math.log(Q) + 1, table.error, table.norm
+        rounding = max(Q * ((e + 2 * G) * L**j * 2.0**-bits
+                            + G * j * L ** (j - 1) * (2 * math.log2(Q) + 1) * 2.0**-lb)
+                       / math.factorial(j) for j in range(order_w + 1))
     out = DirichletPartials(h=table.h, k=k, l=l, Q=Q, jet=Jet2(D), tails=tails,
-                            mode=table.mode)
-    _tail_tolerance_check(out, tol)
+                            mode=table.mode, rounding=rounding)
+    if tol is not None and out.tail_bound() > tol:
+        warnings.warn(f"Dirichlet partials at Q={Q}: tail estimate "
+                      f"{mp.nstr(out.tail_bound(), 4)} exceeds requested {tol}",
+                      PrecisionWarning, stacklevel=2)
     return out
-
-
-def _tail_tolerance_check(partials: DirichletPartials, tol: float | None):
-    if tol is not None and partials.tail_bound() > tol:
-        warnings.warn(
-            f"Dirichlet partials at Q={partials.Q}: tail estimate "
-            f"{mp.nstr(partials.tail_bound(), 4)} exceeds requested {tol}",
-            PrecisionWarning,
-            stacklevel=3,
-        )
 
 
 # ---------------------------------------------------------------------------

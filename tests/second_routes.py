@@ -1,16 +1,93 @@
-"""Second routes that only the tests use: the phi partial sum through the
-varphi convolution, the secondary term from explicit boundary weights, the
-strided d_k sieve, the beta law by quadrature, the c-coefficients by jet
-division and the Moebius log-moments by a direct sieve.  They arbitrate the
-library's routes and are not part of the package."""
+"""Second routes that only the tests use: phi and varphi per q as products
+of mpmath local jets, the phi partial sum through the varphi convolution, the
+secondary term from explicit boundary weights, the strided d_k sieve, the beta
+law by quadrature, the c-coefficients by jet division and the Moebius
+log-moments by a direct sieve.  They arbitrate the library's routes and are
+not part of the package."""
+
+from fractions import Fraction
+from functools import lru_cache
+from math import comb, factorial
 
 import mpmath as mp
 import numpy as np
 
-from divcorr.arith import RationalExponent, divisor_count_array, dk_prime_power, introot_ceil
-from divcorr.euler import phi_of, varphi_table
+from divcorr.arith import (
+    RationalExponent,
+    divisor_count_array,
+    dk_prime_power,
+    factorize,
+    introot_ceil,
+)
+from divcorr.euler import _as_factored, _dl1, _mpf_frac, varphi_table
 from divcorr.jets import PowerJet
 from divcorr.zeta_series import mobius_sieve, zeta_power_coeffs, zeta_power_jet
+
+
+def exp_coeffs(c: int, L, order: int) -> list:
+    """Taylor coefficients of e^(-c z L) in z, to z^order."""
+    return [(-c * L) ** i / factorial(i) for i in range(order + 1)]
+
+
+def phi_local(h, k: int, l: int, p: int, alpha: int, order_s: int) -> PowerJet:
+    """phi(s, p^alpha) as a jet in t = s - 1.
+
+    With gamma = v_p(h) and delta = min(alpha, gamma):
+      alpha <= gamma:  d_{l-1}(p^a) (1-p^-s)^k sum_{b>=a} d_k(p^b) p^(-bs),
+                       the tail sum in closed form;
+      alpha > gamma:   d_{l-1}(p^a)/phi(p^(a-g)) (1-p^-s)^k d_k(p^g) p^(-gs).
+    """
+    if alpha < 1:
+        raise ValueError("phi_local requires alpha >= 1")
+    gamma = _as_factored(h).exponent_of(p)
+    X = PowerJet([c / p for c in exp_coeffs(1, mp.log(p), order_s)])
+    xk = (1 - X) ** k
+    if alpha <= gamma:
+        partial = PowerJet.constant(0, order_s)
+        for b in range(alpha):
+            partial = partial + dk_prime_power(k, b) * X**b
+        return _dl1(l, alpha) * (1 - xk * partial)
+    delta = gamma
+    front = Fraction(_dl1(l, alpha), p ** (alpha - delta - 1) * (p - 1))  # phi(p^(a-g))
+    jet = xk * (dk_prime_power(k, delta) * X**delta)
+    return _mpf_frac(front) * jet
+
+
+def varphi_prime_power(h, k: int, l: int, p: int, alpha: int, order_s: int) -> PowerJet:
+    """varphi(p^alpha, s): local phi-series multiplied by (1 - p^(-w-1))^(l-1).
+    A fresh jet from a cache on (v_p(h), k, l, p, alpha, order_s, working dps)."""
+    gamma = _as_factored(h).exponent_of(p)
+    return PowerJet(_varphi_prime_power(gamma, k, l, p, alpha, order_s, mp.mp.dps))
+
+
+@lru_cache(maxsize=None)
+def _varphi_prime_power(gamma: int, k: int, l: int, p: int, alpha: int, order_s: int,
+                        dps: int) -> tuple:
+    u = mp.mpf(1) / p
+    out = PowerJet.constant(0, order_s)
+    for j in range(min(alpha, l - 1) + 1):
+        coef = comb(l - 1, j) * (-u) ** j
+        if alpha - j == 0:
+            out = out + PowerJet.constant(coef, order_s)
+        else:
+            out = out + coef * phi_local(p**gamma, k, l, p, alpha - j, order_s)
+    return tuple(out.coeffs)
+
+
+def phi_of(h, k: int, l: int, q: int, order_s: int) -> PowerJet:
+    """phi(s, q) by multiplicativity."""
+    out = PowerJet.constant(1, order_s)
+    for p, e in factorize(q).factors:
+        out = out * phi_local(h, k, l, p, e, order_s)
+    return out
+
+
+def varphi_of(h, k: int, l: int, q: int, order_s: int) -> PowerJet:
+    """varphi(q, s) by multiplicativity."""
+    out = PowerJet.constant(1, order_s)
+    for p, e in factorize(q).factors:
+        out = out * varphi_prime_power(h, k, l, p, e, order_s)
+    return out
 
 
 def strided_dk_segment(k: int, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:

@@ -82,6 +82,25 @@ def test_polynomial_above_fifty_digits(tmp_path):
     assert abs(float(poly["coefficients"][2]) - 0.30396355) < 1e-6
 
 
+@pytest.mark.parametrize("dps", ["29", "101", "0", "5"])
+def test_dps_outside_its_range_exits_2(tmp_path, dps):
+    """--dps 5 used to exit 0 with a wrong c0, and 120 to exit 4 at the
+    Stieltjes ceiling; a config file goes through the same parser."""
+    code, out = run(tmp_path, "predict", "--k", "2", "--l", "2", "--dps", dps)
+    assert code == 2 and not out.exists()
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"dps = {dps}\n")
+    code, out = run(tmp_path, "predict", "--config", str(conf))
+    assert code == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("dps", [30, 100])
+def test_dps_range_ends_are_accepted(tmp_path, dps):
+    code, out = run(tmp_path, "predict", "--k", "2", "--l", "2", "--dps", str(dps))
+    assert code == 0
+    assert json.loads((out / "predict.json").read_text())["config"]["dps"] == dps
+
+
 def test_polynomial_with_l_1(tmp_path):
     """l = 1 used to exit 2: the empty log series of the C-factor had no max."""
     code, out = run(tmp_path, "polynomial", "--k", "2", "--l", "1", "--h", "2")

@@ -21,7 +21,6 @@ from divcorr.euler import (
     _c_euler_base,
     _c_factor_poly,
     _c_scalar,
-    _exp_coeffs,
     _local_fixed,
     _poly_log_series,
     _prime_tail_log_jet,
@@ -31,14 +30,12 @@ from divcorr.euler import (
     cf_local_jet,
     dirichlet_partials,
     evaluate_singular_series,
-    phi_local,
-    phi_of,
     singular_constant,
     singular_shift_factor,
-    varphi_of,
     varphi_table,
 )
 from divcorr.jets import Jet2, PowerJet
+from second_routes import exp_coeffs, phi_local, phi_of, varphi_of, varphi_prime_power
 
 TIGHT = mp.mpf(10) ** -30
 
@@ -140,8 +137,8 @@ def _monomial_jet(p, a, b, c, order_t, order_w):
     """p^(-a t - b w - c) as a Jet2 in (t, w) = (s - 1, w): p^(-s) is
     (a, b, c) = (1, 0, 1), p^(-w-1) is (0, 1, 1), p^(-w) is (0, 1, 0)."""
     L, u = mp.log(p), mp.mpf(p) ** -c
-    w_exp = _exp_coeffs(b, L, order_w)
-    return Jet2([[u * ti * wj for wj in w_exp] for ti in _exp_coeffs(a, L, order_t)])
+    w_exp = exp_coeffs(b, L, order_w)
+    return Jet2([[u * ti * wj for wj in w_exp] for ti in exp_coeffs(a, L, order_t)])
 
 
 def _c_local_by_jet_ops(p, k, l, order_t, order_w, split):
@@ -590,6 +587,55 @@ def test_varphi_smallest_tables(Q, mode):
         dp = dirichlet_partials(h, 2, 2, Q, 1, 1, mode=mode)
         direct = sum(varphi_of(h, 2, 2, q, 0)[0] for q in range(1, Q + 1))
         assert abs(dp.jet[0, 0] - direct) < mp.mpf(10) ** -15
+
+
+@pytest.mark.parametrize("h", [6, 12, 96, 2 * 1009, 10007])
+def test_varphi_local_jets_match_the_mpmath_route(h):
+    """The closed-form local jets at p^a <= 3000, p | h, as the tables hold
+    them, against the mpmath PowerJet route at dps + 20: the integers within
+    10^-(dps+10); the float64 jets equal float() of the mpmath jets bit for
+    bit, except where the closed form is exactly 0 and the mpmath route
+    leaves cancellation noise under 10^-(dps+10)."""
+    dps, Q = mp.mp.dps, 3000
+    tiny = mp.mpf(10) ** -(dps + 10)
+    for k, l in ((2, 2), (3, 2), (3, 3)):
+        tm = varphi_table(h, k, l, Q, k, mode="mp")
+        tf = varphi_table(h, k, l, Q, k, mode="float")
+        for p, _ in factorize(h).factors:
+            pe, a = p, 1
+            while pe <= Q:
+                fixed = tm._stored(np.array([pe]))[:, 0]
+                floats = tf.columns(np.array([pe]))[:, 0]
+                with mp.workdps(dps + 20):
+                    ref = varphi_prime_power(h, k, l, p, a, k).coeffs
+                    for c, f, r in zip(fixed, floats, ref):
+                        assert abs(mp.ldexp(c, -tm.bits) - r) < tiny, (k, l, pe)
+                        assert f == float(r) or (f == c == 0 and abs(r) < tiny), (k, l, pe)
+                pe, a = pe * p, a + 1
+
+
+@pytest.mark.parametrize("dps", [30, 40, 60, 100])
+def test_mp_partials_within_their_stated_rounding(dps):
+    """mp partials against sum_q varphi_of(q) (-log q)^j / j! at dps + 20:
+    within the stated rounding, which is at most 10^-(dps+10)."""
+    for (k, l, h) in ((2, 2, 1), (3, 2, 6), (3, 3, 12)):
+        order_w = max(l, k + l - 2)
+        for Q in (1, 2, 2000):
+            with mp.workdps(dps):
+                dp = dirichlet_partials(h, k, l, Q, mode="mp")
+            assert 0 < dp.rounding <= 10.0 ** -(dps + 10), (k, l, h, Q)
+            assert dp.tail_bound() == max(max(row) for row in dp.tails) + dp.rounding
+            with mp.workdps(dps + 20):
+                ref = [[mp.mpf(0)] * (order_w + 1) for _ in range(k + 1)]
+                for q in range(1, Q + 1):
+                    jet, lq = varphi_of(h, k, l, q, k), -mp.log(q)
+                    for j in range(order_w + 1):
+                        weight = lq**j / mp.factorial(j)
+                        for i in range(k + 1):
+                            ref[i][j] += jet[i] * weight
+                for i in range(k + 1):
+                    for j in range(order_w + 1):
+                        assert abs(dp.jet[i, j] - ref[i][j]) <= dp.rounding, (k, l, h, Q, i, j)
 
 
 def test_two_route_identity():

@@ -33,8 +33,7 @@ from divcorr.oracle import (
     partial_divisor_array,
     residue_polynomial_routes,
 )
-from divcorr.euler import phi_of
-from second_routes import direct_secondary_value, phi_partial_sum_jet
+from second_routes import direct_secondary_value, phi_of, phi_partial_sum_jet
 
 
 def test_partial_divisor_array_matches_pointwise():
