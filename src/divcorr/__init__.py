@@ -11,8 +11,8 @@ The package is organized around three layers:
   euler /      singular series Euler products, Dirichlet coefficient
   asympt       tables, the b/a coefficient ledgers and the full asymptotic
                polynomial, exponents of distribution, the beta law;
-  oracle       independent brute-force sums and residue pipelines that
-               cross-check every coefficient numerically.
+  oracle       independent brute-force sums that cross-check every
+               coefficient numerically.
 """
 
 from .arith import (
@@ -63,7 +63,6 @@ from .oracle import (
     brute_correlation_decades,
     empirical_distribution,
     partial_divisor_array,
-    residue_polynomial_routes,
 )
 from .zeta_series import (
     c_coeffs,

@@ -47,7 +47,7 @@ from .arith import (
 )
 from .errors import PrecisionError, PrecisionWarning, ResourceBudgetError
 from .jets import Jet2, PowerJet
-from .zeta_series import mobius_sieve, zeta_jet
+from .zeta_series import _zeta_taylor, fixed_logs, log_powers, mobius_sieve
 
 DEFAULT_PRIME_CUTOFF = 1_000
 _SERIES_DEGREE = 14  # total degree kept in local log-factor expansions
@@ -113,16 +113,6 @@ def _poly_mul1(a, b, order):
     return out
 
 
-@lru_cache(maxsize=32)
-def _log_powers(primes: tuple, d_max: int, bits: int) -> tuple:
-    """rows[d][i] = (log p_i)^d over 2^bits, floored, for d <= d_max: one log
-    per prime, each entry under two units below its value ((log p)^d < 2^(4d)
-    for p < e^16).  The prime-tail moments and the Euler base share it."""
-    with mp.workprec(bits + 64 + 4 * d_max):
-        logs = [mp.log(p) if d_max else 1 for p in primes]
-        return tuple([int(mp.ldexp(L**d, bits)) for L in logs] for d in range(d_max + 1))
-
-
 class PrimeTailMoments:
     """T(m, d) = sum over primes p > P of (log p)^d p^(-m), for 2 <= m <= m_max
     and d <= d_max, to about 2^-m 10^-(dps+10).
@@ -135,14 +125,15 @@ class PrimeTailMoments:
       log zeta_{>P}(y + tau) = log zeta(y + tau) - sum_{j>=1} sum_{p<=P} p^(-j(y+tau)) / j,
 
     so T(m, d) = (-1)^d d! sum_n mu(n) n^(d-1) [tau^d] log zeta_{>P}(nm + tau),
-    and the tau^d coefficient of the j-th prime sum is (-j)^d S(jy, d) / (j d!).
-    The term of n is about n^(d-1) T(nm, d), which falls like q^(-nm) with q
-    the first prime above P, so only a few products y = nm are kept (2..16 at
-    P = 10^3, dps 30), each with one zeta jet.  The partial sums S(M, .) are
-    computed once per call for every M = jy they enter, in fixed point, over
-    the primes whose terms are not negligible.  Terms are kept down to 2^-m
-    10^-(dps+10) (float estimates decide); the zeta jets get y log10 2 more
-    digits for the largest y, since log zeta(y) is near 2^-y.
+    and (-1)^d d! times the tau^d coefficient of the j-th prime sum is
+    j^(d-1) S(jy, d).  The term of n is about n^(d-1) T(nm, d), which falls
+    like q^(-nm) with q the first prime above P, so only a few products y = nm
+    are kept (2..16 at P = 10^3, dps 30), each with one zeta jet; terms are
+    kept down to 2^-m 10^-(dps+10) (float estimates decide).  It all runs in
+    integers over 2^bits (`fixed`; tail() converts one): S(M, .) once for
+    every M = jy, over the primes whose terms are not negligible; the zeta
+    jets and their logs (_fixed_log_jet) log2(d!) + 2 d_max + 8 bits wider,
+    for the d! and the recurrence's growth (the |f_r| are under 1).
     """
 
     def __init__(self, prime_cutoff: int, m_max: int, d_max: int, dps: int = 40):
@@ -183,14 +174,13 @@ class PrimeTailMoments:
                 need[j * y] = max(need.get(j * y, 0), cnt)
             js[y] = j
         top = max(need, default=1)
-        work = dps + 10 + math.ceil(math.log10(math.factorial(d_max)))  # d! times log zeta
         # S(M, d) as integers over 2^bits: p^(-M) is off by under 4 units, a term
         # by under 5 (log q)^d, and a moment multiplies S(jy, d) by (nj)^(d-1);
         # bits keep the sum of those under 2^-y 10^-(dps+10) for every y.
         bits = math.ceil(-eps / ln2 + max(ys, default=0) + math.log2(
             5 * max(len(primes), 1) * lq ** d_max * top ** max(d_max - 1, 0)))
         self.bits = bits
-        rows = _log_powers(tuple(primes), d_max, bits)
+        rows = log_powers(tuple(primes), d_max, bits)
         # carried[M - 1]: the primes whose powers some S(M' >= M) still needs
         carried = list(accumulate((need.get(M, 0) for M in range(top, 0, -1)), max))[::-1]
         u = [(1 << bits) // p for p in primes]
@@ -198,29 +188,20 @@ class PrimeTailMoments:
         for M in range(1, top + 1):
             pw = [(a * b) >> bits for a, b in zip(pw[: carried[M - 1]], u)]
             if M in need:
-                S[M] = [sum(map(mul, pw[: need[M]], row)) for row in rows]
-        with mp.workdps(work):
-            S = {M: [mp.ldexp(v, -2 * bits) for v in row] for M, row in S.items()}
-            # weights[d][j - 1] = (-j)^d / (j d!): e^(-j tau log p) / j at tau^d
-            weights = [[mp.mpf(-j) ** d / (j * math.factorial(d))
-                        for j in range(1, max(js.values(), default=0) + 1)]
+                S[M] = [sum(map(mul, pw[: need[M]], row)) >> bits for row in rows]
+        zb = bits + math.ceil(math.log2(math.factorial(d_max))) + 2 * d_max + 8
+        # logz[y][d]: (-1)^d d! [tau^d] log zeta_{>P}(y + tau) over 2^bits
+        logz = {}
+        for y in ys:
+            g = _fixed_log_jet(_zeta_taylor(y, d_max, zb), zb)
+            logz[y] = [((-1) ** d * math.factorial(d) * g[d] >> zb - bits)
+                       - sum(j**d * S[j * y][d] // j for j in range(1, js[y] + 1))
                        for d in range(d_max + 1)]
-            logz = {}
-            digits = work + math.ceil(max(ys, default=0) * math.log10(2))
-            for y in ys:
-                with mp.workdps(digits):
-                    c = zeta_jet(y, d_max, digits).log().coeffs
-                for d in range(d_max + 1):
-                    c[d] -= mp.fdot(weights[d], [S[j * y][d] for j in range(1, js[y] + 1)])
-                logz[y] = c
-            self._tails = {}
-            for m, ns in terms.items():
-                for d in range(d_max + 1):
-                    acc = mp.fsum(int(mu[n]) * mp.mpf(n) ** (d - 1) * logz[n * m][d] for n in ns)
-                    self._tails[(m, d)] = +((-1) ** d * math.factorial(d) * acc)
+        self.fixed = {(m, d): sum(int(mu[n]) * n**d * logz[n * m][d] // n for n in ns)
+                      for m, ns in terms.items() for d in range(d_max + 1)}
 
     def tail(self, m: int, d: int) -> mp.mpf:
-        return self._tails[(m, d)]
+        return mp.ldexp(self.fixed[(m, d)], -self.bits)
 
 
 @lru_cache(maxsize=None)
@@ -402,7 +383,7 @@ def _local_fixed(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int,
                  bits: int, alpha: int | None = None) -> list[list[int]]:
     """_c_local_fixed on a (log p)^d table of the weights' own guard."""
     guard = _local_weights(p, gamma, k, l)[2]
-    logs = [row[0] for row in _log_powers((p,), order_t + order_w, bits + guard)]
+    logs = [row[0] for row in log_powers((p,), order_t + order_w, bits + guard)]
     return _c_local_fixed(p, gamma, k, l, order_t, order_w, logs, guard, alpha)
 
 
@@ -421,50 +402,45 @@ def cf_local_jet(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int)
 
 
 def _tri_mul(a: dict, b: dict, deg: int) -> dict:
+    """Product of two integer series in (x, y, u), cut above total degree deg."""
     out = {}
     for (i1, j1, c1), x in a.items():
-        if x == 0:
-            continue
         for (i2, j2, c2), y in b.items():
-            if i1 + i2 + j1 + j2 + c1 + c2 > deg:
-                continue
-            key = (i1 + i2, j1 + j2, c1 + c2)
-            out[key] = out.get(key, Fraction(0)) + x * y
-    return {k: v for k, v in out.items() if v != 0}
+            if i1 + i2 + j1 + j2 + c1 + c2 <= deg:
+                key = (i1 + i2, j1 + j2, c1 + c2)
+                out[key] = out.get(key, 0) + x * y
+    return {k: v for k, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
-def _log_local_c_series(k: int, l: int, deg: int = _SERIES_DEGREE) -> tuple:
-    """log of the local C-factor as a series in (x, y, u), exact rationals.
+def _log_local_c_series(k: int, l: int, deg: int = _SERIES_DEGREE) -> tuple[tuple, int]:
+    """(terms, den): log of the local C-factor as a series in (x, y, u), the
+    coefficient of x^a y^b u^c being v / den for ((a, b, c), v) in terms.
 
     Monomial x^a y^b u^c stands for p^(-as) p^(-b(w+1)) p^(-c); the series
     starts at total degree 2, which is the p^(-2) convergence of the product.
+    The factor 1 + e has integer coefficients, so sum_r (-1)^(r+1) e^r / r is
+    exact in integers over lcm(1..deg/2), reduced to the least common den.
     """
-    ypow = {(0, b, 0): Fraction((-1) ** b * comb(l - 1, b)) for b in range(l)}
-    xpow = {(a, 0, 0): Fraction((-1) ** a * comb(k, a)) for a in range(k + 1)}
-    geom = {(0, 0, c): Fraction(1) for c in range(deg + 1)}
-    one = {(0, 0, 0): Fraction(1)}
-    one_minus_d = dict(one)
-    for key, v in ypow.items():
-        one_minus_d[key] = one_minus_d.get(key, Fraction(0)) - v
-    if one_minus_d.get((0, 0, 0)) == 0:
-        one_minus_d.pop((0, 0, 0))
+    ypow = {(0, b, 0): (-1) ** b * comb(l - 1, b) for b in range(l)}
+    xpow = {(a, 0, 0): (-1) ** a * comb(k, a) for a in range(k + 1)}
+    geom = {(0, 0, c): 1 for c in range(deg + 1)}
+    one_minus_d = {key: -v for key, v in ypow.items() if key != (0, 0, 0)}  # D_000 = 1
     f = dict(ypow)
-    second = _tri_mul(_tri_mul(xpow, one_minus_d, deg), geom, deg)
-    for key, v in second.items():
-        f[key] = f.get(key, Fraction(0)) + v
-    e = {k_: v for k_, v in f.items() if k_ != (0, 0, 0) and v != 0}
-    const = f.get((0, 0, 0), Fraction(0))
-    assert const == 1, "local factor must have constant term 1"
+    for key, v in _tri_mul(_tri_mul(xpow, one_minus_d, deg), geom, deg).items():
+        f[key] = f.get(key, 0) + v
+    e = {k_: v for k_, v in f.items() if k_ != (0, 0, 0) and v}
+    assert f.get((0, 0, 0)) == 1, "local factor must have constant term 1"
     assert all(sum(k_) >= 2 for k_ in e), "degree-1 terms must cancel"
+    den = math.lcm(*range(1, deg // 2 + 1))
     out = {}
-    term = {(0, 0, 0): Fraction(1)}
+    term = {(0, 0, 0): 1}
     for r in range(1, deg // 2 + 1):
         term = _tri_mul(term, e, deg)
-        sign = Fraction((-1) ** (r + 1), r)
         for key, v in term.items():
-            out[key] = out.get(key, Fraction(0)) + sign * v
-    return tuple(sorted((key, v) for key, v in out.items() if v != 0))
+            out[key] = out.get(key, 0) + (-1) ** (r + 1) * (den // r) * v
+    common = math.gcd(den, *out.values())
+    return tuple(sorted((key, v // common) for key, v in out.items() if v)), den // common
 
 
 def _max_power_term(a: int, order: int) -> float:
@@ -479,17 +455,15 @@ def _log_jet_weights(k: int, l: int, order_t: int, order_w: int, degree: int) ->
     g (-a)^i (-b)^j over the series' monomials x^a y^b u^c of degree m, weighs
     T(m, i+j) in the log-jet's t^i w^j; growth (_guarded_dps), gmax = max |g|.
     k = 1 or l = 1 makes the C-factor 1: its series is empty, growth and gmax 0."""
-    series = _log_local_c_series(k, l, degree)
-    den = math.lcm(*(g.denominator for _, g in series))
+    series, den = _log_local_c_series(k, l, degree)
     num = [[[0] * (degree + 1) for _ in range(order_w + 1)] for _ in range(order_t + 1)]
     for (a, b, c), g in series:
-        g_den = g.numerator * (den // g.denominator)
         for i in range(order_t + 1 if a else 1):
             for j in range(order_w + 1 if b else 1):
-                num[i][j][a + b + c] += g_den * (-a) ** i * (-b) ** j
-    growth = max((abs(float(g)) * 2.0 ** -(a + b + c) * _max_power_term(a, order_t)
+                num[i][j][a + b + c] += g * (-a) ** i * (-b) ** j
+    growth = max((abs(g) / den * 2.0 ** -(a + b + c) * _max_power_term(a, order_t)
                   * _max_power_term(b, order_w) for (a, b, c), g in series), default=0.0)
-    return num, den, growth, max((abs(g) for _, g in series), default=0)
+    return num, den, growth, Fraction(max((abs(g) for _, g in series), default=0), den)
 
 
 def _prime_tail_log_jet(k: int, l: int, order_t: int, order_w: int, prime_cutoff: int,
@@ -502,8 +476,7 @@ def _prime_tail_log_jet(k: int, l: int, order_t: int, order_w: int, prime_cutoff
     num, den, growth, gmax = _log_jet_weights(k, l, order_t, order_w, degree)
     tails = _tail_moments(prime_cutoff, degree, order_t + order_w, _guarded_dps(dps, growth))
     bits, dmax = tails.bits, order_t + order_w
-    moments = [[int(mp.ldexp(tails.tail(m, d), bits)) if m >= 2 else 0
-                for m in range(degree + 1)] for d in range(dmax + 1)]
+    moments = [[tails.fixed.get((m, d), 0) for m in range(degree + 1)] for d in range(dmax + 1)]
     scales = [[den * math.factorial(i) * math.factorial(j) for j in range(order_w + 1)]
               for i in range(order_t + 1)]
     corr = [[sum(map(mul, num[i][j], moments[i + j])) // scales[i][j]
@@ -535,6 +508,18 @@ def _fixed_div(a: list, b: list, bits: int) -> list[list[int]]:
     return q
 
 
+def _fixed_log_jet(f, bits: int) -> list[int]:
+    """log of a one-variable jet held as integers over 2^bits, f[0] > 2^bits:
+    one mpmath log for the constant term, then g_r from r f_0 g_r = r f_r -
+    sum_{0<i<r} i g_i f_(r-i) (f g' = f'), each floored."""
+    with mp.workprec(bits + 16):
+        g = [int(mp.ldexp(mp.log(mp.ldexp(f[0], -bits)), bits))]
+    for r in range(1, len(f)):
+        rest = sum(i * g[i] * f[r - i] for i in range(1, r))
+        g.append(((r * f[r] << bits) - rest) // (r * f[0]))
+    return g
+
+
 def _l1(rows: list, bits: int) -> float:
     """The sum of |coefficients| of a jet held as integers over 2^bits."""
     return sum(abs(c) for row in rows for c in row) / (1 << bits)
@@ -550,30 +535,38 @@ def _c_euler_base(k: int, l: int, order_t: int, order_w: int, prime_cutoff: int,
     the other factors, bounded termwise by exp(X) with X = sum_p |factor - 1|,
     carry a rounding on: to first order by at most exp(X(rho, rho)) /
     ((1-rho)^2 rho^(order_t+order_w)), rho in (0, 1): 2^9 at (2,2) to 2^25 at
-    (4,4).  bits keep 3 pi(P) 2^32 units under 10^-(dps+10) and reach the
-    moments' bits, to share their (log p)^d table."""
+    (4,4) and 2^37 at (6,5), taken as its log2 (exp(X) overflows a float near
+    rho = 1 from (6,5) on).  bits keep 3 pi(P) 2^32 units under 10^-(dps+10)
+    and reach the moments' bits; an amplifier above 2^32 widens them by the
+    excess, and the product is redone."""
     primes = [int(p) for p in primes_up_to(prime_cutoff)]
     guard, count = _table_guard(k, l), 3 * len(primes)
     growth = _log_jet_weights(k, l, order_t, order_w, degree)[2]
     tails = _tail_moments(prime_cutoff, degree, order_t + order_w, _guarded_dps(dps, growth))
-    table_bits = max(tails.bits, guard + math.ceil(
+    bits = max(tails.bits - guard, math.ceil(
         (dps + 10) * math.log2(10) + math.log2(max(count, 1)) + 32))
-    bits = table_bits - guard
-    logs = zip(*_log_powers(tuple(primes), order_t + order_w, table_bits))
-    spread = [[0] * (order_w + 1) for _ in range(order_t + 1)]
-    prod = [[(i == j == 0) << bits for j in range(order_w + 1)] for i in range(order_t + 1)]
-    for p, lg in zip(primes, logs):
-        factor = _c_local_fixed(p, 0, k, l, order_t, order_w, lg, guard)
-        prod = _fixed_mul(prod, factor, bits)
-        factor[0][0] -= 1 << bits
-        spread = [[s + abs(f) for s, f in zip(*rows)] for rows in zip(spread, factor)]
-    amplifier = min(math.exp(sum(s / (1 << bits) * rho ** (i + j)
-                                 for i, row in enumerate(spread) for j, s in enumerate(row)))
-                    / ((1 - rho) ** 2 * rho ** (order_t + order_w))
-                    for rho in (r / 16 for r in range(1, 16)))
-    with mp.workdps(dps + 10):
+    widened = 0  # bits past the base width, one per unit of log2 amplifier over 2^32
+    while True:
+        logs = zip(*log_powers(tuple(primes), order_t + order_w, bits + guard))
+        spread = [[0] * (order_w + 1) for _ in range(order_t + 1)]
+        prod = [[(i == j == 0) << bits for j in range(order_w + 1)] for i in range(order_t + 1)]
+        for p, lg in zip(primes, logs):
+            factor = _c_local_fixed(p, 0, k, l, order_t, order_w, lg, guard)
+            prod = _fixed_mul(prod, factor, bits)
+            factor[0][0] -= 1 << bits
+            spread = [[s + abs(f) for s, f in zip(*rows)] for rows in zip(spread, factor)]
+        log2_amplifier = min(
+            (sum(s / (1 << bits) * rho ** (i + j)
+                 for i, row in enumerate(spread) for j, s in enumerate(row))
+             - math.log((1 - rho) ** 2 * rho ** (order_t + order_w))) / math.log(2)
+            for rho in (r / 16 for r in range(1, 16)))
+        if log2_amplifier <= 32 + widened:
+            break
+        bits += math.ceil(log2_amplifier) - 32 - widened
+        widened = math.ceil(log2_amplifier) - 32
+    with mp.workprec(bits + 8):  # the rounding term, over 2^-bits, outweighs the sum's own
         corr, bound = _prime_tail_log_jet(k, l, order_t, order_w, prime_cutoff, dps, degree)
-        bound = +(bound + count * amplifier * 2.0**-bits)
+        bound = +(bound + count * 2.0 ** (log2_amplifier - bits))
     with mp.workprec(bits):  # at dps + 10 digits, exp and product err by units in the last
         return _jet_from_fixed(prod, bits) * corr.exp(), bound, bits
 
@@ -656,7 +649,7 @@ def _varphi_base(k: int, l: int, Q: int, order_s: int, bits: int) -> tuple[np.nd
     if bits:
         guard = _table_guard(k, l)
         p = np.array(primes.tolist(), dtype=object)
-        logs = _log_powers(tuple(primes.tolist()), n - 1, bits + guard)
+        logs = log_powers(tuple(primes.tolist()), n - 1, bits + guard)
         den = (p - 1) * p ** (k - 1)
         num = [(den << bits + guard if r == 0 else 0) - np.array(logs[r], dtype=object)
                * sum((-1) ** (i + r) * comb(k, i) * i**r * p ** (k - i) for i in range(k + 1))
@@ -857,12 +850,14 @@ def dirichlet_partials(h, k: int, l: int, Q: int, order_t: int | None = None,
 
     In mode "mp" the sums are exact integer dots of the table's integers with
     (-log q)^j over 2^lb, lb = bits + _table_guard, each power floored and
-    log q = sum v_p(q) log p from the base's (log p)^d table; D[i][j] becomes
+    log q = sum v_p(q) log p from the fixed-point logs the base's (log p)^d
+    table reads (fixed_logs, under two units low); D[i][j] becomes
     an mpf once, at the table's precision.  The stated rounding, with the
     table's e = `error`, G = `norm` and L = log Q + 1, is the largest over j of
     Q [(e + 2G) L^j 2^-bits + G j L^(j-1) (2 log2 Q + 1) 2^-lb] / j!: each
-    entry's error times (log q)^j, the powers' errors (log q is under
-    2 Omega(q) units low) times |varphi_i(q)| <= G, and 2G for the conversion.
+    entry's error times (log q)^j, the powers' errors (log q under
+    2 Omega(q) units low covers it) times |varphi_i(q)| <= G, and 2G for the
+    conversion.
 
     When `tol` is given and the empirical tail estimate exceeds it, a
     PrecisionWarning is attached (the series converge absolutely, so a
@@ -872,13 +867,9 @@ def dirichlet_partials(h, k: int, l: int, Q: int, order_t: int | None = None,
     order_w = order_w if order_w is not None else max(l, k + l - 2)
     table = varphi_table(h, k, l, Q, order_t, mode)
     bits = table.bits
-    if bits:  # log q = log spf(q) + log(q / spf(q)), q / spf(q) < lo for q < 2 lo
-        lb, primes, spf = bits + _table_guard(k, l), primes_up_to(Q), spf_array(Q)
-        logq = np.zeros(Q + 1, dtype=object)
-        logq[primes] = _log_powers(tuple(primes.tolist()), max(order_t, 1), lb)[1]
-        for lo in (2**e for e in range(1, Q.bit_length())):
-            qs = np.arange(lo, min(2 * lo, Q + 1))
-            logq[qs] = logq[qs // spf[qs]] + logq[spf[qs]]
+    if bits:
+        lb = bits + _table_guard(k, l)
+        logq = np.array(fixed_logs(Q, lb), dtype=object)
         neglog, one, floor = (lambda qs: -logq[qs]), 1 << lb, (lambda x: x >> lb)
     else:
         lb, neglog, one, floor = 0, (lambda qs: -np.log(qs)), 1.0, (lambda x: x)

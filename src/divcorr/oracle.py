@@ -1,4 +1,4 @@
-"""Independent oracles: exact brute-force sums and numeric residue pipelines.
+"""Independent oracles: exact brute-force sums.
 
 Everything on the brute side is an exact integer: correlation sums of
 (partial) divisor functions, arithmetic-progression sums, and the
@@ -10,13 +10,6 @@ thresholds, never floating point.  Every sum streams window by window
 and histogram counts across windows and cutoffs.  Memory is O(window +
 x^A), not O(x).  MAX_BRUTE_X still caps x: it now bounds the time a brute
 sum takes, not its memory.
-
-The residue side re-derives the polynomial coefficients from the
-Perron-style pipeline: the order-(k-1) Taylor coefficient of
-(s-1)^k zeta^k(s) * (truncated Dirichlet data) * x^s / s at s = 1, with the
-inner divisor sums replaced by their residue main terms.  It shares the
-analytic steps with the coefficient ledgers but none of the combinatorial
-reindexing, which is exactly what it is meant to arbitrate.
 """
 
 from __future__ import annotations
@@ -25,7 +18,6 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from numbers import Integral
 
 import mpmath as mp
@@ -33,11 +25,7 @@ import numpy as np
 
 from . import arith
 from .arith import RationalExponent, _DkSieve, divisor_count_array
-from .asympt import CoefficientContext, _falling, coefficient_context
 from .errors import ResourceBudgetError
-from .euler import _mpf_frac
-from .jets import PowerJet
-from .zeta_series import zeta_power_coeffs
 
 # Largest x of a brute sum.  Memory no longer grows with x, so this bounds
 # time: a correlation or distribution stream to 10^8 takes 11-15 s (2-core
@@ -309,124 +297,6 @@ def empirical_distribution(k: int, A, x, bins: int = 20):
     if isinstance(x, Integral):
         return results[x]
     return [results[c] for c in x]
-
-
-# ---------------------------------------------------------------------------
-# residue pipelines
-# ---------------------------------------------------------------------------
-
-
-def _lampoly_mul(P: list, Q: list, deg: int) -> list:
-    """Multiply polynomials in lambda whose coefficients are PowerJets."""
-    out = [None] * (deg + 1)
-    for i, a in enumerate(P):
-        if a is None:
-            continue
-        for j, b in enumerate(Q):
-            if b is None or i + j > deg:
-                continue
-            prod = a * b
-            out[i + j] = prod if out[i + j] is None else out[i + j] + prod
-    return out
-
-
-@dataclass
-class ResidueRoutes:
-    """Per-log-power coefficients from the residue pipeline at truncation Q.
-
-    primary[d] targets sum_{m+n=d} A^n b_{m,n} / (m! n!); secondary[d]
-    targets a_{A,d} / d!.  Both consume the same truncated partials as the
-    ledger route, so agreement is a pure check of the combinatorial
-    assembly.
-    """
-
-    h: int
-    k: int
-    l: int
-    A: RationalExponent
-    Q: int
-    primary: list
-    secondary: list
-
-
-def residue_polynomial_routes(h: int, k: int, l: int, A, Q: int,
-                              ctx: CoefficientContext | None = None) -> ResidueRoutes:
-    A = RationalExponent.parse(A)
-    if ctx is None:
-        ctx = coefficient_context(h, k, l, source="dirichlet", Q=Q, mode="mp")
-    D = ctx.partials
-    a_l1 = ctx.a_l1
-    c_k = ctx.c_k
-    Af = A.mpf()
-    lam_deg = k + l - 2
-    tord = k - 1
-
-    # primary: [t^(k-1)] of  t^k zeta^k(1+t) * Zhat(t, lam) * e^(lam t) / (1+t)
-    a_k = zeta_power_coeffs(k, tord)
-    zk = PowerJet([a_k[r] / mp.factorial(r) for r in range(tord + 1)])
-    inv1pt = PowerJet([mp.mpf((-1) ** r) for r in range(tord + 1)])
-    zhat = [None] * (lam_deg + 1)
-    for n in range(l):
-        col = [mp.mpf(0)] * (tord + 1)
-        for i in range(tord + 1):
-            acc = mp.mpf(0)
-            for j in range(l - n):
-                acc += a_l1[l - 1 - n - j] / mp.factorial(l - 1 - n - j) * D[i, j]
-            col[i] = acc * Af**n / mp.factorial(n)
-        zhat[n] = PowerJet(col)
-    explam = [None] * (lam_deg + 1)
-    for d in range(lam_deg + 1):
-        col = [mp.mpf(0)] * (tord + 1)
-        if d <= tord:
-            col[d] = 1 / mp.factorial(d)
-        explam[d] = PowerJet(col)
-    base = zk * inv1pt
-    m1 = _lampoly_mul([base], zhat, lam_deg)
-    total = _lampoly_mul(m1, explam, lam_deg)
-    primary = [
-        (total[d][tord] if total[d] is not None else mp.mpf(0))
-        for d in range(lam_deg + 1)
-    ]
-
-    # secondary: (1/i!) d^i W / x assembled from the residue main terms of
-    # the inner divisor sums, then contracted against c_{k-1-i}(k).  The
-    # index bookkeeping here (log powers of the truncation parameter kept
-    # separate, A-powers absorbed per term) deliberately differs from the
-    # ledger's log-x collection, so agreement is a nontrivial check.
-    sec = [mp.mpf(0)] * (lam_deg + 1)
-    if l >= 2:
-        for i in range(k):
-            for j in range(i + 1):
-                pref_ij = -c_k[k - 1 - i] * comb(i, j) / mp.factorial(i)
-                for m in range(j + 1):
-                    pref_m = pref_ij * comb(j, m)
-                    for r in range(l + m - 1):
-                        for u in range(r + 1):
-                            word = j - m + r - u
-                            base = (
-                                pref_m
-                                * Af**u
-                                / (mp.factorial(u) * mp.factorial(r - u))
-                                * mp.factorial(i - j)
-                                * mp.factorial(word)
-                                * D[i - j, word]
-                            )
-                            if base == 0:
-                                continue
-                            for v in range(l + m - 2 - r + 1):
-                                fall = _falling(v - l + 1, m)
-                                if fall == 0:
-                                    continue
-                                sec[u] += (
-                                    base
-                                    * (-Af) ** (l + m - 1 - j - v - r)
-                                    * a_l1[v]
-                                    * _mpf_frac(fall)
-                                    / mp.factorial(v)
-                                )
-    secondary = [-sec[d] for d in range(k + l - 2)]
-    return ResidueRoutes(h=int(h), k=k, l=l, A=A, Q=Q,
-                         primary=primary, secondary=secondary)
 
 
 # ---------------------------------------------------------------------------

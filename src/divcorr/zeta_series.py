@@ -6,16 +6,24 @@ coefficients of (s-1)^j zeta(s)^j / s, Taylor jets of zeta at integers
 y >= 2 (every derivative from one Euler-Maclaurin pass), and the classical
 constants attached to 1/zeta at s = 2 that show up in the closed-form
 coefficients of the shifted-divisor expansion of Ingham/Estermann type.
+
+The sums behind them run in Python integers over 2^bits: log n comes from
+one per-process table of fixed-point logs (fixed_logs, log_powers), which the
+Euler products of `euler` read too; the zeta jets' head sums, Bernoulli
+weights and Pochhammer jet, and the Stieltjes head sums, are integer dots
+on it, each converted to mpmath once at the end.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from functools import lru_cache
 from itertools import count
+from operator import mul
 
 import mpmath as mp
 import numpy as np
 
+from .arith import spf_array
 from .errors import PrecisionError
 from .jets import PowerJet
 
@@ -24,15 +32,102 @@ STIELTJES_MAX_INDEX = 30
 STIELTJES_MAX_DIGITS = 100
 
 
-def _log_power_derivative_polys(m: int, r_max: int) -> list[list[Fraction]]:
+_LOG_GUARD = 24  # bits of a cached log below the widths handed out
+# logs[n] = log n over 2^width for n < len(logs), at one width for all n
+_LOGS = {"width": 0, "logs": [0, 0]}
+
+
+def _atanh_fixed(a: int, b: int, width: int) -> int:
+    """atanh(a/b) over 2^width for 0 <= a/b <= 1/3, as its series with every
+    power and term floored: below its value by under 1.5 (t + 2) units, t <=
+    width / 3 + 1 the number of nonzero terms."""
+    a2, b2 = a * a, b * b
+    x = (a << width) // b
+    total, k = x, 1
+    while x:
+        x = x * a2 // b2
+        k += 2
+        total += x // k
+    return total
+
+
+def _log_chain(n_max: int, bits: int) -> list[int]:
+    """The cached logs, grown to n <= n_max (rounded up to a power of two) at a
+    width of at least bits + _LOG_GUARD (a multiple of 128; wider recomputes).
+    Prime p: log(p - 1) + 2 atanh(1/(2p - 1)); composite n: log q + log(n/q),
+    q its least prime.  log n sums at most 2 log2 n atanh values, each under
+    width + 9 units low: under 2^_LOG_GUARD for n < 2^32, widths < 2^15.  An
+    entry handed out may move by a unit with the width the process has
+    reached, but stays under two units below its value."""
+    width, logs = _LOGS["width"], _LOGS["logs"]
+    if bits + _LOG_GUARD > width:
+        width, logs = -(-(bits + _LOG_GUARD) // 128) * 128, [0, 0]
+        n_max = max(n_max, len(_LOGS["logs"]) - 1)
+    if n_max >= len(logs):
+        top = max(256, 1 << (n_max - 1).bit_length())
+        spf = spf_array(top).tolist()
+        for n in range(len(logs), top + 1):
+            q = spf[n]
+            logs.append(logs[q] + logs[n // q] if q < n
+                        else logs[n - 1] + 2 * _atanh_fixed(1, 2 * n - 1, width))
+    _LOGS["width"], _LOGS["logs"] = width, logs
+    return logs
+
+
+def fixed_logs(n_max: int, bits: int) -> list[int]:
+    """[log n over 2^bits for 0 <= n <= n_max] (0 at n <= 1), each floored
+    from the cached logs: under two units below its value."""
+    logs = _log_chain(n_max, bits)
+    shift = _LOGS["width"] - bits
+    return [x >> shift for x in logs[: n_max + 1]]
+
+
+def fixed_log(n: int, bits: int) -> int:
+    """log n over 2^bits for one n >= 1, under two units below its value: from
+    the cached logs when n is in them (the table is not grown for one n), else
+    e log 2 + 2 atanh((n - 2^e) / (n + 2^e)) with 2^e <= n < 2^(e+1), under
+    (e + 1) (width + 9) units low at the cache's width."""
+    logs = _log_chain(2, bits)
+    width = _LOGS["width"]
+    if n < len(logs):
+        value = logs[n]
+    else:
+        e = n.bit_length() - 1
+        value = e * logs[2] + 2 * _atanh_fixed(n - (1 << e), n + (1 << e), width)
+    return value >> (width - bits)
+
+
+@lru_cache(maxsize=32)
+def log_powers(ns: tuple, d_max: int, bits: int) -> tuple:
+    """rows[d][i] = (log ns[i])^d over 2^bits for d <= d_max, each under two
+    units below its value: integer powers of one fixed-point log per n, taken
+    g bits wider, g covering 2 d (log n)^(d-1) 2^-g < 1/2 units.  Several n
+    read the cached table (fixed_logs, grown to max(ns)); a single n takes
+    fixed_log.  The prime-tail moments, the Euler base, the varphi tables and
+    the zeta jets share it."""
+    n_top = max(ns, default=1)
+    g = (4 * d_max).bit_length() + max(d_max - 1, 0) * n_top.bit_length().bit_length()
+    if len(ns) == 1:
+        logs = [fixed_log(ns[0], bits + g)]
+    else:
+        table = fixed_logs(n_top, bits + g)
+        logs = [table[n] for n in ns]
+    rows, pw = [[1 << bits] * len(ns)], [1] * len(ns)
+    for d in range(1, d_max + 1):
+        pw = [a * b for a, b in zip(pw, logs)]
+        rows.append([x >> (d * (bits + g) - bits) for x in pw])
+    return tuple(rows)
+
+
+def _log_power_derivative_polys(m: int, r_max: int) -> list[list[int]]:
     """Coefficient lists P_r for d^r/dt^r [log^m t / t] = t^(-r-1) P_r(log t).
 
-    P_0 = L^m and P_{r+1} = P_r' - (r+1) P_r, exactly in rationals.
+    P_0 = L^m and P_{r+1} = P_r' - (r+1) P_r, exactly in integers.
     """
-    polys = [[Fraction(0)] * m + [Fraction(1)]]
+    polys = [[0] * m + [1]]
     for r in range(r_max):
         cur = polys[-1]
-        nxt = [Fraction(0)] * len(cur)
+        nxt = [0] * len(cur)
         for i, c in enumerate(cur):
             if i >= 1:
                 nxt[i - 1] += i * c
@@ -44,27 +139,61 @@ def _log_power_derivative_polys(m: int, r_max: int) -> list[list[Fraction]]:
 def _poly_eval(coeffs, x):
     acc = mp.mpf(0)
     for c in reversed(coeffs):
-        acc = acc * x + mp.mpf(c.numerator) / c.denominator
+        acc = acc * x + c
     return acc
+
+
+_EM_TERMS = 40  # the Stieltjes Euler-Maclaurin tail stops before j = _EM_TERMS
+
+
+def _stieltjes_depth(m: int, digits: int) -> int:
+    """N for gamma_m, the first of 120, 160, 200, ... at which the estimate
+    2 (2J-1)! (log N + H_(2J-1))^m / (2 pi N)^(2J) of the last term the tail
+    may take, J = _EM_TERMS - 1, is under 10^-(digits+5): |B_2j| / (2j)! is
+    about 2 / (2 pi)^(2j), and the r-th derivative of log^m t / t at N is at
+    most r! (log N + H_r)^m / N^(r+1)."""
+    J = _EM_TERMS - 1
+    H = sum(1 / i for i in range(1, 2 * J))
+    for N in count(120, 40):
+        if (math.log(2) + math.lgamma(2 * J) - 2 * J * math.log(2 * math.pi * N)
+                + m * math.log(math.log(N) + H)) < -(digits + 5) * math.log(10):
+            return N
+
+
+@lru_cache(maxsize=None)
+def _stieltjes_heads(N: int, m_top: int, bits: int) -> tuple:
+    """For m <= m_top, sum_{n<=N} (log n)^m / n - (log N)^(m+1) / (m+1)
+    - (log N)^m / (2N) over 2^bits, every term floored from one table of
+    (log n)^m shared by all m: under 3 (N + 1) units off."""
+    rows = log_powers(tuple(range(2, N + 1)), m_top + 1, bits)
+    heads = []
+    for m in range(m_top + 1):
+        head = sum(x // n for n, x in enumerate(rows[m], 2)) + (1 << bits if m == 0 else 0)
+        heads.append(head - rows[m + 1][-1] // (m + 1) - rows[m][-1] // (2 * N))
+    return tuple(heads)
 
 
 @lru_cache(maxsize=None)
 def _stieltjes_em(m: int, digits: int) -> tuple[mp.mpf, mp.mpf]:
-    """(gamma_m, error_estimate) by Euler-Maclaurin with adaptive depth."""
-    N = 120
+    """(gamma_m, error_estimate) by Euler-Maclaurin at the depth
+    _stieltjes_depth sets for m rounded up to 8 m' + 7, so that eight
+    constants share their head sums, taken in integers to 10^-(digits+6);
+    the tail stops at its first term under 10^-(digits+5), or at the last
+    term before the terms grow, which is then the error estimate."""
+    m_top = min(m | 7, STIELTJES_MAX_INDEX)
+    N = _stieltjes_depth(m_top, digits)
+    bits = math.ceil((digits + 6) * math.log2(10)) + N.bit_length() + 4
+    head = _stieltjes_heads(N, m_top, bits)[m]
     guard = 15 + int(0.8 * m)
     with mp.workdps(digits + guard):
-        logN = mp.log(N)
-        total = mp.mpf(0)
-        for n in range(1, N + 1):
-            total += mp.log(n) ** m / n
-        total -= logN ** (m + 1) / (m + 1)
-        total -= mp.log(N) ** m / (2 * N)
-        polys = _log_power_derivative_polys(m, 2 * 40)
+        # the tail's first terms reach (log N)^m: log N to the working precision
+        logN = mp.ldexp(fixed_log(N, mp.mp.prec + 8), -(mp.mp.prec + 8))
+        total = mp.ldexp(head, -bits)
+        polys = _log_power_derivative_polys(m, 2 * _EM_TERMS)
         err = None
         prev_mag = mp.inf
         target = mp.mpf(10) ** (-(digits + 5))
-        for j in range(1, 40):
+        for j in range(1, _EM_TERMS):
             deriv = _poly_eval(polys[2 * j - 1], logN) / mp.mpf(N) ** (2 * j)
             term = mp.bernoulli(2 * j) / mp.factorial(2 * j) * deriv
             mag = abs(term)
@@ -168,70 +297,73 @@ def c_coeffs(j: int, n_max: int, digits: int | None = None) -> list[mp.mpf]:
 
 
 @lru_cache(maxsize=None)
-def _log_power_rows(N: int, order: int, dps: int) -> tuple:
-    """(-log n)^r / r! for 2 <= n <= N, one row per r <= order."""
-    with mp.workdps(dps):
-        neg_logs = [-mp.log(n) for n in range(2, N + 1)]
-        rows = [[mp.mpf(1)] * (N - 1)]
-        for r in range(1, order + 1):
-            rows.append([a * b / r for a, b in zip(rows[-1], neg_logs)])
-        return tuple(map(tuple, rows))
+def _log_power_rows(N: int, order: int, bits: int) -> tuple:
+    """(-log n)^r / r! over 2^bits, floored, for 2 <= n <= N, one row per
+    r <= order: under three units off."""
+    rows = log_powers(tuple(range(2, N + 1)), order, bits)
+    return tuple([(-1) ** r * x // math.factorial(r) for x in row] for r, row in enumerate(rows))
 
 
 @lru_cache(maxsize=None)
-def _em_weight(k: int, N: int, dps: int) -> mp.mpf:
-    """B_2k / (2k)! N^(1-2k), shared by the zeta jets at every y."""
-    with mp.workdps(dps):
-        return mp.bernoulli(2 * k) / mp.factorial(2 * k) * mp.mpf(N) ** (1 - 2 * k)
+def _bernoulli_weight(k: int) -> tuple[int, int]:
+    """(num, den) with num / den = B_2k / (2k)! exactly."""
+    num, den = mp.bernfrac(2 * k)
+    return int(num), int(den) * math.factorial(2 * k)
 
 
 @lru_cache(maxsize=None)
-def _zeta_taylor(y: int, order: int, dps: int) -> tuple:
-    """zeta^(r)(y) / r! for r = 0..order, at an integer y >= 2, from one
-    Euler-Maclaurin pass (Edwards, Riemann's Zeta Function, ch. 6).  With
-    s = y + tau and (s)_j the rising factorial s (s+1) ... (s+j-1),
+def _zeta_taylor(y: int, order: int, bits: int) -> tuple:
+    """zeta^(r)(y) / r! over 2^bits for r = 0..order, at an integer y >= 2,
+    each within two units, from one Euler-Maclaurin pass (Edwards, Riemann's
+    Zeta Function, ch. 6).  With s = y + tau and (s)_j the rising factorial
+    s (s+1) ... (s+j-1),
 
       zeta(s) = sum_{n<N} n^(-s)
                 + N^(-s) [N/(s-1) + 1/2 + sum_{k>=1} B_2k/(2k)! (s)_(2k-1) N^(1-2k)],
 
-    every factor taken as a jet in tau: n^(-s) = n^(-y) e^(-tau log n), with
-    the rows of (-log n)^r / r! shared by every y; the Pochhammer jet, with
-    integer coefficients, grows by two linear factors per k; N^(-s)
-    multiplies the bracket once.  The corrections fall like
-    (2k)! / (2 pi N)^(2k) until 2k nears 2 pi N; N = 10 + dps puts that
-    floor far below 10^-dps, and the series stops at its first term under
-    10^-(dps+2) in every coefficient (a tau^r coefficient of the product is
-    at most N times the bracket's largest one)."""
+    every factor a jet in tau, in integers over 2^(bits + guard): n^(-s) =
+    n^(-y) e^(-tau log n), n^(-y) an exact floor, the rows of (-log n)^r / r!
+    shared by every y; the integer Pochhammer jet grows by two linear factors
+    per k and meets the exact B_2k/(2k)! N^(1-2k) in one floor per
+    coefficient; N^(-s) multiplies the bracket once.  The corrections fall
+    like (2k)! / (2 pi N)^(2k) until 2k nears 2 pi N; N = 10 + bits log10 2
+    puts that floor far below 2^-bits, and the series stops at its first term
+    under N^(y-1) units in every coefficient (a tau^r coefficient of the
+    product is at most N times the bracket's largest one).  The guard covers
+    the floors, under (order + 2) (N + 1)^2 units: (log n)^r / r! < n per
+    head term, and N + 1 per N^(-s) coefficient times the bracket's N."""
     if y < 2:
         raise ValueError("_zeta_taylor requires y >= 2")
-    N = 10 + dps
-    rows = _log_power_rows(N, order, dps + 5)
-    with mp.workdps(dps + 5):
-        powers = [mp.mpf(n) ** -y for n in range(2, N)]
-        vals = [mp.fdot(powers, row) for row in rows]  # n < N: zip stops at powers
-        vals[0] += 1
-        poch = ([y, 1] + [0] * order)[: order + 1]
-        weights, pochs = [], []
-        eps = mp.mpf(10) ** -(dps + 2) * mp.mpf(N) ** (y - 1)
-        for k in count(1):
-            weights.append(_em_weight(k, N, dps + 5))
-            pochs.append(poch)
-            if abs(weights[-1]) * max(poch) < eps:
-                break
-            for a in (y + 2 * k - 1, y + 2 * k):
-                poch = [a * poch[0]] + [a * poch[r] + poch[r - 1] for r in range(1, order + 1)]
-        bracket = [N * mp.mpf(-1) ** r / mp.mpf(y - 1) ** (r + 1)
-                   + mp.fdot(weights, [pc[r] for pc in pochs]) for r in range(order + 1)]
-        bracket[0] += mp.mpf(1) / 2
-        n_pow = [mp.mpf(N) ** -y * row[-1] for row in rows]  # N^(-s)
-        return tuple(vals[r] + mp.fdot(bracket[: r + 1], n_pow[r::-1])
-                     for r in range(order + 1))
+    N = 10 + math.ceil(bits * math.log10(2))
+    guard = 2 * N.bit_length() + order.bit_length() + 4
+    b = bits + guard
+    rows = _log_power_rows(N, order, b)
+    powers = [(1 << b) // n**y for n in range(2, N + 1)]
+    vals = [sum(map(mul, powers, row[:-1])) >> b for row in rows]  # n < N
+    vals[0] += 1 << b
+    poch = ([y, 1] + [0] * order)[: order + 1]
+    corrections = [0] * (order + 1)
+    for k in count(1):
+        num, den = _bernoulli_weight(k)
+        den *= N ** (2 * k - 1)
+        terms = [(c * num << b) // den for c in poch]
+        corrections = [a + t for a, t in zip(corrections, terms)]
+        if max(map(abs, terms)) < N ** (y - 1):
+            break
+        for a in (y + 2 * k - 1, y + 2 * k):
+            poch = [a * poch[0]] + [a * poch[r] + poch[r - 1] for r in range(1, order + 1)]
+    bracket = [((-1) ** r * N << b) // (y - 1) ** (r + 1) + c for r, c in enumerate(corrections)]
+    bracket[0] += 1 << (b - 1)
+    n_pow = [powers[-1] * row[-1] >> b for row in rows]  # N^(-s)
+    return tuple(v + (sum(map(mul, bracket[: r + 1], n_pow[r::-1])) >> b) >> guard
+                 for r, v in enumerate(vals))
 
 
 def zeta_jet(y: int, order: int, dps: int = 40) -> PowerJet:
     """zeta(y + tau) as a jet in tau (coefficients zeta^(r)(y) / r!), to
     about 10^-(dps+2), at an integer y >= 2; a fresh jet on every call."""
-    return PowerJet(_zeta_taylor(y, order, dps))
+    bits = math.ceil((dps + 3) * math.log2(10))
+    return PowerJet([mp.ldexp(c, -bits) for c in _zeta_taylor(y, order, bits)])
 
 
 def mobius_sieve(n: int) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Second routes that only the tests use: phi and varphi per q as products
 of mpmath local jets, the phi partial sum through the varphi convolution, the
 secondary term from explicit boundary weights, the strided d_k sieve, the beta
-law by quadrature, the c-coefficients by jet division and the Moebius
-log-moments by a direct sieve.  They arbitrate the library's routes and are
-not part of the package."""
+law by quadrature, the c-coefficients by jet division, the Moebius
+log-moments by a direct sieve, the (log p)^d table and the zeta jets in
+mpmath arithmetic, and the residue pipeline for the polynomial coefficients.
+They arbitrate the library's routes and are not part of the package."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import comb, factorial
 
 import mpmath as mp
@@ -19,6 +22,7 @@ from divcorr.arith import (
     factorize,
     introot_ceil,
 )
+from divcorr.asympt import CoefficientContext, _falling, coefficient_context
 from divcorr.euler import _as_factored, _dl1, _mpf_frac, varphi_table
 from divcorr.jets import PowerJet
 from divcorr.zeta_series import mobius_sieve, zeta_power_coeffs, zeta_power_jet
@@ -88,6 +92,46 @@ def varphi_of(h, k: int, l: int, q: int, order_s: int) -> PowerJet:
     for p, e in factorize(q).factors:
         out = out * varphi_prime_power(h, k, l, p, e, order_s)
     return out
+
+
+def log_powers_mpf(primes, d_max: int, bits: int) -> list:
+    """rows[d][i] = (log p_i)^d over 2^bits, floored, for d <= d_max: one
+    mpmath log per prime, raised and scaled in mpmath at bits + 64 + 4 d_max
+    bits of precision."""
+    with mp.workprec(bits + 64 + 4 * d_max):
+        logs = [mp.log(p) for p in primes]
+        return [[int(mp.ldexp(L**d, bits)) for L in logs] for d in range(d_max + 1)]
+
+
+def zeta_taylor_mpf(y: int, order: int, dps: int) -> list:
+    """zeta^(r)(y) / r! for r = 0..order by the same Euler-Maclaurin pass as
+    zeta_series._zeta_taylor, every sum in mpmath arithmetic at dps + 5
+    digits: head sum over n < N = 10 + dps, Bernoulli weights
+    B_2k/(2k)! N^(1-2k), the integer Pochhammer jet, N^(-s) applied once."""
+    N = 10 + dps
+    with mp.workdps(dps + 5):
+        neg_logs = [-mp.log(n) for n in range(2, N + 1)]
+        rows = [[mp.mpf(1)] * (N - 1)]
+        for r in range(1, order + 1):
+            rows.append([a * b / r for a, b in zip(rows[-1], neg_logs)])
+        powers = [mp.mpf(n) ** -y for n in range(2, N)]
+        vals = [mp.fdot(powers, row) for row in rows]  # n < N: zip stops at powers
+        vals[0] += 1
+        poch = ([y, 1] + [0] * order)[: order + 1]
+        weights, pochs = [], []
+        eps = mp.mpf(10) ** -(dps + 2) * mp.mpf(N) ** (y - 1)
+        for k in count(1):
+            weights.append(mp.bernoulli(2 * k) / mp.factorial(2 * k) * mp.mpf(N) ** (1 - 2 * k))
+            pochs.append(poch)
+            if abs(weights[-1]) * max(poch) < eps:
+                break
+            for a in (y + 2 * k - 1, y + 2 * k):
+                poch = [a * poch[0]] + [a * poch[r] + poch[r - 1] for r in range(1, order + 1)]
+        bracket = [N * mp.mpf(-1) ** r / mp.mpf(y - 1) ** (r + 1)
+                   + mp.fdot(weights, [pc[r] for pc in pochs]) for r in range(order + 1)]
+        bracket[0] += mp.mpf(1) / 2
+        n_pow = [mp.mpf(N) ** -y * row[-1] for row in rows]  # N^(-s)
+        return [vals[r] + mp.fdot(bracket[: r + 1], n_pow[r::-1]) for r in range(order + 1)]
 
 
 def strided_dk_segment(k: int, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
@@ -230,3 +274,115 @@ def direct_secondary_value(h: int, k: int, l: int, A, Q: int, logx,
     # the primary in the correlation formula
     return full[k - 1]
 
+
+def _lampoly_mul(P: list, Q: list, deg: int) -> list:
+    """Multiply polynomials in lambda whose coefficients are PowerJets."""
+    out = [None] * (deg + 1)
+    for i, a in enumerate(P):
+        if a is None:
+            continue
+        for j, b in enumerate(Q):
+            if b is None or i + j > deg:
+                continue
+            prod = a * b
+            out[i + j] = prod if out[i + j] is None else out[i + j] + prod
+    return out
+
+
+@dataclass
+class ResidueRoutes:
+    """Per-log-power coefficients from the residue pipeline at truncation Q.
+
+    primary[d] targets sum_{m+n=d} A^n b_{m,n} / (m! n!); secondary[d]
+    targets a_{A,d} / d!.  Both consume the same truncated partials as the
+    ledger route, so agreement is a pure check of the combinatorial
+    assembly.
+    """
+
+    h: int
+    k: int
+    l: int
+    A: RationalExponent
+    Q: int
+    primary: list
+    secondary: list
+
+
+def residue_polynomial_routes(h: int, k: int, l: int, A, Q: int,
+                              ctx: CoefficientContext | None = None) -> ResidueRoutes:
+    A = RationalExponent.parse(A)
+    if ctx is None:
+        ctx = coefficient_context(h, k, l, source="dirichlet", Q=Q, mode="mp")
+    D = ctx.partials
+    a_l1 = ctx.a_l1
+    c_k = ctx.c_k
+    Af = A.mpf()
+    lam_deg = k + l - 2
+    tord = k - 1
+
+    # primary: [t^(k-1)] of  t^k zeta^k(1+t) * Zhat(t, lam) * e^(lam t) / (1+t)
+    a_k = zeta_power_coeffs(k, tord)
+    zk = PowerJet([a_k[r] / mp.factorial(r) for r in range(tord + 1)])
+    inv1pt = PowerJet([mp.mpf((-1) ** r) for r in range(tord + 1)])
+    zhat = [None] * (lam_deg + 1)
+    for n in range(l):
+        col = [mp.mpf(0)] * (tord + 1)
+        for i in range(tord + 1):
+            acc = mp.mpf(0)
+            for j in range(l - n):
+                acc += a_l1[l - 1 - n - j] / mp.factorial(l - 1 - n - j) * D[i, j]
+            col[i] = acc * Af**n / mp.factorial(n)
+        zhat[n] = PowerJet(col)
+    explam = [None] * (lam_deg + 1)
+    for d in range(lam_deg + 1):
+        col = [mp.mpf(0)] * (tord + 1)
+        if d <= tord:
+            col[d] = 1 / mp.factorial(d)
+        explam[d] = PowerJet(col)
+    base = zk * inv1pt
+    m1 = _lampoly_mul([base], zhat, lam_deg)
+    total = _lampoly_mul(m1, explam, lam_deg)
+    primary = [
+        (total[d][tord] if total[d] is not None else mp.mpf(0))
+        for d in range(lam_deg + 1)
+    ]
+
+    # secondary: (1/i!) d^i W / x assembled from the residue main terms of
+    # the inner divisor sums, then contracted against c_{k-1-i}(k).  The
+    # index bookkeeping here (log powers of the truncation parameter kept
+    # separate, A-powers absorbed per term) deliberately differs from the
+    # ledger's log-x collection, so agreement is a nontrivial check.
+    sec = [mp.mpf(0)] * (lam_deg + 1)
+    if l >= 2:
+        for i in range(k):
+            for j in range(i + 1):
+                pref_ij = -c_k[k - 1 - i] * comb(i, j) / mp.factorial(i)
+                for m in range(j + 1):
+                    pref_m = pref_ij * comb(j, m)
+                    for r in range(l + m - 1):
+                        for u in range(r + 1):
+                            word = j - m + r - u
+                            base = (
+                                pref_m
+                                * Af**u
+                                / (mp.factorial(u) * mp.factorial(r - u))
+                                * mp.factorial(i - j)
+                                * mp.factorial(word)
+                                * D[i - j, word]
+                            )
+                            if base == 0:
+                                continue
+                            for v in range(l + m - 2 - r + 1):
+                                fall = _falling(v - l + 1, m)
+                                if fall == 0:
+                                    continue
+                                sec[u] += (
+                                    base
+                                    * (-Af) ** (l + m - 1 - j - v - r)
+                                    * a_l1[v]
+                                    * _mpf_frac(fall)
+                                    / mp.factorial(v)
+                                )
+    secondary = [-sec[d] for d in range(k + l - 2)]
+    return ResidueRoutes(h=int(h), k=k, l=l, A=A, Q=Q,
+                         primary=primary, secondary=secondary)

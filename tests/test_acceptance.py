@@ -50,10 +50,9 @@ from divcorr.oracle import (
     brute_correlation_decades,
     empirical_distribution,
     partial_divisor_array,
-    residue_polynomial_routes,
 )
 from divcorr.zeta_series import c_coeffs, euler_gamma, zeta_power_coeffs
-from second_routes import c_coeffs_via_division
+from second_routes import c_coeffs_via_division, residue_polynomial_routes
 
 BIG_X = 10**7
 

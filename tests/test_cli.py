@@ -233,6 +233,13 @@ def test_negative_shift_exits_2_before_any_sum(tmp_path):
     assert not out.exists()
 
 
+def test_large_orders_exit_0_or_4(tmp_path):
+    """(k, l) = (6, 5) ended in an OverflowError traceback (exit 1) from the
+    Euler base's rounding amplifier."""
+    code, _ = run(tmp_path, "polynomial", "--k", "6", "--l", "5", "--h", "1", "--A", "1/2")
+    assert code in (0, 4)
+
+
 def test_precision_exit_4(tmp_path):
     code, _ = run(tmp_path, "constants", "--k", "2", "--l", "2", "--h", "1",
                   "--P", "2000", "--Q", "2000", "--digits", "90",

@@ -34,6 +34,7 @@ from divcorr.euler import (
     singular_shift_factor,
     varphi_table,
 )
+from divcorr.errors import PrecisionError
 from divcorr.jets import Jet2, PowerJet
 from second_routes import exp_coeffs, phi_local, phi_of, varphi_of, varphi_prime_power
 
@@ -358,6 +359,17 @@ def test_fixed_point_base_matches_mpf_product(k, l, dps):
         want = prod * corr.exp()
         assert _max_diff(got, want) < mp.mpf(10) ** -(dps + 10)
         assert tail_bound < bound < tail_bound + mp.mpf(10) ** -(dps + 10)
+
+
+def test_euler_jet_at_large_orders_states_a_finite_bound():
+    """At (k, l) = (6, 5) math.exp overflowed inside the base's rounding
+    amplifier (about 2^37); as a log2 it widens the bits past 2^32, and the
+    bound stays finite (or the precision is refused)."""
+    try:
+        _, bound = cf_euler_jet(1, 6, 5, 6, 9)
+    except PrecisionError:
+        return
+    assert mp.isfinite(bound) and 0 < bound < 1
 
 
 def test_truncated_log_jet_states_a_bound():

@@ -31,9 +31,13 @@ from divcorr.oracle import (
     brute_correlation_decades,
     empirical_distribution,
     partial_divisor_array,
+)
+from second_routes import (
+    direct_secondary_value,
+    phi_of,
+    phi_partial_sum_jet,
     residue_polynomial_routes,
 )
-from second_routes import direct_secondary_value, phi_of, phi_partial_sum_jet
 
 
 def test_partial_divisor_array_matches_pointwise():

@@ -1,5 +1,6 @@
 """Stieltjes constants, zeta-power Taylor data, prime-zeta moments."""
 
+import math
 from functools import lru_cache
 
 import mpmath as mp
@@ -10,17 +11,26 @@ from divcorr.arith import primes_up_to
 from divcorr.errors import PrecisionError
 from divcorr.euler import PrimeTailMoments
 from divcorr.zeta_series import (
+    _zeta_taylor,
     c_coeffs,
     estermann_a_constants,
     euler_gamma,
+    fixed_log,
+    fixed_logs,
     inverse_zeta_jet_at_2,
+    log_powers,
     mobius_sieve,
     stieltjes_table,
     zeta_jet,
     zeta_laurent_jet,
     zeta_power_coeffs,
 )
-from second_routes import c_coeffs_via_division, mobius_log_moment_sieve
+from second_routes import (
+    c_coeffs_via_division,
+    log_powers_mpf,
+    mobius_log_moment_sieve,
+    zeta_taylor_mpf,
+)
 
 # Regression fixture: gamma_0..gamma_5 at 30 digits from the Euler-Maclaurin
 # run, cross-checked against an independent high-precision evaluation.
@@ -63,6 +73,16 @@ def test_stieltjes_at_the_digit_ceiling():
     with mp.workdps(110):
         for m, got in enumerate(table):
             assert abs(got - mp.stieltjes(m)) < mp.mpf(10) ** -99, m
+
+
+@pytest.mark.parametrize("m", [11, 20, 30])
+def test_stieltjes_high_index_at_the_digit_ceiling(m):
+    """gamma_11..gamma_30 at 100 digits: at the fixed depth N = 120 the
+    Euler-Maclaurin tail stopped short of 10^-100 for these and the table
+    raised PrecisionError; the depth now grows with m and digits."""
+    got = stieltjes_table(m, 100)[m]
+    with mp.workdps(110):
+        assert abs(got - mp.stieltjes(m)) < mp.mpf(10) ** -99
 
 
 def test_euler_gamma_matches_mpmath():
@@ -169,7 +189,35 @@ def test_prime_tail_moments(P, m_max, d_max, dps):
                 assert abs(ref.tail(m, d) + partial - full[d]) < mp.mpf(10) ** -(dps + 3), (m, d)
 
 
-@pytest.mark.parametrize("dps", [30, 45, 60])
+@pytest.mark.parametrize("bits", [64, 213, 400])
+def test_log_table_within_two_units(bits):
+    """(log p)^d for the primes below 3*10^4, d <= 7, lies under two units
+    below the floor of the mpmath value; so does log n for every seventh n there,
+    and for single n past the table (Mersenne primes 2^31 - 1, 2^61 - 1)."""
+    primes = tuple(int(p) for p in primes_up_to(3 * 10**4))
+    for got, want in zip(log_powers(primes, 7, bits), log_powers_mpf(primes, 7, bits)):
+        assert all(0 <= w - g < 2 for g, w in zip(got, want))
+    logs = fixed_logs(3 * 10**4, bits)
+    with mp.workprec(bits + 64):
+        for n in range(1, 3 * 10**4 + 1, 7):
+            assert 0 <= int(mp.ldexp(mp.log(n), bits)) - logs[n] < 2, n
+        for n in (10007, 2**31 - 1, 2**61 - 1):
+            assert 0 <= int(mp.ldexp(mp.log(n), bits)) - fixed_log(n, bits) < 2, n
+
+
+@pytest.mark.parametrize("bits", [120, 213, 400])
+def test_zeta_taylor_within_two_units(bits):
+    """The integer Euler-Maclaurin jets lie within two units of the same pass
+    in mpmath arithmetic, taken 12 digits past the width."""
+    dps = math.ceil(bits * math.log10(2)) + 12
+    for y in (2, 3, 7, 16, 40):
+        ref = zeta_taylor_mpf(y, 6, dps)
+        with mp.workdps(dps + 5):
+            for got, want in zip(_zeta_taylor(y, 6, bits), ref):
+                assert abs(got - mp.ldexp(want, bits)) < 2, y
+
+
+@pytest.mark.parametrize("dps", [30, 45, 60, 100])
 def test_zeta_jet_matches_mpmath(dps):
     """Euler-Maclaurin jets of zeta agree with mpmath's zeta derivatives,
     from y = 2, where the corrections carry the value, to y = 100, where the
