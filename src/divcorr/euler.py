@@ -545,7 +545,7 @@ def _c_euler_base(k: int, l: int, order_t: int, order_w: int, prime_cutoff: int,
     tails = _tail_moments(prime_cutoff, degree, order_t + order_w, _guarded_dps(dps, growth))
     bits = max(tails.bits - guard, math.ceil(
         (dps + 10) * math.log2(10) + math.log2(max(count, 1)) + 32))
-    widened = 0  # bits past the base width, one per unit of log2 amplifier over 2^32
+    narrow = bits  # widened by the excess of an amplifier over 2^32
     while True:
         logs = zip(*log_powers(tuple(primes), order_t + order_w, bits + guard))
         spread = [[0] * (order_w + 1) for _ in range(order_t + 1)]
@@ -560,10 +560,10 @@ def _c_euler_base(k: int, l: int, order_t: int, order_w: int, prime_cutoff: int,
                  for i, row in enumerate(spread) for j, s in enumerate(row))
              - math.log((1 - rho) ** 2 * rho ** (order_t + order_w))) / math.log(2)
             for rho in (r / 16 for r in range(1, 16)))
-        if log2_amplifier <= 32 + widened:
+        wide = narrow + max(0, math.ceil(log2_amplifier) - 32)
+        if bits >= wide:
             break
-        bits += math.ceil(log2_amplifier) - 32 - widened
-        widened = math.ceil(log2_amplifier) - 32
+        bits = wide
     with mp.workprec(bits + 8):  # the rounding term, over 2^-bits, outweighs the sum's own
         corr, bound = _prime_tail_log_jet(k, l, order_t, order_w, prime_cutoff, dps, degree)
         bound = +(bound + count * 2.0 ** (log2_amplifier - bits))
@@ -855,9 +855,9 @@ def dirichlet_partials(h, k: int, l: int, Q: int, order_t: int | None = None,
     an mpf once, at the table's precision.  The stated rounding, with the
     table's e = `error`, G = `norm` and L = log Q + 1, is the largest over j of
     Q [(e + 2G) L^j 2^-bits + G j L^(j-1) (2 log2 Q + 1) 2^-lb] / j!: each
-    entry's error times (log q)^j, the powers' errors (log q under
-    2 Omega(q) units low covers it) times |varphi_i(q)| <= G, and 2G for the
-    conversion.
+    entry's error times (log q)^j, the powers' errors (log q is under two
+    units low, inside the 2 Omega(q) allowed for) times |varphi_i(q)| <= G,
+    and 2G for the conversion.
 
     When `tol` is given and the empirical tail estimate exceeds it, a
     PrecisionWarning is attached (the series converge absolutely, so a

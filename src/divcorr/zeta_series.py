@@ -195,7 +195,8 @@ def _stieltjes_em(m: int, digits: int) -> tuple[mp.mpf, mp.mpf]:
         target = mp.mpf(10) ** (-(digits + 5))
         for j in range(1, _EM_TERMS):
             deriv = _poly_eval(polys[2 * j - 1], logN) / mp.mpf(N) ** (2 * j)
-            term = mp.bernoulli(2 * j) / mp.factorial(2 * j) * deriv
+            num, den = _bernoulli_weight(j)
+            term = num * deriv / den
             mag = abs(term)
             if mag > prev_mag:
                 err = prev_mag
