@@ -20,7 +20,10 @@ sums over p <= P and a few zeta jets (PrimeTailMoments).  This leaves
 truncation errors far below the working precision instead of the
 1/(P log P) floor a bare cutoff would give.  Every local factor, at p^gamma
 || h for any gamma, is one closed form in integers; their product over
-p <= P, the patch at p | h and the tail's log-jet run over 2^bits.
+p <= P, the patch at p | h and the tail's log-jet run over 2^bits.  Off
+the shift (gamma = 0) a factor's t^i w^j coefficient is a product of two
+short binomial sums in 1/p, one in t and one in w, and the product over
+p <= P takes it in that form, with the same integers.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import accumulate, chain, count
 from math import comb
-from operator import mul
+from operator import itemgetter, mul
 
 import mpmath as mp
 import numpy as np
@@ -151,13 +154,21 @@ class PrimeTailMoments:
             return max((d - 1) * math.log(n) + d * math.log(lq) - M * lq
                        + math.log1p(q / max(M - 1 - d / lq, 0.5)) for d in (0, d_max))
 
-        def width(M: int, tol: float) -> int:
-            """The primes from 2 up to the last whose term M^(d-1) p^(-M) (log p)^d
-            is above tol / pi(P) for some d <= d_max, counted: the rest add under tol."""
-            logs = np.maximum(-math.log(M), (d_max - 1) * math.log(M)
-                              + d_max * np.log(logp)) - M * logp
-            kept = np.flatnonzero(logs >= tol - math.log(max(len(primes), 1)))
-            return int(kept[-1]) + 1 if len(kept) else 0
+        loglogp, log_count = d_max * np.log(logp), math.log(max(len(primes), 1))
+        rank = np.arange(1, len(primes) + 1)
+
+        def widths(y: int, tol: float) -> list[int]:
+            """For M = y, 2y, ... before the first M that keeps none: the primes
+            from 2 up to the last whose term M^(d-1) p^(-M) (log p)^d is above
+            tol / pi(P) for some d <= d_max, counted (the rest add under tol);
+            16 M at a time, each row as its own float expression would give."""
+            out = []
+            while not out or out[-1]:
+                Ms = np.arange(len(out) + 1, len(out) + 17)[:, None] * y
+                lm = np.array([[math.log(M)] for M in Ms[:, 0].tolist()])
+                logs = np.maximum(-lm, (d_max - 1) * lm + loglogp) - Ms * logp
+                out += (rank * (logs >= tol - log_count)).max(axis=1, initial=0).tolist()
+            return out[: out.index(0)]
 
         # terms[m]: the squarefree n below the first n whose term is dropped
         ends = {m: next(n for n in count(1) if size(n, n * m) < eps - m * ln2)
@@ -168,11 +179,10 @@ class PrimeTailMoments:
         # need[M]: primes S(M, .) sums over; js[y]: prime sums j <= js[y] at y
         need, js = {}, {}
         for y in ys:
-            j = 0
-            while cnt := width((j + 1) * y, eps - y * ln2):
-                j += 1
+            counts = widths(y, eps - y * ln2)
+            for j, cnt in enumerate(counts, 1):
                 need[j * y] = max(need.get(j * y, 0), cnt)
-            js[y] = j
+            js[y] = len(counts)
         top = max(need, default=1)
         # S(M, d) as integers over 2^bits: p^(-M) is off by under 4 units, a term
         # by under 5 (log q)^d, and a moment multiplies S(jy, d) by (nj)^(d-1);
@@ -379,6 +389,36 @@ def _c_local_fixed(p: int, gamma: int, k: int, l: int, order_t: int, order_w: in
              for j in range(order_w + 1)] for i in range(order_t + 1)]
 
 
+@lru_cache(maxsize=None)
+def _c_base_weights(k: int, l: int, order_t: int, order_w: int) -> tuple:
+    """(ak, bl, fact): A_i p^k = sum_a ak[i][a] p^(k-a), B_j p^(l-1) =
+    sum_b bl[j][b] p^(l-1-b) (see _c_base_fixed), fact[i][j] = i! j!."""
+    ak = [[(-1) ** a * comb(k, a) * (-a) ** i for a in range(k + 1)] for i in range(order_t + 1)]
+    bl = [[(-1) ** b * comb(l - 1, b) * (-b) ** j for b in range(l)] for j in range(order_w + 1)]
+    fact = [[math.factorial(i) * math.factorial(j) for j in range(order_w + 1)]
+            for i in range(order_t + 1)]
+    return ak, bl, fact
+
+
+def _c_base_fixed(p: int, k: int, l: int, order_t: int, order_w: int, logs,
+                  guard: int) -> list[list[int]]:
+    """_c_local_fixed(p, 0, ...) from the closed form of C's local factor,
+    D + p/(p-1) (1-X)^k (1-D) with D = (1-Y)^(l-1): its t^i w^j coefficient is
+    (log p)^(i+j) / (i! j!) [delta_i0 B_j + p/(p-1) A_i (delta_j0 - B_j)],
+    A_i = sum_a (-1)^a C(k,a) (-a)^i p^-a, B_j = sum_b (-1)^b C(l-1,b) (-b)^j p^-b.
+    Over (p-1) p^(k+l-1), _local_weights' own denominator, the numerators
+    are the same integers, so every floor is the same."""
+    ak, bl, fact = _c_base_weights(k, l, order_t, order_w)
+    pw = [p**e for e in range(max(k, l - 1) + 1)]
+    A = [sum(c * pw[k - a] for a, c in enumerate(row)) for row in ak]
+    B = [sum(c * pw[l - 1 - b] for b, c in enumerate(row)) for row in bl]
+    one = [pw[l - 1] * (j == 0) - b for j, b in enumerate(B)]  # (delta_j0 - B_j) p^(l-1)
+    head = (p - 1) * pw[k]
+    den = head * pw[l - 1] << guard
+    return [[((head * B[j] if i == 0 else 0) + p * a * one[j]) * logs[i + j] // (den * f)
+             for j, f in enumerate(row)] for i, (a, row) in enumerate(zip(A, fact))]
+
+
 def _local_fixed(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int,
                  bits: int, alpha: int | None = None) -> list[list[int]]:
     """_c_local_fixed on a (log p)^d table of the weights' own guard."""
@@ -489,10 +529,26 @@ def _prime_tail_log_jet(k: int, l: int, order_t: int, order_w: int, prime_cutoff
     return _jet_from_fixed(corr, bits), bound + rounding
 
 
+@lru_cache(maxsize=None)
+def _mul_plan(rows: int, cols: int) -> tuple:
+    """Getters that gather, for each coefficient (i, j) of a truncated rows x
+    cols jet product, row by row, the entries a[i1][j1] and the matching
+    b[i-i1][j-j1] of the jets flattened row by row.  Each also takes index
+    rows * cols, a 0 appended to both flat lists, so that it returns a tuple
+    even for (0, 0)."""
+    zero = rows * cols
+    return tuple((itemgetter(zero, *(i1 * cols + j1 for i1 in range(i + 1) for j1 in range(j + 1))),
+                  itemgetter(zero, *((i - i1) * cols + j - j1 for i1 in range(i + 1)
+                                     for j1 in range(j + 1))))
+                 for i in range(rows) for j in range(cols))
+
+
 def _fixed_mul(a: list, b: list, bits: int) -> list[list[int]]:
     """Truncated product of two jets held as integers over 2^bits, floored."""
-    return [[sum(a[i1][j1] * b[i - i1][j - j1] for i1 in range(i + 1) for j1 in range(j + 1))
-             >> bits for j in range(len(a[0]))] for i in range(len(a))]
+    rows, cols = len(a), len(a[0])
+    fa, fb = [*chain.from_iterable(a), 0], [*chain.from_iterable(b), 0]
+    flat = [sum(map(mul, ga(fa), gb(fb))) >> bits for ga, gb in _mul_plan(rows, cols)]
+    return [flat[i * cols : (i + 1) * cols] for i in range(rows)]
 
 
 def _fixed_div(a: list, b: list, bits: int) -> list[list[int]]:
@@ -551,7 +607,7 @@ def _c_euler_base(k: int, l: int, order_t: int, order_w: int, prime_cutoff: int,
         spread = [[0] * (order_w + 1) for _ in range(order_t + 1)]
         prod = [[(i == j == 0) << bits for j in range(order_w + 1)] for i in range(order_t + 1)]
         for p, lg in zip(primes, logs):
-            factor = _c_local_fixed(p, 0, k, l, order_t, order_w, lg, guard)
+            factor = _c_base_fixed(p, k, l, order_t, order_w, lg, guard)
             prod = _fixed_mul(prod, factor, bits)
             factor[0][0] -= 1 << bits
             spread = [[s + abs(f) for s, f in zip(*rows)] for rows in zip(spread, factor)]

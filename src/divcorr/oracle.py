@@ -5,11 +5,14 @@ Everything on the brute side is an exact integer: correlation sums of
 exact-rational mean of d_k(n,A)/d_k(n).  One window kernel gives d_k(n, A)
 on [lo, hi] for any A, a segmented sieve in the manner of Bays and Hudson
 (BIT 17, 1977) that decides every boundary q <= n^A through integer root
-thresholds, never floating point.  Every sum streams window by window
-(SEGMENT_SIZE integers), carrying its exact sums, grouped ratio numerators
-and histogram counts across windows and cutoffs.  Memory is O(window +
-x^A), not O(x).  MAX_BRUTE_X still caps x: it now bounds the time a brute
-sum takes, not its memory.
+thresholds, never floating point.  For k = 2 and A >= 1/2 it needs no
+second kernel: pairing q with n/q makes d(n, A) the d(n) window less a
+count of the small cofactors, (d(n) + [n is a square]) / 2 at A = 1/2.
+Every sum streams window by window (SEGMENT_SIZE integers), carrying its
+exact sums, grouped ratio numerators and histogram counts across windows
+and cutoffs; streams that derive from one d_k window, the shifted left one
+of a correlation included, share it.  Memory is O(window + x^A), not O(x).
+MAX_BRUTE_X caps x: it bounds the time a brute sum takes, not its memory.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from numbers import Integral
 
 import mpmath as mp
 import numpy as np
 
 from . import arith
-from .arith import RationalExponent, _DkSieve, divisor_count_array
+from .arith import RationalExponent, _DkSieve, divisor_count_array, introot, introot_ceil
 from .errors import ResourceBudgetError
 
 # Largest x of a brute sum.  Memory no longer grows with x, so this bounds
@@ -34,8 +38,14 @@ MAX_BRUTE_X = 10**8
 
 _CHUNK = 1 << 16
 
-# The distribution's float ratios are formed this many at a time.
+# The distribution's ratios are binned this many at a time.
 _RATIO_CHUNK = 1 << 14
+
+# The histogram's range: its float edges sit up to 10^-7 above the grid
+# i / bins.  A ratio p / f with (bins p) mod f, taken in 1..f, above
+# bins f / _MARGIN clears that offset and float rounding alike.
+_HIST_RANGE = (0.0, 1.0000001)
+_MARGIN = 10**6
 
 _INT64_MAX = 2**63 - 1
 
@@ -93,39 +103,79 @@ def _group_sums(keys: np.ndarray, weights: np.ndarray) -> dict[int, int]:
     return {key: s for key, s in totals.items() if s}
 
 
+def _check_budget(x: int):
+    """ResourceBudgetError for a brute sum to x past MAX_BRUTE_X."""
+    if x > MAX_BRUTE_X:
+        raise ResourceBudgetError(f"x={x} over brute budget {MAX_BRUTE_X}")
+
+
 class _PartialSieve:
     """d_k(n, A) on windows [lo, hi] inside [0, top], as exact int64.
 
-    A = 1 is the d_k window kernel, `_DkSieve` (k = 1 aside).  Otherwise every
-    q <= top^A (q = 1 alone when A = 0 or k = 1) adds d_{k-1}(q) to its multiples
-    n >= first[q], the least n with q <= n^A.  first is an exact integer root,
-    taken once per q here, and admission is monotone in n along each stride.
-    In a window, q up to 1/64 of its width take strided adds; each larger q
-    has at most 64 multiples in it, so those q advance together, one
-    vectorised int64 `np.add.at` per multiple.  Memory is O(window + top^A).
+    At A = 1, and for k = 2 at A >= 1/2, the window derives from d_k(n),
+    which the d_k window kernel, `_DkSieve`, gives; A = 1 is that window
+    itself.  For k = 2 and A = a/b >= 1/2, each divisor q pairs with m = n/q,
+    and q > n^A exactly when m^b < n^(b-a), so d(n, A) = d(n) - #{m | n :
+    m^b < n^(b-a)}: at A = 1/2 that is (d(n) + [n is a square]) / 2, and
+    above it the count runs over m < n^(1-A), fewer than the q <= n^A.
+    Otherwise every q <= top^A (q = 1 alone when A = 0 or k = 1) adds
+    d_{k-1}(q) to its multiples n >= first[q], the least n with q <= n^A.
+    Both counts use `_add`: first is an exact integer root, taken once per q
+    here, and admission is monotone in n along each stride.  In a window, q
+    up to 1/64 of its width take strided adds; each larger q has at most 64
+    multiples in it, so those q advance together, one vectorised int64
+    `np.add.at` per multiple.  Memory is O(window + top^A).
     """
 
     def __init__(self, k: int, A, top: int):
         if top < 1 or k < 1:
             raise ValueError("d_k(n, A) windows require x >= 1, k >= 1")
-        if top > MAX_BRUTE_X:
-            raise ResourceBudgetError(f"x={top} over brute budget {MAX_BRUTE_X}")
-        A = RationalExponent.parse(A)
-        self.sieve = None
-        if A.a == A.b and k > 1:
-            self.sieve = _DkSieve(k, top)
-            return
-        qmax = 1 if k == 1 or A.a == 0 else A.divisor_cutoff(top)
-        self.weight = divisor_count_array(qmax, k - 1)
-        self.first = np.array([0, 1] + [A.first_n_admitting(q) for q in range(2, qmax + 1)],
-                              dtype=np.int64)
+        self.A = A = RationalExponent.parse(A)
+        derives = k > 1 and (A.a == A.b or k == 2 and 2 * A.a >= A.b)
+        self.sieve = _DkSieve(k, top) if derives else None
+        self.first = None
+        if self.sieve is None:
+            qmax = 1 if k == 1 or A.a == 0 else A.divisor_cutoff(top)
+            self.weight = divisor_count_array(qmax, k - 1)
+            self.first = np.array([0, 1] + [A.first_n_admitting(q) for q in range(2, qmax + 1)],
+                                  dtype=np.int64)
+        elif A.b > 1 and A.b != 2 * A.a:
+            # the m counted off, with the least n that admits each: m^b < n^c
+            c = A.b - A.a
+            mmax = introot(top**c - 1, A.b)
+            self.weight = np.full(mmax + 1, -1, dtype=np.int64)
+            self.first = np.array([0] + [introot(m**A.b, c) + 1 for m in range(1, mmax + 1)],
+                                  dtype=np.int64)
 
-    def __call__(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """The window [lo, hi], written into `out` (hi - lo + 1 int64)."""
-        size = hi - lo + 1
-        if self.sieve is not None:
-            return self.sieve(lo, out)
-        out.fill(0)
+    def __call__(self, lo: int, hi: int, out: np.ndarray,
+                 full: np.ndarray | None = None) -> np.ndarray:
+        """The window [lo, hi], written into `out` (hi - lo + 1 int64), or at
+        A = 1 the d_k(n) window itself.  A caller that already holds the
+        d_k(n) window of [lo, hi] passes it as `full`, and a window that
+        derives from it is not sieved again."""
+        if self.sieve is None:
+            out.fill(0)
+            self._add(lo, out)
+            return out
+        if full is None:
+            full = self.sieve(lo, out)
+        if self.first is not None:
+            if out is not full:
+                np.copyto(out, full)
+            self._add(lo, out)
+        elif self.A.b == 2:  # d(n) is odd exactly when n is a square
+            np.right_shift(full, 1, out=out)
+            roots = np.arange(introot_ceil(max(lo, 1), 2), isqrt(hi) + 1, dtype=np.int64)
+            out[roots * roots - lo] += 1
+        else:
+            return full
+        return out
+
+    def _add(self, lo: int, out: np.ndarray):
+        """Adds weight[q] to every multiple n >= first[q] of each q in the
+        window at lo."""
+        size = len(out)
+        hi = lo + size - 1
         count = int(np.searchsorted(self.first, hi, side="right")) - 1  # q with first[q] <= hi
         small = min(count, size // 64)
         for q, n0, w in zip(range(1, small + 1), self.first[1 : small + 1].tolist(),
@@ -139,7 +189,7 @@ class _PartialSieve:
         while True:
             live = pos < size
             if not live.any():
-                return out
+                return
             pos, qs, w = pos[live], qs[live], w[live]
             np.add.at(out, pos, w)
             pos += qs
@@ -151,21 +201,15 @@ def _spans(lo: int, hi: int):
     return ((s, min(s + size - 1, hi)) for s in range(lo, hi + 1, size))
 
 
-def _buffer(x: int) -> np.ndarray:
-    """Room for one window of a stream over 1 <= n <= x."""
-    return np.empty(min(arith.SEGMENT_SIZE, x), dtype=np.int64)
-
-
-def _windows(k: int, A, top: int, buf: np.ndarray):
-    """d_k(n, A) on [lo, hi] inside [0, top] by window: the window kernel
-    written into the front of `buf`, which the next window overwrites."""
-    kernel = _PartialSieve(k, A, top)
-    return lambda lo, hi: kernel(lo, hi, out=buf[: hi - lo + 1])
+def _buffer(x: int, extra: int = 0) -> np.ndarray:
+    """Room for one window of a stream over 1 <= n <= x, and `extra` more."""
+    return np.empty(min(arith.SEGMENT_SIZE, x) + extra, dtype=np.int64)
 
 
 def partial_divisor_array(x: int, k: int, A) -> np.ndarray:
     """d_k(n, A) for 0 <= n <= x as exact int64 (index 0 unused): the window
     kernel, written window by window."""
+    _check_budget(x)
     window = _PartialSieve(k, A, x)
     out = np.empty(x + 1, dtype=np.int64)
     for lo, hi in _spans(0, x):
@@ -190,25 +234,39 @@ def brute_correlation_decades(h: int, k: int, l: int, A, Bs: list,
                               xs: list[int]) -> list[list[CorrelationResult]]:
     """Exact sums over n <= x of d_k(n+h, A) d_l(n, B) for each B in Bs (one
     list per B, ascending in x) and each x in xs, from one stream to max(xs):
-    each window of d_k(n+h, A) is sieved once for every B, and each window's
-    products are checked against int64 wrap and summed exactly into Python
-    ints.  A negative h raises ValueError: its windows would reach n + h <= 0."""
+    each window of d_k(n+h, A) is sieved once for every B, the right streams
+    that derive from d_l(n) share one d_l window, and each window's products
+    are checked against int64 wrap and summed exactly into Python ints.
+    When k = l, the left stream and a right one both derive from d_k, and h
+    is under the window's width, one d_k window over [lo, hi + h] serves both
+    sides: the left's is its slice shifted by h.  A negative h raises
+    ValueError: its windows would reach n + h <= 0."""
     if h < 0:
         raise ValueError(f"brute correlation sums require h >= 0, not h={h}")
     A = RationalExponent.parse(A)
     Bs = [RationalExponent.parse(B) for B in Bs]
     xs = sorted(xs)
-    left = _windows(k, A, xs[-1] + h, _buffer(xs[-1]))
-    right_buf = _buffer(xs[-1])  # each right window is summed before the next
-    rights = [_windows(l, B, xs[-1], right_buf) for B in Bs]
+    _check_budget(xs[-1])
+    left = _PartialSieve(k, A, xs[-1] + h)
+    rights = [_PartialSieve(l, B, xs[-1]) for B in Bs]
+    left_buf, right_buf = _buffer(xs[-1]), _buffer(xs[-1])
+    d_l = next((right.sieve for right in rights if right.sieve is not None), None)
+    shared = d_l is not None and k == l and left.sieve is not None and h < left_buf.size
+    full_buf = _buffer(xs[-1], h if shared else 0)  # the d_l (shared: d_k) window
     running = [0] * len(Bs)
     out = [[] for _ in Bs]
     prev = 0
     for x in xs:
         for lo, hi in _spans(prev + 1, x):
-            lw = left(lo + h, hi + h)
+            size = hi - lo + 1
+            if shared:
+                full = left.sieve(lo, full_buf[: size + h])
+                lw, full = left(lo + h, hi + h, left_buf[:size], full=full[h:]), full[:size]
+            else:
+                lw = left(lo + h, hi + h, left_buf[:size])
+                full = None if d_l is None else d_l(lo, full_buf[:size])
             for i, right in enumerate(rights):
-                running[i] += _product_sum(lw, right(lo, hi))
+                running[i] += _product_sum(lw, right(lo, hi, right_buf[:size], full=full))
         for i, B in enumerate(Bs):
             out[i].append(CorrelationResult(h=h, k=k, l=l, A=A, B=B, x=x, value=running[i]))
         prev = x
@@ -224,12 +282,13 @@ def brute_ap_sweep(k: int, A, classes, xs) -> dict:
     if any(q < 1 for q, _ in running):
         raise ValueError("brute_ap_sweep requires q >= 1")
     cuts = sorted(set(xs))
-    window = _windows(k, A, cuts[-1], _buffer(cuts[-1]))
+    _check_budget(cuts[-1])
+    window, buf = _PartialSieve(k, A, cuts[-1]), _buffer(cuts[-1])
     at_cut = {}
     prev = 0
     for cut in cuts:
         for lo, hi in _spans(prev + 1, cut):
-            values = window(lo, hi)
+            values = window(lo, hi, buf[: hi - lo + 1])
             for q, h in running:
                 running[q, h] += _exact_sum(values[(h - lo) % q :: q])
         at_cut[cut] = dict(running)
@@ -255,24 +314,47 @@ class DistributionResult:
         return abs(Fraction(self.sum_partial) - Af ** (self.k - 1) * self.sum_full)
 
 
+def _ratio_counts(p: np.ndarray, f: np.ndarray, bins: int) -> np.ndarray:
+    """np.histogram(p / f, bins, _HIST_RANGE)'s counts for 1 <= p <= f, in
+    integers: i = (bins p - 1) // f puts p / f in (i / bins, (i+1) / bins],
+    which is np.histogram's bin [edge_i, edge_(i+1)) wherever p / f lies
+    more than 1 / _MARGIN above i / bins (edge_i is at most 10^-7 above it,
+    edge_(i+1) 10^-7 (i+1) / bins above p / f).  Every element is that far
+    while bins f < _MARGIN; past it, the few nearer ones go to np.histogram."""
+    counts = np.zeros(bins, dtype=np.int64)
+    for c in range(0, f.size, _RATIO_CHUNK):
+        pc, fc = p[c : c + _RATIO_CHUNK], f[c : c + _RATIO_CHUNK]
+        scaled = bins * pc
+        i = (scaled - 1) // fc
+        if bins * int(fc.max()) >= _MARGIN:
+            near = scaled - i * fc <= bins * fc // _MARGIN
+            counts += np.histogram(pc[near] / fc[near], bins=bins, range=_HIST_RANGE)[0]
+            i = i[~near]
+        counts += np.bincount(i, minlength=bins)
+    return counts
+
+
 def empirical_distribution(k: int, A, x, bins: int = 20):
     """Exact-rational mean of d_k(n,A)/d_k(n) over n <= x, with histogram.
 
     x is one cutoff (one result) or a sequence of cutoffs (one result per
-    entry, in the given order).  One pass streams both d_k(n) and d_k(n, A)
-    window by window up to the largest cutoff, carrying the exact sums, the
-    histogram counts and the ratio numerators across windows and cutoffs.
-    The ratio sum is grouped by the value of d_k(n) with exact integer
-    numerators, so the mean is an exact rational.
+    entry, in the given order).  One pass streams d_k(n) window by window up
+    to the largest cutoff, with d_k(n, A) derived from it where it can be
+    (A = 1, or k = 2 and A >= 1/2) and sieved beside it otherwise, carrying
+    the exact sums, the histogram counts and the ratio numerators across
+    windows and cutoffs.  The ratio sum is grouped by the value of d_k(n)
+    with exact integer numerators, so the mean is an exact rational; the
+    histogram bins are integer comparisons equal to np.histogram's over
+    _HIST_RANGE (_ratio_counts).
     """
     A = RationalExponent.parse(A)
     cuts = sorted({x} if isinstance(x, Integral) else set(x))
     if cuts[0] < 1:
         raise ValueError("empirical_distribution requires every x >= 1")
-    full_w = _windows(k, RationalExponent(1, 1), cuts[-1], _buffer(cuts[-1]))
-    part_w = full_w if A.a == A.b else _windows(k, A, cuts[-1], _buffer(cuts[-1]))
-    hist_range = (0.0, 1.0000001)
-    edges = np.histogram_bin_edges(np.zeros(0), bins=bins, range=hist_range).tolist()
+    _check_budget(cuts[-1])
+    full_w, part_w = _PartialSieve(k, 1, cuts[-1]), _PartialSieve(k, A, cuts[-1])
+    full_buf, part_buf = _buffer(cuts[-1]), _buffer(cuts[-1])
+    edges = np.histogram_bin_edges(np.zeros(0), bins=bins, range=_HIST_RANGE).tolist()
     counts = np.zeros(bins, dtype=np.int64)
     numerators: dict[int, int] = {}  # d_k(n) -> sum of d_k(n, A) over those n
     sum_partial = sum_full = 0
@@ -280,15 +362,13 @@ def empirical_distribution(k: int, A, x, bins: int = 20):
     prev = 0
     for cut in cuts:
         for lo, hi in _spans(prev + 1, cut):
-            f = full_w(lo, hi)
-            p = f if part_w is full_w else part_w(lo, hi)
+            f = full_w(lo, hi, full_buf[: hi - lo + 1])
+            p = part_w(lo, hi, part_buf[: hi - lo + 1], full=f)
             for v, s in _group_sums(f, p).items():
                 numerators[v] = numerators.get(v, 0) + s
             sum_partial += _exact_sum(p)
             sum_full += _exact_sum(f)
-            for c in range(0, f.size, _RATIO_CHUNK):
-                counts += np.histogram(p[c : c + _RATIO_CHUNK] / f[c : c + _RATIO_CHUNK],
-                                       bins=bins, range=hist_range)[0]
+            counts += _ratio_counts(p, f, bins)
         ratio_sum = sum((Fraction(s, v) for v, s in numerators.items()), Fraction(0))
         histogram = [(edges[i], edges[i + 1], int(counts[i])) for i in range(bins)]
         results[cut] = DistributionResult(k, A, cut, ratio_sum / cut, histogram,

@@ -1,5 +1,6 @@
 """Singular series: Euler products, local jets, Dirichlet coefficients."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -18,10 +19,14 @@ from divcorr.arith import (
 from divcorr.euler import (
     DEFAULT_PRIME_CUTOFF,
     _SERIES_DEGREE,
+    _c_base_fixed,
     _c_euler_base,
     _c_factor_poly,
+    _c_local_fixed,
     _c_scalar,
+    _fixed_mul,
     _local_fixed,
+    _table_guard,
     _poly_log_series,
     _prime_tail_log_jet,
     _scalar_tail_bound,
@@ -36,6 +41,7 @@ from divcorr.euler import (
 )
 from divcorr.errors import PrecisionError
 from divcorr.jets import Jet2, PowerJet
+from divcorr.zeta_series import log_powers
 from second_routes import exp_coeffs, phi_local, phi_of, varphi_of, varphi_prime_power
 
 TIGHT = mp.mpf(10) ** -30
@@ -214,6 +220,33 @@ def test_local_factor_integers_within_two_units():
                     units = max(abs(got[i][j] - mp.ldexp(ref[i, j], bits))
                                 for i in range(4) for j in range(5))
                 assert units < 2, (p, k, l, gamma, units)
+
+
+def test_base_local_factor_closed_form_is_bit_identical():
+    """The gamma = 0 closed form gives the integers of the per-monomial sum
+    over _local_weights, for every p <= 10^3."""
+    primes = tuple(int(p) for p in primes_up_to(1000))
+    for k, l in ((2, 2), (3, 2), (3, 3), (4, 3)):
+        order_t, order_w, guard = k, max(l, k + l - 2), _table_guard(k, l)
+        logs = zip(*log_powers(primes, order_t + order_w, 160 + guard))
+        for p, lg in zip(primes, logs):
+            assert (_c_base_fixed(p, k, l, order_t, order_w, lg, guard)
+                    == _c_local_fixed(p, 0, k, l, order_t, order_w, lg, guard)), (p, k, l)
+
+
+def test_fixed_mul_matches_the_loop_product():
+    """The planned product equals the plain double loop over the pairs, for
+    every shape up to 5 x 5 and signed entries."""
+    rng = random.Random(7)
+    bits = 90
+    for rows in range(1, 6):
+        for cols in range(1, 6):
+            a, b = ([[rng.getrandbits(160) - (1 << 159) for _ in range(cols)]
+                     for _ in range(rows)] for _ in range(2))
+            want = [[sum(a[i1][j1] * b[i - i1][j - j1] for i1 in range(i + 1)
+                         for j1 in range(j + 1)) >> bits for j in range(cols)]
+                    for i in range(rows)]
+            assert _fixed_mul(a, b, bits) == want, (rows, cols)
 
 
 def test_local_factor_h2_product():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divcorr import arith
+from divcorr import arith, oracle
 from divcorr.arith import (
     SEGMENT_SIZE,
     RationalExponent,
@@ -21,11 +21,13 @@ from divcorr.arith import (
 from divcorr.asympt import a_coefficient, b_coefficient, coefficient_context
 from divcorr.errors import ResourceBudgetError
 from divcorr.oracle import (
+    _HIST_RANGE,
     ComparisonReport,
     _checked_product,
     _exact_sum,
     _group_sums,
     _PartialSieve,
+    _ratio_counts,
     _spans,
     brute_ap_sweep,
     brute_correlation_decades,
@@ -104,6 +106,94 @@ def test_partial_divisor_array_matches_a_full_scan():
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(arith, "SEGMENT_SIZE", size)
                 assert np.array_equal(partial_divisor_array(3000, k, A), want), (k, A, size)
+
+
+def test_k2_complement_matches_pointwise():
+    """d(n, A) for A >= 1/2 from the d(n) window, (d + squares) / 2 at 1/2 and
+    d less the m^b < n^(b-a) count above it, against the divisor scan of
+    dk_partial on windows that start at, end at and straddle perfect squares,
+    and around the b-th powers where the strict test is an equality; also
+    when the caller hands in the d(n) window."""
+    for A in ("1/2", "3/5", "2/3", "3/4"):
+        E = RationalExponent.parse(A)
+        windows = [(r * r + a, r * r + b) for r in (3, 31, 1000, 4097)
+                   for a, b in ((0, 40), (-40, 0), (-9, 9))]
+        windows += [(r**E.b - 6, r**E.b + 6) for r in (2, 3, 7, 31) if r**E.b < 10**9]
+        for lo, hi in windows:
+            lo = max(lo, 1)
+            window = _PartialSieve(2, A, hi)
+            got = window(lo, hi, np.empty(hi - lo + 1, dtype=np.int64))
+            want = [dk_partial(n, 2, E) for n in range(lo, hi + 1)]
+            assert got.tolist() == want, (A, lo, hi)
+            full = sieve_dk(2, lo, hi).values
+            handed = window(lo, hi, np.empty(hi - lo + 1, dtype=np.int64), full=full)
+            assert handed.tolist() == want, (A, lo, hi)
+            assert np.array_equal(full, sieve_dk(2, lo, hi).values)  # left as it was
+
+
+def test_shared_window_correlations_match_the_arrays():
+    """Correlation sums against products of partial_divisor_array slices: with
+    one d_k window shared by both sides (k = l, both derived, h under the
+    window), for h = 0, 1, 12 and h past a 64-wide window, and for k != l."""
+    xs = [500, 3000]
+    cases = [(2, 2, 1, [1, "1/2", "2/3", "1/4"]), (2, 2, "3/5", ["1/2", "3/4"]),
+             (3, 3, 1, [1, "1/2"]), (2, 3, 1, [1, "1/2"]), (3, 2, "1/2", [1, "1/2", "2/3"])]
+    for size in (64, SEGMENT_SIZE):
+        for h in (0, 1, 12, 100):
+            for k, l, A, Bs in cases:
+                left = partial_divisor_array(max(xs) + h, k, A)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(arith, "SEGMENT_SIZE", size)
+                    sweep = brute_correlation_decades(h, k, l, A, Bs, xs)
+                for B, results in zip(Bs, sweep):
+                    right = partial_divisor_array(max(xs), l, B)
+                    want = [sum(map(int, left[1 + h : x + 1 + h] * right[1 : x + 1])) for x in xs]
+                    assert [r.value for r in results] == want, (size, h, k, l, A, B)
+
+
+def test_integer_bins_equal_np_histogram():
+    """_ratio_counts gives np.histogram's counts over _HIST_RANGE: on the
+    distribution workload's last window (k = 3, A = 1/2, to 2*10^6) and on
+    k = 2 windows, on ratios exactly i / bins and 1, and on pairs with a
+    large f whose ratio lies a hair above i / bins, under the 10^-7 offset of
+    the float edges, where the integer bin alone would differ."""
+
+    def histogram(p, f, bins):
+        return np.histogram(p / f, bins=bins, range=_HIST_RANGE)[0].tolist()
+
+    top = 2 * 10**6
+    for k, A in ((3, "1/2"), (2, "1/2"), (2, "2/3")):
+        lo = top - SEGMENT_SIZE + 1
+        f = _PartialSieve(k, 1, top)(lo, top, np.empty(SEGMENT_SIZE, dtype=np.int64)).copy()
+        p = _PartialSieve(k, A, top)(lo, top, np.empty(SEGMENT_SIZE, dtype=np.int64))
+        for bins in (20, 7, 1, 100):
+            assert _ratio_counts(p, f, bins).tolist() == histogram(p, f, bins), (k, A, bins)
+    for bins in (20, 3, 64):
+        f = np.arange(1, 400, dtype=np.int64) * bins
+        for i in range(bins + 1):
+            p = np.maximum(f // bins * i, 1)
+            assert _ratio_counts(p, f, bins).tolist() == histogram(p, f, bins), (bins, i)
+    bins, f0 = 20, 10**9
+    f = np.full(bins - 1, bins * f0, dtype=np.int64)
+    p = np.arange(1, bins, dtype=np.int64) * f0 + 1
+    assert _ratio_counts(p, f, bins).tolist() == histogram(p, f, bins)
+    assert np.bincount((bins * p - 1) // f, minlength=bins).tolist() != histogram(p, f, bins)
+
+
+def test_brute_budget_caps_x_not_x_plus_h(monkeypatch):
+    """x = MAX_BRUTE_X runs for any h; x = MAX_BRUTE_X + 1 raises, for every
+    brute sum."""
+    cap = 10**4
+    want = brute_correlation_decades(12, 2, 2, 1, ["1/2"], [cap])
+    monkeypatch.setattr(oracle, "MAX_BRUTE_X", cap)
+    assert brute_correlation_decades(12, 2, 2, 1, ["1/2"], [cap]) == want
+    for run in (lambda x: brute_correlation_decades(1, 2, 2, 1, ["1/2"], [x]),
+                lambda x: empirical_distribution(2, "1/2", x),
+                lambda x: brute_ap_sweep(2, "1/2", [(3, 1)], [x]),
+                lambda x: partial_divisor_array(x, 2, "1/2")):
+        run(cap)
+        with pytest.raises(ResourceBudgetError):
+            run(cap + 1)
 
 
 def test_streamed_sums_do_not_depend_on_the_window():
