@@ -24,7 +24,9 @@ mp.mp.dps = 40
 print("1) correlation vs full polynomial, (h, k, l, A) = (1, 2, 2, 1/2)")
 poly = main_polynomial("1/2", 1, 2, 2, source="euler")
 rep = ComparisonReport(title="demo", meta={"mode": "theorem-2.3-style"})
-for r in brute_correlation_decades(1, 2, 2, 1, ["1/2"], [10**3, 10**4, 10**5, 10**6])[0]:
+xs = [10**3, 10**4, 10**5, 10**6]
+[sums] = brute_correlation_decades([1], 2, 2, [1], ["1/2"], xs).values()
+for r in sums:
     rep.add(r.x, r.value, mp.mpf(r.x) * poly(mp.log(r.x)))
 for row in rep.rows:
     print(f"   x = {row['x']:>8}: observed {row['observed']:>12}  "
@@ -38,13 +40,14 @@ for (k, q, h) in ((2, 7, 3), (3, 5, 2)):
           f"{mp.nstr(pred, 10)}, ratio {mp.nstr(obs / pred, 8)}")
 
 print("\n3) doubly-partial correlation vs leading constant, A = 2/3, B = 1/4")
-print("   (the normalized ratio drifts toward 1 like 1/log x)")
-for (k, l, h) in ((2, 2, 2), (3, 2, 1)):
-    lead = correlation_leading(h, k, l, "2/3", "1/4")
-    [rows] = brute_correlation_decades(h, k, l, "2/3", ["1/4"], [10**4, 10**5, 10**6])
-    ratios = [mp.nstr(mp.mpf(r.value) / (r.x * mp.log(r.x) ** (k + l - 2) * lead), 6)
-              for r in rows]
-    print(f"   k={k} l={l} h={h}: ratios across decades {ratios}")
+print("   (the normalized ratio drifts toward 1 like 1/log x; one pass per (k, l))")
+for (k, l) in ((2, 2), (3, 2)):
+    sweep = brute_correlation_decades([1, 2], k, l, ["2/3"], ["1/4"], [10**4, 10**5, 10**6])
+    for (h, _, _), rows in sweep.items():
+        lead = correlation_leading(h, k, l, "2/3", "1/4")
+        ratios = [mp.nstr(mp.mpf(r.value) / (r.x * mp.log(r.x) ** (k + l - 2) * lead), 6)
+                  for r in rows]
+        print(f"   k={k} l={l} h={h}: ratios across decades {ratios}")
 
 print("\nCSV schema used by the command-line reports:")
 print("\n".join(rep.to_csv().splitlines()[:4]))

@@ -85,12 +85,6 @@ class FactoredInteger:
         if prod != self.value or self.value < 1:
             raise ValueError("factor list does not multiply to value")
 
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def divisors(self) -> list[int]:
         """All divisors, sorted ascending."""
         divs = [1]

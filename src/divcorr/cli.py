@@ -38,6 +38,8 @@ EXIT_RESOURCE = 3
 EXIT_PRECISION = 4
 EXIT_CONSISTENCY = 5
 
+ONE = RationalExponent(1, 1)
+
 
 def parse_dps(text: str) -> int:
     """--dps: working digits, 30 to 100 (the Stieltjes-constant ceiling)."""
@@ -87,7 +89,10 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _write_report(args, name: str, text: str) -> str:
+def _write_report(args, name: str, text) -> str:
+    """Writes the text, or a payload dict as sorted, indented JSON."""
+    if isinstance(text, dict):
+        text = json.dumps(text, sort_keys=True, indent=2) + "\n"
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, name)
     with open(path, "w") as fh:
@@ -111,9 +116,7 @@ def _grid_guard(*lists):
 def _meta(args, **extra) -> dict:
     # thread count deliberately omitted: it cannot affect results, and
     # reports must stay byte-identical across thread counts
-    meta = {"precision_dps": args.dps}
-    meta.update(extra)
-    return meta
+    return {"precision_dps": args.dps, **extra}
 
 
 def _table_cache_path(args, k: int, lo: int, hi: int) -> str:
@@ -153,8 +156,7 @@ def cmd_sieve(args) -> int:
         "hi": args.hi,
         "sample_values": {str(n): v for n, v in sample.items()},
     }
-    _write_report(args, f"sieve_k{args.k}_{args.lo}_{args.hi}.json",
-                  json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_report(args, f"sieve_k{args.k}_{args.lo}_{args.hi}.json", payload)
     return EXIT_OK
 
 
@@ -187,8 +189,7 @@ def cmd_constants(args) -> int:
         "singular_series": results,
         "tables": tables,
     }
-    _write_report(args, "constants.json",
-                  json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_report(args, "constants.json", payload)
     return EXIT_OK
 
 
@@ -218,8 +219,7 @@ def cmd_polynomial(args) -> int:
                    "Q": args.Q, "dps": args.dps},
         "polynomials": payloads,
     }
-    _write_report(args, "polynomial.json",
-                  json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_report(args, "polynomial.json", payload)
     _write_report(args, "polynomial_coefficients.csv", "\n".join(csv_lines) + "\n")
     return EXIT_OK
 
@@ -246,8 +246,7 @@ def cmd_predict(args) -> int:
         "predictions": rows,
         "exponent_table": {str(kk): str(asympt.theta_base(kk)) for kk in range(2, 9)},
     }
-    _write_report(args, "predict.json",
-                  json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_report(args, "predict.json", payload)
     return EXIT_OK
 
 
@@ -255,6 +254,7 @@ def _verify_theorem23(args) -> list:
     reports = []
     for k in args.k:
         for l in args.l:
+            sweep = oracle.brute_correlation_decades(args.h, k, l, [ONE], args.A, args.x)
             for h in args.h:
                 ctx = asympt.coefficient_context(h, k, l, source="euler")
                 for A in args.A:
@@ -264,34 +264,37 @@ def _verify_theorem23(args) -> list:
                         meta=_meta(args, mode="theorem23", k=k, l=l, h=h, A=str(A),
                                    in_proven_range=poly.in_proven_range),
                     )
-                    [results] = oracle.brute_correlation_decades(
-                        h, k, l, RationalExponent(1, 1), [A], args.x)
-                    for r in results:
+                    for r in sweep[h, ONE, A]:
                         rep.add(r.x, r.value, mp.mpf(r.x) * poly(mp.log(r.x)))
                     reports.append(rep)
     return reports
 
 
-def _verify_theorem22(args) -> list:
-    reports = []
+def _correlation_grid(args, *extra):
+    """(k, l, h, A, B, sweep) in report order, with one brute pass per (k, l)
+    for every h, A and B, and for each B in `extra` too."""
     for k in args.k:
         for l in args.l:
+            sweep = oracle.brute_correlation_decades(args.h, k, l, args.A, [*extra, *args.B],
+                                                     args.x)
             for h in args.h:
                 for A in args.A:
-                    # one pass over d_k(n+h, A) for every B
-                    sweep = oracle.brute_correlation_decades(h, k, l, A, args.B, args.x)
-                    for B, results in zip(args.B, sweep):
-                        lead = asympt.correlation_leading(h, k, l, A, B)
-                        rep = oracle.ComparisonReport(
-                            title=f"theorem22_k{k}_l{l}_h{h}_A{A.a}d{A.b}_B{B.a}d{B.b}",
-                            meta=_meta(args, mode="theorem22", k=k, l=l, h=h,
-                                       A=str(A), B=str(B),
-                                       in_proven_range=asympt.correlation_validity(k, l, A, B)),
-                        )
-                        for r in results:
-                            pred = lead * r.x * mp.log(r.x) ** (k + l - 2)
-                            rep.add(r.x, r.value, pred)
-                        reports.append(rep)
+                    for B in args.B:
+                        yield k, l, h, A, B, sweep
+
+
+def _verify_theorem22(args) -> list:
+    reports = []
+    for k, l, h, A, B, sweep in _correlation_grid(args):
+        lead = asympt.correlation_leading(h, k, l, A, B)
+        rep = oracle.ComparisonReport(
+            title=f"theorem22_k{k}_l{l}_h{h}_A{A.a}d{A.b}_B{B.a}d{B.b}",
+            meta=_meta(args, mode="theorem22", k=k, l=l, h=h, A=str(A), B=str(B),
+                       in_proven_range=asympt.correlation_validity(k, l, A, B)),
+        )
+        for r in sweep[h, A, B]:
+            rep.add(r.x, r.value, lead * r.x * mp.log(r.x) ** (k + l - 2))
+        reports.append(rep)
     return reports
 
 
@@ -316,30 +319,23 @@ def _verify_theorem21(args) -> list:
 
 
 def _verify_corollary3(args) -> list:
+    if any(B.a == 0 for B in args.B):
+        raise ValueError("corollary3 requires B > 0")
     reports = []
-    for k in args.k:
-        for l in args.l:
-            for h in args.h:
-                for A in args.A:
-                    # one pass over d_k(n+h, A) for the full and every partial sum
-                    full, *partials = oracle.brute_correlation_decades(
-                        h, k, l, A, [RationalExponent(1, 1), *args.B], args.x)
-                    for B, partial in zip(args.B, partials):
-                        gap = asympt.partial_vs_full_leading_gap(h, k, l, A, B)
-                        rep = oracle.ComparisonReport(
-                            title=f"corollary3_k{k}_l{l}_h{h}_A{A.a}d{A.b}_B{B.a}d{B.b}",
-                            meta=_meta(args, mode="corollary3", k=k, l=l, h=h,
-                                       A=str(A), B=str(B),
-                                       leading_gap=mp.nstr(abs(gap), 6),
-                                       note="predicted column is the x log^(k+l-3) x scale"),
-                        )
-                        Bf = B.as_fraction()
-                        for rf, rp in zip(full, partial):
-                            observed = Fraction(rf.value) - Fraction(rp.value) / Bf ** (l - 1)
-                            scale = rf.x * mp.log(rf.x) ** (k + l - 3)
-                            rep.add(rf.x, mp.mpf(observed.numerator) / observed.denominator,
-                                    scale)
-                        reports.append(rep)
+    for k, l, h, A, B, sweep in _correlation_grid(args, ONE):
+        gap = asympt.partial_vs_full_leading_gap(h, k, l, A, B)
+        rep = oracle.ComparisonReport(
+            title=f"corollary3_k{k}_l{l}_h{h}_A{A.a}d{A.b}_B{B.a}d{B.b}",
+            meta=_meta(args, mode="corollary3", k=k, l=l, h=h, A=str(A), B=str(B),
+                       leading_gap=mp.nstr(abs(gap), 6),
+                       note="predicted column is the x log^(k+l-3) x scale"),
+        )
+        Bf = B.as_fraction()
+        for rf, rp in zip(sweep[h, A, ONE], sweep[h, A, B]):
+            observed = Fraction(rf.value) - Fraction(rp.value) / Bf ** (l - 1)
+            scale = rf.x * mp.log(rf.x) ** (k + l - 3)
+            rep.add(rf.x, mp.mpf(observed.numerator) / observed.denominator, scale)
+        reports.append(rep)
     return reports
 
 
@@ -385,8 +381,7 @@ def cmd_estermann(args) -> int:
                    "tol": args.tol, "dps": args.dps},
         "checks": rows,
     }
-    _write_report(args, "estermann.json",
-                  json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_report(args, "estermann.json", payload)
     if failures:
         raise ConsistencyError(f"{failures} shift(s) failed the two-route check")
     return EXIT_OK
@@ -394,28 +389,27 @@ def cmd_estermann(args) -> int:
 
 def cmd_distribution(args) -> int:
     rows = []
-    for x, dist in zip(args.x, oracle.empirical_distribution(args.k, args.A, args.x)):
-        limit = asympt.bareikis_cdf(args.k, args.A)
+    dists = oracle.empirical_distribution(args.k, args.A, args.x)
+    limit = asympt.bareikis_cdf(args.k, args.A)
+    for x, dist in zip(args.x, dists):
         resid = dist.scaling_residual()
+        resid_x = mp.mpf(resid.numerator) / resid.denominator / x
         rows.append({
             "x": x,
             "mean": f"{dist.mean.numerator}/{dist.mean.denominator}",
             "mean_float": mp.nstr(mp.mpf(dist.mean.numerator) / dist.mean.denominator, 15),
             "beta_law_cdf": mp.nstr(limit, 15),
-            "scaling_residual_over_x": mp.nstr(
-                mp.mpf(resid.numerator) / resid.denominator / x, 8),
+            "scaling_residual_over_x": mp.nstr(resid_x, 8),
             "histogram": dist.histogram,
         })
         print(f"x={x}: mean {float(dist.mean):.6f}, beta-law limit "
-              f"{mp.nstr(limit, 8)}, scaling residual/x "
-              f"{mp.nstr(mp.mpf(resid.numerator)/resid.denominator/x, 4)}")
+              f"{mp.nstr(limit, 8)}, scaling residual/x {mp.nstr(resid_x, 4)}")
     payload = {
         "command": "distribution",
         "config": {"k": args.k, "A": str(args.A), "x": args.x, "dps": args.dps},
         "rows": rows,
     }
-    _write_report(args, f"distribution_k{args.k}.json",
-                  json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_report(args, f"distribution_k{args.k}.json", payload)
     return EXIT_OK
 
 

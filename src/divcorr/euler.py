@@ -431,13 +431,6 @@ def _jet_from_fixed(rows, bits: int) -> Jet2:
     return Jet2([[mp.ldexp(c, -bits) for c in row] for row in rows])
 
 
-def cf_local_jet(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int) -> Jet2:
-    """Local factor of C(s,w) f(s,w) at p, gamma = v_p(h) >= 0 (C's alone at
-    gamma = 0): the integers of _local_weights, 10 bits past working precision."""
-    bits = mp.mp.prec + 10
-    return _jet_from_fixed(_local_fixed(p, gamma, k, l, order_t, order_w, bits), bits)
-
-
 # --- trivariate log-factor series for prime tails ---------------------------
 
 
@@ -855,13 +848,6 @@ class VarphiTable:
         """The coefficients of varphi(q, s) for q in qs (row r: t^r), as a
         fresh array."""
         return self._numbers(self._stored(qs))
-
-    def coefficient_array(self, i: int) -> np.ndarray:
-        """The t^i coefficients of varphi(q, s) for q = 0..Q (0 at q = 0), as
-        a fresh array."""
-        row = self._base[i].copy()
-        row[self._pos >= 0] = self._cols[i]
-        return self._numbers(row)
 
     def jet(self, q: int) -> PowerJet:
         if not 1 <= q <= self.Q:

@@ -8,11 +8,11 @@ on [lo, hi] for any A, a segmented sieve in the manner of Bays and Hudson
 thresholds, never floating point.  For k = 2 and A >= 1/2 it needs no
 second kernel: pairing q with n/q makes d(n, A) the d(n) window less a
 count of the small cofactors, (d(n) + [n is a square]) / 2 at A = 1/2.
-Every sum streams window by window (SEGMENT_SIZE integers), carrying its
-exact sums, grouped ratio numerators and histogram counts across windows
-and cutoffs; streams that derive from one d_k window, the shifted left one
-of a correlation included, share it.  Memory is O(window + x^A), not O(x).
-MAX_BRUTE_X caps x: it bounds the time a brute sum takes, not its memory.
+One window loop streams every sum, window by window (SEGMENT_SIZE integers),
+carrying its exact sums, ratio numerators and histogram counts across
+windows and cutoffs; a correlation grid takes one pass for every h, A and
+B, each window building each stream once.  Memory is O(window x streams +
+x^A), not O(x).  MAX_BRUTE_X caps x: it bounds the time a brute sum takes.
 """
 
 from __future__ import annotations
@@ -103,12 +103,6 @@ def _group_sums(keys: np.ndarray, weights: np.ndarray) -> dict[int, int]:
     return {key: s for key, s in totals.items() if s}
 
 
-def _check_budget(x: int):
-    """ResourceBudgetError for a brute sum to x past MAX_BRUTE_X."""
-    if x > MAX_BRUTE_X:
-        raise ResourceBudgetError(f"x={x} over brute budget {MAX_BRUTE_X}")
-
-
 class _PartialSieve:
     """d_k(n, A) on windows [lo, hi] inside [0, top], as exact int64.
 
@@ -154,10 +148,9 @@ class _PartialSieve:
         d_k(n) window of [lo, hi] passes it as `full`, and a window that
         derives from it is not sieved again."""
         if self.sieve is None:
+            full = out
             out.fill(0)
-            self._add(lo, out)
-            return out
-        if full is None:
+        elif full is None:
             full = self.sieve(lo, out)
         if self.first is not None:
             if out is not full:
@@ -206,15 +199,37 @@ def _buffer(x: int, extra: int = 0) -> np.ndarray:
     return np.empty(min(arith.SEGMENT_SIZE, x) + extra, dtype=np.int64)
 
 
+def _drive(xs, start, snapshot) -> dict:
+    """The window loop of every exact sum.  Checks the cutoffs xs (a non-empty
+    list, every x >= 1, none past MAX_BRUTE_X), builds the stream's step(lo,
+    hi) by start(top), top = max(xs), runs it over the windows of [1, top]
+    and returns {x: snapshot(x)} for each distinct x, taken at x."""
+    cuts = sorted(set(xs))
+    if not cuts or cuts[0] < 1:
+        raise ValueError(f"brute sums require a non-empty list of cutoffs x >= 1, not {xs}")
+    if cuts[-1] > MAX_BRUTE_X:
+        raise ResourceBudgetError(f"x={cuts[-1]} over brute budget {MAX_BRUTE_X}")
+    step = start(cuts[-1])
+    at, prev = {}, 0
+    for cut in cuts:
+        for lo, hi in _spans(prev + 1, cut):
+            step(lo, hi)
+        at[cut] = snapshot(cut)
+        prev = cut
+    return at
+
+
 def partial_divisor_array(x: int, k: int, A) -> np.ndarray:
-    """d_k(n, A) for 0 <= n <= x as exact int64 (index 0 unused): the window
+    """d_k(n, A) for 0 <= n <= x as exact int64 (index 0 holds 0): the window
     kernel, written window by window."""
-    _check_budget(x)
-    window = _PartialSieve(k, A, x)
-    out = np.empty(x + 1, dtype=np.int64)
-    for lo, hi in _spans(0, x):
-        window(lo, hi, out=out[lo : hi + 1])
-    return out
+    out = None
+
+    def start(top):
+        nonlocal out
+        window, out = _PartialSieve(k, A, top), np.zeros(top + 1, dtype=np.int64)
+        return lambda lo, hi: window(lo, hi, out[lo : hi + 1])
+
+    return _drive([x], start, lambda cut: out)[x]
 
 
 @dataclass
@@ -230,47 +245,61 @@ class CorrelationResult:
     value: int
 
 
-def brute_correlation_decades(h: int, k: int, l: int, A, Bs: list,
-                              xs: list[int]) -> list[list[CorrelationResult]]:
-    """Exact sums over n <= x of d_k(n+h, A) d_l(n, B) for each B in Bs (one
-    list per B, ascending in x) and each x in xs, from one stream to max(xs):
-    each window of d_k(n+h, A) is sieved once for every B, the right streams
-    that derive from d_l(n) share one d_l window, and each window's products
-    are checked against int64 wrap and summed exactly into Python ints.
-    When k = l, the left stream and a right one both derive from d_k, and h
-    is under the window's width, one d_k window over [lo, hi + h] serves both
-    sides: the left's is its slice shifted by h.  A negative h raises
-    ValueError: its windows would reach n + h <= 0."""
-    if h < 0:
-        raise ValueError(f"brute correlation sums require h >= 0, not h={h}")
-    A = RationalExponent.parse(A)
-    Bs = [RationalExponent.parse(B) for B in Bs]
-    xs = sorted(xs)
-    _check_budget(xs[-1])
-    left = _PartialSieve(k, A, xs[-1] + h)
-    rights = [_PartialSieve(l, B, xs[-1]) for B in Bs]
-    left_buf, right_buf = _buffer(xs[-1]), _buffer(xs[-1])
-    d_l = next((right.sieve for right in rights if right.sieve is not None), None)
-    shared = d_l is not None and k == l and left.sieve is not None and h < left_buf.size
-    full_buf = _buffer(xs[-1], h if shared else 0)  # the d_l (shared: d_k) window
-    running = [0] * len(Bs)
-    out = [[] for _ in Bs]
-    prev = 0
-    for x in xs:
-        for lo, hi in _spans(prev + 1, x):
+def brute_correlation_decades(hs, k: int, l: int, As, Bs, xs) -> dict:
+    """Exact sums over n <= x of d_k(n+h, A) d_l(n, B) for every (h, A, B) in
+    hs x As x Bs and x in xs, in one pass: {(h, A, B): [CorrelationResult
+    for each x, ascending]}, A and B parsed.  The shifts fall in groups, the
+    first at offset 0 and a further one at each shift a window's width or
+    more past the last offset.  Each window builds every left stream once per
+    group, over [lo + offset, hi + the group's largest h], for each h to read
+    its slice, and every right stream once over [lo, hi].  Streams that derive
+    from d_k(n) share a d_k window per group, and right ones that derive from
+    d_l(n) a d_l window (k = l: the first group's d_k prefix, so later groups
+    sieve into a second buffer).  Products are checked against int64 wrap.
+    Memory is O(window x streams + x^A) for any h.  A negative h raises ValueError."""
+    hs = sorted(set(hs))
+    if hs and hs[0] < 0:
+        raise ValueError(f"brute correlation sums require h >= 0, not h={hs[0]}")
+    As = list(dict.fromkeys(map(RationalExponent.parse, As)))
+    Bs = list(dict.fromkeys(map(RationalExponent.parse, Bs)))
+    running = {(h, A, B): 0 for h in hs for A in As for B in Bs}
+
+    def start(top):
+        width = min(arith.SEGMENT_SIZE, top)
+        groups = [(0, [])]  # (offset, the shifts under width past it)
+        for h in hs:
+            if h - groups[-1][0] >= width:
+                groups.append((h, []))
+            groups[-1][1].append(h)
+        reach = top + max(hs, default=0)
+        lefts = [(A, _PartialSieve(k, A, reach)) for A in As]
+        rights = [(B, _PartialSieve(l, B, top), _buffer(top)) for B in Bs]
+        d_k, d_l, l_buf = _DkSieve(k, reach), _DkSieve(l, top), _buffer(top)
+        need_k = any(left.sieve for _, left in lefts)
+        need_l = any(right.sieve for _, right, _ in rights)
+        share = need_l and k == l
+        first, rest, left_buf = (_buffer(top, width) for _ in range(3))
+
+        def step(lo, hi):
             size = hi - lo + 1
-            if shared:
-                full = left.sieve(lo, full_buf[: size + h])
-                lw, full = left(lo + h, hi + h, left_buf[:size], full=full[h:]), full[:size]
-            else:
-                lw = left(lo + h, hi + h, left_buf[:size])
-                full = None if d_l is None else d_l(lo, full_buf[:size])
-            for i, right in enumerate(rights):
-                running[i] += _product_sum(lw, right(lo, hi, right_buf[:size], full=full))
-        for i, B in enumerate(Bs):
-            out[i].append(CorrelationResult(h=h, k=k, l=l, A=A, B=B, x=x, value=running[i]))
-        prev = x
-    return out
+            for off, shifts in groups:
+                n = size + (shifts[-1] - off if shifts else 0)
+                full = None
+                if need_k or share and not off:
+                    full = d_k(lo + off, (rest if off else first)[:n])
+                if not off:
+                    dl = full[:size] if share else d_l(lo, l_buf[:size]) if need_l else None
+                    wins = [(B, right(lo, hi, buf[:size], full=dl)) for B, right, buf in rights]
+                for A, left in lefts if shifts else ():
+                    lw = left(lo + off, lo + off + n - 1, left_buf[:n], full=full)
+                    for h in shifts:
+                        for B, rw in wins:
+                            running[h, A, B] += _product_sum(lw[h - off : h - off + size], rw)
+        return step
+
+    at = _drive(xs, start, lambda x: dict(running))
+    return {(h, A, B): [CorrelationResult(h, k, l, A, B, x, at[x][h, A, B]) for x in sorted(xs)]
+            for h, A, B in running}
 
 
 def brute_ap_sweep(k: int, A, classes, xs) -> dict:
@@ -281,19 +310,18 @@ def brute_ap_sweep(k: int, A, classes, xs) -> dict:
     running = dict.fromkeys(classes, 0)
     if any(q < 1 for q, _ in running):
         raise ValueError("brute_ap_sweep requires q >= 1")
-    cuts = sorted(set(xs))
-    _check_budget(cuts[-1])
-    window, buf = _PartialSieve(k, A, cuts[-1]), _buffer(cuts[-1])
-    at_cut = {}
-    prev = 0
-    for cut in cuts:
-        for lo, hi in _spans(prev + 1, cut):
+
+    def start(top):
+        window, buf = _PartialSieve(k, A, top), _buffer(top)
+
+        def step(lo, hi):
             values = window(lo, hi, buf[: hi - lo + 1])
             for q, h in running:
                 running[q, h] += _exact_sum(values[(h - lo) % q :: q])
-        at_cut[cut] = dict(running)
-        prev = cut
-    return {c: [at_cut[x][c] for x in xs] for c in running}
+        return step
+
+    at = _drive(xs, start, lambda x: dict(running))
+    return {c: [at[x][c] for x in xs] for c in running}
 
 
 @dataclass
@@ -338,45 +366,40 @@ def empirical_distribution(k: int, A, x, bins: int = 20):
     """Exact-rational mean of d_k(n,A)/d_k(n) over n <= x, with histogram.
 
     x is one cutoff (one result) or a sequence of cutoffs (one result per
-    entry, in the given order).  One pass streams d_k(n) window by window up
-    to the largest cutoff, with d_k(n, A) derived from it where it can be
-    (A = 1, or k = 2 and A >= 1/2) and sieved beside it otherwise, carrying
-    the exact sums, the histogram counts and the ratio numerators across
-    windows and cutoffs.  The ratio sum is grouped by the value of d_k(n)
+    entry, in the given order), all from one stream of d_k(n), with d_k(n, A)
+    derived from it where it can be (A = 1, or k = 2 and A >= 1/2) and sieved
+    beside it otherwise.  The ratio sum is grouped by the value of d_k(n)
     with exact integer numerators, so the mean is an exact rational; the
     histogram bins are integer comparisons equal to np.histogram's over
-    _HIST_RANGE (_ratio_counts).
-    """
+    _HIST_RANGE (_ratio_counts)."""
     A = RationalExponent.parse(A)
-    cuts = sorted({x} if isinstance(x, Integral) else set(x))
-    if cuts[0] < 1:
-        raise ValueError("empirical_distribution requires every x >= 1")
-    _check_budget(cuts[-1])
-    full_w, part_w = _PartialSieve(k, 1, cuts[-1]), _PartialSieve(k, A, cuts[-1])
-    full_buf, part_buf = _buffer(cuts[-1]), _buffer(cuts[-1])
     edges = np.histogram_bin_edges(np.zeros(0), bins=bins, range=_HIST_RANGE).tolist()
     counts = np.zeros(bins, dtype=np.int64)
     numerators: dict[int, int] = {}  # d_k(n) -> sum of d_k(n, A) over those n
     sum_partial = sum_full = 0
-    results = {}
-    prev = 0
-    for cut in cuts:
-        for lo, hi in _spans(prev + 1, cut):
+
+    def start(top):
+        full_w, part_w = _PartialSieve(k, 1, top), _PartialSieve(k, A, top)
+        full_buf, part_buf = _buffer(top), _buffer(top)
+
+        def step(lo, hi):
+            nonlocal sum_partial, sum_full
             f = full_w(lo, hi, full_buf[: hi - lo + 1])
             p = part_w(lo, hi, part_buf[: hi - lo + 1], full=f)
             for v, s in _group_sums(f, p).items():
                 numerators[v] = numerators.get(v, 0) + s
             sum_partial += _exact_sum(p)
             sum_full += _exact_sum(f)
-            counts += _ratio_counts(p, f, bins)
+            counts[:] += _ratio_counts(p, f, bins)
+        return step
+
+    def snapshot(cut):
         ratio_sum = sum((Fraction(s, v) for v, s in numerators.items()), Fraction(0))
         histogram = [(edges[i], edges[i + 1], int(counts[i])) for i in range(bins)]
-        results[cut] = DistributionResult(k, A, cut, ratio_sum / cut, histogram,
-                                          sum_partial, sum_full)
-        prev = cut
-    if isinstance(x, Integral):
-        return results[x]
-    return [results[c] for c in x]
+        return DistributionResult(k, A, cut, ratio_sum / cut, histogram, sum_partial, sum_full)
+
+    at = _drive([x] if isinstance(x, Integral) else x, start, snapshot)
+    return at[x] if isinstance(x, Integral) else [at[c] for c in x]
 
 
 # ---------------------------------------------------------------------------
@@ -393,22 +416,11 @@ class ComparisonReport:
     rows: list = field(default_factory=list)
 
     def add(self, x: int, observed, predicted):
-        observed_f = mp.mpf(observed)
-        predicted_f = mp.mpf(predicted)
-        ratio = observed_f / predicted_f if predicted_f != 0 else mp.inf
-        abs_err = abs(observed_f - predicted_f)
-        rel_err = abs_err / abs(predicted_f) if predicted_f != 0 else mp.inf
-        self.rows.append({
-            "x": x,
-            "observed": observed,
-            "predicted": predicted_f,
-            "ratio": ratio,
-            "abs_err": abs_err,
-            "rel_err": rel_err,
-        })
-
-    def ratios(self) -> list:
-        return [row["ratio"] for row in self.rows]
+        obs, pred = mp.mpf(observed), mp.mpf(predicted)
+        abs_err = abs(obs - pred)
+        ratio, rel_err = (obs / pred, abs_err / abs(pred)) if pred != 0 else (mp.inf, mp.inf)
+        self.rows.append({"x": x, "observed": observed, "predicted": pred, "ratio": ratio,
+                          "abs_err": abs_err, "rel_err": rel_err})
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -417,12 +429,6 @@ class ComparisonReport:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["x", "observed", "predicted", "ratio", "abs_err", "rel_err"])
         for row in self.rows:
-            writer.writerow([
-                row["x"],
-                row["observed"],
-                mp.nstr(row["predicted"], 17),
-                mp.nstr(row["ratio"], 12),
-                mp.nstr(row["abs_err"], 12),
-                mp.nstr(row["rel_err"], 12),
-            ])
+            writer.writerow([row["x"], row["observed"], mp.nstr(row["predicted"], 17),
+                             *(mp.nstr(row[c], 12) for c in ("ratio", "abs_err", "rel_err"))])
         return buf.getvalue()

@@ -1,9 +1,11 @@
-"""Second routes that only the tests use: phi and varphi per q as products
-of mpmath local jets, the phi partial sum through the varphi convolution, the
-secondary term from explicit boundary weights, the strided d_k sieve, the beta
-law by quadrature, the c-coefficients by jet division, the Moebius
-log-moments by a direct sieve, the (log p)^d table and the zeta jets in
-mpmath arithmetic, and the residue pipeline for the polynomial coefficients.
+"""Second routes that only the tests use: v_p(h), the local Euler factor
+jets of C(s,w) f(s,w), the varphi coefficient rows of a table, phi and
+varphi per q as products of mpmath local jets, the phi partial sum through
+the varphi convolution, the secondary term from explicit boundary weights,
+the strided d_k sieve, the beta law by quadrature, the c-coefficients by
+jet division, the Moebius log-moments by a direct sieve, the (log p)^d table
+and the zeta jets in mpmath arithmetic, and the residue pipeline for the
+polynomial coefficients.
 They arbitrate the library's routes and are not part of the package."""
 
 from dataclasses import dataclass
@@ -23,9 +25,36 @@ from divcorr.arith import (
     introot_ceil,
 )
 from divcorr.asympt import CoefficientContext, _falling, coefficient_context
-from divcorr.euler import _as_factored, _dl1, _mpf_frac, varphi_table
-from divcorr.jets import PowerJet
+from divcorr.euler import (
+    _as_factored,
+    _dl1,
+    _jet_from_fixed,
+    _local_fixed,
+    _mpf_frac,
+    varphi_table,
+)
+from divcorr.jets import Jet2, PowerJet
 from divcorr.zeta_series import mobius_sieve, zeta_power_coeffs, zeta_power_jet
+
+
+def exponent_of(h, p: int) -> int:
+    """v_p(h), for h an int or a FactoredInteger."""
+    return dict(_as_factored(h).factors).get(p, 0)
+
+
+def cf_local_jet(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int) -> Jet2:
+    """Local factor of C(s,w) f(s,w) at p, gamma = v_p(h) >= 0 (C's alone at
+    gamma = 0): the integers of _local_weights, 10 bits past working precision."""
+    bits = mp.mp.prec + 10
+    return _jet_from_fixed(_local_fixed(p, gamma, k, l, order_t, order_w, bits), bits)
+
+
+def coefficient_array(table, i: int) -> np.ndarray:
+    """The t^i coefficients of a VarphiTable's varphi(q, s) for q = 0..Q (0
+    at q = 0), as a fresh array."""
+    row = table._base[i].copy()
+    row[table._pos >= 0] = table._cols[i]
+    return table._numbers(row)
 
 
 def exp_coeffs(c: int, L, order: int) -> list:
@@ -43,7 +72,7 @@ def phi_local(h, k: int, l: int, p: int, alpha: int, order_s: int) -> PowerJet:
     """
     if alpha < 1:
         raise ValueError("phi_local requires alpha >= 1")
-    gamma = _as_factored(h).exponent_of(p)
+    gamma = exponent_of(h, p)
     X = PowerJet([c / p for c in exp_coeffs(1, mp.log(p), order_s)])
     xk = (1 - X) ** k
     if alpha <= gamma:
@@ -60,7 +89,7 @@ def phi_local(h, k: int, l: int, p: int, alpha: int, order_s: int) -> PowerJet:
 def varphi_prime_power(h, k: int, l: int, p: int, alpha: int, order_s: int) -> PowerJet:
     """varphi(p^alpha, s): local phi-series multiplied by (1 - p^(-w-1))^(l-1).
     A fresh jet from a cache on (v_p(h), k, l, p, alpha, order_s, working dps)."""
-    gamma = _as_factored(h).exponent_of(p)
+    gamma = exponent_of(h, p)
     return PowerJet(_varphi_prime_power(gamma, k, l, p, alpha, order_s, mp.mp.dps))
 
 
@@ -238,7 +267,7 @@ def phi_partial_sum_jet(h: int, k: int, l: int, Q: int, order_s: int) -> PowerJe
             acc += mp.mpf(w) / q
         H[q] = acc
     weights = [H[Q // d] for d in range(1, Q + 1)]
-    return PowerJet([mp.fdot(table.coefficient_array(r)[1:], weights)
+    return PowerJet([mp.fdot(coefficient_array(table, r)[1:], weights)
                      for r in range(order_s + 1)])
 
 

@@ -235,9 +235,10 @@ def test_criterion_6_doubly_partial_leading():
     lines = []
     summary = []
     for (k, l) in ((2, 2), (3, 2)):
+        sweep = brute_correlation_decades([1, 2], k, l, ["2/3"], ["1/4"], xs)
         for h in (1, 2):
             d = k + l - 2
-            [res] = brute_correlation_decades(h, k, l, "2/3", ["1/4"], xs)
+            res = sweep[h, RationalExponent(2, 3), RationalExponent(1, 4)]
             ratios, c0 = _leading_fit(res, d, correlation_leading(h, k, l, "2/3", "1/4"))
             _, c0_no_a = _leading_fit(res, d, correlation_leading(h, k, l, 1, "1/4"))
             _, c0_no_b = _leading_fit(res, d, correlation_leading(h, k, l, "2/3", 1))

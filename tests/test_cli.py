@@ -233,6 +233,27 @@ def test_negative_shift_exits_2_before_any_sum(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["theorem21", "theorem22", "theorem23", "corollary3",
+                                     "distribution"])
+def test_empty_cutoff_list_exits_2(tmp_path, capsys, command):
+    """`--x ,` is a configuration error, not an IndexError traceback."""
+    argv = ["distribution"] if command == "distribution" else ["verify", command]
+    code, out = run(tmp_path, *argv, "--x", ",")
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_corollary3_with_B_0_exits_2(tmp_path, capsys):
+    """B = 0 is a configuration error for every l, not a ZeroDivisionError."""
+    for l in ("1", "2", "3"):
+        code, out = run(tmp_path, "verify", "corollary3", "--k", "2", "--l", l, "--A", "1/2",
+                        "--B", "1/4,0", "--h", "1", "--x", "1e3")
+        assert code == 2
+        assert "requires B > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_large_orders_exit_0_or_4(tmp_path):
     """(k, l) = (6, 5) ended in an OverflowError traceback (exit 1) from the
     Euler base's rounding amplifier."""

@@ -42,6 +42,15 @@ from second_routes import (
 )
 
 
+E = RationalExponent.parse
+
+
+def _one(h, k, l, A, B, xs):
+    """The results of the one-point grid (h, A, B)."""
+    [results] = brute_correlation_decades([h], k, l, [A], [B], xs).values()
+    return results
+
+
 def test_partial_divisor_array_matches_pointwise():
     x = 3000
     for Astr in ("0", "1/3", "1/2", "2/3", "1"):
@@ -144,8 +153,9 @@ def test_shared_window_correlations_match_the_arrays():
                 left = partial_divisor_array(max(xs) + h, k, A)
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(arith, "SEGMENT_SIZE", size)
-                    sweep = brute_correlation_decades(h, k, l, A, Bs, xs)
-                for B, results in zip(Bs, sweep):
+                    sweep = brute_correlation_decades([h], k, l, [A], Bs, xs)
+                for B in Bs:
+                    results = sweep[h, E(A), E(B)]
                     right = partial_divisor_array(max(xs), l, B)
                     want = [sum(map(int, left[1 + h : x + 1 + h] * right[1 : x + 1])) for x in xs]
                     assert [r.value for r in results] == want, (size, h, k, l, A, B)
@@ -184,10 +194,10 @@ def test_brute_budget_caps_x_not_x_plus_h(monkeypatch):
     """x = MAX_BRUTE_X runs for any h; x = MAX_BRUTE_X + 1 raises, for every
     brute sum."""
     cap = 10**4
-    want = brute_correlation_decades(12, 2, 2, 1, ["1/2"], [cap])
+    want = brute_correlation_decades([12], 2, 2, [1], ["1/2"], [cap])
     monkeypatch.setattr(oracle, "MAX_BRUTE_X", cap)
-    assert brute_correlation_decades(12, 2, 2, 1, ["1/2"], [cap]) == want
-    for run in (lambda x: brute_correlation_decades(1, 2, 2, 1, ["1/2"], [x]),
+    assert brute_correlation_decades([12], 2, 2, [1], ["1/2"], [cap]) == want
+    for run in (lambda x: brute_correlation_decades([1], 2, 2, [1], ["1/2"], [x]),
                 lambda x: empirical_distribution(2, "1/2", x),
                 lambda x: brute_ap_sweep(2, "1/2", [(3, 1)], [x]),
                 lambda x: partial_divisor_array(x, 2, "1/2")):
@@ -204,9 +214,9 @@ def test_streamed_sums_do_not_depend_on_the_window():
     def run(size):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(arith, "SEGMENT_SIZE", size)
-            return ([[r.value for r in rs]
-                     for rs in brute_correlation_decades(3, 3, 2, "2/3", ["1/4", "1/2"], xs)],
-                    [r.value for r in brute_correlation_decades(1, 2, 2, 1, ["1/2"], xs)[0]],
+            return ([[r.value for r in rs] for rs in
+                     brute_correlation_decades([3], 3, 2, ["2/3"], ["1/4", "1/2"], xs).values()],
+                    [r.value for r in _one(1, 2, 2, 1, "1/2", xs)],
                     empirical_distribution(3, "1/3", xs),
                     brute_ap_sweep(3, "1/2", [(q, 2) for q in (1, 6, 7)], xs))
 
@@ -215,13 +225,75 @@ def test_streamed_sums_do_not_depend_on_the_window():
         assert run(size) == want, size
 
 
+EXPONENTS = ["1", "1/2", "2/3", "3/5", "1/4", "1/3", "0"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(W=st.sampled_from([16, 61, 256]),
+       kl=st.sampled_from([(2, 2), (3, 3), (2, 3), (3, 2)]),
+       marks=st.lists(st.tuples(st.integers(0, 3), st.integers(-1, 1)), min_size=1, max_size=4),
+       As=st.lists(st.sampled_from(EXPONENTS), min_size=1, max_size=3),
+       Bs=st.lists(st.sampled_from(EXPONENTS), min_size=1, max_size=3),
+       xs=st.lists(st.integers(1, 900), min_size=1, max_size=3))
+def test_grid_sums_equal_the_pointwise_products(W, kl, marks, As, Bs, xs):
+    """Every (h, A, B, x) sum of one grid call, with windows of W integers,
+    equals the sum of products of partial_divisor_array slices: shifts
+    around 0, W, 2W and 3W (so 0, 1, W - 1, W and about 3W), k = l and
+    k != l, exponents that derive from d_k or d_l and ones that do not, and
+    a duplicate in each of hs, As and Bs."""
+    k, l = kl
+    hs = [max(0, m * W + d) for m, d in marks]
+    hs, As, Bs = hs + hs[:1], As + As[:1], Bs + Bs[:1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arith, "SEGMENT_SIZE", W)
+        sweep = brute_correlation_decades(hs, k, l, As, Bs, xs)
+    assert set(sweep) == {(h, E(A), E(B)) for h in hs for A in As for B in Bs}
+    top = max(xs)
+    rights = {B: partial_divisor_array(top, l, B) for B in Bs}
+    for A in As:
+        left = partial_divisor_array(top + max(hs), k, A)
+        for h in hs:
+            for B, right in rights.items():
+                want = [int(np.dot(left[1 + h : x + 1 + h], right[1 : x + 1])) for x in sorted(xs)]
+                assert [r.value for r in sweep[h, E(A), E(B)]] == want, (h, A, B)
+                assert [r.x for r in sweep[h, E(A), E(B)]] == sorted(xs)
+
+
+def test_far_shifts_keep_memory_to_a_window():
+    """Traced peak memory of hs = [1, 10 W] stays within 1.5x of hs = [1]:
+    a shift past the window width starts a further group of windows at its
+    own offset, not one window stretched over every shift."""
+    W = SEGMENT_SIZE
+
+    def peak(hs):
+        tracemalloc.start()
+        try:
+            brute_correlation_decades(hs, 2, 2, [1, "1/4"], ["1/2"], [4 * W])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    near, far = peak([1]), peak([1, 10 * W])
+    assert far < 1.5 * near, (near, far)
+
+
+def test_every_sum_rejects_an_empty_cutoff_list():
+    for run in (lambda xs: brute_correlation_decades([1], 2, 2, [1], ["1/2"], xs),
+                lambda xs: brute_ap_sweep(2, "1/2", [(3, 1)], xs),
+                lambda xs: empirical_distribution(2, "1/2", xs)):
+        for xs in ([], [0, 10]):
+            with pytest.raises(ValueError, match="cutoffs x >= 1"):
+                run(xs)
+
+
 def test_correlation_sweep_matches_one_B_at_a_time():
     xs = [1000, 5000]
     Bs = [RationalExponent(1, 1), "1/2", "1/3", "1/2"]
-    sweep = brute_correlation_decades(2, 3, 2, "1/2", Bs, xs)
-    assert len(sweep) == len(Bs)
-    for B, results in zip(Bs, sweep):
-        [alone] = brute_correlation_decades(2, 3, 2, "1/2", [B], xs)
+    sweep = brute_correlation_decades([2], 3, 2, ["1/2"], Bs, xs)
+    assert len(sweep) == len(set(map(E, Bs)))
+    for B in Bs:
+        results = sweep[2, E("1/2"), E(B)]
+        alone = _one(2, 3, 2, "1/2", B, xs)
         assert [(r.x, r.B, r.value) for r in results] == [(r.x, r.B, r.value) for r in alone]
 
 
@@ -239,7 +311,7 @@ def test_streamed_memory_does_not_grow_with_x():
             tracemalloc.stop()
 
     for run in (lambda x: empirical_distribution(3, "1/2", x),
-                lambda x: brute_correlation_decades(1, 2, 2, 1, ["1/2"], [x])):
+                lambda x: brute_correlation_decades([1], 2, 2, [1], ["1/2"], [x])):
         small = peak(lambda: run(10**6))
         big = peak(lambda: run(4 * 10**6))
         assert big < 1.2 * small, (small, big)
@@ -268,13 +340,13 @@ def test_brute_correlation_hand_value():
     d = [0, 1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2]  # d(0..11)
     want = sum(d[n + 1] * d[n] for n in range(1, 11))
     assert want == 74
-    [[got]] = brute_correlation_decades(1, 2, 2, 1, [1], [10])
+    [got] = _one(1, 2, 2, 1, 1, [10])
     assert got.value == 74
 
 
 def test_brute_correlation_trivial_orders():
     for h in (0, 1, 5, 12):
-        [[r]] = brute_correlation_decades(h, 1, 1, 1, [1], [777])
+        [r] = _one(h, 1, 1, 1, 1, [777])
         assert r.value == 777
 
 
@@ -282,13 +354,13 @@ def test_brute_correlation_rejects_a_negative_shift():
     """A negative h raises before anything is sieved: its left windows would
     reach n + h <= 0, where the kernel does not give d(m) = 0."""
     with pytest.raises(ValueError, match="h >= 0"):
-        brute_correlation_decades(-3, 2, 2, 1, [1], [50])
+        brute_correlation_decades([-3], 2, 2, [1], [1], [50])
 
 
 def test_brute_correlation_two_paths_agree():
     """A = 1 through the partial-array path equals the plain d_k route."""
     x, h = 2000, 2
-    [[r]] = brute_correlation_decades(h, 2, 2, RationalExponent(1, 1), ["1/2"], [x])
+    [r] = _one(h, 2, 2, RationalExponent(1, 1), "1/2", [x])
     via_partial = r.value
     left = divisor_count_array(x + h, 2)[h + 1 : x + h + 1]
     right = partial_divisor_array(x, 2, RationalExponent(1, 2))[1 : x + 1]
@@ -297,9 +369,9 @@ def test_brute_correlation_two_paths_agree():
 
 def test_brute_decades_prefix_consistency():
     xs = [100, 1000, 10000]
-    [rs] = brute_correlation_decades(1, 2, 2, 1, ["1/2"], xs)
+    rs = _one(1, 2, 2, 1, "1/2", xs)
     for r in rs:
-        [[single]] = brute_correlation_decades(1, 2, 2, 1, ["1/2"], [r.x])
+        [single] = _one(1, 2, 2, 1, "1/2", [r.x])
         assert r.value == single.value, r.x
 
 
@@ -487,7 +559,7 @@ def test_theorem23_decade_stability():
     poly = main_polynomial("1/2", 1, 2, 2,
                            ctx=coefficient_context(1, 2, 2, source="euler",
                                                    prime_cutoff=2000))
-    [rs] = brute_correlation_decades(1, 2, 2, 1, ["1/2"], [10**3, 10**4, 10**5, 10**6])
+    rs = _one(1, 2, 2, 1, "1/2", [10**3, 10**4, 10**5, 10**6])
     gaps = [abs(mp.mpf(r.value) / (r.x * poly(mp.log(r.x))) - 1) for r in rs]
     violations = sum(1 for a, b in zip(gaps, gaps[1:]) if b >= a)
     assert violations <= 1, gaps
