@@ -59,6 +59,8 @@ def parse_int_list(text: str) -> list[int]:
             scientific = "e" in lo_s.lower() or "e" in hi_s.lower()
             lo, hi = int(float(lo_s)), int(float(hi_s))
             if scientific:
+                if lo < 1:  # x *= 10 would never pass hi
+                    raise ValueError(f"decade range {piece!r} needs a low end >= 1")
                 x = lo
                 while x <= hi:
                     out.append(x)
@@ -160,7 +162,15 @@ def cmd_sieve(args) -> int:
     return EXIT_OK
 
 
+def _require_positive_shifts(args, command: str):
+    """Reject h < 1 before any sum: these commands read h as a shift."""
+    bad = [h for h in args.h if h < 1]
+    if bad:
+        raise ValueError(f"{command} requires every shift h >= 1, got h={bad[0]}")
+
+
 def cmd_constants(args) -> int:
+    _require_positive_shifts(args, "constants")
     _grid_guard(args.k, args.l, args.h)
     results = []
     for k in args.k:
@@ -194,6 +204,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_polynomial(args) -> int:
+    _require_positive_shifts(args, "polynomial")
     _grid_guard(args.k, args.l, args.h, args.A)
     payloads = []
     csv_lines = ["k,l,h,A,degree," +
@@ -225,6 +236,7 @@ def cmd_polynomial(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _require_positive_shifts(args, "predict")
     rows = []
     for k in args.k:
         for l in args.l:
@@ -346,6 +358,8 @@ def cmd_verify(args) -> int:
         "theorem23": _verify_theorem23,
         "corollary3": _verify_corollary3,
     }[args.target]
+    if args.target != "theorem21":  # there h is a residue class mod q
+        _require_positive_shifts(args, f"verify {args.target}")
     reports = runner(args)
     for rep in reports:
         _write_report(args, rep.title + ".csv", rep.to_csv())
@@ -355,6 +369,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_estermann(args) -> int:
+    _require_positive_shifts(args, "estermann")
     failures = 0
     rows = []
     for h in args.h:

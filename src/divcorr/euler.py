@@ -23,7 +23,10 @@ truncation errors far below the working precision instead of the
 p <= P, the patch at p | h and the tail's log-jet run over 2^bits.  Off
 the shift (gamma = 0) a factor's t^i w^j coefficient is a product of two
 short binomial sums in 1/p, one in t and one in w, and the product over
-p <= P takes it in that form, with the same integers.
+p <= P takes it in that form, with the same integers.  The scalar C_{k,l}
+is that shift-free product's constant coefficient (singular_constant): one
+route, whose series degree grows with k and l until its stated bound,
+truncation plus rounding, meets the working precision.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -54,7 +58,7 @@ from .zeta_series import _zeta_taylor, fixed_logs, log_powers, mobius_sieve
 
 DEFAULT_PRIME_CUTOFF = 1_000
 _SERIES_DEGREE = 14  # total degree kept in local log-factor expansions
-_MAX_SCALAR_ORDER = 42  # the scalar constant's series in 1/p grows to this
+_MAX_SCALAR_ORDER = 42  # singular_constant's series degree grows to this
 
 MAX_DIRICHLET_Q = 4 * 10**6
 _MP_TABLE_LIMIT = 30_000
@@ -66,54 +70,6 @@ def _as_factored(h) -> FactoredInteger:
 
 def _mpf_frac(fr: Fraction) -> mp.mpf:
     return mp.mpf(fr.numerator) / fr.denominator
-
-
-# ---------------------------------------------------------------------------
-# scalar singular series
-# ---------------------------------------------------------------------------
-
-
-def _one_minus_u_pow(e: int) -> list[Fraction]:
-    return [Fraction((-1) ** i * comb(e, i)) for i in range(e + 1)]
-
-
-@lru_cache(maxsize=None)
-def _c_factor_poly(k: int, l: int) -> tuple[Fraction, ...]:
-    """Integer polynomial (in u = 1/p) of the local factor of C_{k,l}."""
-    deg = max(l - 1, k - 1, k + l - 2)
-    out = [Fraction(0)] * (deg + 1)
-    for e, sign in ((l - 1, 1), (k - 1, 1), (k + l - 2, -1)):
-        pw = _one_minus_u_pow(e)
-        for i, c in enumerate(pw):
-            out[i] += sign * c
-    return tuple(out)
-
-
-def _poly_log_series(poly, order: int) -> list[Fraction]:
-    """log of a rational polynomial/series with constant term 1."""
-    p = list(poly[: order + 1]) + [Fraction(0)] * max(0, order + 1 - len(poly))
-    assert p[0] == 1
-    e = [Fraction(0)] + p[1:]
-    out = [Fraction(0)] * (order + 1)
-    term = [Fraction(1)] + [Fraction(0)] * order
-    for r in range(1, order + 1):
-        term = _poly_mul1(term, e, order)
-        sign = Fraction((-1) ** (r + 1), r)
-        for i, c in enumerate(term):
-            out[i] += sign * c
-    return out
-
-
-def _poly_mul1(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j in range(0, order + 1 - i):
-            y = b[j]
-            if y != 0:
-                out[i + j] += x * y
-    return out
 
 
 class PrimeTailMoments:
@@ -230,74 +186,35 @@ def _guarded_dps(dps: int, growth: float) -> int:
     return dps + max(0, math.ceil(math.log10(growth)) - 5)
 
 
-def _prime_tail_upper(prime_cutoff: int, m: int) -> mp.mpf:
-    """Upper bound on sum_{p > P} p^(-m): the primes in (P, 2P] summed, the
-    integers beyond 2P by the integral (2P)^(1-m) / (m-1).  Taken as P^(-m)
-    times a float sum of (P/p)^m <= 1, so it does not underflow."""
-    P = max(prime_cutoff, 1)  # no prime is below 2
-    ps = primes_up_to(2 * P)
-    ratios = P / ps[ps > P].astype(float)
-    scaled = float(np.sum(ratios**m)) * (1 + 1e-12) + P * 2.0 ** (1 - m) / (m - 1)
-    return mp.mpf(scaled) * mp.mpf(P) ** (-m)
-
-
-def _scalar_tail_bound(g, order: int, prime_cutoff: int) -> mp.mpf:
-    """Stated bound of the 1/p series of log C_{k,l} cut at `order`: twice its
-    last two terms, summed over p > P."""
-    return 2 * sum(abs(_mpf_frac(g[m])) * _prime_tail_upper(prime_cutoff, m)
-                   for m in (order - 1, order))
-
-
-def _c_scalar(k: int, l: int, prime_cutoff: int, order: int, dps: int) -> mp.mpf:
-    """C_{k,l}: the local factors over p <= P times exp of the series of the
-    log-factor in u = 1/p, to u^order, summed over p > P."""
-    poly = _c_factor_poly(k, l)
-    g = _poly_log_series(poly, order)
-    assert g[0] == 0 and g[1] == 0, "local factor must be 1 + O(u^2)"
-    growth = max(abs(float(c)) * 2.0**-m for m, c in enumerate(g))
-    with mp.workdps(dps + 10):
-        prod = mp.mpf(1)
-        for p in primes_up_to(prime_cutoff):
-            u = mp.mpf(1) / int(p)
-            acc = mp.mpf(0)
-            for c in reversed(poly):
-                acc = acc * u + mp.mpf(c.numerator) / c.denominator
-            prod *= acc
-        tails = _tail_moments(prime_cutoff, order, 0, _guarded_dps(dps, growth))
-        corr = mp.mpf(0)
-        for m in range(2, order + 1):
-            if g[m] != 0:
-                corr += _mpf_frac(g[m]) * tails.tail(m, 0)
-        return prod * mp.exp(corr)
-
-
 def singular_constant(k: int, l: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
                       tol: float = 1e-25, dps: int | None = None) -> tuple[mp.mpf, mp.mpf]:
-    """(C_{k,l}, tail bound).  The factor is identically 1 when min(k,l) = 1.
-
-    The coefficients of the tail series in 1/p grow with k and l, so the
-    series is cut at the first order from _SERIES_DEGREE + 4 on, in steps of
-    two, whose stated bound is below 10^-dps; at _MAX_SCALAR_ORDER at most.
+    """(C_{k,l}, bound): the constant coefficient of the shift-free Euler jet
+    base, _c_euler_base at orders (0, 0), and its stated bound, truncation of
+    the tail series plus rounding.  The series' coefficients grow with k and
+    l, so its degree is the first from _SERIES_DEGREE on, in steps of two,
+    whose bound is at most 10^-dps; at _MAX_SCALAR_ORDER at most.  A tol
+    below 10^-dps raises dps to one digit past it.  The factor is
+    identically 1 when min(k,l) = 1.
     """
     if k < 1 or l < 1:
         raise ValueError("singular_constant requires k, l >= 1")
     dps = dps or max(30, mp.mp.dps)
+    if 0 < tol < 10.0**-dps:
+        dps = math.ceil(-math.log10(tol)) + 1
     if k == 1 or l == 1:
         return mp.mpf(1), mp.mpf(0)
-    g = _poly_log_series(_c_factor_poly(k, l), _MAX_SCALAR_ORDER)
     with mp.workdps(dps + 10):
         target = mp.mpf(10) ** (-dps)
-        for order in range(_SERIES_DEGREE + 4, _MAX_SCALAR_ORDER + 1, 2):
-            bound = _scalar_tail_bound(g, order, prime_cutoff)
-            if bound <= target:
-                break
-        value = _c_scalar(k, l, prime_cutoff, order, dps)
+    for degree in range(_SERIES_DEGREE, _MAX_SCALAR_ORDER + 1, 2):
+        base, bound, _ = _c_euler_base(k, l, 0, 0, prime_cutoff, dps, degree)
+        if bound <= target:
+            break
     if bound > tol:
         raise PrecisionError(
             f"singular_constant({k},{l}): achieved bound {mp.nstr(bound, 5)} > tol {tol}",
             achieved=bound,
         )
-    return value, bound  # unrounded: `+` would cut them to the caller's digits
+    return base[0, 0], bound  # unrounded: `+` would cut them to the caller's digits
 
 
 def singular_shift_factor(h, k: int, l: int) -> Fraction:
@@ -434,15 +351,43 @@ def _jet_from_fixed(rows, bits: int) -> Jet2:
 # --- trivariate log-factor series for prime tails ---------------------------
 
 
-def _tri_mul(a: dict, b: dict, deg: int) -> dict:
-    """Product of two integer series in (x, y, u), cut above total degree deg."""
-    out = {}
-    for (i1, j1, c1), x in a.items():
-        for (i2, j2, c2), y in b.items():
-            if i1 + i2 + j1 + j2 + c1 + c2 <= deg:
-                key = (i1 + i2, j1 + j2, c1 + c2)
-                out[key] = out.get(key, 0) + x * y
-    return {k: v for k, v in out.items() if v}
+_KEY = 8  # x^a y^b u^c has key (a << 2 _KEY) | (b << _KEY) | c; degrees stay below 2^_KEY
+
+
+@lru_cache(maxsize=None)
+def _local_c_numerator(k: int, l: int) -> tuple:
+    """P = (1-u) F = (1-u) D + (1-x)^k (1-D), D = (1-y)^(l-1), for F the
+    local C-factor: a polynomial in (x, y, u) of total degree at most
+    k + l - 1, as its parts by degree, {key of x^a y^b u^c: integer}."""
+    d = [(-1) ** b * comb(l - 1, b) for b in range(l)]
+    parts = [defaultdict(int) for _ in range(k + l)]
+    for b, v in enumerate(d):
+        parts[b][b << _KEY] += v
+        parts[b + 1][b << _KEY | 1] -= v
+    for a in range(k + 1):
+        for b in range(1, l):
+            parts[a + b][a << 2 * _KEY | b << _KEY] -= (-1) ** a * comb(k, a) * d[b]
+    return tuple({key: v for key, v in part.items() if v} for part in parts)
+
+
+@lru_cache(maxsize=None)
+def _log_numerator_part(k: int, l: int, m: int) -> dict:
+    """lcm(1..m) times L_m, the part of total degree m of L = log P, as
+    {key: integer}.  P_0 = 1, and the Euler operator x d/dx + y d/dy + u d/du
+    multiplies a part of degree m by m, so P L' = P' reads
+    m L_m = m P_m - sum_{0<i<m} i L_i P_(m-i), with P_j = 0 past degree
+    k + l - 1.  L_m's denominators divide lcm(1..m), so every division by m
+    is exact."""
+    P, lcm = _local_c_numerator(k, l), math.lcm(*range(1, m + 1))
+    acc = defaultdict(int, {key: m * lcm * v for key, v in (P[m] if m < len(P) else {}).items()})
+    for i in range(max(1, m - len(P) + 1), m):
+        scale = i * (lcm // math.lcm(*range(1, i + 1)))
+        rest = P[m - i].items()
+        for key1, g in _log_numerator_part(k, l, i).items():
+            g *= scale
+            for key2, f in rest:
+                acc[key1 + key2] -= g * f
+    return {key: v // m for key, v in acc.items() if v}
 
 
 @lru_cache(maxsize=None)
@@ -452,30 +397,25 @@ def _log_local_c_series(k: int, l: int, deg: int = _SERIES_DEGREE) -> tuple[tupl
 
     Monomial x^a y^b u^c stands for p^(-as) p^(-b(w+1)) p^(-c); the series
     starts at total degree 2, which is the p^(-2) convergence of the product.
-    The factor 1 + e has integer coefficients, so sum_r (-1)^(r+1) e^r / r is
-    exact in integers over lcm(1..deg/2), reduced to the least common den.
+    It is log P - log(1-u), P = (1-u) F: the parts of log P of degree m <= deg
+    (_log_numerator_part, shared by every deg) plus u^m / m, put over
+    lcm(1..deg) in integers and reduced to the least common den.
     """
-    ypow = {(0, b, 0): (-1) ** b * comb(l - 1, b) for b in range(l)}
-    xpow = {(a, 0, 0): (-1) ** a * comb(k, a) for a in range(k + 1)}
-    geom = {(0, 0, c): 1 for c in range(deg + 1)}
-    one_minus_d = {key: -v for key, v in ypow.items() if key != (0, 0, 0)}  # D_000 = 1
-    f = dict(ypow)
-    for key, v in _tri_mul(_tri_mul(xpow, one_minus_d, deg), geom, deg).items():
-        f[key] = f.get(key, 0) + v
-    e = {k_: v for k_, v in f.items() if k_ != (0, 0, 0) and v}
-    assert f.get((0, 0, 0)) == 1, "local factor must have constant term 1"
-    assert all(sum(k_) >= 2 for k_ in e), "degree-1 terms must cancel"
-    den = math.lcm(*range(1, deg // 2 + 1))
-    out = {}
-    term = {(0, 0, 0): 1}
-    for r in range(1, deg // 2 + 1):
-        term = _tri_mul(term, e, deg)
-        for key, v in term.items():
-            out[key] = out.get(key, 0) + (-1) ** (r + 1) * (den // r) * v
-    common = math.gcd(den, *out.values())
-    return tuple(sorted((key, v // common) for key, v in out.items() if v)), den // common
+    lcm, mask = math.lcm(*range(1, deg + 1)), (1 << _KEY) - 1
+    out = {}  # the parts' keys are disjoint
+    for m in range(1, deg + 1):
+        lcm_m = math.lcm(*range(1, m + 1))
+        part = defaultdict(int, _log_numerator_part(k, l, m))
+        part[m] += lcm_m // m  # u^m / m, from -log(1-u)
+        part = {key: v * (lcm // lcm_m) for key, v in part.items() if v}
+        assert m > 1 or not part, "local factor must be 1 + O(degree 2)"
+        out.update(part)
+    common = math.gcd(lcm, *out.values())
+    return tuple(sorted(((key >> 2 * _KEY, key >> _KEY & mask, key & mask), v // common)
+                        for key, v in out.items())), lcm // common
 
 
+@lru_cache(maxsize=None)
 def _max_power_term(a: int, order: int) -> float:
     """max over i <= order of a^i / i!, the largest t- or w-factor of a
     monomial's jet."""

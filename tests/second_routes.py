@@ -1,6 +1,7 @@
 """Second routes that only the tests use: v_p(h), the local Euler factor
 jets of C(s,w) f(s,w), the varphi coefficient rows of a table, phi and
-varphi per q as products of mpmath local jets, the phi partial sum through
+varphi per q as products of mpmath local jets, the scalar constant C_{k,l}
+as an mpf product with its log series in 1/p, the phi partial sum through
 the varphi convolution, the secondary term from explicit boundary weights,
 the strided d_k sieve, the beta law by quadrature, the c-coefficients by
 jet division, the Moebius log-moments by a direct sieve, the (log p)^d table
@@ -23,14 +24,17 @@ from divcorr.arith import (
     dk_prime_power,
     factorize,
     introot_ceil,
+    primes_up_to,
 )
 from divcorr.asympt import CoefficientContext, _falling, coefficient_context
 from divcorr.euler import (
     _as_factored,
     _dl1,
+    _guarded_dps,
     _jet_from_fixed,
     _local_fixed,
     _mpf_frac,
+    _tail_moments,
     varphi_table,
 )
 from divcorr.jets import Jet2, PowerJet
@@ -121,6 +125,75 @@ def varphi_of(h, k: int, l: int, q: int, order_s: int) -> PowerJet:
     for p, e in factorize(q).factors:
         out = out * varphi_prime_power(h, k, l, p, e, order_s)
     return out
+
+
+@lru_cache(maxsize=None)
+def c_factor_poly(k: int, l: int) -> tuple[Fraction, ...]:
+    """The local factor of C_{k,l} as a polynomial in u = 1/p,
+    (1-u)^(l-1) + (1-u)^(k-1) - (1-u)^(k+l-2)."""
+    out = [Fraction(0)] * (k + l - 1)
+    for e, sign in ((l - 1, 1), (k - 1, 1), (k + l - 2, -1)):
+        for i in range(e + 1):
+            out[i] += sign * (-1) ** i * comb(e, i)
+    return tuple(out)
+
+
+def _poly_mul1(a, b, order: int) -> list[Fraction]:
+    out = [Fraction(0)] * (order + 1)
+    for i, x in enumerate(a):
+        if x:
+            for j in range(order + 1 - i):
+                out[i + j] += x * b[j]
+    return out
+
+
+def poly_log_series(poly, order: int) -> list[Fraction]:
+    """log of a rational polynomial with constant term 1, to u^order, as the
+    power sum sum_r (-1)^(r+1) e^r / r."""
+    assert poly[0] == 1
+    e = [Fraction(0)] + list(poly[1 : order + 1]) + [Fraction(0)] * (order + 1 - len(poly))
+    out = [Fraction(0)] * (order + 1)
+    term = [Fraction(1)] + [Fraction(0)] * order
+    for r in range(1, order + 1):
+        term = _poly_mul1(term, e, order)
+        for i, c in enumerate(term):
+            out[i] += Fraction((-1) ** (r + 1), r) * c
+    return out
+
+
+def prime_tail_upper(prime_cutoff: int, m: int) -> mp.mpf:
+    """Upper bound on sum_{p > P} p^(-m): the primes in (P, 2P] summed, the
+    integers beyond 2P by the integral (2P)^(1-m) / (m-1).  Taken as P^(-m)
+    times a float sum of (P/p)^m <= 1, so it does not underflow."""
+    ps = primes_up_to(2 * prime_cutoff)
+    ratios = prime_cutoff / ps[ps > prime_cutoff].astype(float)
+    scaled = float(np.sum(ratios**m)) * (1 + 1e-12) + prime_cutoff * 2.0 ** (1 - m) / (m - 1)
+    return mp.mpf(scaled) * mp.mpf(prime_cutoff) ** (-m)
+
+
+def scalar_tail_bound(g, order: int, prime_cutoff: int) -> mp.mpf:
+    """Truncation bound of the 1/p series g of log C_{k,l} cut at `order`:
+    twice its last two terms, summed over p > P (no rounding in it)."""
+    return 2 * sum(abs(_mpf_frac(g[m])) * prime_tail_upper(prime_cutoff, m)
+                   for m in (order - 1, order))
+
+
+def c_scalar(k: int, l: int, prime_cutoff: int, order: int, dps: int) -> mp.mpf:
+    """C_{k,l} by the scalar route: the local factors over p <= P, with
+    v = 1 - 1/p, v^(l-1) + v^(k-1) - v^(k+l-2) multiplied in mpf at dps + 10
+    digits, times exp of the series of the log-factor in u = 1/p, to
+    u^order, summed over p > P by the prime-tail moments."""
+    g = poly_log_series(c_factor_poly(k, l), order)
+    assert g[0] == 0 and g[1] == 0, "local factor must be 1 + O(u^2)"
+    growth = max(abs(float(c)) * 2.0**-m for m, c in enumerate(g))
+    with mp.workdps(dps + 10):
+        prod = mp.mpf(1)
+        for p in primes_up_to(prime_cutoff):
+            v = 1 - mp.mpf(1) / int(p)
+            prod *= v ** (l - 1) + v ** (k - 1) - v ** (k + l - 2)
+        tails = _tail_moments(prime_cutoff, order, 0, _guarded_dps(dps, growth))
+        corr = mp.fsum(_mpf_frac(g[m]) * tails.tail(m, 0) for m in range(2, order + 1) if g[m])
+        return prod * mp.exp(corr)
 
 
 def log_powers_mpf(primes, d_max: int, bits: int) -> list:

@@ -22,6 +22,18 @@ def test_parse_int_list():
     assert [str(r) for r in parse_rational_list("1/2,2/3")] == ["1/2", "2/3"]
 
 
+@pytest.mark.parametrize("text", ["0e0..1e3", "-1e2..1e3", "5,0e1..1e2"])
+def test_decade_range_below_1_is_rejected(tmp_path, capsys, text):
+    """A decade range whose low end is 0 or negative never reached hi and
+    grew its list without end; it is a ValueError, and the CLI exits 2."""
+    with pytest.raises(ValueError, match="low end >= 1"):
+        parse_int_list(text)
+    code, out = run(tmp_path, "verify", "theorem22", "--x", text)
+    assert code == 2
+    assert "--x" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sieve_and_cache(tmp_path):
     code, out = run(tmp_path, "sieve", "--k", "2", "--hi", "5000")
     assert code == 0
@@ -231,6 +243,28 @@ def test_negative_shift_exits_2_before_any_sum(tmp_path):
                     "--B", "1/2", "--h=-3", "--x", "1e3..1e4")
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify theorem22", "verify theorem23",
+                                     "verify corollary3", "predict", "constants",
+                                     "polynomial", "estermann"])
+def test_zero_shift_exits_2_before_any_sum(tmp_path, capsys, command):
+    """h = 0 used to reach factorize (in verify, after the brute sums) and
+    fail there, with a message that named neither h nor the command."""
+    cutoffs = ["--x", "1e3"] if command.startswith("verify") else []
+    code, out = run(tmp_path, *command.split(), "--h", "1,0", *cutoffs)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert command in err and "h=0" in err
+    assert not out.exists()
+
+
+def test_theorem21_takes_residue_class_0(tmp_path):
+    """In theorem21 h is a residue class mod q, and h = 0 is one."""
+    code, out = run(tmp_path, "verify", "theorem21", "--k", "2", "--A", "1/2", "--q", "3",
+                    "--h", "0", "--x", "1e3")
+    assert code == 0
+    assert (out / "theorem21_k2_q3_h0_A1d2.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["theorem21", "theorem22", "theorem23", "corollary3",

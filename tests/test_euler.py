@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 
 import mpmath as mp
 import numpy as np
@@ -21,15 +21,12 @@ from divcorr.euler import (
     _SERIES_DEGREE,
     _c_base_fixed,
     _c_euler_base,
-    _c_factor_poly,
     _c_local_fixed,
-    _c_scalar,
     _fixed_mul,
+    _log_local_c_series,
     _local_fixed,
     _table_guard,
-    _poly_log_series,
     _prime_tail_log_jet,
-    _scalar_tail_bound,
     _varphi_base,
     cf_euler_jet,
     dirichlet_partials,
@@ -42,12 +39,16 @@ from divcorr.errors import PrecisionError
 from divcorr.jets import Jet2, PowerJet
 from divcorr.zeta_series import log_powers
 from second_routes import (
+    c_factor_poly,
+    c_scalar,
     cf_local_jet,
     coefficient_array,
     exp_coeffs,
     exponent_of,
     phi_local,
     phi_of,
+    poly_log_series,
+    scalar_tail_bound,
     varphi_of,
     varphi_prime_power,
 )
@@ -71,6 +72,17 @@ def test_singular_constant_keeps_requested_digits():
         C, _ = singular_constant(2, 2, dps=50)
     with mp.workdps(60):
         assert abs(C - 6 / mp.pi**2) < mp.mpf(10) ** -45
+
+
+def test_singular_constant_meets_a_tol_below_its_digits():
+    """A tol below 10^-dps raises the working digits to meet it, so dps 20
+    with the default tol 1e-25 states a bound under tol and raises no
+    PrecisionError (it raised at (16,16), whose bound met 10^-20 only)."""
+    for k, l in ((2, 2), (16, 16)):
+        C, bound = singular_constant(k, l, dps=20)
+        assert bound <= 1e-25
+        with mp.workdps(40):
+            assert abs(C - singular_constant(k, l, dps=30)[0]) <= bound
 
 
 def test_singular_constant_symmetry():
@@ -436,23 +448,65 @@ def test_l1_euler_polynomial_matches_dirichlet():
         assert dirichlet.coeffs[1] == 1
 
 
-@pytest.mark.parametrize("k,l", [(2, 2), (3, 2), (3, 3), (4, 4), (5, 5), (16, 2),
-                                 (16, 16), (30, 30)])
-def test_singular_constant_bound_is_honest(k, l):
-    """The scalar tail series grows with k and l until its bound meets the
-    working precision: no PrecisionError (16,16 raised at a fixed degree
-    14), a bound no looser than the old truncation's (P = 10^4, order 12)
-    and covering the distance to a reference at P = 10^4, order 30."""
-    dps = 50
-    g = _poly_log_series(_c_factor_poly(k, l), 30)
-    # the constant carries more digits than dps: compare it above dps
-    with mp.workdps(dps + 20):
+HONEST_GRID = [(2, 2), (3, 2), (3, 3), (4, 4), (5, 5), (16, 2), (16, 16), (30, 30)]
+
+
+@pytest.mark.parametrize("k,l,dps", [pytest.param(k, l, 50, id=f"{k}-{l}") for k, l in HONEST_GRID]
+                         + [pytest.param(k, l, 30, id=f"{k}-{l}-dps30") for k, l in HONEST_GRID])
+def test_singular_constant_bound_is_honest(k, l, dps):
+    """The tail series grows with k and l until the stated bound, truncation
+    plus rounding, meets the working precision: no PrecisionError (16,16
+    raised at a fixed degree 14), and a bound covering the distance to the
+    scalar route at P = 10^4, order 30, on dps + 30 digits, whose own
+    truncation is far below the bound.  At dps 50 the bound is also no
+    looser than the old truncation's (P = 10^4, order 12); at dps 30 the
+    degree rule stops at the first degree whose bound meets 10^-30, which
+    for the smaller (k,l) lies above that truncation (5e-35 against 3e-47
+    at (2,2))."""
+    g = poly_log_series(c_factor_poly(k, l), 30)
+    # the constant carries more digits than dps: compare it above the reference's
+    with mp.workdps(dps + 40):
         C, bound = singular_constant(k, l, dps=dps)
-        ref = _c_scalar(k, l, 10**4, 30, dps + 10)
+        ref = c_scalar(k, l, 10**4, 30, dps + 30)
         assert bound <= mp.mpf(10) ** -dps
-        assert bound <= _scalar_tail_bound(g, 12, 10**4)
-        assert _scalar_tail_bound(g, 30, 10**4) < bound / 1000
+        if dps == 50:
+            assert bound <= scalar_tail_bound(g, 12, 10**4)
+        assert scalar_tail_bound(g, 30, 10**4) < bound / 1000
         assert abs(C - ref) <= bound, (abs(C - ref), bound)
+
+
+@pytest.mark.parametrize("k,l,deg", [(2, 2, 14), (3, 2, 14), (6, 5, 18), (16, 16, 20)])
+def test_log_local_c_series_exponentiates_to_the_factor(k, l, deg):
+    """exp(G) = F through total degree deg, in integers, for G = N / den the
+    log series and F = D + (1-x)^k (1-D) / (1-u), D = (1-y)^(l-1), built here
+    from its binomials: with G_0 = 0 and F_0 = 1 that is F G' = F', degree
+    by degree m den F_m = sum_{0<i<=m} i N_i F_(m-i), where F_m, N_m are the
+    parts of total degree m."""
+    F = [{} for _ in range(deg + 1)]
+    D = [(-1) ** b * comb(l - 1, b) for b in range(l)]
+    for b in range(min(l - 1, deg) + 1):
+        F[b][0, b, 0] = D[b]
+    for a in range(min(k, deg) + 1):
+        for b in range(1, min(l - 1, deg - a) + 1):
+            for c in range(deg - a - b + 1):
+                part = F[a + b + c]
+                part[a, b, c] = part.get((a, b, c), 0) - (-1) ** a * comb(k, a) * D[b]
+    terms, den = _log_local_c_series(k, l, deg)
+    N = [{} for _ in range(deg + 1)]
+    for key, v in terms:
+        assert v and sum(key) >= 2
+        N[sum(key)][key] = v
+    assert F[0] == {(0, 0, 0): 1}
+    for m in range(1, deg + 1):
+        rhs = {}
+        for i in range(1, m + 1):
+            for (a1, b1, c1), n in N[i].items():
+                for (a2, b2, c2), f in F[m - i].items():
+                    key = (a1 + a2, b1 + b2, c1 + c2)
+                    rhs[key] = rhs.get(key, 0) + i * n * f
+        lhs = {key: m * den * f for key, f in F[m].items() if f}
+        assert {key: v for key, v in rhs.items() if v} == lhs, m
+    assert gcd(den, *(v for _, v in terms)) == 1  # den is the least common one
 
 
 def test_local_factor_cf_wrapper():
