@@ -1,13 +1,14 @@
 """Additive divisor correlations: exact sieves, singular series, and the
 asymptotic polynomial coefficients of shifted divisor sums.
 
-The package is organized around three layers:
+The package is organized in four layers:
 
   arith        exact integer substrate: factorization, d_k sieves, the
                partial divisor function d_k(n, A) with rational-exact
                boundary tests, and sigma moments;
-  jets /       truncated Taylor arithmetic at (s, w) = (1, 0), Stieltjes
-  zeta_series  constants, zeta-power Taylor data, prime-zeta moments;
+  jets /       truncated Taylor arithmetic at (s, w) = (1, 0) (Jet2, with
+  zeta_series  order_w = 0 for one variable), Stieltjes constants,
+               zeta-power Taylor data, prime-zeta moments;
   euler /      singular series Euler products, Dirichlet coefficient
   asympt       tables, the b/a coefficient ledgers and the full asymptotic
                polynomial, exponents of distribution, the beta law;
@@ -55,7 +56,7 @@ from .euler import (
     singular_shift_factor,
     varphi_table,
 )
-from .jets import Jet2, PowerJet
+from .jets import Jet2
 from .oracle import (
     ComparisonReport,
     CorrelationResult,

@@ -177,8 +177,10 @@ class RationalExponent:
         else:
             s = str(text).strip()
             if "/" in s:
-                num, den = s.split("/")
-                f = Fraction(int(num), int(den))
+                num, den = (int(x) for x in s.split("/"))
+                if den == 0:
+                    raise ValueError(f"RationalExponent {s!r} has a zero denominator")
+                f = Fraction(num, den)
             else:
                 f = Fraction(int(s))
         return cls(f.numerator, f.denominator)

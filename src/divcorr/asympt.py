@@ -137,8 +137,8 @@ class CoefficientContext:
 
 
 def coefficient_context(h, k: int, l: int, source: str = "euler",
-                        Q: int = 10**6, prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-                        mode: str = "auto") -> CoefficientContext:
+                        Q: int = 10**6,
+                        prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> CoefficientContext:
     """Build the shared inputs; source is "euler" (tail-corrected Euler
     product, essentially exact) or "dirichlet" (q <= Q truncation)."""
     if l < 1 or k < 1:
@@ -149,17 +149,32 @@ def coefficient_context(h, k: int, l: int, source: str = "euler",
     if source == "euler":
         jet, tail = cf_euler_jet(h, k, l, order_t, order_w, prime_cutoff)
     elif source == "dirichlet":
-        dp = dirichlet_partials(h, k, l, Q, order_t, order_w, mode)
+        dp = dirichlet_partials(h, k, l, Q, order_t, order_w)
         jet, tail, tails = dp.jet, dp.tail_bound(), dp.tails
     else:
         raise ValueError(f"unknown partials source {source!r}")
-    h_val = int(h.value) if hasattr(h, "value") else int(h)
     return CoefficientContext(
-        h=h_val, k=k, l=l, partials=jet,
+        h=_shift_value(h), k=k, l=l, partials=jet,
         a_l1=zeta_power_coeffs(l - 1, max(l, k + l - 2) + 1),
         c_k=c_coeffs(k, k + 1),
         source=source, tail_bound=tail, tails=tails,
     )
+
+
+def _shift_value(h) -> int:
+    return int(h.value) if hasattr(h, "value") else int(h)
+
+
+def _context_for(ctx: CoefficientContext | None, h, k: int, l: int, source: str,
+                 Q: int) -> CoefficientContext:
+    """ctx, or a fresh one when it is None; a ctx built for another (h, k, l)
+    is refused."""
+    if ctx is None:
+        return coefficient_context(h, k, l, source=source, Q=Q)
+    want = (_shift_value(h), k, l)
+    if (ctx.h, ctx.k, ctx.l) != want:
+        raise ValueError(f"context is for (h, k, l) = {(ctx.h, ctx.k, ctx.l)}, not {want}")
+    return ctx
 
 
 def b_coefficient(ctx: CoefficientContext, m: int, n: int) -> mp.mpf:
@@ -310,11 +325,10 @@ class AsymptoticPolynomial:
 
 def main_polynomial(A, h, k: int, l: int, ctx: CoefficientContext | None = None,
                     source: str = "euler", Q: int = 10**6) -> AsymptoticPolynomial:
-    """Assemble the full degree-(k+l-2) polynomial with provenance."""
+    """Assemble the full degree-(k+l-2) polynomial with provenance; a ctx
+    given must be the one for (h, k, l)."""
     A = RationalExponent.parse(A)
-    if ctx is None:
-        ctx = coefficient_context(h, k, l, source=source, Q=Q)
-    k, l = ctx.k, ctx.l
+    ctx = _context_for(ctx, h, k, l, source, Q)
     Af = A.mpf()
     deg = k + l - 2
     coeffs = [mp.mpf(0)] * (deg + 1)
@@ -440,8 +454,7 @@ def estermann_assembled(h: int, ctx: CoefficientContext | None = None,
       [x log x]   = 2 b_{1,0} + b_{0,1} + 2 a_{1/2,1},
       [x]         = 2 (b_{0,0} + a_{1/2,0}).
     """
-    if ctx is None:
-        ctx = coefficient_context(h, 2, 2, source=source, Q=Q)
+    ctx = _context_for(ctx, h, 2, 2, source, Q)
     half = RationalExponent(1, 2)
     b11 = b_coefficient(ctx, 1, 1)
     b10 = b_coefficient(ctx, 1, 0)
@@ -462,8 +475,7 @@ def estermann_coefficients(h: int, source: str = "euler", Q: int = 10**6,
     bound exceeds it), the tolerance relaxes to that bound and the check is
     marked `relaxed`; a failure beyond the effective tolerance raises.
     """
-    if ctx is None:
-        ctx = coefficient_context(h, 2, 2, source=source, Q=Q)
+    ctx = _context_for(ctx, h, 2, 2, source, Q)
     closed = estermann_closed_forms(h)
     assembled = estermann_assembled(h, ctx=ctx)
     max_diff = max(abs(c - a) for c, a in zip(closed, assembled))

@@ -48,6 +48,13 @@ def parse_dps(text: str) -> int:
     return dps
 
 
+def parse_digits(text: str) -> int:
+    """--digits: significant digits of each reported number, at least 1."""
+    if (digits := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"--digits must be at least 1, not {digits}")
+    return digits
+
+
 def parse_int_list(text: str) -> list[int]:
     """Comma lists and ranges: '3,5,7', '1..20' (unit step), '1e4..1e7'
     (decade steps for scientific-notation endpoints)."""
@@ -461,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=parse_int_list, default=[1])
     p.add_argument("--P", type=int, default=DEFAULT_PRIME_CUTOFF, help="prime cutoff")
     p.add_argument("--Q", type=int, default=10**4, help="Dirichlet truncation")
-    p.add_argument("--digits", type=int, default=30)
+    p.add_argument("--digits", type=parse_digits, default=30)
     p.add_argument("--stieltjes-terms", type=int, default=6)
     p.set_defaults(func=cmd_constants)
 

@@ -53,7 +53,7 @@ from .arith import (
     spf_array,
 )
 from .errors import PrecisionError, PrecisionWarning, ResourceBudgetError
-from .jets import Jet2, PowerJet
+from .jets import Jet2
 from .zeta_series import _zeta_taylor, fixed_logs, log_powers, mobius_sieve
 
 DEFAULT_PRIME_CUTOFF = 1_000
@@ -788,12 +788,6 @@ class VarphiTable:
         """The coefficients of varphi(q, s) for q in qs (row r: t^r), as a
         fresh array."""
         return self._numbers(self._stored(qs))
-
-    def jet(self, q: int) -> PowerJet:
-        if not 1 <= q <= self.Q:
-            raise IndexError(f"q={q} outside table range")
-        col = self.columns(np.array([q]))[:, 0]
-        return PowerJet([c if self.mode == "mp" else mp.mpf(float(c)) for c in col])
 
 
 def varphi_table(h, k: int, l: int, Q: int, order_s: int, mode: str = "auto") -> VarphiTable:

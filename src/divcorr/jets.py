@@ -1,11 +1,12 @@
 """Truncated Taylor ("jet") arithmetic with mpmath coefficients.
 
-PowerJet is a one-variable truncated series sum c[r] * t^r; Jet2 is the
-bivariate analogue sum c[i][j] * t^i * w^j used for expansions around
-(s, w) = (1, 0) with t = s - 1.  Truncation commutes with the ring
-operations: multiplying two jets and truncating equals truncating the full
-product, so retained coefficients are exact (up to floating precision).
-The (i, j) coefficient recovers the mixed partial as i! * j! * c[i][j].
+Jet2 is the truncated bivariate series sum c[i][j] * t^i * w^j used for
+expansions around (s, w) = (1, 0) with t = s - 1; with order_w = 0 it is the
+one-variable series sum c[i][0] * t^i, built as Jet2([[c] for c in coeffs]).
+Truncation commutes with the ring operations: multiplying two jets and
+truncating equals truncating the full product, so retained coefficients are
+exact (up to floating precision).  The (i, j) coefficient recovers the mixed
+partial as i! * j! * c[i][j].
 """
 
 from __future__ import annotations
@@ -23,164 +24,9 @@ def _num(x):
     return x if isinstance(x, (mp.mpf, mp.mpc)) else mp.mpf(x)
 
 
-class _Jet:
-    """What PowerJet and Jet2 share, built on their constant, +, -x, * and
-    reciprocal."""
-
-    __slots__ = ()
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, type(self)) else -_num(other))
-
-    def __rsub__(self, other):
-        return (-self) + _num(other)
-
-    def __pow__(self, m: int):
-        if not isinstance(m, int):
-            raise TypeError("jet powers must have integer exponents")
-        if m < 0:
-            return (self**(-m)).reciprocal()
-        out = self.constant(1, *self.orders)
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
-
-    def __truediv__(self, other):
-        if isinstance(other, type(self)):
-            return self * other.reciprocal()
-        return self * (1 / _num(other))
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * _num(other)
-
-
-class PowerJet(_Jet):
-    """Truncated one-variable Taylor series with mpmath coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = [_num(c) for c in coeffs]
-        if not self.coeffs:
-            raise ValueError("PowerJet needs at least the constant coefficient")
-
-    @classmethod
-    def constant(cls, c, order: int) -> "PowerJet":
-        return cls([c] + [mp.mpf(0)] * order)
-
-    @classmethod
-    def variable(cls, order: int) -> "PowerJet":
-        if order < 1:
-            raise ValueError("variable jet needs order >= 1")
-        return cls([mp.mpf(0), mp.mpf(1)] + [mp.mpf(0)] * (order - 1))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def orders(self) -> tuple[int]:
-        return (self.order,)
-
-    def __getitem__(self, r: int):
-        return self.coeffs[r]
-
-    def truncated(self, order: int) -> "PowerJet":
-        if order >= self.order:
-            return PowerJet(self.coeffs + [mp.mpf(0)] * (order - self.order))
-        return PowerJet(self.coeffs[: order + 1])
-
-    def derivative_at_origin(self, r: int):
-        """r-th derivative at the expansion point: r! * c[r]."""
-        return mp.factorial(r) * self.coeffs[r]
-
-    def _common_order(self, other) -> int:
-        return min(self.order, other.order) if isinstance(other, PowerJet) else self.order
-
-    def __add__(self, other):
-        if not isinstance(other, PowerJet):
-            out = list(self.coeffs)
-            out[0] += _num(other)
-            return PowerJet(out)
-        n = self._common_order(other)
-        return PowerJet([self.coeffs[r] + other.coeffs[r] for r in range(n + 1)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PowerJet([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, PowerJet):
-            c = _num(other)
-            return PowerJet([a * c for a in self.coeffs])
-        n = self._common_order(other)
-        out = [mp.mpf(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(0, n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return PowerJet(out)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "PowerJet":
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise JetSingularityError("reciprocal of a jet with zero constant term")
-        n = self.order
-        rest = PowerJet([mp.mpf(0)] + [c / c0 for c in self.coeffs[1:]])
-        out = PowerJet.constant(1, n)
-        term = PowerJet.constant(1, n)
-        for _ in range(n):
-            term = term * rest
-            out = out - term if _ % 2 == 0 else out + term
-        return out * (1 / c0)
-
-    def log(self) -> "PowerJet":
-        c0 = self.coeffs[0]
-        if not (isinstance(c0, mp.mpf) and c0 > 0):
-            raise JetSingularityError("log of a jet needs a positive constant term")
-        n = self.order
-        rest = PowerJet([mp.mpf(0)] + [c / c0 for c in self.coeffs[1:]])
-        out = PowerJet.constant(mp.log(c0), n)
-        term = PowerJet.constant(1, n)
-        for r in range(1, n + 1):
-            term = term * rest
-            out = out + term * (mp.mpf(-1) ** (r + 1) / r)
-        return out
-
-    def exp(self) -> "PowerJet":
-        n = self.order
-        rest = PowerJet([mp.mpf(0)] + list(self.coeffs[1:]))
-        out = PowerJet.constant(1, n)
-        term = PowerJet.constant(1, n)
-        for r in range(1, n + 1):
-            term = term * rest * (mp.mpf(1) / r)
-            out = out + term
-        return out * mp.exp(self.coeffs[0])
-
-    def __call__(self, t):
-        """Evaluate the truncated polynomial at a numeric point."""
-        t = _num(t)
-        acc = mp.mpf(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def __repr__(self):
-        return f"PowerJet({[mp.nstr(c, 12) for c in self.coeffs]})"
-
-
-class Jet2(_Jet):
-    """Truncated bivariate Taylor series sum c[i][j] t^i w^j."""
+class Jet2:
+    """Truncated bivariate Taylor series sum c[i][j] t^i w^j (one-variable
+    in t when order_w = 0)."""
 
     __slots__ = ("coeffs", "order_t", "order_w")
 
@@ -247,6 +93,12 @@ class Jet2(_Jet):
     def __neg__(self):
         return Jet2([[-c for c in row] for row in self.coeffs])
 
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, Jet2) else -_num(other))
+
+    def __rsub__(self, other):
+        return (-self) + _num(other)
+
     def __mul__(self, other):
         if not isinstance(other, Jet2):
             c = _num(other)
@@ -271,6 +123,28 @@ class Jet2(_Jet):
 
     __rmul__ = __mul__
 
+    def __pow__(self, m: int):
+        if not isinstance(m, int):
+            raise TypeError("jet powers must have integer exponents")
+        if m < 0:
+            return (self**(-m)).reciprocal()
+        out = Jet2.constant(1, self.order_t, self.order_w)
+        base = self
+        while m:
+            if m & 1:
+                out = out * base
+            base = base * base
+            m >>= 1
+        return out
+
+    def __truediv__(self, other):
+        if isinstance(other, Jet2):
+            return self * other.reciprocal()
+        return self * (1 / _num(other))
+
+    def __rtruediv__(self, other):
+        return self.reciprocal() * _num(other)
+
     def _nilpotent_steps(self) -> int:
         return self.order_t + self.order_w
 
@@ -278,21 +152,19 @@ class Jet2(_Jet):
         c0 = self.coeffs[0][0]
         if c0 == 0:
             raise JetSingularityError("reciprocal of a jet with zero constant term")
-        rest = (self * (1 / c0)) - 1
+        rest = Jet2([[c / c0 for c in row] for row in self.coeffs]) - 1  # 0 at (0, 0) exactly
         out = Jet2.constant(1, self.order_t, self.order_w)
         term = Jet2.constant(1, self.order_t, self.order_w)
-        sign = -1
-        for _ in range(self._nilpotent_steps()):
+        for r in range(self._nilpotent_steps()):
             term = term * rest
-            out = out + term * sign
-            sign = -sign
+            out = out - term if r % 2 == 0 else out + term
         return out * (1 / c0)
 
     def log(self) -> "Jet2":
         c0 = self.coeffs[0][0]
         if not (isinstance(c0, mp.mpf) and c0 > 0):
             raise JetSingularityError("log of a jet needs a positive constant term")
-        rest = (self * (1 / c0)) - 1
+        rest = Jet2([[c / c0 for c in row] for row in self.coeffs]) - 1  # 0 at (0, 0) exactly
         out = Jet2.constant(mp.log(c0), self.order_t, self.order_w)
         term = Jet2.constant(1, self.order_t, self.order_w)
         for r in range(1, self._nilpotent_steps() + 1):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .arith import spf_array
 from .errors import PrecisionError
-from .jets import PowerJet
+from .jets import Jet2
 
 # Configured ceilings for Stieltjes computations.
 STIELTJES_MAX_INDEX = 30
@@ -256,7 +256,7 @@ def euler_gamma(digits: int = 30) -> mp.mpf:
     return _stieltjes_checked(0, digits)
 
 
-def zeta_laurent_jet(order: int, digits: int | None = None) -> PowerJet:
+def zeta_laurent_jet(order: int, digits: int | None = None) -> Jet2:
     """Jet of (s-1) * zeta(s) at s = 1: 1 + sum (-1)^n gamma_n t^(n+1) / n!."""
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -265,10 +265,10 @@ def zeta_laurent_jet(order: int, digits: int | None = None) -> PowerJet:
     coeffs = [mp.mpf(1)] + [mp.mpf(0)] * order
     for n in range(order):
         coeffs[n + 1] = (-1) ** n * gammas[n] / mp.factorial(n)
-    return PowerJet(coeffs)
+    return Jet2([[c] for c in coeffs])
 
 
-def zeta_power_jet(j: int, order: int, digits: int | None = None) -> PowerJet:
+def zeta_power_jet(j: int, order: int, digits: int | None = None) -> Jet2:
     """Jet of (s-1)^j zeta(s)^j at s = 1."""
     if j < 0:
         raise ValueError("j must be >= 0")
@@ -279,7 +279,7 @@ def zeta_power_jet(j: int, order: int, digits: int | None = None) -> PowerJet:
 def zeta_power_coeffs(j: int, r_max: int, digits: int | None = None) -> list[mp.mpf]:
     """a_r(j) for r = 0..r_max, where (s-1)^j zeta^j(s) = sum a_r(j) t^r / r!."""
     jet = zeta_power_jet(j, r_max, digits)
-    return [mp.factorial(r) * jet[r] for r in range(r_max + 1)]
+    return [jet.partial(r, 0) for r in range(r_max + 1)]
 
 
 def c_coeffs(j: int, n_max: int, digits: int | None = None) -> list[mp.mpf]:
@@ -360,11 +360,11 @@ def _zeta_taylor(y: int, order: int, bits: int) -> tuple:
                  for r, v in enumerate(vals))
 
 
-def zeta_jet(y: int, order: int, dps: int = 40) -> PowerJet:
+def zeta_jet(y: int, order: int, dps: int = 40) -> Jet2:
     """zeta(y + tau) as a jet in tau (coefficients zeta^(r)(y) / r!), to
     about 10^-(dps+2), at an integer y >= 2; a fresh jet on every call."""
     bits = math.ceil((dps + 3) * math.log2(10))
-    return PowerJet([mp.ldexp(c, -bits) for c in _zeta_taylor(y, order, bits)])
+    return Jet2([[mp.ldexp(c, -bits)] for c in _zeta_taylor(y, order, bits)])
 
 
 def mobius_sieve(n: int) -> np.ndarray:
@@ -385,7 +385,7 @@ def mobius_sieve(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def inverse_zeta_jet_at_2(order: int = 2, dps: int = 40) -> PowerJet:
+def inverse_zeta_jet_at_2(order: int = 2, dps: int = 40) -> Jet2:
     """Jet of 1/zeta(2 + tau): the reciprocal of the Euler-Maclaurin jet of
     zeta at 2."""
     with mp.workdps(dps + 8):
@@ -400,6 +400,6 @@ def estermann_a_constants(dps: int = 40) -> tuple[mp.mpf, mp.mpf]:
     independent cross-check in the tests.
     """
     jet = inverse_zeta_jet_at_2(2, dps)
-    a1 = jet.derivative_at_origin(1)
-    a2 = jet.derivative_at_origin(2)
+    a1 = jet.partial(1, 0)
+    a2 = jet.partial(2, 0)
     return a1, a2

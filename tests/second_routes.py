@@ -1,12 +1,12 @@
 """Second routes that only the tests use: v_p(h), the local Euler factor
-jets of C(s,w) f(s,w), the varphi coefficient rows of a table, phi and
-varphi per q as products of mpmath local jets, the scalar constant C_{k,l}
-as an mpf product with its log series in 1/p, the phi partial sum through
-the varphi convolution, the secondary term from explicit boundary weights,
-the strided d_k sieve, the beta law by quadrature, the c-coefficients by
-jet division, the Moebius log-moments by a direct sieve, the (log p)^d table
-and the zeta jets in mpmath arithmetic, and the residue pipeline for the
-polynomial coefficients.
+jets of C(s,w) f(s,w), the varphi coefficient rows and jets of a table, phi
+and varphi per q as products of mpmath local jets, the scalar constant
+C_{k,l} as an mpf product with its log series in 1/p, the phi partial sum
+through the varphi convolution, the secondary term from explicit boundary
+weights, the strided d_k sieve, the beta law by quadrature, the
+c-coefficients by jet division, the Moebius log-moments by a direct sieve,
+the (log p)^d table and the zeta jets in mpmath arithmetic, and the residue
+pipeline for the polynomial coefficients.
 They arbitrate the library's routes and are not part of the package."""
 
 from dataclasses import dataclass
@@ -37,7 +37,7 @@ from divcorr.euler import (
     _tail_moments,
     varphi_table,
 )
-from divcorr.jets import Jet2, PowerJet
+from divcorr.jets import Jet2
 from divcorr.zeta_series import mobius_sieve, zeta_power_coeffs, zeta_power_jet
 
 
@@ -61,12 +61,19 @@ def coefficient_array(table, i: int) -> np.ndarray:
     return table._numbers(row)
 
 
+def varphi_jet(table, q: int) -> Jet2:
+    """varphi(q, s) from a VarphiTable, as a one-variable jet in t = s - 1."""
+    if not 1 <= q <= table.Q:
+        raise IndexError(f"q={q} outside table range")
+    return Jet2([[c] for c in table.columns(np.array([q]))[:, 0]])
+
+
 def exp_coeffs(c: int, L, order: int) -> list:
     """Taylor coefficients of e^(-c z L) in z, to z^order."""
     return [(-c * L) ** i / factorial(i) for i in range(order + 1)]
 
 
-def phi_local(h, k: int, l: int, p: int, alpha: int, order_s: int) -> PowerJet:
+def phi_local(h, k: int, l: int, p: int, alpha: int, order_s: int) -> Jet2:
     """phi(s, p^alpha) as a jet in t = s - 1.
 
     With gamma = v_p(h) and delta = min(alpha, gamma):
@@ -77,10 +84,10 @@ def phi_local(h, k: int, l: int, p: int, alpha: int, order_s: int) -> PowerJet:
     if alpha < 1:
         raise ValueError("phi_local requires alpha >= 1")
     gamma = exponent_of(h, p)
-    X = PowerJet([c / p for c in exp_coeffs(1, mp.log(p), order_s)])
+    X = Jet2([[c / p] for c in exp_coeffs(1, mp.log(p), order_s)])
     xk = (1 - X) ** k
     if alpha <= gamma:
-        partial = PowerJet.constant(0, order_s)
+        partial = Jet2.constant(0, order_s, 0)
         for b in range(alpha):
             partial = partial + dk_prime_power(k, b) * X**b
         return _dl1(l, alpha) * (1 - xk * partial)
@@ -90,38 +97,38 @@ def phi_local(h, k: int, l: int, p: int, alpha: int, order_s: int) -> PowerJet:
     return _mpf_frac(front) * jet
 
 
-def varphi_prime_power(h, k: int, l: int, p: int, alpha: int, order_s: int) -> PowerJet:
+def varphi_prime_power(h, k: int, l: int, p: int, alpha: int, order_s: int) -> Jet2:
     """varphi(p^alpha, s): local phi-series multiplied by (1 - p^(-w-1))^(l-1).
     A fresh jet from a cache on (v_p(h), k, l, p, alpha, order_s, working dps)."""
     gamma = exponent_of(h, p)
-    return PowerJet(_varphi_prime_power(gamma, k, l, p, alpha, order_s, mp.mp.dps))
+    return Jet2(_varphi_prime_power(gamma, k, l, p, alpha, order_s, mp.mp.dps))
 
 
 @lru_cache(maxsize=None)
 def _varphi_prime_power(gamma: int, k: int, l: int, p: int, alpha: int, order_s: int,
                         dps: int) -> tuple:
     u = mp.mpf(1) / p
-    out = PowerJet.constant(0, order_s)
+    out = Jet2.constant(0, order_s, 0)
     for j in range(min(alpha, l - 1) + 1):
         coef = comb(l - 1, j) * (-u) ** j
         if alpha - j == 0:
-            out = out + PowerJet.constant(coef, order_s)
+            out = out + Jet2.constant(coef, order_s, 0)
         else:
             out = out + coef * phi_local(p**gamma, k, l, p, alpha - j, order_s)
-    return tuple(out.coeffs)
+    return tuple(map(tuple, out.coeffs))
 
 
-def phi_of(h, k: int, l: int, q: int, order_s: int) -> PowerJet:
+def phi_of(h, k: int, l: int, q: int, order_s: int) -> Jet2:
     """phi(s, q) by multiplicativity."""
-    out = PowerJet.constant(1, order_s)
+    out = Jet2.constant(1, order_s, 0)
     for p, e in factorize(q).factors:
         out = out * phi_local(h, k, l, p, e, order_s)
     return out
 
 
-def varphi_of(h, k: int, l: int, q: int, order_s: int) -> PowerJet:
+def varphi_of(h, k: int, l: int, q: int, order_s: int) -> Jet2:
     """varphi(q, s) by multiplicativity."""
-    out = PowerJet.constant(1, order_s)
+    out = Jet2.constant(1, order_s, 0)
     for p, e in factorize(q).factors:
         out = out * varphi_prime_power(h, k, l, p, e, order_s)
     return out
@@ -295,10 +302,9 @@ def c_coeffs_via_division(j: int, n_max: int, digits: int | None = None) -> list
     """Same coefficients as zeta_series.c_coeffs via jet division by
     s = 1 + t; independent route."""
     jet = zeta_power_jet(j, n_max, digits)
-    one_plus_t = PowerJet([mp.mpf(1), mp.mpf(1)] + [mp.mpf(0)] * (n_max - 1)) \
-        if n_max >= 1 else PowerJet([mp.mpf(1)])
+    one_plus_t = Jet2([[1 if r < 2 else 0] for r in range(n_max + 1)])
     quotient = jet / one_plus_t
-    return [quotient[n] for n in range(n_max + 1)]
+    return [quotient[n, 0] for n in range(n_max + 1)]
 
 
 def mobius_log_moment_sieve(d: int, n_terms: int) -> tuple[float, float]:
@@ -323,7 +329,7 @@ def mobius_log_moment_sieve(d: int, n_terms: int) -> tuple[float, float]:
     return total, bound
 
 
-def phi_partial_sum_jet(h: int, k: int, l: int, Q: int, order_s: int) -> PowerJet:
+def phi_partial_sum_jet(h: int, k: int, l: int, Q: int, order_s: int) -> Jet2:
     """sum_{q<=Q} phi(s, q) as a jet in t = s-1, via the varphi convolution.
 
     phi(s,q) = sum_{d|q} varphi(d,s) d_{l-1}(q/d)/(q/d), so the partial sum
@@ -340,8 +346,8 @@ def phi_partial_sum_jet(h: int, k: int, l: int, Q: int, order_s: int) -> PowerJe
             acc += mp.mpf(w) / q
         H[q] = acc
     weights = [H[Q // d] for d in range(1, Q + 1)]
-    return PowerJet([mp.fdot(coefficient_array(table, r)[1:], weights)
-                     for r in range(order_s + 1)])
+    return Jet2([[mp.fdot(coefficient_array(table, r)[1:], weights)]
+                 for r in range(order_s + 1)])
 
 
 def direct_secondary_value(h: int, k: int, l: int, A, Q: int, logx,
@@ -357,9 +363,9 @@ def direct_secondary_value(h: int, k: int, l: int, A, Q: int, logx,
     A = RationalExponent.parse(A)
     order_s = order_s if order_s is not None else k - 1
     a_k = zeta_power_coeffs(k, order_s)
-    zk = PowerJet([a_k[r] / mp.factorial(r) for r in range(order_s + 1)])
-    inv1pt = PowerJet([mp.mpf((-1) ** r) for r in range(order_s + 1)])
-    total = PowerJet.constant(0, order_s)
+    zk = Jet2([[a_k[r] / mp.factorial(r)] for r in range(order_s + 1)])
+    inv1pt = Jet2([[mp.mpf((-1) ** r)] for r in range(order_s + 1)])
+    total = Jet2.constant(0, order_s, 0)
     for q in range(1, Q + 1):
         qb = q**A.b
         root = introot_ceil(qb, A.a)
@@ -369,16 +375,16 @@ def direct_secondary_value(h: int, k: int, l: int, A, Q: int, logx,
             1 if is_integer_power else 0)
         T = q_pow + h - delta
         logT = mp.log(T)
-        wjet = PowerJet([T * logT**r / mp.factorial(r) for r in range(order_s + 1)])
+        wjet = Jet2([[T * logT**r / mp.factorial(r)] for r in range(order_s + 1)])
         total = total + phi_of(h, k, l, q, order_s) * wjet
     full = zk * inv1pt * total
     # [t^(k-1)] is the residue expression; it is the term subtracted from
     # the primary in the correlation formula
-    return full[k - 1]
+    return full[k - 1, 0]
 
 
 def _lampoly_mul(P: list, Q: list, deg: int) -> list:
-    """Multiply polynomials in lambda whose coefficients are PowerJets."""
+    """Multiply polynomials in lambda whose coefficients are one-variable jets."""
     out = [None] * (deg + 1)
     for i, a in enumerate(P):
         if a is None:
@@ -414,7 +420,7 @@ def residue_polynomial_routes(h: int, k: int, l: int, A, Q: int,
                               ctx: CoefficientContext | None = None) -> ResidueRoutes:
     A = RationalExponent.parse(A)
     if ctx is None:
-        ctx = coefficient_context(h, k, l, source="dirichlet", Q=Q, mode="mp")
+        ctx = coefficient_context(h, k, l, source="dirichlet", Q=Q)
     D = ctx.partials
     a_l1 = ctx.a_l1
     c_k = ctx.c_k
@@ -424,8 +430,8 @@ def residue_polynomial_routes(h: int, k: int, l: int, A, Q: int,
 
     # primary: [t^(k-1)] of  t^k zeta^k(1+t) * Zhat(t, lam) * e^(lam t) / (1+t)
     a_k = zeta_power_coeffs(k, tord)
-    zk = PowerJet([a_k[r] / mp.factorial(r) for r in range(tord + 1)])
-    inv1pt = PowerJet([mp.mpf((-1) ** r) for r in range(tord + 1)])
+    zk = Jet2([[a_k[r] / mp.factorial(r)] for r in range(tord + 1)])
+    inv1pt = Jet2([[mp.mpf((-1) ** r)] for r in range(tord + 1)])
     zhat = [None] * (lam_deg + 1)
     for n in range(l):
         col = [mp.mpf(0)] * (tord + 1)
@@ -434,18 +440,18 @@ def residue_polynomial_routes(h: int, k: int, l: int, A, Q: int,
             for j in range(l - n):
                 acc += a_l1[l - 1 - n - j] / mp.factorial(l - 1 - n - j) * D[i, j]
             col[i] = acc * Af**n / mp.factorial(n)
-        zhat[n] = PowerJet(col)
+        zhat[n] = Jet2([[c] for c in col])
     explam = [None] * (lam_deg + 1)
     for d in range(lam_deg + 1):
         col = [mp.mpf(0)] * (tord + 1)
         if d <= tord:
             col[d] = 1 / mp.factorial(d)
-        explam[d] = PowerJet(col)
+        explam[d] = Jet2([[c] for c in col])
     base = zk * inv1pt
     m1 = _lampoly_mul([base], zhat, lam_deg)
     total = _lampoly_mul(m1, explam, lam_deg)
     primary = [
-        (total[d][tord] if total[d] is not None else mp.mpf(0))
+        (total[d][tord, 0] if total[d] is not None else mp.mpf(0))
         for d in range(lam_deg + 1)
     ]
 

@@ -294,7 +294,7 @@ def test_criterion_8_residue_arbitration():
         Af = A.mpf()
         for (k, l) in ((2, 2), (3, 2)):
             for h in (1, 2):
-                ctx = coefficient_context(h, k, l, source="dirichlet", Q=Q, mode="mp")
+                ctx = coefficient_context(h, k, l, source="dirichlet", Q=Q)
                 rr = residue_polynomial_routes(h, k, l, A, Q, ctx=ctx)
                 for d in range(k + l - 1):
                     target = mp.mpf(0)

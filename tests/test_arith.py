@@ -293,6 +293,8 @@ def test_rational_exponent():
         RationalExponent(4, 3)  # above 1
     with pytest.raises(ValueError):
         RationalExponent.parse("5/4")
+    with pytest.raises(ValueError, match="zero denominator"):
+        RationalExponent.parse("1/0")
     # boundary is decided by q^b <= n^a, inclusively
     half = RationalExponent(1, 2)
     assert half.divisor_cutoff(16) == 4

@@ -17,6 +17,7 @@ from divcorr.asympt import (
     corollary_lower_bound,
     correlation_leading,
     correlation_validity,
+    estermann_assembled,
     estermann_closed_forms,
     estermann_coefficients,
     main_polynomial,
@@ -233,6 +234,21 @@ def test_estermann_consistency_error():
     ctx.partials.coeffs[0][0] += mp.mpf("1e-3")  # sabotage one partial
     with pytest.raises(ConsistencyError):
         estermann_coefficients(3, ctx=ctx)
+
+
+def test_context_for_other_h_k_l_is_refused():
+    """A ctx built for another (h, k, l) was read in place of the arguments,
+    and the Estermann routes took one that was not (h, 2, 2)."""
+    ctx = ctx_for(1, 2, 2)
+    for call in (lambda: main_polynomial("1/2", 2, 2, 2, ctx=ctx),
+                 lambda: main_polynomial("1/2", 1, 3, 2, ctx=ctx),
+                 lambda: main_polynomial("1/2", 1, 2, 3, ctx=ctx),
+                 lambda: estermann_assembled(6, ctx=ctx),
+                 lambda: estermann_coefficients(2, ctx=ctx),
+                 lambda: estermann_coefficients(1, ctx=ctx_for(1, 3, 2))):
+        with pytest.raises(ValueError, match="context is for"):
+            call()
+    assert main_polynomial("1/2", 1, 2, 2, ctx=ctx).h == 1
 
 
 def test_corollary3_cancellation():

@@ -106,6 +106,28 @@ def test_dps_outside_its_range_exits_2(tmp_path, dps):
     assert code == 2 and not out.exists()
 
 
+@pytest.mark.parametrize("digits", ["0", "-3"])
+def test_digits_below_1_exits_2(tmp_path, capsys, digits):
+    """--digits 0 exited 0 and wrote ".0e+0" for every number."""
+    code, out = run(tmp_path, "constants", "--digits", digits)
+    assert code == 2 and not out.exists()
+    assert "--digits must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["polynomial", "--A", "1/0"],
+                                  ["distribution", "--A", "1/0"],
+                                  ["verify", "theorem22", "--B", "1/0", "--x", "1e3"],
+                                  ["polynomial", "--config", "{conf}"]],
+                         ids=["polynomial", "distribution", "verify", "config"])
+def test_zero_denominator_exits_2(tmp_path, capsys, argv):
+    """A = 1/0 raised ZeroDivisionError out of main: exit 1 and a traceback."""
+    conf = tmp_path / "zero.conf"
+    conf.write_text("A = 1/0\n")
+    code, out = run(tmp_path, *[a.format(conf=conf) for a in argv])
+    assert code == 2 and not out.exists()
+    assert "1/0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dps", [30, 100])
 def test_dps_range_ends_are_accepted(tmp_path, dps):
     code, out = run(tmp_path, "predict", "--k", "2", "--l", "2", "--dps", str(dps))

@@ -468,7 +468,7 @@ def test_residue_routes_agree_with_ledgers():
     """Primary vs b-ledger and secondary vs a-ledger at matched truncation."""
     for (k, l) in ((2, 2), (3, 2), (2, 3)):
         for h in (1, 2):
-            ctx = coefficient_context(h, k, l, source="dirichlet", Q=2000, mode="mp")
+            ctx = coefficient_context(h, k, l, source="dirichlet", Q=2000)
             rr = residue_polynomial_routes(h, k, l, "1/2", 2000, ctx=ctx)
             A = RationalExponent(1, 2)
             Af = A.mpf()
@@ -488,16 +488,16 @@ def test_residue_routes_agree_with_ledgers():
 def test_primary_route_k1_is_phi_sum():
     """k = 1: no derivatives, the primary route is the plain phi partial sum."""
     Q = 300
-    ctx = coefficient_context(1, 1, 2, source="dirichlet", Q=Q, mode="mp")
+    ctx = coefficient_context(1, 1, 2, source="dirichlet", Q=Q)
     rr = residue_polynomial_routes(1, 1, 2, "1/2", Q, ctx=ctx)
-    direct = sum(phi_of(1, 1, 2, q, 0)[0] for q in range(1, Q + 1))
+    direct = sum(phi_of(1, 1, 2, q, 0)[0, 0] for q in range(1, Q + 1))
     # evaluate the route polynomial at lambda = log(Q^2); the main-term
     # approximation of the inner divisor sums is the only difference
     lam = mp.log(mp.mpf(Q) ** 2)
     poly_val = sum(c * lam**d for d, c in enumerate(rr.primary))
     assert abs(poly_val - direct) / direct < mp.mpf("2e-3")
     jet = phi_partial_sum_jet(1, 1, 2, Q, 0)
-    assert abs(jet[0] - direct) < mp.mpf(10) ** -25
+    assert abs(jet[0, 0] - direct) < mp.mpf(10) ** -25
 
 
 def test_direct_secondary_matches_assembly_loosely():
@@ -513,7 +513,7 @@ def test_direct_secondary_matches_assembly_loosely():
         x = mp.mpf(Q) ** 2
         lam = mp.log(x)
         exact = direct_secondary_value(h, k, l, A, Q, lam)
-        ctx = coefficient_context(h, k, l, source="dirichlet", Q=Q, mode="mp")
+        ctx = coefficient_context(h, k, l, source="dirichlet", Q=Q)
         pred = -x * sum(
             a_coefficient(ctx, A, d) / mp.factorial(d) * lam**d
             for d in range(k + l - 2)
