@@ -11,12 +11,13 @@ for A = a/b in lowest terms.  No floating point enters any membership test.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt
@@ -30,8 +31,9 @@ from .errors import ResourceBudgetError
 # stay in desk-scale ranges in practice.
 FACTORIZE_BOUND = 2**63 - 1
 
-# Soft cap on the int64 cells of one sieved d_k array: a table's values or a
-# divisor_count_array.
+# Soft cap on the cells of one sieved d_k range: a table (the size of its
+# file and its time to sieve; it streams in O(window) memory) or a
+# divisor_count_array (its int64 array).
 MAX_TABLE_CELLS = 2 * 10**8
 
 _TABLE_MAGIC = b"DKTB"
@@ -347,7 +349,7 @@ class _DkSieve:
         self.binom = [dk_prime_power(k, a) for a in range(top.bit_length() + 1)]
         self.acc_pattern, self.val_pattern = _presieve_acc(self.dtype), _presieve_val(k)
         self.idx = np.arange(_BLOCK, dtype=self.dtype)
-        self.mask = np.empty(_BLOCK, dtype=bool)
+        self.factor = np.empty(_BLOCK, dtype=np.min_scalar_type(k))
         self.width = 0
 
     def _reserve(self, width: int):
@@ -379,10 +381,12 @@ class _DkSieve:
             self._scatter(out, acc, lo, start, large)
         for s in range(0, size, _BLOCK):
             part, vals = acc[s : s + _BLOCK], out[s : s + _BLOCK]
-            mask = self.mask[: len(part)]
+            factor = self.factor[: len(part)]
             np.subtract(part, lo + s, out=part)
-            np.less(part, self.idx[: len(part)], out=mask)  # acc < n
-            np.multiply(vals, self.k, out=vals, where=mask)
+            np.less(part, self.idx[: len(part)], out=factor)  # acc < n, as 0 or 1
+            factor *= self.k - 1
+            factor += 1  # k where one prime above sqrt(hi) is left, else 1
+            vals *= factor
         if lo == 0:
             out[0] = 0
         return out
@@ -430,54 +434,95 @@ class _DkSieve:
             self._powers(out, acc, lo, start, p, p * p, 2)
 
 
+def _dk_windows(k: int, lo: int, hi: int, threads: int = 1, out: np.ndarray | None = None):
+    """d_k(n) for lo <= n <= hi (lo >= 0), in order, one window of up to
+    SEGMENT_SIZE integers at a time: slices of `out` when it is given, else
+    views of a worker's buffer that hold until the next window is asked for.
+    Up to `threads` windows are sieved at once, each by its worker's own
+    kernel; the values are bit-identical for any segment size and thread count."""
+    size = SEGMENT_SIZE
+    starts = range(lo, hi + 1, size)
+    workers = max(1, min(threads, len(starts)))
+    kernels = [_DkSieve(k, hi) for _ in range(workers)]
+    if out is None:
+        bufs = [np.empty(min(size, hi - lo + 1), dtype=np.int64) for _ in range(workers)]
+
+    def fill(j: int, s: int) -> np.ndarray:
+        e = min(s + size, hi + 1)
+        return kernels[j](s, bufs[j][: e - s] if out is None else out[s - lo : e - lo])
+
+    if workers == 1:
+        for s in starts:
+            yield fill(0, s)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for b in range(0, len(starts), workers):
+            yield from pool.map(fill, range(workers), starts[b : b + workers])
+
+
 def _dk_values(k: int, lo: int, hi: int, threads: int = 1) -> np.ndarray:
-    """d_k(n) for lo <= n <= hi (lo >= 0): segments of SEGMENT_SIZE integers,
-    dealt to `threads` workers, each sieved into its slice of one array by
-    its worker's kernel; bit-identical for any segment size and thread count."""
+    """d_k(n) for lo <= n <= hi (lo >= 0) in one int64 array, each window
+    sieved in place."""
     out = np.empty(hi - lo + 1, dtype=np.int64)
-    spans = [(s, min(s + SEGMENT_SIZE - 1, hi)) for s in range(lo, hi + 1, SEGMENT_SIZE)]
-
-    def work(part):
-        kernel = _DkSieve(k, hi)
-        for s, e in part:
-            kernel(s, out[s - lo : e - lo + 1])
-
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, [spans[i::threads] for i in range(threads)]))
-    else:
-        work(spans)
+    for _ in _dk_windows(k, lo, hi, threads, out):
+        pass
     return out
 
 
 @dataclass(eq=False)
 class DivisorTable:
-    """Sieved d_k(n) values on [lo, hi]."""
+    """d_k(n) on [lo, hi].  A loaded table reads its file through a memory
+    map.  A fresh one from sieve_dk holds no array: `dk(n)` sieves a
+    one-cell window, and `values` sieves the whole range into one array and
+    keeps it.  `dump` streams the sieve's windows to the file."""
 
     k: int
     lo: int
     hi: int
-    values: np.ndarray
+    threads: int = 1
+    _values: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = _dk_values(self.k, self.lo, self.hi, self.threads)
+        return self._values
 
     def dk(self, n: int) -> int:
         if not self.lo <= n <= self.hi:
             raise IndexError(f"n={n} outside table range [{self.lo}, {self.hi}]")
-        return int(self.values[n - self.lo])
+        if self._values is None:
+            return int(_dk_values(self.k, n, n)[0])
+        return int(self._values[n - self.lo])
 
     def dump(self, path):
         """Binary dump: header (magic, k, lo, hi, element width), the values as
         little-endian int64, then the CRC-32 of those value bytes (4 bytes,
-        little-endian)."""
-        values = np.ascontiguousarray(self.values, dtype="<i8")
-        header = struct.pack(_TABLE_HEADER, _TABLE_MAGIC, self.k, self.lo, self.hi, 8)
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(values)
-            fh.write(struct.pack("<I", zlib.crc32(values)))
+        little-endian).  Written window by window, with a running CRC, to a
+        temporary name beside `path` and then renamed onto it, so a reader
+        sees the old file or the whole new one, and a file once checked is
+        never rewritten in place."""
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        crc = 0
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(struct.pack(_TABLE_HEADER, _TABLE_MAGIC, self.k, self.lo, self.hi, 8))
+                for window in _dk_windows(self.k, self.lo, self.hi, self.threads):
+                    data = np.ascontiguousarray(window, dtype="<i8")
+                    fh.write(data)
+                    crc = zlib.crc32(data, crc)
+                fh.write(struct.pack("<I", crc))
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "DivisorTable":
-        """Read a dumped table; ValueError unless its size and checksum match."""
+        """A dumped table backed by a read-only memory map of the file;
+        ValueError unless its header, size and checksum match.  The checksum
+        is taken over chunked reads of the same open file that is mapped."""
         head_len = struct.calcsize(_TABLE_HEADER)
         with open(path, "rb") as fh:
             header = fh.read(head_len)
@@ -493,18 +538,25 @@ class DivisorTable:
             size = hi - lo + 1
             if os.fstat(fh.fileno()).st_size != head_len + 8 * size + 4:
                 raise ValueError(f"{path}: file size does not match its header")
-            values = np.empty(size, dtype="<i8")
-            fh.readinto(values)
-            (crc,) = struct.unpack("<I", fh.read(4))
-        if zlib.crc32(values) != crc:
-            raise ValueError(f"{path}: checksum mismatch")
-        return cls(k=k, lo=lo, hi=hi, values=values.astype(np.int64, copy=False))
+            chunk = memoryview(bytearray(8 * min(size, SEGMENT_SIZE)))
+            crc, left = 0, 8 * size
+            while left:
+                got = fh.readinto(chunk[: min(left, len(chunk))])
+                if not got:
+                    raise ValueError(f"{path}: file size does not match its header")
+                crc = zlib.crc32(chunk[:got], crc)
+                left -= got
+            if fh.read(4) != struct.pack("<I", crc):
+                raise ValueError(f"{path}: checksum mismatch")
+            values = np.memmap(fh, dtype="<i8", mode="r", offset=head_len, shape=(size,))
+        return cls(k=k, lo=lo, hi=hi, _values=values)
 
 
 def sieve_dk(k: int, lo: int, hi: int, threads: int = 1) -> DivisorTable:
-    """Build a DivisorTable on [lo, hi].
+    """A DivisorTable on [lo, hi] that holds no array yet: its values are
+    sieved window by window when it is dumped or read.
 
-    Segments are independent and written to fixed offsets, so the result is
+    Segments are independent and written in order, so the values are
     bit-identical for any segment size and thread count.
     """
     if not 1 <= lo <= hi:
@@ -512,7 +564,7 @@ def sieve_dk(k: int, lo: int, hi: int, threads: int = 1) -> DivisorTable:
     if k < 1:
         raise ValueError("sieve_dk requires k >= 1")
     _budget_check(hi - lo + 1)
-    return DivisorTable(k=k, lo=lo, hi=hi, values=_dk_values(k, lo, hi, threads))
+    return DivisorTable(k=k, lo=lo, hi=hi, threads=threads)
 
 
 def dk_partial(n: int, k: int, A: RationalExponent) -> int:

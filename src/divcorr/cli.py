@@ -83,6 +83,17 @@ def parse_rational_list(text: str) -> list[RationalExponent]:
     return [RationalExponent.parse(p) for p in str(text).split(",") if p.strip()]
 
 
+def _arg_type(parse):
+    """`parse` as an argparse type that shows why a value was refused:
+    argparse prints only "invalid <type> value" for a bare ValueError."""
+    def typed(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return typed
+
+
 def load_config_file(path: str) -> dict:
     """Flat key = value lines; '#' starts a comment."""
     out = {}
@@ -449,6 +460,7 @@ def _add_common(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    ints, rationals = _arg_type(parse_int_list), _arg_type(parse_rational_list)
     ap = argparse.ArgumentParser(
         prog="divcorr",
         description="Divisor correlation sums: exact oracles and predictions")
@@ -463,9 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="singular series and zeta tables")
     _add_common(p)
-    p.add_argument("--k", type=parse_int_list, default=[2])
-    p.add_argument("--l", type=parse_int_list, default=[2])
-    p.add_argument("--h", type=parse_int_list, default=[1])
+    p.add_argument("--k", type=ints, default=[2])
+    p.add_argument("--l", type=ints, default=[2])
+    p.add_argument("--h", type=ints, default=[1])
     p.add_argument("--P", type=int, default=DEFAULT_PRIME_CUTOFF, help="prime cutoff")
     p.add_argument("--Q", type=int, default=10**4, help="Dirichlet truncation")
     p.add_argument("--digits", type=parse_digits, default=30)
@@ -474,37 +486,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polynomial", help="asymptotic polynomial + provenance")
     _add_common(p)
-    p.add_argument("--k", type=parse_int_list, default=[2])
-    p.add_argument("--l", type=parse_int_list, default=[2])
-    p.add_argument("--h", type=parse_int_list, default=[1])
-    p.add_argument("--A", type=parse_rational_list, default=[RationalExponent(1, 2)])
+    p.add_argument("--k", type=ints, default=[2])
+    p.add_argument("--l", type=ints, default=[2])
+    p.add_argument("--h", type=ints, default=[1])
+    p.add_argument("--A", type=rationals, default=[RationalExponent(1, 2)])
     p.add_argument("--source", choices=["euler", "dirichlet"], default="euler")
     p.add_argument("--Q", type=int, default=10**6)
     p.set_defaults(func=cmd_polynomial)
 
     p = sub.add_parser("predict", help="leading constants and exponent table")
     _add_common(p)
-    p.add_argument("--k", type=parse_int_list, default=[2])
-    p.add_argument("--l", type=parse_int_list, default=[2])
-    p.add_argument("--h", type=parse_int_list, default=[1])
+    p.add_argument("--k", type=ints, default=[2])
+    p.add_argument("--l", type=ints, default=[2])
+    p.add_argument("--h", type=ints, default=[1])
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("verify", help="brute-force vs predicted reports")
     _add_common(p)
     p.add_argument("target", choices=["theorem21", "theorem22", "theorem23",
                                       "corollary3"])
-    p.add_argument("--k", type=parse_int_list, default=[2])
-    p.add_argument("--l", type=parse_int_list, default=[2])
-    p.add_argument("--h", type=parse_int_list, default=[1])
-    p.add_argument("--q", type=parse_int_list, default=[3])
-    p.add_argument("--A", type=parse_rational_list, default=[RationalExponent(1, 2)])
-    p.add_argument("--B", type=parse_rational_list, default=[RationalExponent(1, 4)])
-    p.add_argument("--x", type=parse_int_list, default=[10**4, 10**5, 10**6])
+    p.add_argument("--k", type=ints, default=[2])
+    p.add_argument("--l", type=ints, default=[2])
+    p.add_argument("--h", type=ints, default=[1])
+    p.add_argument("--q", type=ints, default=[3])
+    p.add_argument("--A", type=rationals, default=[RationalExponent(1, 2)])
+    p.add_argument("--B", type=rationals, default=[RationalExponent(1, 4)])
+    p.add_argument("--x", type=ints, default=[10**4, 10**5, 10**6])
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("estermann", help="two-route closed-form check")
     _add_common(p)
-    p.add_argument("--h", type=parse_int_list, default=parse_int_list("1..20"))
+    p.add_argument("--h", type=ints, default=parse_int_list("1..20"))
     p.add_argument("--Q", type=int, default=10**6)
     p.add_argument("--source", choices=["euler", "dirichlet"], default="dirichlet")
     p.add_argument("--tol", type=float, default=1e-8)
@@ -513,8 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distribution", help="partial/full ratio distribution")
     _add_common(p)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--A", type=RationalExponent.parse, default=RationalExponent(1, 2))
-    p.add_argument("--x", type=parse_int_list, default=[10**5, 10**6])
+    p.add_argument("--A", type=_arg_type(RationalExponent.parse), default=RationalExponent(1, 2))
+    p.add_argument("--x", type=ints, default=[10**5, 10**6])
     p.set_defaults(func=cmd_distribution)
 
     return ap

@@ -43,22 +43,6 @@ class Jet2:
         rows[0][0] = _num(c)
         return cls(rows)
 
-    @classmethod
-    def variable_t(cls, order_t: int, order_w: int) -> "Jet2":
-        out = cls.constant(0, order_t, order_w)
-        if order_t < 1:
-            raise ValueError("variable_t needs order_t >= 1")
-        out.coeffs[1][0] = mp.mpf(1)
-        return out
-
-    @classmethod
-    def variable_w(cls, order_t: int, order_w: int) -> "Jet2":
-        out = cls.constant(0, order_t, order_w)
-        if order_w < 1:
-            raise ValueError("variable_w needs order_w >= 1")
-        out.coeffs[0][1] = mp.mpf(1)
-        return out
-
     @property
     def orders(self) -> tuple[int, int]:
         return (self.order_t, self.order_w)
@@ -160,18 +144,6 @@ class Jet2:
             out = out - term if r % 2 == 0 else out + term
         return out * (1 / c0)
 
-    def log(self) -> "Jet2":
-        c0 = self.coeffs[0][0]
-        if not (isinstance(c0, mp.mpf) and c0 > 0):
-            raise JetSingularityError("log of a jet needs a positive constant term")
-        rest = Jet2([[c / c0 for c in row] for row in self.coeffs]) - 1  # 0 at (0, 0) exactly
-        out = Jet2.constant(mp.log(c0), self.order_t, self.order_w)
-        term = Jet2.constant(1, self.order_t, self.order_w)
-        for r in range(1, self._nilpotent_steps() + 1):
-            term = term * rest
-            out = out + term * (mp.mpf(-1) ** (r + 1) / r)
-        return out
-
     def exp(self) -> "Jet2":
         rest = self - self.coeffs[0][0]
         out = Jet2.constant(1, self.order_t, self.order_w)
@@ -180,16 +152,6 @@ class Jet2:
             term = term * rest * (mp.mpf(1) / r)
             out = out + term
         return out * mp.exp(self.coeffs[0][0])
-
-    def __call__(self, t, w):
-        t, w = _num(t), _num(w)
-        acc = mp.mpf(0)
-        for i in range(self.order_t, -1, -1):
-            row = mp.mpf(0)
-            for j in range(self.order_w, -1, -1):
-                row = row * w + self.coeffs[i][j]
-            acc = acc * t + row
-        return acc
 
     def __repr__(self):
         rows = [[mp.nstr(c, 10) for c in row] for row in self.coeffs]

@@ -5,8 +5,9 @@ C_{k,l} as an mpf product with its log series in 1/p, the phi partial sum
 through the varphi convolution, the secondary term from explicit boundary
 weights, the strided d_k sieve, the beta law by quadrature, the
 c-coefficients by jet division, the Moebius log-moments by a direct sieve,
-the (log p)^d table and the zeta jets in mpmath arithmetic, and the residue
-pipeline for the polynomial coefficients.
+the (log p)^d table and the zeta jets in mpmath arithmetic, the residue
+pipeline for the polynomial coefficients, and the jet of t or w, the log
+of a jet and a jet's value at a point.
 They arbitrate the library's routes and are not part of the package."""
 
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from divcorr.euler import (
     _tail_moments,
     varphi_table,
 )
-from divcorr.jets import Jet2
+from divcorr.jets import Jet2, JetSingularityError
 from divcorr.zeta_series import mobius_sieve, zeta_power_coeffs, zeta_power_jet
 
 
@@ -66,6 +67,51 @@ def varphi_jet(table, q: int) -> Jet2:
     if not 1 <= q <= table.Q:
         raise IndexError(f"q={q} outside table range")
     return Jet2([[c] for c in table.columns(np.array([q]))[:, 0]])
+
+
+def variable_t(order_t: int, order_w: int) -> Jet2:
+    """The jet of t itself."""
+    if order_t < 1:
+        raise ValueError("variable_t needs order_t >= 1")
+    out = Jet2.constant(0, order_t, order_w)
+    out.coeffs[1][0] = mp.mpf(1)
+    return out
+
+
+def variable_w(order_t: int, order_w: int) -> Jet2:
+    """The jet of w itself."""
+    if order_w < 1:
+        raise ValueError("variable_w needs order_w >= 1")
+    out = Jet2.constant(0, order_t, order_w)
+    out.coeffs[0][1] = mp.mpf(1)
+    return out
+
+
+def jet_log(jet: Jet2) -> Jet2:
+    """log of a jet with a positive real constant term c0: log c0 plus the
+    series of log(1 + r), r = jet / c0 - 1 (0 at (0, 0) exactly)."""
+    c0 = jet.coeffs[0][0]
+    if not (isinstance(c0, mp.mpf) and c0 > 0):
+        raise JetSingularityError("log of a jet needs a positive constant term")
+    rest = Jet2([[c / c0 for c in row] for row in jet.coeffs]) - 1
+    out = Jet2.constant(mp.log(c0), jet.order_t, jet.order_w)
+    term = Jet2.constant(1, jet.order_t, jet.order_w)
+    for r in range(1, jet.order_t + jet.order_w + 1):
+        term = term * rest
+        out = out + term * (mp.mpf(-1) ** (r + 1) / r)
+    return out
+
+
+def jet_eval(jet: Jet2, t, w):
+    """The truncated series summed at (t, w), by Horner's rule in each variable."""
+    t, w = mp.mpmathify(t), mp.mpmathify(w)
+    acc = mp.mpf(0)
+    for i in range(jet.order_t, -1, -1):
+        row = mp.mpf(0)
+        for j in range(jet.order_w, -1, -1):
+            row = row * w + jet.coeffs[i][j]
+        acc = acc * t + row
+    return acc
 
 
 def exp_coeffs(c: int, L, order: int) -> list:

@@ -1,7 +1,10 @@
 """Exact integer layer: factorization, sieves, partial divisor functions."""
 
 import math
+import os
+import struct
 import threading
+import zlib
 from fractions import Fraction
 
 import mpmath as mp
@@ -200,8 +203,11 @@ def test_sieve_matches_factorization(lo, width, k, size, threads):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(arith, "SEGMENT_SIZE", size)
         table = sieve_dk(k, lo, hi, threads=threads)
+        values = table.values
     for n in range(lo, hi + 1):
-        assert table.dk(n) == dk_of_factored(k, factorize(n)), n
+        want = dk_of_factored(k, factorize(n))
+        assert values[n - lo] == want, n
+        assert sieve_dk(k, lo, hi).dk(n) == want, n  # a one-cell window
 
 
 def test_segmented_sieve_matches_plain(monkeypatch):
@@ -281,6 +287,71 @@ def test_load_refuses_damaged_files(tmp_path):
         short.write_bytes(raw[:cut])
         with pytest.raises(ValueError):
             DivisorTable.load(short)
+
+
+def _materialized_dump(k: int, lo: int, hi: int) -> bytes:
+    """The file as the whole-array layout writes it: header, every value,
+    then the CRC-32 of the value bytes."""
+    values = _dk_values(k, lo, hi).astype("<i8").tobytes()
+    header = struct.pack("<4sIqqB", b"DKTB", k, lo, hi, 8)
+    return header + values + struct.pack("<I", zlib.crc32(values))
+
+
+@pytest.mark.parametrize("lo, hi, size", [(1, 1000, 4096), (1, 5000, 700),
+                                          (10**9, 10**9 + 9999, 1024)])
+def test_streamed_dump_matches_the_whole_array_layout(tmp_path, monkeypatch, lo, hi, size):
+    """dump streams windows with a running CRC; its bytes are those of the
+    whole array written at once, for one window and for many."""
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
+    path = tmp_path / "t.divtab"
+    sieve_dk(3, lo, hi).dump(path)
+    assert path.read_bytes() == _materialized_dump(3, lo, hi)
+    back = DivisorTable.load(path)
+    again = tmp_path / "again.divtab"
+    back.dump(again)  # a loaded table dumps the same bytes
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_dump_threads_write_identical_files(tmp_path, monkeypatch):
+    """Two workers sieve windows in pairs (seven windows: the last pair is
+    short) and write the same bytes as one."""
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", 1000)
+    one, two = tmp_path / "one.divtab", tmp_path / "two.divtab"
+    sieve_dk(4, 10**6, 10**6 + 6499, threads=1).dump(one)
+    sieve_dk(4, 10**6, 10**6 + 6499, threads=2).dump(two)
+    assert one.read_bytes() == two.read_bytes()
+
+
+def test_dump_leaves_no_temporary_file(tmp_path, monkeypatch):
+    """A dump writes to a temporary name and renames it: a success leaves
+    only the file, and a failure leaves the old file whole and no temporary."""
+    path = tmp_path / "t.divtab"
+    sieve_dk(3, 1, 5000).dump(path)
+    assert os.listdir(tmp_path) == ["t.divtab"]
+    good = path.read_bytes()
+
+    def failing(*args, **kwargs):
+        yield np.zeros(10, dtype=np.int64)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(arith, "_dk_windows", failing)
+    with pytest.raises(OSError, match="disk full"):
+        sieve_dk(3, 1, 5000).dump(path)
+    assert os.listdir(tmp_path) == ["t.divtab"]
+    assert path.read_bytes() == good
+
+
+def test_loaded_table_survives_a_rewrite(tmp_path):
+    """load maps the checked file; a later dump to the same path replaces the
+    name, never the mapped bytes, so the loaded values stay as checked."""
+    path = tmp_path / "t.divtab"
+    sieve_dk(3, 1, 1000).dump(path)
+    loaded = DivisorTable.load(path)
+    want = _dk_values(3, 1, 1000)
+    sieve_dk(2, 1, 1000).dump(path)
+    assert np.array_equal(loaded.values, want)
+    assert loaded.dk(12) == 18
+    assert DivisorTable.load(path).k == 2
 
 
 def test_rational_exponent():

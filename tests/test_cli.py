@@ -61,6 +61,51 @@ def test_damaged_cache_is_resieved(tmp_path):
     assert cache.read_bytes() == good
 
 
+@pytest.mark.parametrize("damage", ["truncated", "flipped crc"])
+def test_short_or_bad_crc_cache_is_resieved(tmp_path, damage):
+    """A cache file cut short, or with a flipped CRC byte, is sieved again
+    and rewritten whole, and the report does not change."""
+    code, out = run(tmp_path, "sieve", "--k", "3", "--lo", "1000", "--hi", "9000")
+    assert code == 0
+    report = (out / "sieve_k3_1000_9000.json").read_bytes()
+    (cache,) = (tmp_path / "cache").iterdir()
+    good = cache.read_bytes()
+    if damage == "truncated":
+        cache.write_bytes(good[: len(good) // 2])
+    else:
+        cache.write_bytes(good[:-1] + bytes([good[-1] ^ 0x80]))
+    code, out = run(tmp_path, "sieve", "--k", "3", "--lo", "1000", "--hi", "9000")
+    assert code == 0
+    assert (out / "sieve_k3_1000_9000.json").read_bytes() == report
+    assert cache.read_bytes() == good
+    assert os.listdir(tmp_path / "cache") == [cache.name]
+
+
+def test_sieve_streams_in_window_memory(tmp_path):
+    """`sieve` over 2^22 cells, a miss and then a hit, each traces under
+    8 MB of allocations: the values (32 MB as one int64 array) stream to
+    the file window by window, and a hit checks the CRC in chunks and maps
+    the file."""
+    import tracemalloc
+
+    lo = 10**8
+    argv = ("sieve", "--k", "3", "--lo", str(lo), "--hi", str(lo + 2**22 - 1))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            code, _ = run(tmp_path, *argv)
+            assert code == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    (cache,) = (tmp_path / "cache").iterdir()
+    assert cache.stat().st_size == 25 + 8 * 2**22 + 4
+    assert max(peaks) < 8 * 2**20, peaks
+
+
 def test_constants_command(tmp_path):
     code, out = run(tmp_path, "constants", "--k", "2", "--l", "2", "--h", "1,6",
                     "--P", "2000", "--Q", "2000")
@@ -126,6 +171,19 @@ def test_zero_denominator_exits_2(tmp_path, capsys, argv):
     code, out = run(tmp_path, *[a.format(conf=conf) for a in argv])
     assert code == 2 and not out.exists()
     assert "1/0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("polynomial", "--A", "1/0"), "argument --A: RationalExponent '1/0' has a zero denominator"),
+    (("distribution", "--A", "5/4"), "argument --A: RationalExponent requires 0 <= a/b <= 1"),
+])
+def test_refused_value_shows_its_reason(tmp_path, capsys, argv, reason):
+    """argparse printed only "invalid parse_rational_list value: '1/0'" for
+    a type's ValueError; its reason now reaches stderr, and the exit is 2."""
+    code, out = run(tmp_path, *argv)
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert reason in err and "invalid" not in err
 
 
 @pytest.mark.parametrize("dps", [30, 100])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divcorr.jets import Jet2, JetSingularityError
+from second_routes import jet_eval, jet_log, variable_t, variable_w
 
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 
@@ -35,7 +36,7 @@ def test_div_identity():
 
 def test_exp_log_roundtrip():
     g = Jet2([[2, 3, -1], [1, 0.5, 2], [0, 1, -3]])
-    back = g.log().exp()
+    back = jet_log(g).exp()
     for i in range(3):
         for j in range(3):
             assert _close(back[i, j], g[i, j])
@@ -43,7 +44,7 @@ def test_exp_log_roundtrip():
 
 def test_partial_recovery():
     # F = exp(2t + 3w): d^i_t d^j_w F = 2^i 3^j
-    f = (2 * Jet2.variable_t(3, 3) + 3 * Jet2.variable_w(3, 3)).exp()
+    f = (2 * variable_t(3, 3) + 3 * variable_w(3, 3)).exp()
     for i in range(4):
         for j in range(4):
             assert _close(f.partial(i, j), mp.mpf(2) ** i * mp.mpf(3) ** j, "1e-28")
@@ -54,10 +55,10 @@ def test_singularities():
     with pytest.raises(JetSingularityError):
         z.reciprocal()
     with pytest.raises(JetSingularityError):
-        z.log()
+        jet_log(z)
     neg = Jet2([[-1, 0], [0, 0]])
     with pytest.raises(JetSingularityError):
-        neg.log()
+        jet_log(neg)
 
 
 def test_pow_int():
@@ -88,10 +89,10 @@ def test_finite_difference_first_partials():
         return fun(base)
 
     for name, fun in (("exp", mp.exp), ("log", mp.log), ("recip", lambda v: 1 / v)):
-        base_jet = (Jet2.constant(1.3, 2, 2) + 0.7 * Jet2.variable_t(2, 2)
-                    - 0.4 * Jet2.variable_w(2, 2)
-                    + 0.2 * Jet2.variable_t(2, 2) * Jet2.variable_w(2, 2))
-        jet = {"exp": base_jet.exp(), "log": base_jet.log(),
+        base_jet = (Jet2.constant(1.3, 2, 2) + 0.7 * variable_t(2, 2)
+                    - 0.4 * variable_w(2, 2)
+                    + 0.2 * variable_t(2, 2) * variable_w(2, 2))
+        jet = {"exp": base_jet.exp(), "log": jet_log(base_jet),
                "recip": base_jet.reciprocal()}[name]
         fd_t = (scalar(fun, h, 0) - scalar(fun, -h, 0)) / (2 * h)
         fd_w = (scalar(fun, 0, h) - scalar(fun, 0, -h)) / (2 * h)
@@ -100,9 +101,9 @@ def test_finite_difference_first_partials():
 
 
 def test_one_variable_eval():
-    e = Jet2.variable_t(4, 0).exp()
+    e = variable_t(4, 0).exp()
     x = mp.mpf("0.1")
-    assert _close(e(x, 0), sum(x**r / mp.factorial(r) for r in range(5)))
+    assert _close(jet_eval(e, x, 0), sum(x**r / mp.factorial(r) for r in range(5)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -119,6 +120,6 @@ def test_product_quotient_roundtrip(ac, bc):
 @given(st.lists(small, min_size=4, max_size=4))
 def test_exp_log_roundtrip_one_variable(coeffs):
     f = Jet2([[c] for c in [1.0 + abs(coeffs[0])] + coeffs[1:]])
-    back = f.log().exp()
+    back = jet_log(f).exp()
     for r in range(4):
         assert abs(back[r, 0] - f[r, 0]) < mp.mpf("1e-24")
