@@ -8,19 +8,22 @@ ledger of A-dependent a-coefficients (from the partial-range boundary):
     P(L) = sum_{m<=k-1, n<=l-1} A^n b_{m,n} L^(m+n) / (m! n!)
          + sum_{m<=k+l-3} a_{A,m} L^m / m!
 
-Both ledgers consume the same mixed partials of sum_q varphi(q,s) q^(-w) at
-(s,w) = (1,0), together with the Taylor data a_r(j), c_n(j) of zeta powers
-at s = 1.  For k = l = 2, A = 1/2 the assembled polynomial collapses to the
-classical Estermann expansion, whose closed forms in gamma, a', a'' and the
-sigma moments of h give this module its sharpest consistency check.
+Both ledgers are linear in the same mixed partials D[i][j] of
+sum_q varphi(q,s) q^(-w) at (s,w) = (1,0): each b_{m,n}, and each A^e part
+of a_{A,m}, is one contraction of D with weights built once per coefficient
+context from the Taylor data a_r(j), c_n(j) of zeta powers at s = 1 and
+exact integer collapses (`_ledger_weights`).  For k = l = 2, A = 1/2 the
+assembled polynomial collapses to the classical Estermann expansion, whose
+closed forms in gamma, a', a'' and the sigma moments of h give this module
+its sharpest consistency check.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, gcd
 
 import mpmath as mp
 
@@ -88,14 +91,47 @@ def _theta_for_validity(k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _falling(x: int, r: int) -> Fraction:
-    """Falling factorial x (x-1) ... (x-r+1), with ( )_0 = 1; r >= 0."""
-    if r < 0:
-        raise ValueError("falling factorial needs r >= 0")
-    out = Fraction(1)
-    for i in range(r):
-        out *= x - i
-    return out
+def _ledger_weights(k: int, l: int, a_l1: list, c_k: list) -> tuple[list, list]:
+    """(W_b, W_a): both ledgers as one linear map on the partials D[i][j].
+
+    b_{m,n} = sum_{i,j} W_b[m][n][i][j] D[i][j] over i < k-m, j < l-n, and
+    a_{A,m} = sum_e A^e sum_{i,j} W_a[m][e][i][j] D[i][j] over e < l, i < k
+    and j < l-e (0 <= m <= k+l-3; no a-ledger when l = 1), with v = l-1-e-j
+    and max(0, m+1-e) <= r <= k-1-i:
+
+      W_b[m][n][i][j] = a_{l-1-n-j}(l-1) c_{k-1-m-i}(k) / (l-1-n-j)!,
+      W_a[m][e][i][j] = (-1)^(e+m) a_v(l-1) / v! sum_r C(-e, r) c_{k-1-i-r}(k).
+
+    W_a is the sum in `a_coefficient` collected by e = l-1-v-w, on the cell
+    (i-j, w) of its indices, with r its j.  Its inner collapse is closed: by
+    Vandermonde, sum_mu C(r,mu) (x)_mu / (w-r+mu)! = (x+w)_r / w!, and
+    x = v-l+1 = -e-w gives (-e)_r / w!.  So the w!/r! there make C(-e, r) =
+    (-1)^r C(e+r-1, r), an integer, and every e <= 0 drops out (r > -e).
+    """
+    W_b = [[[[a_l1[l - 1 - n - j] * c_k[k - 1 - m - i] / mp.factorial(l - 1 - n - j)
+              for j in range(l - n)] for i in range(k - m)]
+            for n in range(l)] for m in range(k)]
+
+    def w_a(m: int, e: int, i: int, j: int) -> mp.mpf:
+        v = l - 1 - e - j
+        s = sum((-1) ** r * comb(e + r - 1, r) * c_k[k - 1 - i - r]
+                for r in range(max(0, m + 1 - e), k - i))
+        return (-1) ** (e + m) * a_l1[v] / mp.factorial(v) * s
+
+    W_a = [[[[w_a(m, e, i, j) for j in range(l - e)] for i in range(k)] for e in range(l)]
+           for m in range(k + l - 2)] if l >= 2 else []
+    return W_b, W_a
+
+
+def _contract(W: list, D: Jet2) -> mp.mpf:
+    """sum_{i,j} W[i][j] D[i, j], row by row."""
+    if len(W) - 1 > D.order_t or len(W[0]) - 1 > D.order_w:
+        raise ValueError("partials orders insufficient")
+    total = mp.mpf(0)
+    for i, row in enumerate(W):
+        for j, w in enumerate(row):
+            total += w * D[i, j]
+    return total
 
 
 @dataclass
@@ -104,7 +140,8 @@ class CoefficientContext:
 
     partials holds the normalized mixed partials D[i][j] of the truncated
     (or tail-corrected) Dirichlet series; a_l1 and c_k are the zeta-power
-    Taylor tables a_r(l-1) and c_n(k).
+    Taylor tables a_r(l-1) and c_n(k); w_b and w_a are the ledger weights
+    that `_ledger_weights` builds from them, once.
     """
 
     h: int
@@ -116,6 +153,11 @@ class CoefficientContext:
     source: str = "euler"
     tail_bound: mp.mpf = mp.mpf(0)
     tails: list | None = None  # per-(i,j) truncation tails, when known
+    w_b: list = field(init=False, repr=False)
+    w_a: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.w_b, self.w_a = _ledger_weights(self.k, self.l, self.a_l1, self.c_k)
 
     def tail_for_orders(self, max_i: int, max_j: int) -> mp.mpf:
         """Largest truncation tail among the partials up to given orders."""
@@ -181,85 +223,36 @@ def b_coefficient(ctx: CoefficientContext, m: int, n: int) -> mp.mpf:
     """b_{h,k,l,m,n}: the completed-series ledger entry, 0<=m<k, 0<=n<l.
 
     b = sum_{i<=k-1-m} sum_{j<=l-1-n} a_{l-1-n-j}(l-1) c_{k-1-m-i}(k)
-        / (l-1-n-j)! * D[i][j].
+        / (l-1-n-j)! * D[i][j], the contraction of W_b[m][n].
     """
-    k, l = ctx.k, ctx.l
-    if not (0 <= m <= k - 1 and 0 <= n <= l - 1):
+    if not (0 <= m <= ctx.k - 1 and 0 <= n <= ctx.l - 1):
         raise ValueError("b_coefficient needs 0 <= m < k, 0 <= n < l")
-    if ctx.order_t < k - 1 - m or ctx.order_w < l - 1 - n:
-        raise ValueError("partials orders insufficient for this (m, n)")
-    total = mp.mpf(0)
-    for i in range(k - m):
-        for j in range(l - n):
-            total += (
-                ctx.a_l1[l - 1 - n - j]
-                * ctx.c_k[k - 1 - m - i]
-                / mp.factorial(l - 1 - n - j)
-                * ctx.partials[i, j]
-            )
-    return total
-
-
-def _m_collapse(j: int, w: int, x: int) -> Fraction:
-    """sum over m of C(j,m) (x)_m / (w-j+m)!, the inner collapse of the
-    boundary ledger; terms with w-j+m < 0 vanish (empty-sum convention)."""
-    total = Fraction(0)
-    for m in range(max(0, j - w), j + 1):
-        total += comb(j, m) * _falling(x, m) / Fraction(factorial(w - j + m))
-    return total
+    return _contract(ctx.w_b[m][n], ctx.partials)
 
 
 def a_coefficient(ctx: CoefficientContext, A: RationalExponent, m: int) -> mp.mpf:
     """a_{A,h,k,l,m}: the partial-range boundary ledger entry, 0<=m<=k+l-3.
 
-    Assembled by collecting the log^m coefficient of the boundary residue
-    expansion:
+    The log^m coefficient of the boundary residue expansion,
 
       a_m = -m! [lam^m] sum_i c_{k-1-i}(k) sum_j sum_w (w!/(j! m!))
             D[i-j][w] sum_v A^(l-1-v-w) (-1)^(l-v-m-w) a_v(l-1)/v!
             * sum_mu C(j,mu) (v-l+1)_mu / (w-j+mu)!
 
-    with 0 <= w <= j+l-2-m and 0 <= v <= j+l-2-m-w.  Falling factorials and
-    empty sums follow the 0-clamped conventions.  For l = 2 this reduces to
-    the compact double-sum form with binomial {l-v-2 choose j-r}; for l >= 3
-    the compact form loses terms, so the expanded collection is canonical
-    here (cross-checked against the independent residue pipeline and an
-    exact boundary-weight evaluation).
+    with 0 <= w <= j+l-2-m and 0 <= v <= j+l-2-m-w (falling factorials and
+    empty sums 0-clamped), is collected by powers of A into W_a[m] (see
+    `_ledger_weights`): a_m = sum_e A^e (W_a[m][e] . D).  For l = 2 this
+    reduces to the compact double-sum form with binomial {l-v-2 choose j-r};
+    for l >= 3 the compact form loses terms, so the expanded collection is
+    canonical here (cross-checked against the independent residue pipeline
+    and an exact boundary-weight evaluation).
     """
-    k, l = ctx.k, ctx.l
-    if l < 2:
+    if ctx.l < 2:
         raise ValueError("a_coefficient requires l >= 2")
-    if not 0 <= m <= k + l - 3:
+    if not 0 <= m <= ctx.k + ctx.l - 3:
         raise ValueError("a_coefficient needs 0 <= m <= k+l-3")
-    A = RationalExponent.parse(A)
-    Af = A.mpf()
-    total = mp.mpf(0)
-    for i in range(k):
-        ck = ctx.c_k[k - 1 - i]
-        for j in range(i + 1):
-            wmax = j + l - 2 - m
-            if wmax < 0:
-                continue
-            if wmax > ctx.order_w or i - j > ctx.order_t:
-                raise ValueError("partials orders insufficient")
-            for w in range(wmax + 1):
-                dval = ctx.partials[i - j, w]
-                if dval == 0:
-                    continue
-                acc = mp.mpf(0)
-                for v in range(j + l - 2 - m - w + 1):
-                    coll = _m_collapse(j, w, v - l + 1)
-                    if coll == 0:
-                        continue
-                    acc += (
-                        Af ** (l - 1 - v - w)
-                        * (-1) ** (l - v - m - w)
-                        * ctx.a_l1[v]
-                        / mp.factorial(v)
-                        * _mpf_frac(coll)
-                    )
-                total += ck * mp.factorial(w) / mp.factorial(j) * dval * acc
-    return -total
+    Af = RationalExponent.parse(A).mpf()
+    return sum(Af**e * _contract(W, ctx.partials) for e, W in enumerate(ctx.w_a[m]))
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +445,11 @@ def estermann_assembled(h: int, ctx: CoefficientContext | None = None,
     into the full shifted-divisor one:
       [x log^2 x] = b_{1,1},
       [x log x]   = 2 b_{1,0} + b_{0,1} + 2 a_{1/2,1},
-      [x]         = 2 (b_{0,0} + a_{1/2,0}).
+      [x]         = 2 (b_{0,0} + a_{1/2,0}),
+    twice the coefficients of main_polynomial("1/2", h, 2, 2), top first.
     """
-    ctx = _context_for(ctx, h, 2, 2, source, Q)
-    half = RationalExponent(1, 2)
-    b11 = b_coefficient(ctx, 1, 1)
-    b10 = b_coefficient(ctx, 1, 0)
-    b01 = b_coefficient(ctx, 0, 1)
-    b00 = b_coefficient(ctx, 0, 0)
-    a1 = a_coefficient(ctx, half, 1)
-    a0 = a_coefficient(ctx, half, 0)
-    return (b11, 2 * b10 + b01 + 2 * a1, 2 * (b00 + a0))
+    poly = main_polynomial("1/2", h, 2, 2, ctx=ctx, source=source, Q=Q)
+    return tuple(2 * c for c in reversed(poly.coeffs))
 
 
 def estermann_coefficients(h: int, source: str = "euler", Q: int = 10**6,

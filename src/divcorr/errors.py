@@ -25,7 +25,3 @@ class PrecisionError(DivcorrError):
 
 class ConsistencyError(DivcorrError):
     """Two independent evaluation routes disagree beyond tolerance."""
-
-
-class PrecisionWarning(UserWarning):
-    """A reported tail estimate exceeds the requested tolerance (non-fatal)."""

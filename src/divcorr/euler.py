@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,7 +51,7 @@ from .arith import (
     primes_up_to,
     spf_array,
 )
-from .errors import PrecisionError, PrecisionWarning, ResourceBudgetError
+from .errors import PrecisionError, ResourceBudgetError
 from .jets import Jet2
 from .zeta_series import _zeta_taylor, fixed_logs, log_powers, mobius_sieve
 
@@ -625,8 +624,8 @@ def _varphi_base(k: int, l: int, Q: int, order_s: int, bits: int) -> tuple[np.nd
     (-1)^r S_r(p) (log p)^r / (r! (p-1) p^(k-1)), S_r(p) = sum_i C(k,i) i^r
     (-1)^i p^(k-i), each entry floored once from (log p)^r over 2^(bits +
     _table_guard), which bounds its weight: under two units off.  float64
-    takes it as u^a [(-1)^a C(l-1,a) + N_a (1-p^-s)^k / (1-u)], N_a = sum_{j < a,
-    j <= l-1} (-1)^j C(l-1,j) d_{l-1}(p^(a-j)) = -(-1)^a C(l-1,a).
+    takes it as u^a [(-1)^a C(l-1,a) + N_a (1-p^-s)^k / (1-u)], with
+    N_a = -(-1)^a C(l-1,a), for a < l.
     Every other q is varphi(p^a) varphi(m) with p^a || q and p = spf(q),
     filled level by level: each pass takes every q whose cofactor m is done,
     so Q <= 4*10^6 needs at most 7 passes.
@@ -665,17 +664,15 @@ def _varphi_base(k: int, l: int, Q: int, order_s: int, bits: int) -> tuple[np.nd
                 acc = acc * -u + comb(k, i) * i**r
             xk.append(acc * (-logp) ** r / math.factorial(r))
         # pe = p^a for the primes with p^a <= Q, a prefix of them; front = u^a / (1-u)
-        pe, front, a = primes, u / (1 - u), 1
-        while len(pe):
+        pe, front = primes, u / (1 - u)
+        for a in range(1, l):
             cnt = len(pe)
-            n_a = sum((-1) ** j * comb(l - 1, j) * _dl1(l, a - j)
-                      for j in range(min(a - 1, l - 1) + 1))
+            n_a = -(-1) ** a * comb(l - 1, a)
             for r in range(n):
                 table[r, pe] = n_a * front * xk[r][:cnt]
-            if a < l:
-                table[0, pe] += (-1) ** a * comb(l - 1, a) * u[:cnt] ** a
+            table[0, pe] += (-1) ** a * comb(l - 1, a) * u[:cnt] ** a
             cnt = int(np.count_nonzero(pe <= Q // primes[:cnt]))
-            pe, front, a = pe[:cnt] * primes[:cnt], front[:cnt] * u[:cnt], a + 1
+            pe, front = pe[:cnt] * primes[:cnt], front[:cnt] * u[:cnt]
     spf = spf_array(Q).astype(np.int32)
     spf[0] = 1
     # cofactor m = q / p^a: p divides q/p iff spf(q/p) = p, as no prime of q is below p
@@ -820,8 +817,7 @@ class DirichletPartials:
 
 
 def dirichlet_partials(h, k: int, l: int, Q: int, order_t: int | None = None,
-                       order_w: int | None = None, mode: str = "auto",
-                       tol: float | None = None) -> DirichletPartials:
+                       order_w: int | None = None, mode: str = "auto") -> DirichletPartials:
     """Assemble D[i][j] = sum_{q<=Q} varphi_i(q) (-log q)^j / j! with tail data.
 
     In mode "mp" the sums are exact integer dots of the table's integers with
@@ -834,10 +830,6 @@ def dirichlet_partials(h, k: int, l: int, Q: int, order_t: int | None = None,
     entry's error times (log q)^j, the powers' errors (log q is under two
     units low, inside the 2 Omega(q) allowed for) times |varphi_i(q)| <= G,
     and 2G for the conversion.
-
-    When `tol` is given and the empirical tail estimate exceeds it, a
-    PrecisionWarning is attached (the series converge absolutely, so a
-    large tail is a truncation statement, not an error).
     """
     order_t = order_t if order_t is not None else k
     order_w = order_w if order_w is not None else max(l, k + l - 2)
@@ -875,13 +867,8 @@ def dirichlet_partials(h, k: int, l: int, Q: int, order_t: int | None = None,
         rounding = max(Q * ((e + 2 * G) * L**j * 2.0**-bits
                             + G * j * L ** (j - 1) * (2 * math.log2(Q) + 1) * 2.0**-lb)
                        / math.factorial(j) for j in range(order_w + 1))
-    out = DirichletPartials(h=table.h, k=k, l=l, Q=Q, jet=Jet2(D), tails=tails,
-                            mode=table.mode, rounding=rounding)
-    if tol is not None and out.tail_bound() > tol:
-        warnings.warn(f"Dirichlet partials at Q={Q}: tail estimate "
-                      f"{mp.nstr(out.tail_bound(), 4)} exceeds requested {tol}",
-                      PrecisionWarning, stacklevel=2)
-    return out
+    return DirichletPartials(h=table.h, k=k, l=l, Q=Q, jet=Jet2(D), tails=tails,
+                             mode=table.mode, rounding=rounding)
 
 
 # ---------------------------------------------------------------------------

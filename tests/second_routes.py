@@ -27,7 +27,7 @@ from divcorr.arith import (
     introot_ceil,
     primes_up_to,
 )
-from divcorr.asympt import CoefficientContext, _falling, coefficient_context
+from divcorr.asympt import CoefficientContext, coefficient_context
 from divcorr.euler import (
     _as_factored,
     _dl1,
@@ -440,6 +440,16 @@ def _lampoly_mul(P: list, Q: list, deg: int) -> list:
                 continue
             prod = a * b
             out[i + j] = prod if out[i + j] is None else out[i + j] + prod
+    return out
+
+
+def _falling(x: int, r: int) -> Fraction:
+    """Falling factorial x (x-1) ... (x-r+1), with ( )_0 = 1; r >= 0."""
+    if r < 0:
+        raise ValueError("falling factorial needs r >= 0")
+    out = Fraction(1)
+    for i in range(r):
+        out *= x - i
     return out
 
 

@@ -1,11 +1,15 @@
 """CLI surface: subcommands, config files, exit codes, determinism."""
 
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from divcorr.cli import main, parse_int_list, parse_rational_list
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def run(tmp_path, *argv, cache=None):
@@ -128,6 +132,27 @@ def test_polynomial_command(tmp_path):
     csv_text = (out / "polynomial_coefficients.csv").read_text()
     assert csv_text.splitlines()[0].startswith("k,l,h,A,degree,c0")
     assert csv_text.splitlines()[1].startswith("2,2,1,1/2,2,")
+
+
+def test_polynomial_rows_meet_the_benchmark_references(tmp_path):
+    """The k = 3 polynomial rows, from the Euler jets and from q <= 1000,
+    pass the benchmark's own row check against bench/golden.json: a change
+    to the ledgers that moves a coefficient past its stated bound fails here,
+    not only in the benchmark."""
+    spec = importlib.util.spec_from_file_location("bench_check", BENCH / "check.py")
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    golden = json.loads((BENCH / "golden.json").read_text())["rows"]
+    cases = [
+        (("--A", "1/2,2/3", "--source", "euler"),
+         [check.polynomial_key("euler", None, 3, 2, 1, A) for A in ("1/2", "2/3")]),
+        (("--A", "1/2", "--source", "dirichlet", "--Q", "1000"),
+         [check.polynomial_key("dirichlet", 1000, 3, 2, 1, "1/2")]),
+    ]
+    for i, (argv, keys) in enumerate(cases):
+        code, out = run(tmp_path / str(i), "polynomial", "--k", "3", "--l", "2", "--h", "1", *argv)
+        failed, problems = check.check_rows(keys, code, check.parse_reports(str(out)), golden)
+        assert failed == 0, problems
 
 
 def test_polynomial_above_fifty_digits(tmp_path):

@@ -433,20 +433,26 @@ def test_truncated_log_jet_states_a_bound():
 
 
 def test_l1_euler_polynomial_matches_dirichlet():
-    """l = 1: the C-factor is 1, its log series is empty, and the Euler route
-    gives the Dirichlet route's (2,1) coefficients [2 gamma - 1, 1] within
-    the stated bound."""
+    """l = 1: the C-factor is 1, its log series is empty, the a-ledger is
+    empty, and the Euler route gives the Dirichlet route's coefficients
+    within the stated bound: those of the classical sum of d_k(n),
+    [2 gamma - 1, 1] for k = 2 and [1 - 3 gamma + 3 gamma^2 - 3 gamma_1,
+    3 gamma - 1, 1/2] for k = 3."""
     from divcorr.asympt import main_polynomial
 
-    for h in (1, 2, 6):
-        euler = main_polynomial("1/2", h, 2, 1, source="euler")
-        dirichlet = main_polynomial("1/2", h, 2, 1, source="dirichlet", Q=1000)
-        bound = euler.tail_bound + dirichlet.tail_bound
-        assert len(euler.coeffs) == len(dirichlet.coeffs) == 2
-        for got, want in zip(euler.coeffs, dirichlet.coeffs):
-            assert abs(got - want) <= bound, (h, got, want)
-        assert abs(dirichlet.coeffs[0] - (2 * mp.euler - 1)) <= mp.mpf(10) ** -35
-        assert dirichlet.coeffs[1] == 1
+    g, g1 = mp.euler, mp.stieltjes(1)
+    classical = {2: [2 * g - 1, 1], 3: [1 - 3 * g + 3 * g**2 - 3 * g1, 3 * g - 1, mp.mpf(1) / 2]}
+    for k, want in classical.items():
+        for h in (1, 2, 6):
+            euler = main_polynomial("1/2", h, k, 1, source="euler")
+            dirichlet = main_polynomial("1/2", h, k, 1, source="dirichlet", Q=1000)
+            bound = euler.tail_bound + dirichlet.tail_bound
+            assert len(euler.coeffs) == len(dirichlet.coeffs) == k
+            for got, ref in zip(euler.coeffs, dirichlet.coeffs):
+                assert abs(got - ref) <= bound, (k, h, got, ref)
+            for got, ref in zip(dirichlet.coeffs[:-1], want):
+                assert abs(got - ref) <= mp.mpf(10) ** -35, (k, h, got, ref)
+            assert dirichlet.coeffs[-1] == want[-1]
 
 
 HONEST_GRID = [(2, 2), (3, 2), (3, 3), (4, 4), (5, 5), (16, 2), (16, 16), (30, 30)]
@@ -814,15 +820,6 @@ def test_varphi_table_budget():
 
     with pytest.raises(ResourceBudgetError):
         varphi_table(1, 2, 2, 10**7 + 1, 1, mode="float")
-
-
-def test_dirichlet_partials_tolerance_warning():
-    """An unreachable tolerance attaches a warning but still returns data."""
-    from divcorr.errors import PrecisionWarning
-
-    with pytest.warns(PrecisionWarning):
-        dp = dirichlet_partials(1, 2, 2, 500, 0, 1, mode="mp", tol=1e-12)
-    assert dp.jet[0, 0] > 0
 
 
 def test_singular_series_record_json():

@@ -18,7 +18,7 @@ from divcorr.arith import (
     introot,
     sieve_dk,
 )
-from divcorr.asympt import a_coefficient, b_coefficient, coefficient_context
+from divcorr.asympt import a_coefficient, coefficient_context, main_polynomial
 from divcorr.errors import ResourceBudgetError
 from divcorr.oracle import (
     _HIST_RANGE,
@@ -465,24 +465,24 @@ def test_checked_product_refuses_wrapping():
 
 
 def test_residue_routes_agree_with_ledgers():
-    """Primary vs b-ledger and secondary vs a-ledger at matched truncation."""
-    for (k, l) in ((2, 2), (3, 2), (2, 3)):
-        for h in (1, 2):
+    """Primary vs b-ledger, secondary vs a-ledger and their sum vs the
+    polynomial at matched truncation, across A: the ledger map's
+    A-dependence against the residue pipeline's."""
+    tol = mp.mpf(10) ** -30
+    for (k, l) in ((2, 2), (3, 2), (2, 3), (3, 3)):
+        for h in (1, 6):
             ctx = coefficient_context(h, k, l, source="dirichlet", Q=2000)
-            rr = residue_polynomial_routes(h, k, l, "1/2", 2000, ctx=ctx)
-            A = RationalExponent(1, 2)
-            Af = A.mpf()
-            for d in range(k + l - 1):
-                target = mp.mpf(0)
-                for m in range(k):
-                    for n in range(l):
-                        if m + n == d:
-                            target += (Af**n * b_coefficient(ctx, m, n)
-                                       / (mp.factorial(m) * mp.factorial(n)))
-                assert abs(rr.primary[d] - target) <= mp.mpf(10) ** -30 * (1 + abs(target))
-            for d in range(k + l - 2):
-                target = a_coefficient(ctx, A, d) / mp.factorial(d)
-                assert abs(rr.secondary[d] - target) <= mp.mpf(10) ** -30 * (1 + abs(target))
+            for A in ("1/3", "1/2", "2/3", "1"):
+                rr = residue_polynomial_routes(h, k, l, A, 2000, ctx=ctx)
+                poly = main_polynomial(A, h, k, l, ctx=ctx)
+                secondary = rr.secondary + [mp.mpf(0)]  # no a-term at the top degree
+                for d, terms in enumerate(poly.provenance):
+                    b = sum(t[3] for t in terms if t[0] == "b")
+                    a = sum(t[2] for t in terms if t[0] == "a")
+                    want = rr.primary[d] + secondary[d]
+                    for got, ref in ((b, rr.primary[d]), (a, secondary[d]),
+                                     (poly.coeffs[d], want)):
+                        assert abs(got - ref) <= tol * (1 + abs(ref)), (k, l, h, A, d)
 
 
 def test_primary_route_k1_is_phi_sum():
