@@ -472,9 +472,9 @@ def _dk_values(k: int, lo: int, hi: int, threads: int = 1) -> np.ndarray:
 @dataclass(eq=False)
 class DivisorTable:
     """d_k(n) on [lo, hi].  A loaded table reads its file through a memory
-    map.  A fresh one from sieve_dk holds no array: `dk(n)` sieves a
-    one-cell window, and `values` sieves the whole range into one array and
-    keeps it.  `dump` streams the sieve's windows to the file."""
+    map.  A fresh one from sieve_dk holds no array: `dk(n)` factors n, and
+    `values` sieves the whole range into one array and keeps it.  `dump`
+    streams the sieve's windows to the file."""
 
     k: int
     lo: int
@@ -492,7 +492,7 @@ class DivisorTable:
         if not self.lo <= n <= self.hi:
             raise IndexError(f"n={n} outside table range [{self.lo}, {self.hi}]")
         if self._values is None:
-            return int(_dk_values(self.k, n, n)[0])
+            return dk_of_factored(self.k, factorize(n))
         return int(self._values[n - self.lo])
 
     def dump(self, path):

@@ -695,31 +695,20 @@ def _varphi_base(k: int, l: int, Q: int, order_s: int, bits: int) -> tuple[np.nd
     return table, norms
 
 
-def _overlay(base: np.ndarray, pos: np.ndarray, cols: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """Columns qs of `base`, with column q taken from cols[:, pos[q]] where
-    pos[q] >= 0, as a fresh array."""
-    out = base[:, qs]
-    at = pos[qs]
-    hit = at >= 0
-    out[:, hit] = cols[:, at[hit]]
-    return out
-
-
-def _shift_columns(base: np.ndarray, hfac: FactoredInteger, k: int, l: int, bits: int):
-    """(pos, cols, norms): the varphi columns at shift h of every q <= Q with a
-    prime factor p | h, in order of q, pos[q], the place of q among them (-1
-    for the rest), and norms[p], the largest sum of |coefficients| of a local
-    jet at p.  Prime by prime, varphi_h(p^a m) = varphi_h(p^a) varphi_h(m) for
-    every m with p not dividing m, one jet product per column; the local jets
-    are _local_fixed's, over the base's 2^bits or, for float64, 2^128."""
+def _shift_table(base: np.ndarray, hfac: FactoredInteger, k: int, l: int, bits: int):
+    """(table, norms): varphi(q, s) at shift h for 0 <= q <= Q, read-only, and
+    norms[p], the largest sum of |coefficients| of a local jet at p.  With no
+    p | h up to Q the table is the shared base itself; otherwise it is one
+    copy of the base, in which, prime by prime in increasing order,
+    varphi_h(p^a m) = varphi_h(p^a) varphi_h(m) for every m with p not
+    dividing m rewrites the multiples of p, one jet product per column.  The
+    local jets are _local_fixed's, over the base's 2^bits or, for float64,
+    2^128."""
     n, Q = base.shape[0], base.shape[1] - 1
     factors = [(p, g) for p, g in hfac.factors if p <= Q]
-    hit = np.zeros(Q + 1, dtype=bool)
-    for p, _ in factors:
-        hit[p::p] = True
-    pos = np.full(Q + 1, -1, dtype=np.int32)
-    pos[hit] = np.arange(np.count_nonzero(hit), dtype=np.int32)
-    cols, norms, unit = base[:, hit], {}, 1 << (bits or 128)
+    if not factors:
+        return base, {}
+    table, norms, unit = base.copy(), {}, 1 << (bits or 128)
     for p, gamma in factors:
         pe, a = p, 1
         while pe <= Q:
@@ -728,10 +717,10 @@ def _shift_columns(base: np.ndarray, hfac: FactoredInteger, k: int, l: int, bits
             loc = np.array(loc if bits else [c / unit for c in loc], dtype=base.dtype)
             ms = np.arange(1, Q // pe + 1, dtype=np.int32)
             for part in _chunks(ms[ms % p != 0]):
-                cols[:, pos[pe * part]] = _jet_mul(loc[:, None], _overlay(base, pos, cols, part),
-                                                   bits)
+                table[:, pe * part] = _jet_mul(loc[:, None], table[:, part], bits)
             pe, a = pe * p, a + 1
-    return pos, cols, norms
+    table.flags.writeable = False
+    return table, norms
 
 
 class VarphiTable:
@@ -739,13 +728,14 @@ class VarphiTable:
 
     Mode "mp" holds Python integers over 2^bits and hands out mpmath numbers
     at the working precision; mode "float" keeps float64 for large Q, where
-    the q-truncation tail dwarfs double-precision rounding.  The shift-free
-    table is shared, read-only, by every table with the same (k, l, Q,
-    order_s, bits); a table keeps of its own only the columns at multiples of
-    the p | h.  In mode "mp", every stored integer is within `error` =
-    4 omega G units of its value, with omega the most prime factors of a
-    q <= Q and G = `norm`, the product over p of max(1, the largest sum of
-    |coefficients| of a local jet at p), which bounds every column's: a
+    the q-truncation tail dwarfs double-precision rounding; `bits` is 0 for
+    float64.  The shift-free table is shared, read-only, by every table with
+    the same (k, l, Q, order_s, bits) whose h has no prime p <= Q; any other
+    holds one read-only copy of it, with the multiples of each such p | h
+    rewritten (_shift_table).  In mode "mp", every stored integer is within
+    `error` = 4 omega G units of its value, with omega the most prime factors
+    of a q <= Q and G = `norm`, the product over p of max(1, the largest sum
+    of |coefficients| of a local jet at p), which bounds every column's: a
     product rounds once and carries its factors' errors by their sums,
     3 omega(q) G units by induction on omega(q), from prime powers under two.
     bits keeps dirichlet_partials' stated rounding, about Q 4 omega G
@@ -763,18 +753,20 @@ class VarphiTable:
             raise ValueError("varphi table requires Q >= 1")
         hfac = _as_factored(h)
         self.h, self.k, self.l = int(hfac.value), k, l
-        self.Q, self.order_s, self.mode = Q, order_s, mode
+        self.Q, self.order_s = Q, order_s
         self.bits = 0 if mode == "float" else math.ceil(
             (mp.mp.dps + 10) * math.log2(10) + math.log2(32 * Q)
             + (order_s + l) * math.log2(math.log(Q) + 1)) + 16
-        self._base, norms = _varphi_base(k, l, Q, order_s, self.bits)
-        self._pos, self._cols, local = _shift_columns(self._base, hfac, k, l, self.bits)
+        base, norms = _varphi_base(k, l, Q, order_s, self.bits)
+        self._table, local = _shift_table(base, hfac, k, l, self.bits)
         omega = int(np.searchsorted(np.cumprod(primes_up_to(30).astype(float)), Q, side="right"))
         self.norm = math.prod(max(1.0, g) for g in {**norms, **local}.values())
         self.error = 4 * omega * self.norm
 
     def _stored(self, qs: np.ndarray) -> np.ndarray:
-        return _overlay(self._base, self._pos, self._cols, qs)
+        """Columns qs of the stored table, gathered into a fresh array (a
+        slice view changes the last bits of np.dot over float64 rows)."""
+        return self._table[:, qs]
 
     def _numbers(self, stored: np.ndarray) -> np.ndarray:
         if not self.bits:
@@ -809,7 +801,6 @@ class DirichletPartials:
     Q: int
     jet: Jet2
     tails: list
-    mode: str
     rounding: float = 0.0
 
     def tail_bound(self) -> mp.mpf:
@@ -868,7 +859,7 @@ def dirichlet_partials(h, k: int, l: int, Q: int, order_t: int | None = None,
                             + G * j * L ** (j - 1) * (2 * math.log2(Q) + 1) * 2.0**-lb)
                        / math.factorial(j) for j in range(order_w + 1))
     return DirichletPartials(h=table.h, k=k, l=l, Q=Q, jet=Jet2(D), tails=tails,
-                             mode=table.mode, rounding=rounding)
+                             rounding=rounding)
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,7 @@ def cf_local_jet(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int)
 def coefficient_array(table, i: int) -> np.ndarray:
     """The t^i coefficients of a VarphiTable's varphi(q, s) for q = 0..Q (0
     at q = 0), as a fresh array."""
-    row = table._base[i].copy()
-    row[table._pos >= 0] = table._cols[i]
-    return table._numbers(row)
+    return table._numbers(table._table[i].copy())
 
 
 def varphi_jet(table, q: int) -> Jet2:

@@ -102,7 +102,7 @@ def test_sieve_against_brute_small():
     for k in (1, 2, 3, 5):
         table = sieve_dk(k, 1, 60)
         for n in range(1, 61):
-            assert table.dk(n) == brute_dk(n, k), (k, n)
+            assert table.values[n - 1] == brute_dk(n, k), (k, n)
 
 
 def test_divisor_count_array_matches_sieve():
@@ -207,7 +207,25 @@ def test_sieve_matches_factorization(lo, width, k, size, threads):
     for n in range(lo, hi + 1):
         want = dk_of_factored(k, factorize(n))
         assert values[n - lo] == want, n
-        assert sieve_dk(k, lo, hi).dk(n) == want, n  # a one-cell window
+        assert sieve_dk(k, lo, hi).dk(n) == want, n  # a table that holds no array
+
+
+def test_dk_lookup_without_array_builds_no_sieve(monkeypatch):
+    """dk(n) on a fresh sieve_dk table builds no _DkSieve, and equals the
+    sieved value, the range's largest prime among the samples (d_3(n) = 3
+    only at primes)."""
+    lo, hi = 10**8, 10**8 + 3000
+    values = sieve_dk(3, lo, hi).values
+    largest_prime = lo + int(np.flatnonzero(values == 3)[-1])
+
+    def no_sieve(*args):
+        raise AssertionError("dk(n) built a sieve kernel")
+
+    monkeypatch.setattr(arith, "_DkSieve", no_sieve)
+    table = sieve_dk(3, lo, hi)
+    for n in [*range(lo, hi + 1, 97), hi, largest_prime]:
+        assert table.dk(n) == values[n - lo], n
+    assert table._values is None
 
 
 def test_segmented_sieve_matches_plain(monkeypatch):

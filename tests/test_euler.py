@@ -1,5 +1,6 @@
 """Singular series: Euler products, local jets, Dirichlet coefficients."""
 
+import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -673,9 +674,37 @@ def test_varphi_shared_base_is_bit_identical_and_protected(mode):
         varphi_jet(t, 12).coeffs[0][0] = 7
     assert _varphi_base.cache_info().misses == 1
     with pytest.raises(ValueError):
-        t._base[0, 2] = 7
+        t._table[0, 2] = 7
     t = varphi_table(6, 3, 2, Q, 3, mode)
     assert all(all(coefficient_array(t, i) == cold[6][i]) for i in range(4))
+
+
+@pytest.mark.parametrize("mode", ["mp", "float"])
+def test_varphi_shift_free_table_is_the_base_and_a_shift_copies_it(mode):
+    """h = 1 holds the shared base itself; h = 6 holds a read-only copy, and
+    building it leaves the base's bytes as they were."""
+    Q = 2000
+    t1 = varphi_table(1, 3, 2, Q, 3, mode)
+    base = _varphi_base(3, 2, Q, 3, t1.bits)[0]
+    assert t1._table is base
+    before = base.tobytes()
+    t6 = varphi_table(6, 3, 2, Q, 3, mode)
+    assert t6._table is not base and base.tobytes() == before
+    assert _varphi_base(3, 2, Q, 3, t6.bits)[0] is base
+    with pytest.raises(ValueError):
+        t6._table[0, 6] = 7
+
+
+def test_varphi_mp_shifted_table_pinned():
+    """The SHA-256 of the integer table at (h, k, l, Q, order_s) =
+    (12, 3, 2, 2*10^4, 3), dps 40, row by row as decimal integers: a new way
+    to fill a shifted table must keep every integer."""
+    with mp.workdps(40):
+        t = varphi_table(12, 3, 2, 2 * 10**4, 3, mode="mp")
+    text = " ".join(map(str, t._table.ravel().tolist()))
+    assert t.bits == 219
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "06da7cb28bc40085ff150549a13f034b92980caf7dd06255f9b2346a3f7f81f1")
 
 
 def test_varphi_mp_table_follows_precision():
