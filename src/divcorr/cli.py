@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 
@@ -30,7 +31,7 @@ from . import asympt, oracle
 from .arith import DivisorTable, RationalExponent, sieve_dk
 from .errors import ConsistencyError, PrecisionError, ResourceBudgetError
 from .euler import DEFAULT_PRIME_CUTOFF, evaluate_singular_series
-from .zeta_series import c_coeffs, stieltjes_table, zeta_power_coeffs
+from .zeta_series import STIELTJES_MAX_DIGITS, c_coeffs, stieltjes_table, zeta_power_coeffs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -198,7 +199,7 @@ def cmd_constants(args) -> int:
                 results.append(json.loads(record.to_json(digits=args.digits)))
                 print(f"k={k} l={l} h={h}: C={mp.nstr(record.C, 12)} "
                       f"f={mp.nstr(record.f, 12)}")
-    gammas = stieltjes_table(args.stieltjes_terms, min(args.digits, 30))
+    gammas = stieltjes_table(args.stieltjes_terms, min(args.digits, STIELTJES_MAX_DIGITS))
     tables = {
         "stieltjes": [mp.nstr(g, args.digits) for g in gammas],
         "zeta_power_a": {
@@ -281,6 +282,9 @@ def cmd_predict(args) -> int:
 
 
 def _verify_theorem23(args) -> list:
+    if ONE in args.A and (set(args.k), set(args.l)) != ({2}, {2}):
+        raise ValueError("verify theorem23 at A = 1 predicts only k = l = 2, "
+                         "by Estermann's polynomial")
     reports = []
     for k in args.k:
         for l in args.l:
@@ -289,13 +293,17 @@ def _verify_theorem23(args) -> list:
                 ctx = asympt.coefficient_context(h, k, l, source="euler")
                 for A in args.A:
                     poly = asympt.main_polynomial(A, h, k, l, ctx=ctx)
+                    predict, extra = poly, {}
+                    if A == ONE:  # the full sum, whose main term is not poly's A -> 1 limit
+                        predict = partial(mp.polyval, asympt.estermann_closed_forms(h))
+                        extra = {"prediction": "estermann"}
                     rep = oracle.ComparisonReport(
                         title=f"theorem23_k{k}_l{l}_h{h}_A{A.a}d{A.b}",
                         meta=_meta(args, mode="theorem23", k=k, l=l, h=h, A=str(A),
-                                   in_proven_range=poly.in_proven_range),
+                                   in_proven_range=poly.in_proven_range, **extra),
                     )
                     for r in sweep[h, ONE, A]:
-                        rep.add(r.x, r.value, mp.mpf(r.x) * poly(mp.log(r.x)))
+                        rep.add(r.x, r.value, mp.mpf(r.x) * predict(mp.log(r.x)))
                     reports.append(rep)
     return reports
 

@@ -1,17 +1,18 @@
 """Laurent data of the Riemann zeta function at s = 1 and friends.
 
-Provides Stieltjes constants by Euler-Maclaurin summation, the Taylor
-coefficients of powers (s-1)^j zeta(s)^j around s = 1, the alternating-sum
-coefficients of (s-1)^j zeta(s)^j / s, Taylor jets of zeta at integers
-y >= 2 (every derivative from one Euler-Maclaurin pass), and the classical
-constants attached to 1/zeta at s = 2 that show up in the closed-form
-coefficients of the shifted-divisor expansion of Ingham/Estermann type.
+One Euler-Maclaurin pass (_zeta_taylor) gives every zeta number here, all
+derivatives at once: Taylor jets of zeta at integers y >= 2, and at y = 1 the
+jet of (s-1) zeta(s) at s = 1, whose coefficients are the Stieltjes
+constants.  From that jet come the Taylor coefficients of powers
+(s-1)^j zeta(s)^j around s = 1 and the alternating-sum coefficients of
+(s-1)^j zeta(s)^j / s; from the jet at y = 2, the classical constants
+attached to 1/zeta at s = 2 that show up in the closed-form coefficients of
+the shifted-divisor expansion of Ingham/Estermann type.
 
 The sums behind them run in Python integers over 2^bits: log n comes from
 one per-process table of fixed-point logs (fixed_logs, log_powers), which the
-Euler products of `euler` read too; the zeta jets' head sums, Bernoulli
-weights and Pochhammer jet, and the Stieltjes head sums, are integer dots
-on it, each converted to mpmath once at the end.
+Euler products of `euler` read too; the head sums, Bernoulli weights and
+Pochhammer jet are integer dots on it, converted to mpmath once at the end.
 """
 from __future__ import annotations
 
@@ -119,116 +120,15 @@ def log_powers(ns: tuple, d_max: int, bits: int) -> tuple:
     return tuple(rows)
 
 
-def _log_power_derivative_polys(m: int, r_max: int) -> list[list[int]]:
-    """Coefficient lists P_r for d^r/dt^r [log^m t / t] = t^(-r-1) P_r(log t).
-
-    P_0 = L^m and P_{r+1} = P_r' - (r+1) P_r, exactly in integers.
-    """
-    polys = [[0] * m + [1]]
-    for r in range(r_max):
-        cur = polys[-1]
-        nxt = [0] * len(cur)
-        for i, c in enumerate(cur):
-            if i >= 1:
-                nxt[i - 1] += i * c
-            nxt[i] -= (r + 1) * c
-        polys.append(nxt)
-    return polys
+def _laurent_taylor(m_max: int, digits: int) -> tuple[int, tuple]:
+    """(bits, c): c[r] the t^r coefficient of (s-1) zeta(s) at s = 1 + t over
+    2^bits, r <= m_max + 1, from one _zeta_taylor pass at y = 1 wide enough
+    that gamma_n = (-1)^n n! c_(n+1) holds to 10^-(digits+6), n <= m_max."""
+    bits = math.ceil((digits + 6) * math.log2(10) + math.log2(math.factorial(m_max))) + 8
+    return bits, _zeta_taylor(1, m_max + 1, bits)
 
 
-def _poly_eval(coeffs, x):
-    acc = mp.mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-_EM_TERMS = 40  # the Stieltjes Euler-Maclaurin tail stops before j = _EM_TERMS
-
-
-def _stieltjes_depth(m: int, digits: int) -> int:
-    """N for gamma_m, the first of 120, 160, 200, ... at which the estimate
-    2 (2J-1)! (log N + H_(2J-1))^m / (2 pi N)^(2J) of the last term the tail
-    may take, J = _EM_TERMS - 1, is under 10^-(digits+5): |B_2j| / (2j)! is
-    about 2 / (2 pi)^(2j), and the r-th derivative of log^m t / t at N is at
-    most r! (log N + H_r)^m / N^(r+1)."""
-    J = _EM_TERMS - 1
-    H = sum(1 / i for i in range(1, 2 * J))
-    for N in count(120, 40):
-        if (math.log(2) + math.lgamma(2 * J) - 2 * J * math.log(2 * math.pi * N)
-                + m * math.log(math.log(N) + H)) < -(digits + 5) * math.log(10):
-            return N
-
-
-@lru_cache(maxsize=None)
-def _stieltjes_heads(N: int, m_top: int, bits: int) -> tuple:
-    """For m <= m_top, sum_{n<=N} (log n)^m / n - (log N)^(m+1) / (m+1)
-    - (log N)^m / (2N) over 2^bits, every term floored from one table of
-    (log n)^m shared by all m: under 3 (N + 1) units off."""
-    rows = log_powers(tuple(range(2, N + 1)), m_top + 1, bits)
-    heads = []
-    for m in range(m_top + 1):
-        head = sum(x // n for n, x in enumerate(rows[m], 2)) + (1 << bits if m == 0 else 0)
-        heads.append(head - rows[m + 1][-1] // (m + 1) - rows[m][-1] // (2 * N))
-    return tuple(heads)
-
-
-@lru_cache(maxsize=None)
-def _stieltjes_em(m: int, digits: int) -> tuple[mp.mpf, mp.mpf]:
-    """(gamma_m, error_estimate) by Euler-Maclaurin at the depth
-    _stieltjes_depth sets for m rounded up to 8 m' + 7, so that eight
-    constants share their head sums, taken in integers to 10^-(digits+6);
-    the tail stops at its first term under 10^-(digits+5), or at the last
-    term before the terms grow, which is then the error estimate."""
-    m_top = min(m | 7, STIELTJES_MAX_INDEX)
-    N = _stieltjes_depth(m_top, digits)
-    bits = math.ceil((digits + 6) * math.log2(10)) + N.bit_length() + 4
-    head = _stieltjes_heads(N, m_top, bits)[m]
-    guard = 15 + int(0.8 * m)
-    with mp.workdps(digits + guard):
-        # the tail's first terms reach (log N)^m: log N to the working precision
-        logN = mp.ldexp(fixed_log(N, mp.mp.prec + 8), -(mp.mp.prec + 8))
-        total = mp.ldexp(head, -bits)
-        polys = _log_power_derivative_polys(m, 2 * _EM_TERMS)
-        err = None
-        prev_mag = mp.inf
-        target = mp.mpf(10) ** (-(digits + 5))
-        for j in range(1, _EM_TERMS):
-            deriv = _poly_eval(polys[2 * j - 1], logN) / mp.mpf(N) ** (2 * j)
-            num, den = _bernoulli_weight(j)
-            term = num * deriv / den
-            mag = abs(term)
-            if mag > prev_mag:
-                err = prev_mag
-                break
-            total -= term
-            prev_mag = mag
-            if mag < target:
-                err = mag
-                break
-        if err is None:
-            err = prev_mag
-        return +total, +err
-
-
-class StieltjesTable:
-    """gamma_0..gamma_M with a guaranteed number of correct decimal digits."""
-
-    def __init__(self, gammas, digits: int):
-        self.gammas = list(gammas)
-        self.digits = digits
-
-    def __getitem__(self, m: int) -> mp.mpf:
-        return self.gammas[m]
-
-    def __len__(self) -> int:
-        return len(self.gammas)
-
-    def __iter__(self):
-        return iter(self.gammas)
-
-
-def stieltjes_table(m_max: int, digits: int = 30) -> StieltjesTable:
+def stieltjes_table(m_max: int, digits: int = 30) -> list:
     """Stieltjes constants gamma_0..gamma_m_max with `digits` correct digits."""
     if m_max < 0:
         raise ValueError("stieltjes_table requires m_max >= 0")
@@ -237,35 +137,24 @@ def stieltjes_table(m_max: int, digits: int = 30) -> StieltjesTable:
             f"stieltjes_table ceilings are m <= {STIELTJES_MAX_INDEX}, "
             f"digits <= {STIELTJES_MAX_DIGITS}"
         )
-    return StieltjesTable([_stieltjes_checked(m, digits) for m in range(m_max + 1)], digits)
-
-
-def _stieltjes_checked(m: int, digits: int) -> mp.mpf:
-    val, err = _stieltjes_em(m, digits)
-    if err > mp.mpf(10) ** (-digits):
-        raise PrecisionError(
-            f"gamma_{m}: achieved only {err} at the configured depth",
-            achieved=err,
-        )
-    return val
+    bits, c = _laurent_taylor(m_max, digits)
+    return [mp.ldexp((-1) ** n * math.factorial(n) * c[n + 1], -bits) for n in range(m_max + 1)]
 
 
 def euler_gamma(digits: int = 30) -> mp.mpf:
     """gamma_0 to `digits` digits.  The table's digit ceiling does not apply:
-    the Euler-Maclaurin series for gamma_0 converges far beyond it."""
-    return _stieltjes_checked(0, digits)
+    the Euler-Maclaurin pass reaches any width."""
+    bits, c = _laurent_taylor(0, digits)
+    return mp.ldexp(c[1], -bits)
 
 
 def zeta_laurent_jet(order: int, digits: int | None = None) -> Jet2:
-    """Jet of (s-1) * zeta(s) at s = 1: 1 + sum (-1)^n gamma_n t^(n+1) / n!."""
+    """Jet of (s-1) * zeta(s) at s = 1: 1 + sum (-1)^n gamma_n t^(n+1) / n!,
+    every coefficient read exactly from the integer jet."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    digits = digits or max(30, mp.mp.dps)
-    gammas = stieltjes_table(max(order - 1, 0), digits) if order >= 1 else []
-    coeffs = [mp.mpf(1)] + [mp.mpf(0)] * order
-    for n in range(order):
-        coeffs[n + 1] = (-1) ** n * gammas[n] / mp.factorial(n)
-    return Jet2([[c] for c in coeffs])
+    bits, c = _laurent_taylor(max(order - 1, 0), digits or max(30, mp.mp.dps))
+    return Jet2([[mp.ldexp(x, -bits)] for x in c[: order + 1]])
 
 
 def zeta_power_jet(j: int, order: int, digits: int | None = None) -> Jet2:
@@ -315,9 +204,10 @@ def _bernoulli_weight(k: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def _zeta_taylor(y: int, order: int, bits: int) -> tuple:
     """zeta^(r)(y) / r! over 2^bits for r = 0..order, at an integer y >= 2,
-    each within two units, from one Euler-Maclaurin pass (Edwards, Riemann's
-    Zeta Function, ch. 6).  With s = y + tau and (s)_j the rising factorial
-    s (s+1) ... (s+j-1),
+    or at y = 1 the tau^r coefficients of (s-1) zeta(s), each within two
+    units, from one Euler-Maclaurin pass (Edwards, Riemann's Zeta Function,
+    ch. 6).  With s = y + tau and (s)_j the rising factorial s (s+1) ...
+    (s+j-1),
 
       zeta(s) = sum_{n<N} n^(-s)
                 + N^(-s) [N/(s-1) + 1/2 + sum_{k>=1} B_2k/(2k)! (s)_(2k-1) N^(1-2k)],
@@ -326,15 +216,18 @@ def _zeta_taylor(y: int, order: int, bits: int) -> tuple:
     n^(-y) e^(-tau log n), n^(-y) an exact floor, the rows of (-log n)^r / r!
     shared by every y; the integer Pochhammer jet grows by two linear factors
     per k and meets the exact B_2k/(2k)! N^(1-2k) in one floor per
-    coefficient; N^(-s) multiplies the bracket once.  The corrections fall
-    like (2k)! / (2 pi N)^(2k) until 2k nears 2 pi N; N = 10 + bits log10 2
-    puts that floor far below 2^-bits, and the series stops at its first term
-    under N^(y-1) units in every coefficient (a tau^r coefficient of the
-    product is at most N times the bracket's largest one).  The guard covers
-    the floors, under (order + 2) (N + 1)^2 units: (log n)^r / r! < n per
-    head term, and N + 1 per N^(-s) coefficient times the bracket's N."""
-    if y < 2:
-        raise ValueError("_zeta_taylor requires y >= 2")
+    coefficient; N^(-s) multiplies the bracket once.  At y = 1 the factor
+    s - 1 = tau turns the pole term into N^(-tau), so (s-1) zeta(s) is
+    N^(-tau) plus tau times the rest: the same sums, with no pole term in the
+    bracket, shifted up one order.  The corrections fall like
+    (2k)! / (2 pi N)^(2k) until 2k nears 2 pi N; N = 10 + bits log10 2 puts
+    that floor far below 2^-bits, and the series stops at its first term
+    under N^(y-1) units in every coefficient (the coefficients of N^(-s) sum
+    to N^(1-y) in absolute value).  The guard covers the floors, under
+    (order + 2) (N + 1)^2 units: (log n)^r / r! < n per head term, and N + 1
+    per N^(-s) coefficient times the bracket's N."""
+    if y < 1:
+        raise ValueError("_zeta_taylor requires y >= 1")
     N = 10 + math.ceil(bits * math.log10(2))
     guard = 2 * N.bit_length() + order.bit_length() + 4
     b = bits + guard
@@ -343,21 +236,24 @@ def _zeta_taylor(y: int, order: int, bits: int) -> tuple:
     vals = [sum(map(mul, powers, row[:-1])) >> b for row in rows]  # n < N
     vals[0] += 1 << b
     poch = ([y, 1] + [0] * order)[: order + 1]
-    corrections = [0] * (order + 1)
+    bracket = [0] * (order + 1)
     for k in count(1):
         num, den = _bernoulli_weight(k)
         den *= N ** (2 * k - 1)
         terms = [(c * num << b) // den for c in poch]
-        corrections = [a + t for a, t in zip(corrections, terms)]
+        bracket = [a + t for a, t in zip(bracket, terms)]
         if max(map(abs, terms)) < N ** (y - 1):
             break
         for a in (y + 2 * k - 1, y + 2 * k):
             poch = [a * poch[0]] + [a * poch[r] + poch[r - 1] for r in range(1, order + 1)]
-    bracket = [((-1) ** r * N << b) // (y - 1) ** (r + 1) + c for r, c in enumerate(corrections)]
+    if y > 1:  # the pole term N/(s-1)
+        bracket = [((-1) ** r * N << b) // (y - 1) ** (r + 1) + c for r, c in enumerate(bracket)]
     bracket[0] += 1 << (b - 1)
     n_pow = [powers[-1] * row[-1] >> b for row in rows]  # N^(-s)
-    return tuple(v + (sum(map(mul, bracket[: r + 1], n_pow[r::-1])) >> b) >> guard
-                 for r, v in enumerate(vals))
+    jet = [v + (sum(map(mul, bracket[: r + 1], n_pow[r::-1])) >> b) for r, v in enumerate(vals)]
+    if y == 1:  # N^(-tau) + tau (the rest)
+        jet = [row[-1] + v for row, v in zip(rows, [0] + jet)]
+    return tuple(v >> guard for v in jet)
 
 
 def zeta_jet(y: int, order: int, dps: int = 40) -> Jet2:

@@ -257,10 +257,13 @@ def log_powers_mpf(primes, d_max: int, bits: int) -> list:
 
 
 def zeta_taylor_mpf(y: int, order: int, dps: int) -> list:
-    """zeta^(r)(y) / r! for r = 0..order by the same Euler-Maclaurin pass as
+    """zeta^(r)(y) / r! for r = 0..order (at y = 1 the tau^r coefficients of
+    (s-1) zeta(s)) by the same Euler-Maclaurin pass as
     zeta_series._zeta_taylor, every sum in mpmath arithmetic at dps + 5
     digits: head sum over n < N = 10 + dps, Bernoulli weights
-    B_2k/(2k)! N^(1-2k), the integer Pochhammer jet, N^(-s) applied once."""
+    B_2k/(2k)! N^(1-2k), the integer Pochhammer jet, N^(-s) applied once; at
+    y = 1 the pole term leaves the bracket, the sum is shifted up one order,
+    and N^(-tau) is added."""
     N = 10 + dps
     with mp.workdps(dps + 5):
         neg_logs = [-mp.log(n) for n in range(2, N + 1)]
@@ -280,11 +283,16 @@ def zeta_taylor_mpf(y: int, order: int, dps: int) -> list:
                 break
             for a in (y + 2 * k - 1, y + 2 * k):
                 poch = [a * poch[0]] + [a * poch[r] + poch[r - 1] for r in range(1, order + 1)]
-        bracket = [N * mp.mpf(-1) ** r / mp.mpf(y - 1) ** (r + 1)
-                   + mp.fdot(weights, [pc[r] for pc in pochs]) for r in range(order + 1)]
+        bracket = [mp.fdot(weights, [pc[r] for pc in pochs]) for r in range(order + 1)]
+        if y > 1:  # the pole term N/(s-1)
+            bracket = [c + N * mp.mpf(-1) ** r / mp.mpf(y - 1) ** (r + 1)
+                       for r, c in enumerate(bracket)]
         bracket[0] += mp.mpf(1) / 2
         n_pow = [mp.mpf(N) ** -y * row[-1] for row in rows]  # N^(-s)
-        return [vals[r] + mp.fdot(bracket[: r + 1], n_pow[r::-1]) for r in range(order + 1)]
+        jet = [vals[r] + mp.fdot(bracket[: r + 1], n_pow[r::-1]) for r in range(order + 1)]
+        if y == 1:  # (s-1) zeta(s) = N^(-tau) + tau (the rest)
+            jet = [row[-1] + v for row, v in zip(rows, [0] + jet)]
+        return jet
 
 
 def strided_dk_segment(k: int, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:

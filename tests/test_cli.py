@@ -1,10 +1,12 @@
 """CLI surface: subcommands, config files, exit codes, determinism."""
 
+import csv
 import importlib.util
 import json
 import os
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from divcorr.cli import main, parse_int_list, parse_rational_list
@@ -119,6 +121,20 @@ def test_constants_command(tmp_path):
     assert abs(c - 0.6079271018540266) < 1e-12
     assert float(blob["singular_series"][1]["f"]) == 2.0
     assert blob["tables"]["stieltjes"][0].startswith("0.5772156649")
+
+
+def test_constants_digits_past_30_are_correct(tmp_path):
+    """constants --digits D took the Stieltjes table at 30 digits and printed
+    D of them: at 40, gamma_0 ended ...0243102317 for ...0243104216."""
+    code, out = run(tmp_path, "constants", "--k", "2", "--l", "2", "--h", "1",
+                    "--P", "2000", "--Q", "2000", "--digits", "50",
+                    "--stieltjes-terms", "10")
+    assert code == 0
+    printed = json.loads((out / "constants.json").read_text())["tables"]["stieltjes"]
+    assert len(printed) == 11
+    with mp.workdps(70):
+        for m, text in enumerate(printed):
+            assert text == mp.nstr(mp.stieltjes(m), 50), m
 
 
 def test_polynomial_command(tmp_path):
@@ -253,6 +269,25 @@ def test_verify_theorem23(tmp_path):
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert lines[0] == "x,observed,predicted,ratio,abs_err,rel_err"
     assert len(lines) == 3  # two decades
+
+
+def test_verify_theorem23_at_A_1_predicts_estermann(tmp_path, capsys):
+    """At A = 1 the sum is sum d(n+h) d(n), whose main term is Estermann's
+    polynomial, not the A -> 1 limit of the partial one: that limit read
+    ratios of 1.06 to 1.11 up to 10^7.  Other (k, l) at A = 1 exit 2."""
+    code, out = run(tmp_path, "verify", "theorem23", "--k", "2", "--l", "2", "--A", "1",
+                    "--h", "1,6", "--x", "1e6..1e7")
+    assert code == 0
+    for h in (1, 6):
+        text = (out / f"theorem23_k2_l2_h{h}_A1d1.csv").read_text()
+        assert "# prediction: estermann\n" in text
+        rows = list(csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("#")))
+        assert [r["x"] for r in rows] == ["1000000", "10000000"]
+        assert all(abs(float(r["ratio"]) - 1) < 1e-4 for r in rows), (h, rows)
+    code, out = run(tmp_path / "k3", "verify", "theorem23", "--k", "3", "--l", "2",
+                    "--A", "1", "--h", "1", "--x", "1e3")
+    assert code == 2 and not out.exists()
+    assert "k = l = 2" in capsys.readouterr().err
 
 
 def test_verify_theorem21(tmp_path):

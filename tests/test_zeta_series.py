@@ -79,9 +79,9 @@ def test_stieltjes_at_the_digit_ceiling():
 
 @pytest.mark.parametrize("m", [11, 20, 30])
 def test_stieltjes_high_index_at_the_digit_ceiling(m):
-    """gamma_11..gamma_30 at 100 digits: at the fixed depth N = 120 the
-    Euler-Maclaurin tail stopped short of 10^-100 for these and the table
-    raised PrecisionError; the depth now grows with m and digits."""
+    """gamma_11..gamma_30 at 100 digits, the table's ceilings: gamma_n is
+    (-1)^n n! times the t^(n+1) coefficient of (s-1) zeta(s), so the y = 1
+    pass is taken log2 n! bits wider than the digits ask."""
     got = stieltjes_table(m, 100)[m]
     with mp.workdps(110):
         assert abs(got - mp.stieltjes(m)) < mp.mpf(10) ** -99
@@ -210,12 +210,14 @@ def test_log_table_within_two_units(bits):
 @pytest.mark.parametrize("bits", [120, 213, 400])
 def test_zeta_taylor_within_two_units(bits):
     """The integer Euler-Maclaurin jets lie within two units of the same pass
-    in mpmath arithmetic, taken 12 digits past the width."""
+    in mpmath arithmetic, taken 12 digits past the width; at y = 1 the jet is
+    (s-1) zeta(s), whose pole term becomes N^(-tau)."""
     dps = math.ceil(bits * math.log10(2)) + 12
-    for y in (2, 3, 7, 16, 40):
-        ref = zeta_taylor_mpf(y, 6, dps)
+    for y in (1, 2, 3, 7, 16, 40):
+        order = 31 if y == 1 else 6  # stieltjes_table(30) reads order 31
+        ref = zeta_taylor_mpf(y, order, dps)
         with mp.workdps(dps + 5):
-            for got, want in zip(_zeta_taylor(y, 6, bits), ref):
+            for got, want in zip(_zeta_taylor(y, order, bits), ref):
                 assert abs(got - mp.ldexp(want, bits)) < 2, y
 
 
