@@ -31,7 +31,7 @@ from . import asympt, oracle
 from .arith import DivisorTable, RationalExponent, sieve_dk
 from .errors import ConsistencyError, PrecisionError, ResourceBudgetError
 from .euler import DEFAULT_PRIME_CUTOFF, evaluate_singular_series
-from .zeta_series import STIELTJES_MAX_DIGITS, c_coeffs, stieltjes_table, zeta_power_coeffs
+from .zeta_series import c_coeffs, stieltjes_table, zeta_power_coeffs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -181,36 +181,46 @@ def cmd_sieve(args) -> int:
     return EXIT_OK
 
 
-def _require_positive_shifts(args, command: str):
-    """Reject h < 1 before any sum: these commands read h as a shift."""
-    bad = [h for h in args.h if h < 1]
-    if bad:
-        raise ValueError(f"{command} requires every shift h >= 1, got h={bad[0]}")
+def _require_at_least(command: str, low: int, **values):
+    """Reject a value below `low` before any sum, naming the command, the
+    flag and the value: h < 1 where h is a shift, k or l < 2 where the
+    prediction needs them."""
+    for name, seq in values.items():
+        if bad := [v for v in seq if v < low]:
+            raise ValueError(f"{command} requires {name} >= {low}, got {name}={bad[0]}")
+
+
+def _require_values(args):
+    """Reject an empty list flag (`--h 5..1`, `--A ,`) before any sum."""
+    for name in ("k", "l", "h", "q", "A", "B"):
+        if getattr(args, name, None) == []:
+            raise ValueError(f"--{name} needs at least one value")
 
 
 def cmd_constants(args) -> int:
-    _require_positive_shifts(args, "constants")
+    _require_at_least("constants", 1, h=args.h)
     _grid_guard(args.k, args.l, args.h)
+    gammas = stieltjes_table(args.stieltjes_terms, args.digits)
     results = []
-    for k in args.k:
-        for l in args.l:
-            for h in args.h:
-                record = evaluate_singular_series(h, k, l, Q=args.Q, P=args.P)
-                results.append(json.loads(record.to_json(digits=args.digits)))
-                print(f"k={k} l={l} h={h}: C={mp.nstr(record.C, 12)} "
-                      f"f={mp.nstr(record.f, 12)}")
-    gammas = stieltjes_table(args.stieltjes_terms, min(args.digits, STIELTJES_MAX_DIGITS))
-    tables = {
-        "stieltjes": [mp.nstr(g, args.digits) for g in gammas],
-        "zeta_power_a": {
-            str(j): [mp.nstr(v, args.digits) for v in zeta_power_coeffs(j, 6)]
-            for j in range(0, 5)
-        },
-        "zeta_power_c": {
-            str(j): [mp.nstr(v, args.digits) for v in c_coeffs(j, 6)]
-            for j in range(0, 5)
-        },
-    }
+    with mp.workdps(max(args.dps, args.digits)):  # every printed digit computed
+        for k in args.k:
+            for l in args.l:
+                for h in args.h:
+                    record = evaluate_singular_series(h, k, l, Q=args.Q, P=args.P)
+                    results.append(json.loads(record.to_json(digits=args.digits)))
+                    print(f"k={k} l={l} h={h}: C={mp.nstr(record.C, 12)} "
+                          f"f={mp.nstr(record.f, 12)}")
+        tables = {
+            "stieltjes": [mp.nstr(g, args.digits) for g in gammas],
+            "zeta_power_a": {
+                str(j): [mp.nstr(v, args.digits) for v in zeta_power_coeffs(j, 6)]
+                for j in range(0, 5)
+            },
+            "zeta_power_c": {
+                str(j): [mp.nstr(v, args.digits) for v in c_coeffs(j, 6)]
+                for j in range(0, 5)
+            },
+        }
     payload = {
         "command": "constants",
         "config": {"k": args.k, "l": args.l, "h": args.h, "P": args.P,
@@ -223,7 +233,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_polynomial(args) -> int:
-    _require_positive_shifts(args, "polynomial")
+    _require_at_least("polynomial", 1, h=args.h)
     _grid_guard(args.k, args.l, args.h, args.A)
     payloads = []
     csv_lines = ["k,l,h,A,degree," +
@@ -255,7 +265,7 @@ def cmd_polynomial(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _require_positive_shifts(args, "predict")
+    _require_at_least("predict", 1, h=args.h)
     rows = []
     for k in args.k:
         for l in args.l:
@@ -322,6 +332,7 @@ def _correlation_grid(args, *extra):
 
 
 def _verify_theorem22(args) -> list:
+    _require_at_least("verify theorem22", 2, k=args.k, l=args.l)
     reports = []
     for k, l, h, A, B, sweep in _correlation_grid(args):
         lead = asympt.correlation_leading(h, k, l, A, B)
@@ -359,6 +370,7 @@ def _verify_theorem21(args) -> list:
 def _verify_corollary3(args) -> list:
     if any(B.a == 0 for B in args.B):
         raise ValueError("corollary3 requires B > 0")
+    _require_at_least("verify corollary3", 2, k=args.k, l=args.l)
     reports = []
     for k, l, h, A, B, sweep in _correlation_grid(args, ONE):
         gap = asympt.partial_vs_full_leading_gap(h, k, l, A, B)
@@ -385,7 +397,7 @@ def cmd_verify(args) -> int:
         "corollary3": _verify_corollary3,
     }[args.target]
     if args.target != "theorem21":  # there h is a residue class mod q
-        _require_positive_shifts(args, f"verify {args.target}")
+        _require_at_least(f"verify {args.target}", 1, h=args.h)
     reports = runner(args)
     for rep in reports:
         _write_report(args, rep.title + ".csv", rep.to_csv())
@@ -395,7 +407,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_estermann(args) -> int:
-    _require_positive_shifts(args, "estermann")
+    _require_at_least("estermann", 1, h=args.h)
     failures = 0
     rows = []
     for h in args.h:
@@ -429,6 +441,7 @@ def cmd_estermann(args) -> int:
 
 
 def cmd_distribution(args) -> int:
+    _require_at_least("distribution", 2, k=[args.k])
     rows = []
     dists = oracle.empirical_distribution(args.k, args.A, args.x)
     limit = asympt.bareikis_cdf(args.k, args.A)
@@ -557,6 +570,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(
             _with_config_flags(sys.argv[1:] if argv is None else list(argv)))
+        _require_values(args)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     except (ValueError, OSError) as exc:  # an unreadable config file

@@ -19,14 +19,13 @@ come from Cohen's P-rough prime zeta series, on one table of partial prime
 sums over p <= P and a few zeta jets (PrimeTailMoments).  This leaves
 truncation errors far below the working precision instead of the
 1/(P log P) floor a bare cutoff would give.  Every local factor, at p^gamma
-|| h for any gamma, is one closed form in integers; their product over
-p <= P, the patch at p | h and the tail's log-jet run over 2^bits.  Off
-the shift (gamma = 0) a factor's t^i w^j coefficient is a product of two
-short binomial sums in 1/p, one in t and one in w, and the product over
-p <= P takes it in that form, with the same integers.  The scalar C_{k,l}
-is that shift-free product's constant coefficient (singular_constant): one
-route, whose series degree grows with k and l until its stated bound,
-truncation plus rounding, meets the working precision.
+|| h for any gamma, is one closed form: integer polynomials in p, built
+once per (gamma, k, l) and evaluated at one prime or a vector of primes.
+Their product over p <= P, the patch at p | h, the varphi prime powers and
+the tail's log-jet run over 2^bits.  The scalar C_{k,l} is that shift-free
+product's constant coefficient (singular_constant): one route, whose series
+degree grows with k and l until its stated bound, truncation plus rounding,
+meets the working precision.
 """
 
 from __future__ import annotations
@@ -221,11 +220,13 @@ def singular_shift_factor(h, k: int, l: int) -> Fraction:
     (1,0) over that of C alone, from the weights of _local_weights."""
     if k < 1 or l < 1:
         raise ValueError("singular_shift_factor requires k, l >= 1")
-    out = Fraction(1)
-    for p, gamma in _as_factored(h).factors:
-        (w, den, _), (w0, den0, _) = _local_weights(p, gamma, k, l), _local_weights(p, 0, k, l)
-        out *= Fraction(sum(v for _, v in w) * den0, den * sum(v for _, v in w0))
-    return out
+
+    def at_one(p: int, gamma: int) -> Fraction:  # the (0, 0) contraction over den
+        ((c,),), e = _local_jet_weights(gamma, k, l, 0, 0, None)
+        return Fraction(_horner(c, p), (p - 1) * p**e)
+
+    return math.prod((at_one(p, g) / at_one(p, 0) for p, g in _as_factored(h).factors),
+                     start=Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +247,12 @@ def _conv(a: list, b: list) -> list:
             for n in range(len(a) + len(b) - 1)]
 
 
-def _local_weights(p: int, gamma: int, k: int, l: int) -> tuple[tuple, int, int]:
-    """(w, den, guard): the local factor of C(s,w) f(s,w) at p, p^gamma || h, is
-    the sum of v / den e^(-(a t + b w) log p) over ((a, b), v) in w, the
-    monomials X^a Y^b of
+@lru_cache(maxsize=None)
+def _local_weights(gamma: int, k: int, l: int) -> tuple[tuple, int]:
+    """(w, e): the local factor of C(s,w) f(s,w) at p, p^gamma || h, is the
+    sum of v(p) / den e^(-(a t + b w) log p), den = (p-1) p^e, over ((a, b), v)
+    in w, v the integer coefficients of a polynomial in p, from its highest
+    power down: the monomials X^a Y^b of
 
       sum_{a<=gamma} d_{l-1}(p^a) p^a Y^a (1-Y)^(l-1) [1 - (1-X)^k sum_{b<a} d_k(p^b) X^b]
       + d_k(p^gamma) p^(gamma+1)/(p-1) X^gamma (1-X)^k [1 - (1-Y)^(l-1) sum_{a<=gamma} d_{l-1}(p^a) Y^a],
@@ -258,28 +261,50 @@ def _local_weights(p: int, gamma: int, k: int, l: int) -> tuple[tuple, int, int]
     is (1-X)^k (1-Y)^(l-1) / (1-1/p) times the numerator of f derived from phi,
     (1-1/p) sum_{a<=gamma} d_{l-1}(p^a) p^(-aw) sum_{b>=a} d_k(p^b) p^(-bs)
     + d_k(p^gamma) p^(-gamma(s-1)) sum_{a>gamma} d_{l-1}(p^a) p^(-a(w+1)).
-    At gamma = 0 it is C's factor D + (1-X)^k (1-D)/(1-1/p), D = (1-Y)^(l-1).
-    2^guard >= 2 sum |v| e^(a+b) / den bounds the growth of a table's unit."""
+    At gamma = 0 it is C's factor D + (1-X)^k (1-D)/(1-1/p), D = (1-Y)^(l-1)."""
     xk = [(-1) ** a * comb(k, a) for a in range(k + 1)]
     yl = [(-1) ** b * comb(l - 1, b) for b in range(l)]
     dk = [dk_prime_power(k, b) for b in range(gamma + 1)]
     dl = [_dl1(l, a) for a in range(gamma + 1)]
-    terms = []  # (scalar times p - 1, X-polynomial, Y-polynomial)
+    terms = []  # (scalar times p - 1 as {power of p: coefficient}, X-polynomial, Y-polynomial)
     for a in range(gamma + 1):
-        c, ys = (p - 1) * p**a * dl[a], [0] * a + yl
-        terms += [(c, [1], ys), (-c, _conv(xk, dk[:a]), ys)]
-    c, xs = dk[gamma] * p ** (gamma + 1), [0] * gamma + xk
-    terms += [(c, xs, [1]), (-c, xs, _conv(yl, dl))]
+        ys = [0] * a + yl
+        terms += [({a + 1: dl[a], a: -dl[a]}, [1], ys),
+                  ({a + 1: -dl[a], a: dl[a]}, _conv(xk, dk[:a]), ys)]
+    xs = [0] * gamma + xk
+    terms += [({gamma + 1: dk[gamma]}, xs, [1]), ({gamma + 1: -dk[gamma]}, xs, _conv(yl, dl))]
     e = max(len(xs) + len(ys) - 2 for _, xs, ys in terms)
-    w = {}
+    w = defaultdict(lambda: [0] * (e + gamma + 2))  # coefficients of p^0, p^1, ...
     for c, xs, ys in terms:
         for a, x in enumerate(xs):
             for b, y in enumerate(ys):
-                w[a, b] = w.get((a, b), 0) + c * x * y * p ** (e - a - b)
-    w = tuple((ab, v) for ab, v in w.items() if v)
-    den = (p - 1) * p**e
-    guard = (-(-2 * sum(abs(v) * 3 ** sum(ab) for ab, v in w) // den) - 1).bit_length()
-    return w, den, guard
+                for n, v in c.items():
+                    w[a, b][n + e - a - b] += v * x * y
+    return tuple((ab, tuple(v[::-1])) for ab, v in w.items() if any(v)), e
+
+
+@lru_cache(maxsize=None)
+def _local_jet_weights(gamma: int, k: int, l: int, order_t: int, order_w: int,
+                       alpha: int | None) -> tuple:
+    """(rows, e): rows[i][j], the coefficients of sum v (-a)^i (-b)^j over
+    _local_weights' w, highest power of p first; with alpha, over its
+    monomials with b = alpha only, taken as b = 0."""
+    w, e = _local_weights(gamma, k, l)
+    if alpha is not None:
+        w = tuple(((a, 0), v) for (a, b), v in w if b == alpha)
+    rows = tuple(tuple(tuple(map(sum, zip(*([x * (-a) ** i * (-b) ** j for x in v]
+                                           for (a, b), v in w))))
+                       for j in range(order_w + 1)) for i in range(order_t + 1))
+    return rows, e
+
+
+def _horner(coeffs, p):
+    """The polynomial with these coefficients, highest first, at p: a Python
+    int or a numpy object array of them."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * p + c
+    return acc
 
 
 def _table_guard(k: int, l: int) -> int:
@@ -289,56 +314,28 @@ def _table_guard(k: int, l: int) -> int:
     return math.ceil(math.log2(6) + (k + l - 1) * math.log2(1 + math.e / 2))
 
 
-def _c_local_fixed(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int,
-                   logs, guard: int, alpha: int | None = None) -> list[list[int]]:
+def _c_local_fixed(p, gamma: int, k: int, l: int, order_t: int, order_w: int,
+                   logs, guard: int, alpha: int | None = None) -> list[list]:
     """The local factor over 2^bits, each integer under two units off, from
-    logs[d] = (log p)^d over 2^(bits + guard), guard at least _local_weights':
-    t^i w^j sums v (-a)^i (-b)^j (log p)^(i+j) / (den i! j!) over w.  With
-    alpha, only its part in p^(-alpha w), the monomials with b = alpha: at
-    order_w = 0 that is the t-jet of varphi(p^alpha, s)."""
-    w, den = _local_weights(p, gamma, k, l)[:2]
-    if alpha is not None:
-        w = tuple(((a, 0), v) for (a, b), v in w if b == alpha)
-    den <<= guard
-    return [[sum(x * (-a) ** i * (-b) ** j for (a, b), x in w) * logs[i + j]
-             // (den * math.factorial(i) * math.factorial(j))
-             for j in range(order_w + 1)] for i in range(order_t + 1)]
-
-
-@lru_cache(maxsize=None)
-def _c_base_weights(k: int, l: int, order_t: int, order_w: int) -> tuple:
-    """(ak, bl, fact): A_i p^k = sum_a ak[i][a] p^(k-a), B_j p^(l-1) =
-    sum_b bl[j][b] p^(l-1-b) (see _c_base_fixed), fact[i][j] = i! j!."""
-    ak = [[(-1) ** a * comb(k, a) * (-a) ** i for a in range(k + 1)] for i in range(order_t + 1)]
-    bl = [[(-1) ** b * comb(l - 1, b) * (-b) ** j for b in range(l)] for j in range(order_w + 1)]
-    fact = [[math.factorial(i) * math.factorial(j) for j in range(order_w + 1)]
-            for i in range(order_t + 1)]
-    return ak, bl, fact
-
-
-def _c_base_fixed(p: int, k: int, l: int, order_t: int, order_w: int, logs,
-                  guard: int) -> list[list[int]]:
-    """_c_local_fixed(p, 0, ...) from the closed form of C's local factor,
-    D + p/(p-1) (1-X)^k (1-D) with D = (1-Y)^(l-1): its t^i w^j coefficient is
-    (log p)^(i+j) / (i! j!) [delta_i0 B_j + p/(p-1) A_i (delta_j0 - B_j)],
-    A_i = sum_a (-1)^a C(k,a) (-a)^i p^-a, B_j = sum_b (-1)^b C(l-1,b) (-b)^j p^-b.
-    Over (p-1) p^(k+l-1), _local_weights' own denominator, the numerators
-    are the same integers, so every floor is the same."""
-    ak, bl, fact = _c_base_weights(k, l, order_t, order_w)
-    pw = [p**e for e in range(max(k, l - 1) + 1)]
-    A = [sum(c * pw[k - a] for a, c in enumerate(row)) for row in ak]
-    B = [sum(c * pw[l - 1 - b] for b, c in enumerate(row)) for row in bl]
-    one = [pw[l - 1] * (j == 0) - b for j, b in enumerate(B)]  # (delta_j0 - B_j) p^(l-1)
-    head = (p - 1) * pw[k]
-    den = head * pw[l - 1] << guard
-    return [[((head * B[j] if i == 0 else 0) + p * a * one[j]) * logs[i + j] // (den * f)
-             for j, f in enumerate(row)] for i, (a, row) in enumerate(zip(A, fact))]
+    logs[d] = (log p)^d over 2^(bits + guard), guard at least _local_fixed's:
+    t^i w^j sums v (-a)^i (-b)^j (log p)^(i+j) / (den i! j!) over w.  p is a
+    Python int, or a numpy object array of primes with logs[d] over them;
+    each polynomial of _local_jet_weights is evaluated there by Horner's
+    rule.  With alpha, only its part in p^(-alpha w), the monomials with
+    b = alpha: at order_w = 0 that is the t-jet of varphi(p^alpha, s)."""
+    rows, e = _local_jet_weights(gamma, k, l, order_t, order_w, alpha)
+    den = (p - 1) * p**e << guard
+    return [[_horner(c, p) * logs[i + j] // (den * math.factorial(i) * math.factorial(j))
+             for j, c in enumerate(row)] for i, row in enumerate(rows)]
 
 
 def _local_fixed(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int,
                  bits: int, alpha: int | None = None) -> list[list[int]]:
-    """_c_local_fixed on a (log p)^d table of the weights' own guard."""
-    guard = _local_weights(p, gamma, k, l)[2]
+    """_c_local_fixed on a (log p)^d table of the weights' own guard, with
+    2^guard >= 2 sum |v| 3^(a+b) / den at p: it bounds a table unit's growth."""
+    w, e = _local_weights(gamma, k, l)
+    size = 2 * sum(abs(_horner(v, p)) * 3 ** (a + b) for (a, b), v in w)
+    guard = (-(-size // ((p - 1) * p**e)) - 1).bit_length()
     logs = [row[0] for row in log_powers((p,), order_t + order_w, bits + guard)]
     return _c_local_fixed(p, gamma, k, l, order_t, order_w, logs, guard, alpha)
 
@@ -528,18 +525,20 @@ def _c_euler_base(k: int, l: int, order_t: int, order_w: int, prime_cutoff: int,
     and reach the moments' bits; an amplifier above 2^32 widens them by the
     excess, and the product is redone."""
     primes = [int(p) for p in primes_up_to(prime_cutoff)]
-    guard, count = _table_guard(k, l), 3 * len(primes)
+    p, guard, count = np.array(primes, dtype=object), _table_guard(k, l), 3 * len(primes)
     growth = _log_jet_weights(k, l, order_t, order_w, degree)[2]
     tails = _tail_moments(prime_cutoff, degree, order_t + order_w, _guarded_dps(dps, growth))
     bits = max(tails.bits - guard, math.ceil(
         (dps + 10) * math.log2(10) + math.log2(max(count, 1)) + 32))
     narrow = bits  # widened by the excess of an amplifier over 2^32
     while True:
-        logs = zip(*log_powers(tuple(primes), order_t + order_w, bits + guard))
+        logs = [np.array(row, dtype=object)
+                for row in log_powers(tuple(primes), order_t + order_w, bits + guard)]
+        factors = _c_local_fixed(p, 0, k, l, order_t, order_w, logs, guard)
         spread = [[0] * (order_w + 1) for _ in range(order_t + 1)]
         prod = [[(i == j == 0) << bits for j in range(order_w + 1)] for i in range(order_t + 1)]
-        for p, lg in zip(primes, logs):
-            factor = _c_base_fixed(p, k, l, order_t, order_w, lg, guard)
+        for n in range(len(primes)):
+            factor = [[c[n] for c in row] for row in factors]
             prod = _fixed_mul(prod, factor, bits)
             factor[0][0] -= 1 << bits
             spread = [[s + abs(f) for s, f in zip(*rows)] for rows in zip(spread, factor)]
@@ -618,14 +617,12 @@ def _varphi_base(k: int, l: int, Q: int, order_s: int, bits: int) -> tuple[np.nd
     of varphi(p^a)| where that is above 1 (fixed point only).  Only the latest
     base is kept.
 
-    A prime power takes the gamma = 0 closed form, vectorised over primes:
-    with u = 1/p, varphi(p^a) = (-1)^a C(l-1,a) u^a [1 - (1-p^-s)^k / (1-u)],
-    0 for a >= l.  In fixed point the t^r coefficient of (1-p^-s)^k / (1-u) is
-    (-1)^r S_r(p) (log p)^r / (r! (p-1) p^(k-1)), S_r(p) = sum_i C(k,i) i^r
-    (-1)^i p^(k-i), each entry floored once from (log p)^r over 2^(bits +
-    _table_guard), which bounds its weight: under two units off.  float64
-    takes it as u^a [(-1)^a C(l-1,a) + N_a (1-p^-s)^k / (1-u)], with
-    N_a = -(-1)^a C(l-1,a), for a < l.
+    A prime power is the part in p^(-aw) of the gamma = 0 local factor: with
+    u = 1/p, varphi(p^a) = (-1)^a C(l-1,a) u^a [1 - (1-p^-s)^k / (1-u)], 0 for
+    a >= l.  In fixed point that is _c_local_fixed's, once per a < l on the
+    primes with p^a <= Q, from (log p)^r over 2^(bits + _table_guard), which
+    bounds its weight: under two units off.  float64 takes it as
+    u^a [(-1)^a C(l-1,a) + N_a (1-p^-s)^k / (1-u)], N_a = -(-1)^a C(l-1,a).
     Every other q is varphi(p^a) varphi(m) with p^a || q and p = spf(q),
     filled level by level: each pass takes every q whose cofactor m is done,
     so Q <= 4*10^6 needs at most 7 passes.
@@ -637,17 +634,15 @@ def _varphi_base(k: int, l: int, Q: int, order_s: int, bits: int) -> tuple[np.nd
     if bits:
         guard = _table_guard(k, l)
         p = np.array(primes.tolist(), dtype=object)
-        logs = log_powers(tuple(primes.tolist()), n - 1, bits + guard)
-        den = (p - 1) * p ** (k - 1)
-        num = [(den << bits + guard if r == 0 else 0) - np.array(logs[r], dtype=object)
-               * sum((-1) ** (i + r) * comb(k, i) * i**r * p ** (k - i) for i in range(k + 1))
-               for r in range(n)]
+        logs = [np.array(row, dtype=object)
+                for row in log_powers(tuple(primes.tolist()), n - 1, bits + guard)]
         for a in range(1, l):
             cnt = int(np.count_nonzero(p ** a <= Q))
-            den, pe = den[:cnt] * p[:cnt], primes[:cnt] ** a
-            for r in range(n):
-                table[r, pe] = (-1) ** a * comb(l - 1, a) * num[r][:cnt] \
-                    // (den * math.factorial(r) << guard)
+            pe = primes[:cnt] ** a
+            local = _c_local_fixed(p[:cnt], 0, k, l, n - 1, 0, [row[:cnt] for row in logs],
+                                   guard, a)
+            for r, (col,) in enumerate(local):
+                table[r, pe] = col
             size = np.abs(table[:, pe]).sum(axis=0) / (1 << bits)
             norms.update((q, max(g, norms.get(q, 1))) for q, g in zip(primes.tolist(), size)
                          if g > 1)

@@ -9,6 +9,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
+from divcorr import oracle
 from divcorr.cli import main, parse_int_list, parse_rational_list
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -135,6 +136,22 @@ def test_constants_digits_past_30_are_correct(tmp_path):
     with mp.workdps(70):
         for m, text in enumerate(printed):
             assert text == mp.nstr(mp.stieltjes(m), 50), m
+
+
+def test_constants_records_and_tables_compute_every_printed_digit(tmp_path):
+    """constants computed the singular series and the zeta-power tables at
+    --dps (default 40) and printed --digits of them: at 60, a_1(1) = gamma
+    and C_{2,2} = 6/pi^2 went wrong from about the 42nd digit.  Digits above
+    the Stieltjes table's ceiling exit 4, where they were clipped to it."""
+    code, out = run(tmp_path, "constants", "--k", "2", "--l", "2", "--h", "1",
+                    "--P", "2000", "--Q", "2000", "--digits", "60")
+    assert code == 0
+    blob = json.loads((out / "constants.json").read_text())
+    with mp.workdps(90):
+        assert blob["tables"]["zeta_power_a"]["1"][1] == mp.nstr(mp.euler, 60)
+        assert blob["singular_series"][0]["C"] == mp.nstr(6 / mp.pi**2, 60)
+    code, _ = run(tmp_path, "constants", "--digits", "101")
+    assert code == 4
 
 
 def test_polynomial_command(tmp_path):
@@ -415,6 +432,50 @@ def test_empty_cutoff_list_exits_2(tmp_path, capsys, command):
     code, out = run(tmp_path, *argv, "--x", ",")
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["estermann", "--h", "5..1"], "--h"),
+    (["verify", "theorem23", "--h", "5..1"], "--h"),
+    (["verify", "theorem22", "--A", ","], "--A"),
+    (["verify", "corollary3", "--B", ","], "--B"),
+    (["verify", "theorem21", "--q", ","], "--q"),
+    (["constants", "--k", ","], "--k"),
+    (["polynomial", "--l", "3..2"], "--l"),
+    (["predict", "--h", ","], "--h"),
+])
+def test_empty_list_flag_exits_2(tmp_path, capsys, argv, flag):
+    """An empty list flag ran the command over nothing: `estermann --h 5..1`
+    exited 0 and wrote a report with no checks."""
+    cutoffs = ["--x", "1e3"] if argv[0] == "verify" else []
+    code, out = run(tmp_path, *argv, *cutoffs)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["verify", "theorem22", "--k", "1"], "k=1"),
+    (["verify", "theorem22", "--l", "2,1"], "l=1"),
+    (["verify", "corollary3", "--k", "2", "--l", "1", "--A", "1/2", "--B", "1/4",
+      "--h", "1", "--x", "1e7"], "l=1"),
+    (["distribution", "--k", "1"], "k=1"),
+])
+def test_order_below_2_exits_2_before_any_sum(tmp_path, capsys, monkeypatch, argv, value):
+    """k or l below 2 reached conjecture_leading (or bareikis_cdf) only after
+    the brute sums, and failed there with a message that named neither the
+    command nor the flag."""
+    def no_sum(*args, **kwargs):
+        raise AssertionError("a brute sum ran")
+
+    monkeypatch.setattr(oracle, "brute_correlation_decades", no_sum)
+    monkeypatch.setattr(oracle, "empirical_distribution", no_sum)
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert " ".join(argv[:2] if argv[0] == "verify" else argv[:1]) in err and value in err
     assert not out.exists()
 
 

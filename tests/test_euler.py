@@ -4,6 +4,7 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb, gcd
 
 import mpmath as mp
@@ -20,13 +21,10 @@ from divcorr.arith import (
 from divcorr.euler import (
     DEFAULT_PRIME_CUTOFF,
     _SERIES_DEGREE,
-    _c_base_fixed,
     _c_euler_base,
-    _c_local_fixed,
     _fixed_mul,
     _log_local_c_series,
     _local_fixed,
-    _table_guard,
     _prime_tail_log_jet,
     _varphi_base,
     cf_euler_jet,
@@ -38,7 +36,6 @@ from divcorr.euler import (
 )
 from divcorr.errors import PrecisionError
 from divcorr.jets import Jet2
-from divcorr.zeta_series import log_powers
 from second_routes import (
     c_factor_poly,
     c_scalar,
@@ -242,18 +239,6 @@ def test_local_factor_integers_within_two_units():
                     units = max(abs(got[i][j] - mp.ldexp(ref[i, j], bits))
                                 for i in range(4) for j in range(5))
                 assert units < 2, (p, k, l, gamma, units)
-
-
-def test_base_local_factor_closed_form_is_bit_identical():
-    """The gamma = 0 closed form gives the integers of the per-monomial sum
-    over _local_weights, for every p <= 10^3."""
-    primes = tuple(int(p) for p in primes_up_to(1000))
-    for k, l in ((2, 2), (3, 2), (3, 3), (4, 3)):
-        order_t, order_w, guard = k, max(l, k + l - 2), _table_guard(k, l)
-        logs = zip(*log_powers(primes, order_t + order_w, 160 + guard))
-        for p, lg in zip(primes, logs):
-            assert (_c_base_fixed(p, k, l, order_t, order_w, lg, guard)
-                    == _c_local_fixed(p, 0, k, l, order_t, order_w, lg, guard)), (p, k, l)
 
 
 def test_fixed_mul_matches_the_loop_product():
@@ -706,6 +691,33 @@ def test_varphi_mp_shifted_table_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "06da7cb28bc40085ff150549a13f034b92980caf7dd06255f9b2346a3f7f81f1")
 
+
+
+def _mpf_words_digest(nums) -> str:
+    """SHA-256 of the exact mpf words (sign, mantissa, exponent, bit count)."""
+    words = " ".join(f"{s}:{int(m)}:{e}:{bc}" for s, m, e, bc in (c._mpf_ for c in nums))
+    return hashlib.sha256(words.encode()).hexdigest()
+
+
+def test_euler_integers_pinned():
+    """The exact mpf words of the shift-free Euler base (jet and bound) at
+    P = 10^3, dps 40, degree 14 and the jet orders of (k, l), of
+    cf_euler_jet(12, 3, 2, 3, 3) and of singular_constant(6, 5) at dps 30:
+    with test_varphi_mp_shifted_table_pinned, every reader of the local
+    factor's integers must keep them."""
+    want = {
+        (2, 2): "408149e8f00122b2b842deb44c86386e954d5b43e526bf1f957f18f16ee51275",
+        (3, 2): "fe79759343917817190ddbd26a0a55364ad0053724018865c5eddd90941f99d0",
+        (3, 3): "11faebd9d4de1ee2c8ea43f0b9de87e798c70fd50a189f5b31fde6c972d5809c",
+    }
+    for (k, l), digest in want.items():
+        jet, bound, _ = _c_euler_base(k, l, k, max(l, k + l - 2), 1000, 40, 14)
+        assert _mpf_words_digest([*chain.from_iterable(jet.coeffs), bound]) == digest, (k, l)
+    jet, bound = cf_euler_jet(12, 3, 2, 3, 3, dps=40)
+    assert _mpf_words_digest([*chain.from_iterable(jet.coeffs), bound]) == (
+        "86865578baead9ff53dc7505338a74efc5b3108126e2a250e4ef5e0d68b1c7ef")
+    assert _mpf_words_digest(singular_constant(6, 5, dps=30)) == (
+        "d8952e34eb34266dbd5f1c6e2902e4e766121c64f0a4e6cd1f20f223a700240d")
 
 def test_varphi_mp_table_follows_precision():
     """A table built at 30 digits is not reused at 60."""
