@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -49,11 +50,21 @@ def parse_dps(text: str) -> int:
     return dps
 
 
-def parse_digits(text: str) -> int:
-    """--digits: significant digits of each reported number, at least 1."""
-    if (digits := int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"--digits must be at least 1, not {digits}")
-    return digits
+def _at_least_1(flag: str):
+    """The argparse type of an int flag that must be at least 1 (--digits,
+    --threads), naming the flag when it refuses a value."""
+    def int_at_least_1(text: str) -> int:
+        if (value := int(text)) < 1:
+            raise argparse.ArgumentTypeError(f"{flag} must be at least 1, not {value}")
+        return value
+    return int_at_least_1
+
+
+def parse_tol(text: str) -> float:
+    """--tol: the estermann check's absolute tolerance, finite and above 0."""
+    if not (math.isfinite(tol := float(text)) and tol > 0):
+        raise argparse.ArgumentTypeError(f"--tol must be finite and above 0, not {text}")
+    return tol
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -476,7 +487,7 @@ def _add_common(p):
     p.add_argument("--config", help="flat key=value config file, read as flags; CLI flags win")
     p.add_argument("--out-dir", default="reports", help="report directory")
     p.add_argument("--cache-dir", default=".divcorr-cache")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_at_least_1("--threads"), default=1)
     p.add_argument("--dps", type=parse_dps, default=40, help="working decimal digits, 30 to 100")
 
 
@@ -501,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=ints, default=[1])
     p.add_argument("--P", type=int, default=DEFAULT_PRIME_CUTOFF, help="prime cutoff")
     p.add_argument("--Q", type=int, default=10**4, help="Dirichlet truncation")
-    p.add_argument("--digits", type=parse_digits, default=30)
+    p.add_argument("--digits", type=_at_least_1("--digits"), default=30)
     p.add_argument("--stieltjes-terms", type=int, default=6)
     p.set_defaults(func=cmd_constants)
 
@@ -540,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=ints, default=parse_int_list("1..20"))
     p.add_argument("--Q", type=int, default=10**6)
     p.add_argument("--source", choices=["euler", "dirichlet"], default="dirichlet")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=parse_tol, default=1e-8)
     p.set_defaults(func=cmd_estermann)
 
     p = sub.add_parser("distribution", help="partial/full ratio distribution")

@@ -21,11 +21,11 @@ truncation errors far below the working precision instead of the
 1/(P log P) floor a bare cutoff would give.  Every local factor, at p^gamma
 || h for any gamma, is one closed form: integer polynomials in p, built
 once per (gamma, k, l) and evaluated at one prime or a vector of primes.
-Their product over p <= P, the patch at p | h, the varphi prime powers and
-the tail's log-jet run over 2^bits.  The scalar C_{k,l} is that shift-free
-product's constant coefficient (singular_constant): one route, whose series
-degree grows with k and l until its stated bound, truncation plus rounding,
-meets the working precision.
+Their product over p <= P, the patch at p | h and the tail's log-jet run
+over 2^bits; the varphi tables run in float64, with a stated rounding.  The
+scalar C_{k,l} is that shift-free product's constant coefficient
+(singular_constant): one route, whose series degree grows with k and l until
+its stated bound, truncation plus rounding, meets the working precision.
 """
 
 from __future__ import annotations
@@ -52,14 +52,13 @@ from .arith import (
 )
 from .errors import PrecisionError, ResourceBudgetError
 from .jets import Jet2
-from .zeta_series import _zeta_taylor, fixed_logs, log_powers, mobius_sieve
+from .zeta_series import _zeta_taylor, log_powers, mobius_sieve
 
 DEFAULT_PRIME_CUTOFF = 1_000
 _SERIES_DEGREE = 14  # total degree kept in local log-factor expansions
 _MAX_SCALAR_ORDER = 42  # singular_constant's series degree grows to this
 
 MAX_DIRICHLET_Q = 4 * 10**6
-_MP_TABLE_LIMIT = 30_000
 
 
 def _as_factored(h) -> FactoredInteger:
@@ -594,80 +593,29 @@ def cf_euler_jet(h, k: int, l: int, order_t: int, order_w: int,
 # ---------------------------------------------------------------------------
 
 
-def _jet_mul(a, b, bits: int = 0) -> np.ndarray:
+def _jet_mul(a, b) -> np.ndarray:
     """Truncated products of t-jets stored column-wise (row r holds the t^r
-    coefficients): out[i] = sum_{r <= i} a[r] b[i-r], on float64 arrays, or on
-    integers over 2^bits (bits > 0), floored."""
-    out = np.stack([sum(a[r] * b[i - r] for r in range(i + 1)) for i in range(len(a))])
-    return out >> bits if bits else out
+    coefficients): out[i] = sum_{r <= i} a[r] b[i-r]."""
+    return np.stack([sum(a[r] * b[i - r] for r in range(i + 1)) for i in range(len(a))])
 
 
 _CHUNK = 1 << 12  # columns per gather-multiply step, to bound temporaries
+_EXACT_PRIMES = 100  # primes below this enter VarphiTable's majorant one by one
+
+
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u), u = 2^-53: m float64 roundings."""
+    return m * 2.0**-53 / (1 - m * 2.0**-53)
 
 
 def _chunks(a: np.ndarray):
     return (a[i:i + _CHUNK] for i in range(0, len(a), _CHUNK))
 
 
-@lru_cache(maxsize=1)
-def _varphi_base(k: int, l: int, Q: int, order_s: int, bits: int) -> tuple[np.ndarray, dict]:
-    """(table, norms): varphi(q, s) for 0 <= q <= Q at a shift with no prime
-    factor, as a read-only (order_s + 1, Q + 1) array of float64 (bits = 0) or
-    of Python integers over 2^bits, and norms[p] = max_a sum_r |t^r coefficient
-    of varphi(p^a)| where that is above 1 (fixed point only).  Only the latest
-    base is kept.
-
-    A prime power is the part in p^(-aw) of the gamma = 0 local factor: with
-    u = 1/p, varphi(p^a) = (-1)^a C(l-1,a) u^a [1 - (1-p^-s)^k / (1-u)], 0 for
-    a >= l.  In fixed point that is _c_local_fixed's, once per a < l on the
-    primes with p^a <= Q, from (log p)^r over 2^(bits + _table_guard), which
-    bounds its weight: under two units off.  float64 takes it as
-    u^a [(-1)^a C(l-1,a) + N_a (1-p^-s)^k / (1-u)], N_a = -(-1)^a C(l-1,a).
-    Every other q is varphi(p^a) varphi(m) with p^a || q and p = spf(q),
-    filled level by level: each pass takes every q whose cofactor m is done,
-    so Q <= 4*10^6 needs at most 7 passes.
-    """
-    n = order_s + 1
-    primes = primes_up_to(Q)
-    table, norms = np.zeros((n, Q + 1), dtype=object if bits else np.float64), {}
-    table[0, 1] = 1 << bits if bits else 1.0
-    if bits:
-        guard = _table_guard(k, l)
-        p = np.array(primes.tolist(), dtype=object)
-        logs = [np.array(row, dtype=object)
-                for row in log_powers(tuple(primes.tolist()), n - 1, bits + guard)]
-        for a in range(1, l):
-            cnt = int(np.count_nonzero(p ** a <= Q))
-            pe = primes[:cnt] ** a
-            local = _c_local_fixed(p[:cnt], 0, k, l, n - 1, 0, [row[:cnt] for row in logs],
-                                   guard, a)
-            for r, (col,) in enumerate(local):
-                table[r, pe] = col
-            size = np.abs(table[:, pe]).sum(axis=0) / (1 << bits)
-            norms.update((q, max(g, norms.get(q, 1))) for q, g in zip(primes.tolist(), size)
-                         if g > 1)
-    else:
-        p = primes.astype(np.float64)
-        logp = np.log(p)
-        u = 1 / p
-        # (1 - p^-s)^k = sum_i C(k,i) (-u)^i e^(-i t log p): its t^r coefficient is
-        # (-log p)^r / r! times sum_i C(k,i) i^r (-u)^i
-        xk = []
-        for r in range(n):
-            acc = 0 * u
-            for i in range(k, -1, -1):
-                acc = acc * -u + comb(k, i) * i**r
-            xk.append(acc * (-logp) ** r / math.factorial(r))
-        # pe = p^a for the primes with p^a <= Q, a prefix of them; front = u^a / (1-u)
-        pe, front = primes, u / (1 - u)
-        for a in range(1, l):
-            cnt = len(pe)
-            n_a = -(-1) ** a * comb(l - 1, a)
-            for r in range(n):
-                table[r, pe] = n_a * front * xk[r][:cnt]
-            table[0, pe] += (-1) ** a * comb(l - 1, a) * u[:cnt] ** a
-            cnt = int(np.count_nonzero(pe <= Q // primes[:cnt]))
-            pe, front = pe[:cnt] * primes[:cnt], front[:cnt] * u[:cnt]
+def _fill_order(Q: int):
+    """(qs, ms), chunk by chunk: every q <= Q but 1 and the prime powers, with
+    m = q / p^a, p^a || q, p = spf(q), one level of distinct prime factors at
+    a time (each level's m are done before it), so at most 7 for Q <= 4*10^6."""
     spf = spf_array(Q).astype(np.int32)
     spf[0] = 1
     # cofactor m = q / p^a: p divides q/p iff spf(q/p) = p, as no prime of q is below p
@@ -682,113 +630,141 @@ def _varphi_base(k: int, l: int, Q: int, order_s: int, bits: int) -> tuple[np.nd
     while len(pending):
         ready = done[m[pending]]
         for qs in _chunks(pending[ready]):
-            ms = m[qs]
-            table[:, qs] = _jet_mul(table[:, qs // ms], table[:, ms], bits)
+            yield qs, m[qs]
         done[pending] = ready
         pending = pending[~ready]
+
+
+@lru_cache(maxsize=1)
+def _varphi_base(k: int, l: int, Q: int, order_s: int) -> tuple[np.ndarray, dict]:
+    """(table, sizes): varphi(q, s), 0 <= q <= Q, at a shift with no prime
+    factor, a read-only (order_s + 1, Q + 1) float64 array (only the latest
+    is kept), and VarphiTable's (E, W) for each prime below _EXACT_PRIMES,
+    summed over the rest at key 0.  With u = 1/p, varphi(p^a) is the
+    p^(-aw) part of the gamma = 0 local factor, 0 for a >= l, evaluated as
+    u^a [(-1)^a C(l-1,a) + N_a (1-p^-s)^k / (1-u)], N_a = -(-1)^a C(l-1,a);
+    every other q is varphi(p^a) varphi(m), in _fill_order.  Its t^r entry
+    rounds by at most E = gamma_K C(l-1,a) [u^a (r = 0) + u^a / (1-u)
+    sum_i C(k,i) i^r u^i (log p)^r / r!], the form with its terms made
+    positive (Higham, Accuracy and Stability of Numerical Algorithms, 2002),
+    K = 3k + 8 order_s + 2l + 9: Horner in -fl(1/p) (3k), (log p)^r by a log
+    within 4 ulp and pow within 1 (8r + 2), its product and 1/r! (2),
+    u^a / (1-u) (2a + 2), N_a and its product (2); at r = 0, C u^a (a + 3)
+    and the sum (1).  This covers the cancellation in 1 - (1-u)^(k-1) by
+    the terms' size.  W = |entry| + E bounds both entry and value."""
+    n, primes = order_s + 1, primes_up_to(Q)
+    table = np.zeros((n, Q + 1))
+    table[0, 1] = 1.0
+    logp, u = np.log(primes), 1 / primes
+    # (1 - p^-s)^k = sum_i C(k,i) (-u)^i e^(-i t log p): its t^r coefficient is
+    # (-log p)^r / r! times sum_i C(k,i) i^r (-u)^i; xbar, its terms' sizes
+    xk, xbar = [], []
+    for r in range(n):
+        acc, size = 0 * u, 0 * u
+        for i in range(k, -1, -1):
+            acc, size = acc * -u + comb(k, i) * i**r, size * u + comb(k, i) * i**r
+        xk.append(acc * (-logp) ** r / math.factorial(r))
+        xbar.append(size * logp**r / math.factorial(r))
+    gamma, (E, W) = _gamma(3 * k + 8 * order_s + 2 * l + 9), np.zeros((2, n, len(primes)))
+    # pe = p^a for the primes with p^a <= Q, a prefix of them; front = u^a / (1-u)
+    pe, front = primes, u / (1 - u)
+    for a in range(1, l):
+        cnt, c = len(pe), comb(l - 1, a)
+        for r in range(n):
+            table[r, pe] = -(-1) ** a * c * front * xk[r][:cnt]
+            E[r, :cnt] += gamma * c * (front * xbar[r][:cnt] + (r == 0) * u[:cnt] ** a)
+        table[0, pe] += (-1) ** a * c * u[:cnt] ** a
+        W[:, :cnt] += np.abs(table[:, pe])
+        cnt = int(np.count_nonzero(pe <= Q // primes[:cnt]))
+        pe, front = pe[:cnt] * primes[:cnt], front[:cnt] * u[:cnt]
+    W += E
+    cut = int(np.searchsorted(primes, _EXACT_PRIMES))
+    sizes = {q: (E[:, i].copy(), W[:, i].copy()) for i, q in enumerate(primes[:cut].tolist())}
+    sizes[0] = (E[:, cut:].sum(axis=1), W[:, cut:].sum(axis=1))
+    for qs, ms in _fill_order(Q):
+        table[:, qs] = _jet_mul(table[:, qs // ms], table[:, ms])
     table.flags.writeable = False
-    return table, norms
+    return table, sizes
 
 
-def _shift_table(base: np.ndarray, hfac: FactoredInteger, k: int, l: int, bits: int):
-    """(table, norms): varphi(q, s) at shift h for 0 <= q <= Q, read-only, and
-    norms[p], the largest sum of |coefficients| of a local jet at p.  With no
-    p | h up to Q the table is the shared base itself; otherwise it is one
-    copy of the base, in which, prime by prime in increasing order,
-    varphi_h(p^a m) = varphi_h(p^a) varphi_h(m) for every m with p not
-    dividing m rewrites the multiples of p, one jet product per column.  The
-    local jets are _local_fixed's, over the base's 2^bits or, for float64,
-    2^128."""
+def _shift_table(base: np.ndarray, hfac: FactoredInteger, k: int, l: int):
+    """(table, sizes): varphi(q, s) at shift h for 0 <= q <= Q, read-only, and
+    VarphiTable's (E, W) for each p | h up to Q.  With no such p the table is
+    the shared base; otherwise one copy of it, in which, p by p in increasing
+    order, varphi_h(p^a m) = varphi_h(p^a) varphi_h(m), p not dividing m,
+    rewrites the multiples of p.  The local jets are the nearest doubles of
+    _local_fixed's over 2^128, under two units off: E = u |jet| + 2^-127."""
     n, Q = base.shape[0], base.shape[1] - 1
     factors = [(p, g) for p, g in hfac.factors if p <= Q]
     if not factors:
         return base, {}
-    table, norms, unit = base.copy(), {}, 1 << (bits or 128)
+    table, sizes, unit = base.copy(), {}, 1 << 128
     for p, gamma in factors:
-        pe, a = p, 1
+        pe, a, E, W = p, 1, 0, 0
         while pe <= Q:
-            loc = [row[0] for row in _local_fixed(p, gamma, k, l, n - 1, 0, bits or 128, a)]
-            norms[p] = max(norms.get(p, 0.0), sum(map(abs, loc)) / unit)
-            loc = np.array(loc if bits else [c / unit for c in loc], dtype=base.dtype)
+            loc = np.array([row[0] / unit for row in _local_fixed(p, gamma, k, l, n - 1, 0, 128, a)])
+            E, W = E + _gamma(1) * abs(loc) + 2.0**-127, W + abs(loc)
             ms = np.arange(1, Q // pe + 1, dtype=np.int32)
             for part in _chunks(ms[ms % p != 0]):
-                table[:, pe * part] = _jet_mul(loc[:, None], table[:, part], bits)
+                table[:, pe * part] = _jet_mul(loc[:, None], table[:, part])
             pe, a = pe * p, a + 1
+        sizes[p] = (E, W + E)
     table.flags.writeable = False
-    return table, norms
+    return table, sizes
 
 
 class VarphiTable:
-    """varphi(q, s) jets for q <= Q, stored as coefficient rows in t = s - 1.
+    """varphi(q, s) jets for q <= Q as float64 rows in t = s - 1: the shared
+    shift-free base (_varphi_base) when h has no prime p <= Q, else a copy
+    of it rewritten at the multiples of each such p | h (_shift_table).
 
-    Mode "mp" holds Python integers over 2^bits and hands out mpmath numbers
-    at the working precision; mode "float" keeps float64 for large Q, where
-    the q-truncation tail dwarfs double-precision rounding; `bits` is 0 for
-    float64.  The shift-free table is shared, read-only, by every table with
-    the same (k, l, Q, order_s, bits) whose h has no prime p <= Q; any other
-    holds one read-only copy of it, with the multiples of each such p | h
-    rewritten (_shift_table).  In mode "mp", every stored integer is within
-    `error` = 4 omega G units of its value, with omega the most prime factors
-    of a q <= Q and G = `norm`, the product over p of max(1, the largest sum
-    of |coefficients| of a local jet at p), which bounds every column's: a
-    product rounds once and carries its factors' errors by their sums,
-    3 omega(q) G units by induction on omega(q), from prime powers under two.
-    bits keeps dirichlet_partials' stated rounding, about Q 4 omega G
-    (log Q + 1)^j units (omega <= 7, j <= order_s + l covers the default
-    w-order), under 10^-(dps+10) while G < 2^16 (1 to 17 for k, l <= 3 and
-    h | 96).
-    """
+    `mass[i]` bounds sum_{q<=Q} |varphi_i(q)|, entries and values, and
+    `fill_error[i]` sum_q |entry - value|.  An entry is a chain of jet
+    products over q's prime powers, each rounding by at most gamma_n times
+    its factors' sizes (Higham 3.1).  With W(p^a) >= |entry|, |value| and
+    E(p^a) >= |entry - value|, induction down the chain bounds q's rounding
+    by (1 + gamma_n)^omega sum_{p^a || q} (E + gamma_n W)(p^a) prod_{other
+    p^b || q} W(p^b), omega the most prime factors of a q <= Q.  Summed over
+    q these are terms of prod_p (1 + S_p), S_p = sum_a W(p^a), taken one by
+    one below _EXACT_PRIMES and as exp(sum S_p) above (1 + S <= e^S
+    termwise): sizes[p] = (sum_a E(p^a), S_p), sizes[0] the rest's sums."""
 
-    def __init__(self, h, k: int, l: int, Q: int, order_s: int, mode: str):
-        if mode not in ("mp", "float"):
-            raise ValueError(f"unknown varphi table mode {mode!r}")
+    def __init__(self, h, k: int, l: int, Q: int, order_s: int):
         if Q > MAX_DIRICHLET_Q:
             raise ResourceBudgetError(f"varphi table Q={Q} over budget {MAX_DIRICHLET_Q}")
         if Q < 1:
             raise ValueError("varphi table requires Q >= 1")
-        hfac = _as_factored(h)
-        self.h, self.k, self.l = int(hfac.value), k, l
-        self.Q, self.order_s = Q, order_s
-        self.bits = 0 if mode == "float" else math.ceil(
-            (mp.mp.dps + 10) * math.log2(10) + math.log2(32 * Q)
-            + (order_s + l) * math.log2(math.log(Q) + 1)) + 16
-        base, norms = _varphi_base(k, l, Q, order_s, self.bits)
-        self._table, local = _shift_table(base, hfac, k, l, self.bits)
+        hfac, n = _as_factored(h), order_s + 1
+        self.h, self.k, self.l, self.Q, self.order_s = int(hfac.value), k, l, Q, order_s
+        base, sizes = _varphi_base(k, l, Q, order_s)
+        self._table, local = _shift_table(base, hfac, k, l)
+        g, (E, W) = _gamma(n), sizes[0]
+        prod = [math.exp(W[0])]  # exp of the jet W: r e_r = sum_{0<s<=r} s W_s e_(r-s)
+        for r in range(1, n):
+            prod.append(sum(s * W[s] * prod[r - s] for s in range(1, r + 1)) / r)
+        spread = E + g * W
+        for E, W in (v for p, v in {**sizes, **local}.items() if p):
+            prod, spread = _jet_mul(prod, W + np.eye(1, n)[0]), spread + E + g * W
         omega = int(np.searchsorted(np.cumprod(primes_up_to(30).astype(float)), Q, side="right"))
-        self.norm = math.prod(max(1.0, g) for g in {**norms, **local}.values())
-        self.error = 4 * omega * self.norm
-
-    def _stored(self, qs: np.ndarray) -> np.ndarray:
-        """Columns qs of the stored table, gathered into a fresh array (a
-        slice view changes the last bits of np.dot over float64 rows)."""
-        return self._table[:, qs]
-
-    def _numbers(self, stored: np.ndarray) -> np.ndarray:
-        if not self.bits:
-            return stored
-        return np.frompyfunc(lambda c: mp.ldexp(c, -self.bits), 1, 1)(stored)
+        self.mass = (1 + g) ** omega * np.array(prod)
+        self.fill_error = (1 + g) ** omega * _jet_mul(spread, prod)
 
     def columns(self, qs: np.ndarray) -> np.ndarray:
-        """The coefficients of varphi(q, s) for q in qs (row r: t^r), as a
-        fresh array."""
-        return self._numbers(self._stored(qs))
+        """varphi(q, s) for q in qs (row r: t^r), as a fresh array (a slice
+        view changes the last bits of np.dot)."""
+        return self._table[:, qs]
 
 
-def varphi_table(h, k: int, l: int, Q: int, order_s: int, mode: str = "auto") -> VarphiTable:
-    if mode == "auto":
-        mode = "mp" if Q <= _MP_TABLE_LIMIT else "float"
-    return VarphiTable(h, k, l, Q, order_s, mode)
+def varphi_table(h, k: int, l: int, Q: int, order_s: int) -> VarphiTable:
+    return VarphiTable(h, k, l, Q, order_s)
 
 
 @dataclass
 class DirichletPartials:
-    """Truncated mixed partials of sum_q varphi(q,s) q^(-w) at (1,0).
-
+    """Truncated mixed partials of sum_q varphi(q,s) q^(-w) at (1,0):
     jet[i][j] = (1/i!j!) d^i_s d^j_w of the partial sum; tails[i][j] is the
     magnitude of the last decade's contribution, the empirical tail proxy;
-    rounding bounds the fixed-point fill's error in every jet[i][j] (0 in
-    float64, whose rounding is measured, not stated).
-    """
+    rounding bounds the float64 error in every jet[i][j] (dirichlet_partials)."""
 
     h: int
     k: int
@@ -803,56 +779,39 @@ class DirichletPartials:
 
 
 def dirichlet_partials(h, k: int, l: int, Q: int, order_t: int | None = None,
-                       order_w: int | None = None, mode: str = "auto") -> DirichletPartials:
-    """Assemble D[i][j] = sum_{q<=Q} varphi_i(q) (-log q)^j / j! with tail data.
-
-    In mode "mp" the sums are exact integer dots of the table's integers with
-    (-log q)^j over 2^lb, lb = bits + _table_guard, each power floored and
-    log q = sum v_p(q) log p from the fixed-point logs the base's (log p)^d
-    table reads (fixed_logs, under two units low); D[i][j] becomes
-    an mpf once, at the table's precision.  The stated rounding, with the
-    table's e = `error`, G = `norm` and L = log Q + 1, is the largest over j of
-    Q [(e + 2G) L^j 2^-bits + G j L^(j-1) (2 log2 Q + 1) 2^-lb] / j!: each
-    entry's error times (log q)^j, the powers' errors (log q is under two
-    units low, inside the 2 Omega(q) allowed for) times |varphi_i(q)| <= G,
-    and 2G for the conversion.
-    """
+                       order_w: int | None = None) -> DirichletPartials:
+    """D[i][j] = sum_{q<=Q} varphi_i(q) (-log q)^j / j! with tail data: float64
+    dots of the table's rows with (-log q)^j, chunk by chunk.  The stated
+    rounding is twice the largest over i, j of (log Q)^j / j! [fill_error[i]
+    + gamma_N mass[i]], N = 9j + _CHUNK + Q / _CHUNK + 3: (-log q)^j by a log
+    within 4 ulp and j products (9j), a chunk's dot (Higham 3.1), the sum
+    over chunks and head + last; the 2 covers the bound's own float sums."""
     order_t = order_t if order_t is not None else k
     order_w = order_w if order_w is not None else max(l, k + l - 2)
-    table = varphi_table(h, k, l, Q, order_t, mode)
-    bits = table.bits
-    if bits:
-        lb = bits + _table_guard(k, l)
-        logq = np.array(fixed_logs(Q, lb), dtype=object)
-        neglog, one, floor = (lambda qs: -logq[qs]), 1 << lb, (lambda x: x >> lb)
-    else:
-        lb, neglog, one, floor = 0, (lambda qs: -np.log(qs)), 1.0, (lambda x: x)
+    table = varphi_table(h, k, l, Q, order_t)
 
     def block_sums(lo: int, hi: int) -> list:
         """sum over lo <= q < hi of varphi_i(q) (-log q)^j, block by block."""
         S = [[0] * (order_w + 1) for _ in range(order_t + 1)]
         for start in range(lo, hi, _CHUNK):
             qs = np.arange(start, min(start + _CHUNK, hi))
-            cols, logs = table._stored(qs), neglog(qs)
-            wpow = np.full(len(qs), one, dtype=logs.dtype)
+            cols, logs = table.columns(qs), -np.log(qs)
+            wpow = np.ones(len(qs))
             for j in range(order_w + 1):
                 for i in range(order_t + 1):
                     S[i][j] += np.dot(cols[i], wpow)
-                wpow = floor(wpow * logs)
+                wpow = wpow * logs
         return S
 
     head, last = block_sums(1, Q // 10 + 1), block_sums(Q // 10 + 1, Q + 1)
-    with mp.workprec(max(bits, mp.mp.prec)):
-        D = [[mp.ldexp(head[i][j] + last[i][j], -bits - lb) / math.factorial(j)
+    D = [[mp.mpf(head[i][j] + last[i][j]) / math.factorial(j)
+          for j in range(order_w + 1)] for i in range(order_t + 1)]
+    tails = [[abs(mp.mpf(last[i][j])) / math.factorial(j)
               for j in range(order_w + 1)] for i in range(order_t + 1)]
-        tails = [[abs(mp.ldexp(last[i][j], -bits - lb)) / math.factorial(j)
-                  for j in range(order_w + 1)] for i in range(order_t + 1)]
-    rounding = 0.0
-    if bits:
-        L, e, G = math.log(Q) + 1, table.error, table.norm
-        rounding = max(Q * ((e + 2 * G) * L**j * 2.0**-bits
-                            + G * j * L ** (j - 1) * (2 * math.log2(Q) + 1) * 2.0**-lb)
-                       / math.factorial(j) for j in range(order_w + 1))
+    L, N = math.log(Q), _CHUNK + Q // _CHUNK + 3
+    rounding = 2 * max(L**j / math.factorial(j)
+                       * (table.fill_error[i] + _gamma(N + 9 * j) * table.mass[i])
+                       for i in range(order_t + 1) for j in range(order_w + 1))
     return DirichletPartials(h=table.h, k=k, l=l, Q=Q, jet=Jet2(D), tails=tails,
                              rounding=rounding)
 

@@ -1,8 +1,10 @@
 """Second routes that only the tests use: v_p(h), the local Euler factor
 jets of C(s,w) f(s,w), the varphi coefficient rows and jets of a table, phi
 and varphi per q as products of mpmath local jets, the scalar constant
-C_{k,l} as an mpf product with its log series in 1/p, the phi partial sum
-through the varphi convolution, the secondary term from explicit boundary
+C_{k,l} as an mpf product with its log series in 1/p, the fixed-point
+varphi fill with its partials and their stated rounding (the reference for
+the package's float64 tables), the phi partial sum through the varphi
+convolution, the secondary term from explicit boundary
 weights, the strided d_k sieve, the beta law by quadrature, the
 c-coefficients by jet division, the Moebius log-moments by a direct sieve,
 the (log p)^d table and the zeta jets in mpmath arithmetic, the residue
@@ -10,6 +12,7 @@ pipeline for the polynomial coefficients, and the jet of t or w, the log
 of a jet and a jet's value at a point.
 They arbitrate the library's routes and are not part of the package."""
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,18 +31,33 @@ from divcorr.arith import (
     primes_up_to,
 )
 from divcorr.asympt import CoefficientContext, coefficient_context
+from divcorr.errors import ResourceBudgetError
 from divcorr.euler import (
+    _CHUNK,
+    MAX_DIRICHLET_Q,
+    DirichletPartials,
     _as_factored,
+    _c_local_fixed,
+    _chunks,
     _dl1,
+    _fill_order,
     _guarded_dps,
     _jet_from_fixed,
+    _jet_mul,
     _local_fixed,
     _mpf_frac,
+    _table_guard,
     _tail_moments,
-    varphi_table,
 )
 from divcorr.jets import Jet2, JetSingularityError
-from divcorr.zeta_series import mobius_sieve, zeta_power_coeffs, zeta_power_jet
+from divcorr.zeta_series import (
+    c_coeffs,
+    fixed_logs,
+    log_powers,
+    mobius_sieve,
+    zeta_power_coeffs,
+    zeta_power_jet,
+)
 
 
 def exponent_of(h, p: int) -> int:
@@ -55,9 +73,9 @@ def cf_local_jet(p: int, gamma: int, k: int, l: int, order_t: int, order_w: int)
 
 
 def coefficient_array(table, i: int) -> np.ndarray:
-    """The t^i coefficients of a VarphiTable's varphi(q, s) for q = 0..Q (0
+    """The t^i coefficients of a varphi table's varphi(q, s) for q = 0..Q (0
     at q = 0), as a fresh array."""
-    return table._numbers(table._table[i].copy())
+    return table.columns(np.arange(table.Q + 1))[i]
 
 
 def varphi_jet(table, q: int) -> Jet2:
@@ -65,6 +83,157 @@ def varphi_jet(table, q: int) -> Jet2:
     if not 1 <= q <= table.Q:
         raise IndexError(f"q={q} outside table range")
     return Jet2([[c] for c in table.columns(np.array([q]))[:, 0]])
+
+
+# --- the fixed-point varphi fill -------------------------------------------
+
+
+@lru_cache(maxsize=1)
+def fixed_varphi_base(k: int, l: int, Q: int, order_s: int, bits: int) -> tuple[np.ndarray, dict]:
+    """(table, norms): varphi(q, s) for 0 <= q <= Q at a shift with no prime
+    factor, as a read-only (order_s + 1, Q + 1) array of Python integers over
+    2^bits, and norms[p] = max_a sum_r |t^r coefficient of varphi(p^a)| where
+    that is above 1.  Only the latest base is kept.  A prime power is
+    _c_local_fixed's part in p^(-aw) of the gamma = 0 local factor, once per
+    a < l on the primes with p^a <= Q, from (log p)^r over
+    2^(bits + _table_guard), which bounds its weight: under two units off.
+    Every other q is varphi(p^a) varphi(m), in the order of _fill_order, each
+    jet product floored."""
+    n = order_s + 1
+    primes = primes_up_to(Q)
+    table, norms = np.zeros((n, Q + 1), dtype=object), {}
+    table[0, 1] = 1 << bits
+    guard = _table_guard(k, l)
+    p = np.array(primes.tolist(), dtype=object)
+    logs = [np.array(row, dtype=object)
+            for row in log_powers(tuple(primes.tolist()), n - 1, bits + guard)]
+    for a in range(1, l):
+        cnt = int(np.count_nonzero(p ** a <= Q))
+        pe = primes[:cnt] ** a
+        local = _c_local_fixed(p[:cnt], 0, k, l, n - 1, 0, [row[:cnt] for row in logs], guard, a)
+        for r, (col,) in enumerate(local):
+            table[r, pe] = col
+        size = np.abs(table[:, pe]).sum(axis=0) / (1 << bits)
+        norms.update((q, max(g, norms.get(q, 1))) for q, g in zip(primes.tolist(), size) if g > 1)
+    for qs, ms in _fill_order(Q):
+        table[:, qs] = _jet_mul(table[:, qs // ms], table[:, ms]) >> bits
+    table.flags.writeable = False
+    return table, norms
+
+
+def fixed_shift_table(base: np.ndarray, hfac, k: int, l: int, bits: int):
+    """(table, norms): the integer table at shift h, read-only, and norms[p],
+    the largest sum of |coefficients| of a local jet at p: the base itself
+    when no p | h is up to Q, else one copy with the multiples of each such
+    p rewritten from _local_fixed's jets over the base's 2^bits."""
+    n, Q = base.shape[0], base.shape[1] - 1
+    factors = [(p, g) for p, g in hfac.factors if p <= Q]
+    if not factors:
+        return base, {}
+    table, norms = base.copy(), {}
+    for p, gamma in factors:
+        pe, a = p, 1
+        while pe <= Q:
+            loc = [row[0] for row in _local_fixed(p, gamma, k, l, n - 1, 0, bits, a)]
+            norms[p] = max(norms.get(p, 0.0), sum(map(abs, loc)) / (1 << bits))
+            loc = np.array(loc, dtype=object)
+            ms = np.arange(1, Q // pe + 1, dtype=np.int32)
+            for part in _chunks(ms[ms % p != 0]):
+                table[:, pe * part] = _jet_mul(loc[:, None], table[:, part]) >> bits
+            pe, a = pe * p, a + 1
+    table.flags.writeable = False
+    return table, norms
+
+
+class FixedVarphiTable:
+    """varphi(q, s) jets for q <= Q as Python integers over 2^bits, handed
+    out as mpmath numbers.  Every stored integer is within `error` =
+    4 omega G units of its value, with omega the most prime factors of a
+    q <= Q and G = `norm`, the product over p of max(1, the largest sum of
+    |coefficients| of a local jet at p), which bounds every column's: a
+    product rounds once and carries its factors' errors by their sums,
+    3 omega(q) G units by induction on omega(q), from prime powers under
+    two.  bits keeps fixed_partials' stated rounding, about
+    Q 4 omega G (log Q + 1)^j units (omega <= 7, j <= order_s + l covers the
+    default w-order), under 10^-(dps+10) while G < 2^16 (1 to 17 for
+    k, l <= 3 and h | 96)."""
+
+    def __init__(self, h, k: int, l: int, Q: int, order_s: int):
+        if Q > MAX_DIRICHLET_Q:
+            raise ResourceBudgetError(f"varphi table Q={Q} over budget {MAX_DIRICHLET_Q}")
+        hfac = _as_factored(h)
+        self.h, self.k, self.l, self.Q, self.order_s = int(hfac.value), k, l, Q, order_s
+        self.bits = math.ceil((mp.mp.dps + 10) * math.log2(10) + math.log2(32 * Q)
+                              + (order_s + l) * math.log2(math.log(Q) + 1)) + 16
+        base, norms = fixed_varphi_base(k, l, Q, order_s, self.bits)
+        self._table, local = fixed_shift_table(base, hfac, k, l, self.bits)
+        omega = int(np.searchsorted(np.cumprod(primes_up_to(30).astype(float)), Q, side="right"))
+        self.norm = math.prod(max(1.0, g) for g in {**norms, **local}.values())
+        self.error = 4 * omega * self.norm
+
+    def _stored(self, qs: np.ndarray) -> np.ndarray:
+        """The integers of columns qs, as a fresh array."""
+        return self._table[:, qs]
+
+    def columns(self, qs: np.ndarray) -> np.ndarray:
+        """varphi(q, s) for q in qs (row r: t^r), as mpmath numbers."""
+        return np.frompyfunc(lambda c: mp.ldexp(c, -self.bits), 1, 1)(self._stored(qs))
+
+
+def fixed_partials(h, k: int, l: int, Q: int, order_t: int | None = None,
+                   order_w: int | None = None) -> DirichletPartials:
+    """dirichlet_partials on the fixed-point table: exact integer dots of the
+    table's integers with (-log q)^j over 2^lb, lb = bits + _table_guard,
+    each power floored and log q = sum v_p(q) log p from the fixed-point
+    logs the base's (log p)^d table reads (fixed_logs, under two units low);
+    D[i][j] becomes an mpf once, at the table's precision.  The stated
+    rounding, with the table's e = `error`, G = `norm` and L = log Q + 1, is
+    the largest over j of
+    Q [(e + 2G) L^j 2^-bits + G j L^(j-1) (2 log2 Q + 1) 2^-lb] / j!: each
+    entry's error times (log q)^j, the powers' errors (log q is under two
+    units low, inside the 2 Omega(q) allowed for) times |varphi_i(q)| <= G,
+    and 2G for the conversion."""
+    order_t = order_t if order_t is not None else k
+    order_w = order_w if order_w is not None else max(l, k + l - 2)
+    table = FixedVarphiTable(h, k, l, Q, order_t)
+    bits = table.bits
+    lb = bits + _table_guard(k, l)
+    logq = np.array(fixed_logs(Q, lb), dtype=object)
+
+    def block_sums(lo: int, hi: int) -> list:
+        S = [[0] * (order_w + 1) for _ in range(order_t + 1)]
+        for start in range(lo, hi, _CHUNK):
+            qs = np.arange(start, min(start + _CHUNK, hi))
+            cols, logs = table._stored(qs), -logq[qs]
+            wpow = np.full(len(qs), 1 << lb, dtype=object)
+            for j in range(order_w + 1):
+                for i in range(order_t + 1):
+                    S[i][j] += np.dot(cols[i], wpow)
+                wpow = (wpow * logs) >> lb
+        return S
+
+    head, last = block_sums(1, Q // 10 + 1), block_sums(Q // 10 + 1, Q + 1)
+    with mp.workprec(max(bits, mp.mp.prec)):
+        D = [[mp.ldexp(head[i][j] + last[i][j], -bits - lb) / math.factorial(j)
+              for j in range(order_w + 1)] for i in range(order_t + 1)]
+        tails = [[abs(mp.ldexp(last[i][j], -bits - lb)) / math.factorial(j)
+                  for j in range(order_w + 1)] for i in range(order_t + 1)]
+    L, e, G = math.log(Q) + 1, table.error, table.norm
+    rounding = max(Q * ((e + 2 * G) * L**j * 2.0**-bits
+                        + G * j * L ** (j - 1) * (2 * math.log2(Q) + 1) * 2.0**-lb)
+                   / math.factorial(j) for j in range(order_w + 1))
+    return DirichletPartials(h=table.h, k=k, l=l, Q=Q, jet=Jet2(D), tails=tails,
+                             rounding=rounding)
+
+
+def fixed_context(h: int, k: int, l: int, Q: int) -> CoefficientContext:
+    """coefficient_context(h, k, l, source="dirichlet", Q=Q) built from
+    fixed_partials: the matched-truncation checks' shared inputs."""
+    dp = fixed_partials(h, k, l, Q)
+    return CoefficientContext(
+        h=int(h), k=k, l=l, partials=dp.jet,
+        a_l1=zeta_power_coeffs(l - 1, max(l, k + l - 2) + 1), c_k=c_coeffs(k, k + 1),
+        source="dirichlet", tail_bound=dp.tail_bound(), tails=dp.tails)
 
 
 def variable_t(order_t: int, order_w: int) -> Jet2:
@@ -387,7 +556,7 @@ def phi_partial_sum_jet(h: int, k: int, l: int, Q: int, order_s: int) -> Jet2:
     phi(s,q) = sum_{d|q} varphi(d,s) d_{l-1}(q/d)/(q/d), so the partial sum
     is sum_{d<=Q} varphi(d,s) * H_{l-1}(Q/d) with H the weighted divisor sum.
     """
-    table = varphi_table(h, k, l, Q, order_s, mode="mp")
+    table = FixedVarphiTable(h, k, l, Q, order_s)
     dl1 = divisor_count_array(Q, l - 1) if l >= 2 else None
     # H[m] = sum_{q<=m} d_{l-1}(q)/q as mpf, computed once by prefix sums
     acc = mp.mpf(0)

@@ -35,7 +35,6 @@ from divcorr.asympt import (
     ap_main_term,
     b_coefficient,
     bareikis_cdf,
-    coefficient_context,
     conjecture_leading,
     correlation_leading,
     estermann_coefficients,
@@ -52,7 +51,7 @@ from divcorr.oracle import (
     partial_divisor_array,
 )
 from divcorr.zeta_series import c_coeffs, euler_gamma, zeta_power_coeffs
-from second_routes import c_coeffs_via_division, residue_polynomial_routes
+from second_routes import c_coeffs_via_division, fixed_context, residue_polynomial_routes
 
 BIG_X = 10**7
 
@@ -294,7 +293,7 @@ def test_criterion_8_residue_arbitration():
         Af = A.mpf()
         for (k, l) in ((2, 2), (3, 2)):
             for h in (1, 2):
-                ctx = coefficient_context(h, k, l, source="dirichlet", Q=Q)
+                ctx = fixed_context(h, k, l, Q)
                 rr = residue_polynomial_routes(h, k, l, A, Q, ctx=ctx)
                 for d in range(k + l - 1):
                     target = mp.mpf(0)

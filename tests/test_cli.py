@@ -217,6 +217,23 @@ def test_digits_below_1_exits_2(tmp_path, capsys, digits):
     assert "--digits must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "0"])
+def test_tol_not_finite_and_positive_exits_2(tmp_path, capsys, tol):
+    """--tol nan exited 5, a consistency failure, and --tol inf or -1 exited
+    0 with every shift "ok"."""
+    code, out = run(tmp_path, "estermann", "--h", "1", "--Q", "100", f"--tol={tol}")
+    assert code == 2 and not out.exists()
+    assert "--tol must be finite and above 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_1_exits_2(tmp_path, capsys, threads):
+    """--threads 0 and -3 were taken as 1 by the sieve."""
+    code, out = run(tmp_path, "sieve", "--k", "2", "--hi", "1000", f"--threads={threads}")
+    assert code == 2 and not (tmp_path / "cache").exists()
+    assert "--threads must be at least 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["polynomial", "--A", "1/0"],
                                   ["distribution", "--A", "1/0"],
                                   ["verify", "theorem22", "--B", "1/0", "--x", "1e3"],

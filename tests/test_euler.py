@@ -37,12 +37,15 @@ from divcorr.euler import (
 from divcorr.errors import PrecisionError
 from divcorr.jets import Jet2
 from second_routes import (
+    FixedVarphiTable,
     c_factor_poly,
     c_scalar,
     cf_local_jet,
     coefficient_array,
     exp_coeffs,
     exponent_of,
+    fixed_partials,
+    fixed_varphi_base,
     phi_local,
     phi_of,
     poly_log_series,
@@ -53,6 +56,18 @@ from second_routes import (
 )
 
 TIGHT = mp.mpf(10) ** -30
+
+# the two varphi fills, by the ids their tests keep: "mp" is the fixed-point
+# reference in second_routes, "float" the package's float64 fill
+FILLS = {"mp": (FixedVarphiTable, fixed_varphi_base, fixed_partials),
+         "float": (varphi_table, _varphi_base, dirichlet_partials)}
+
+
+def _base_of(mode, t):
+    """The shared shift-free base a table of that fill reads."""
+    if mode == "mp":
+        return fixed_varphi_base(t.k, t.l, t.Q, t.order_s, t.bits)[0]
+    return _varphi_base(t.k, t.l, t.Q, t.order_s)[0]
 
 
 def test_singular_constant_closed_forms():
@@ -597,7 +612,7 @@ def test_phi_multiplicativity():
 
 
 def test_varphi_unit_and_multiplicativity():
-    table = varphi_table(1, 2, 2, 100, 2, mode="mp")
+    table = varphi_table(1, 2, 2, 100, 2)
     unit = varphi_jet(table, 1)
     assert unit[0, 0] == 1 and unit[1, 0] == 0
     for (r, t) in ((4, 9), (5, 12), (7, 13)):
@@ -623,11 +638,12 @@ def test_dirichlet_convolution_identity():
 
 
 def test_varphi_float_matches_mp():
-    """Both table modes against the per-q product varphi_of, at every q <= Q."""
+    """The float64 table and the fixed-point reference against the per-q
+    product varphi_of, at every q <= Q."""
     Q = 3000
     for (h, k, l) in ((1, 2, 2), (6, 3, 2), (96, 2, 3), (2 * 1009, 3, 3), (10007, 3, 2)):
-        tm = varphi_table(h, k, l, Q, 2, mode="mp")
-        tf = varphi_table(h, k, l, Q, 2, mode="float")
+        tm = FixedVarphiTable(h, k, l, Q, 2)
+        tf = varphi_table(h, k, l, Q, 2)
         for q in range(1, Q + 1):
             ref, a, b = varphi_of(h, k, l, q, 2), varphi_jet(tm, q), varphi_jet(tf, q)
             for r in range(3):
@@ -636,8 +652,9 @@ def test_varphi_float_matches_mp():
 
 
 def _cold_rows(h, k, l, Q, order_s, mode):
-    _varphi_base.cache_clear()
-    t = varphi_table(h, k, l, Q, order_s, mode)
+    build, base, _ = FILLS[mode]
+    base.cache_clear()
+    t = build(h, k, l, Q, order_s)
     return [coefficient_array(t, i) for i in range(order_s + 1)]
 
 
@@ -646,10 +663,11 @@ def test_varphi_shared_base_is_bit_identical_and_protected(mode):
     """h = 6, then 1, then 6 on one shared base equal cold builds bit for bit,
     and writing into what a table returns does not reach the next table."""
     Q = 2000
+    build, base, _ = FILLS[mode]
     cold = {h: _cold_rows(h, 3, 2, Q, 3, mode) for h in (6, 1)}
-    _varphi_base.cache_clear()
+    base.cache_clear()
     for h in (6, 1, 6):
-        t = varphi_table(h, 3, 2, Q, 3, mode)
+        t = build(h, 3, 2, Q, 3)
         for i in range(4):
             row = coefficient_array(t, i)
             assert row.dtype == cold[h][i].dtype
@@ -657,10 +675,10 @@ def test_varphi_shared_base_is_bit_identical_and_protected(mode):
             row[:] = 7
         t.columns(np.arange(Q + 1))[:] = 7
         varphi_jet(t, 12).coeffs[0][0] = 7
-    assert _varphi_base.cache_info().misses == 1
+    assert base.cache_info().misses == 1
     with pytest.raises(ValueError):
         t._table[0, 2] = 7
-    t = varphi_table(6, 3, 2, Q, 3, mode)
+    t = build(6, 3, 2, Q, 3)
     assert all(all(coefficient_array(t, i) == cold[6][i]) for i in range(4))
 
 
@@ -669,13 +687,14 @@ def test_varphi_shift_free_table_is_the_base_and_a_shift_copies_it(mode):
     """h = 1 holds the shared base itself; h = 6 holds a read-only copy, and
     building it leaves the base's bytes as they were."""
     Q = 2000
-    t1 = varphi_table(1, 3, 2, Q, 3, mode)
-    base = _varphi_base(3, 2, Q, 3, t1.bits)[0]
+    build = FILLS[mode][0]
+    t1 = build(1, 3, 2, Q, 3)
+    base = _base_of(mode, t1)
     assert t1._table is base
     before = base.tobytes()
-    t6 = varphi_table(6, 3, 2, Q, 3, mode)
+    t6 = build(6, 3, 2, Q, 3)
     assert t6._table is not base and base.tobytes() == before
-    assert _varphi_base(3, 2, Q, 3, t6.bits)[0] is base
+    assert _base_of(mode, t6) is base
     with pytest.raises(ValueError):
         t6._table[0, 6] = 7
 
@@ -685,7 +704,7 @@ def test_varphi_mp_shifted_table_pinned():
     (12, 3, 2, 2*10^4, 3), dps 40, row by row as decimal integers: a new way
     to fill a shifted table must keep every integer."""
     with mp.workdps(40):
-        t = varphi_table(12, 3, 2, 2 * 10**4, 3, mode="mp")
+        t = FixedVarphiTable(12, 3, 2, 2 * 10**4, 3)
     text = " ".join(map(str, t._table.ravel().tolist()))
     assert t.bits == 219
     assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -722,9 +741,9 @@ def test_euler_integers_pinned():
 def test_varphi_mp_table_follows_precision():
     """A table built at 30 digits is not reused at 60."""
     with mp.workdps(30):
-        varphi_table(6, 2, 2, 500, 1, mode="mp")
+        FixedVarphiTable(6, 2, 2, 500, 1)
     with mp.workdps(60):
-        t = varphi_table(6, 2, 2, 500, 1, mode="mp")
+        t = FixedVarphiTable(6, 2, 2, 500, 1)
         for q in (2, 3, 360, 499):
             ref = varphi_of(6, 2, 2, q, 1)
             for r in range(2):
@@ -734,13 +753,14 @@ def test_varphi_mp_table_follows_precision():
 @pytest.mark.parametrize("mode", ["mp", "float"])
 @pytest.mark.parametrize("Q", [1, 2])
 def test_varphi_smallest_tables(Q, mode):
+    build, _, partials = FILLS[mode]
     for h in (1, 2):
-        t = varphi_table(h, 2, 2, Q, 1, mode=mode)
+        t = build(h, 2, 2, Q, 1)
         for q in range(1, Q + 1):
             ref = varphi_of(h, 2, 2, q, 1)
             assert all(abs(varphi_jet(t, q)[r, 0] - ref[r, 0]) < mp.mpf(10) ** -15
                        for r in range(2))
-        dp = dirichlet_partials(h, 2, 2, Q, 1, 1, mode=mode)
+        dp = partials(h, 2, 2, Q, 1, 1)
         direct = sum(varphi_of(h, 2, 2, q, 0)[0, 0] for q in range(1, Q + 1))
         assert abs(dp.jet[0, 0] - direct) < mp.mpf(10) ** -15
 
@@ -755,8 +775,8 @@ def test_varphi_local_jets_match_the_mpmath_route(h):
     dps, Q = mp.mp.dps, 3000
     tiny = mp.mpf(10) ** -(dps + 10)
     for k, l in ((2, 2), (3, 2), (3, 3)):
-        tm = varphi_table(h, k, l, Q, k, mode="mp")
-        tf = varphi_table(h, k, l, Q, k, mode="float")
+        tm = FixedVarphiTable(h, k, l, Q, k)
+        tf = varphi_table(h, k, l, Q, k)
         for p, _ in factorize(h).factors:
             pe, a = p, 1
             while pe <= Q:
@@ -772,13 +792,14 @@ def test_varphi_local_jets_match_the_mpmath_route(h):
 
 @pytest.mark.parametrize("dps", [30, 40, 60, 100])
 def test_mp_partials_within_their_stated_rounding(dps):
-    """mp partials against sum_q varphi_of(q) (-log q)^j / j! at dps + 20:
-    within the stated rounding, which is at most 10^-(dps+10)."""
+    """The fixed-point reference's partials against sum_q varphi_of(q)
+    (-log q)^j / j! at dps + 20: within the stated rounding, which is at most
+    10^-(dps+10)."""
     for (k, l, h) in ((2, 2, 1), (3, 2, 6), (3, 3, 12)):
         order_w = max(l, k + l - 2)
         for Q in (1, 2, 2000):
             with mp.workdps(dps):
-                dp = dirichlet_partials(h, k, l, Q, mode="mp")
+                dp = fixed_partials(h, k, l, Q)
             assert 0 < dp.rounding <= 10.0 ** -(dps + 10), (k, l, h, Q)
             assert dp.tail_bound() == max(max(row) for row in dp.tails) + dp.rounding
             with mp.workdps(dps + 20):
@@ -794,6 +815,19 @@ def test_mp_partials_within_their_stated_rounding(dps):
                         assert abs(dp.jet[i, j] - ref[i][j]) <= dp.rounding, (k, l, h, Q, i, j)
 
 
+@pytest.mark.parametrize("h, k, l", [(1, 2, 2), (6, 3, 2), (12, 3, 3), (2018, 3, 3), (96, 2, 3)])
+def test_float_partials_within_their_stated_rounding(h, k, l):
+    """The float64 partials against the fixed-point reference's, whose own
+    rounding is under 10^-50: the stated rounding is positive, covers the
+    difference in every cell and is at most 10^-6 of the tail bound."""
+    for Q in (1, 2, 2000, 2 * 10**4, 3 * 10**4):
+        dp, ref = dirichlet_partials(h, k, l, Q), fixed_partials(h, k, l, Q)
+        assert 0 < dp.rounding <= 1e-6 * dp.tail_bound(), (h, k, l, Q)
+        for i in range(k + 1):
+            for j in range(max(l, k + l - 2) + 1):
+                assert abs(dp.jet[i, j] - ref.jet[i, j]) <= dp.rounding, (h, k, l, Q, i, j)
+
+
 def test_two_route_identity():
     """Scalar product, jet product, and varphi partial sums all agree."""
     for (k, l) in ((2, 2), (2, 3), (3, 3)):
@@ -803,18 +837,18 @@ def test_two_route_identity():
             route1 = C * mp.mpf(f.numerator) / f.denominator
             jet, _ = cf_euler_jet(h, k, l, 1, 1, prime_cutoff=2000)
             route2 = jet[0, 0]
-            dp = dirichlet_partials(h, k, l, 20000, 1, 1, mode="mp")
+            dp = dirichlet_partials(h, k, l, 20000, 1, 1)
             route3 = dp.jet[0, 0]
             assert abs(route1 - route2) < mp.mpf(10) ** -15, (k, l, h)
             assert abs(route1 - route3) < 3 * dp.tails[0][0] + mp.mpf(10) ** -6, (k, l, h)
 
 
 def test_dirichlet_partials_basics():
-    dp = dirichlet_partials(1, 2, 2, 5000, 1, 2, mode="mp")
+    dp = fixed_partials(1, 2, 2, 5000, 1, 2)
     # (0,0): partial sum toward 6/pi^2
     assert abs(dp.jet[0, 0] - 6 / mp.pi**2) < mp.mpf(10) ** -4
     # (0,1): minus the log-weighted sum, term-wise derivative
-    table = varphi_table(1, 2, 2, 5000, 1, mode="mp")
+    table = FixedVarphiTable(1, 2, 2, 5000, 1)
     manual = mp.mpf(0)
     for q in range(2, 5001):
         manual -= varphi_jet(table, q)[0, 0] * mp.log(q)
@@ -824,7 +858,7 @@ def test_dirichlet_partials_basics():
     for j in range(3):
         tails = []
         for Q in (500, 5000, 50000):
-            d = dirichlet_partials(1, 2, 2, Q, 0, 2, mode="mp" if Q <= 30000 else "float")
+            d = dirichlet_partials(1, 2, 2, Q, 0, 2)
             tails.append(float(d.tails[0][j]))
         assert tails[0] > tails[1] > tails[2], (j, tails)
 
@@ -832,13 +866,13 @@ def test_dirichlet_partials_basics():
 def test_partials_match_w_finite_differences():
     """d/dw of the scalar truncated sum vs the jet coefficient, 1e-6 relative."""
     Q = 2000
-    table = varphi_table(1, 2, 2, Q, 0, mode="mp")
+    table = varphi_table(1, 2, 2, Q, 0)
     eps = mp.mpf(10) ** -6
 
     def scalar(w):
         return sum(varphi_jet(table, q)[0, 0] * mp.power(q, -w) for q in range(1, Q + 1))
 
-    dp = dirichlet_partials(1, 2, 2, Q, 0, 1, mode="mp")
+    dp = dirichlet_partials(1, 2, 2, Q, 0, 1)
     fd = (scalar(eps) - scalar(-eps)) / (2 * eps)
     assert abs(fd - dp.jet[0, 1]) / abs(fd) < mp.mpf(10) ** -6
 
@@ -860,7 +894,7 @@ def test_varphi_table_budget():
     from divcorr.errors import ResourceBudgetError
 
     with pytest.raises(ResourceBudgetError):
-        varphi_table(1, 2, 2, 10**7 + 1, 1, mode="float")
+        varphi_table(1, 2, 2, 10**7 + 1, 1)
 
 
 def test_singular_series_record_json():

@@ -36,6 +36,7 @@ from divcorr.oracle import (
 )
 from second_routes import (
     direct_secondary_value,
+    fixed_context,
     phi_of,
     phi_partial_sum_jet,
     residue_polynomial_routes,
@@ -471,7 +472,7 @@ def test_residue_routes_agree_with_ledgers():
     tol = mp.mpf(10) ** -30
     for (k, l) in ((2, 2), (3, 2), (2, 3), (3, 3)):
         for h in (1, 6):
-            ctx = coefficient_context(h, k, l, source="dirichlet", Q=2000)
+            ctx = fixed_context(h, k, l, 2000)
             for A in ("1/3", "1/2", "2/3", "1"):
                 rr = residue_polynomial_routes(h, k, l, A, 2000, ctx=ctx)
                 poly = main_polynomial(A, h, k, l, ctx=ctx)
