@@ -590,16 +590,14 @@ def dk_partial(n: int, k: int, A: RationalExponent) -> int:
 def sigma_minus1_moments(h: int) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
     """(sum 1/d, sum log(d)/d, sum log^2(d)/d) over divisors d | h.
 
-    The zeroth moment is assembled exactly as a rational before conversion.
+    The zeroth moment is `sigma_minus1_exact(h)`, converted once.
     """
     if h < 1:
         raise ValueError("sigma_minus1_moments requires h >= 1")
-    divs = factorize(h).divisors()
-    s0 = Fraction(0)
+    s0 = sigma_minus1_exact(h)
     s1 = mp.mpf(0)
     s2 = mp.mpf(0)
-    for d in divs:
-        s0 += Fraction(1, d)
+    for d in factorize(h).divisors():
         if d > 1:
             ld = mp.log(d)
             s1 += ld / d

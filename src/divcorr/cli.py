@@ -9,6 +9,10 @@ Subcommands:
   estermann     two-route consistency check of the degree-2 closed forms
   distribution  empirical partial-to-full divisor ratio vs the beta law
 
+`main` refuses an empty list flag, and an --h below 1 wherever h is a shift,
+before any command runs.  Each verify target yields (grid values, header
+fields, rows) per report into the one report loop of `cmd_verify`.
+
 Exit codes: 0 success, 2 configuration error, 3 resource budget, 4 precision
 target unattainable, 5 two-route consistency failure.  Reports carry their
 full configuration in header comments / JSON fields and contain no
@@ -24,7 +28,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import mpmath as mp
 
@@ -209,7 +213,6 @@ def _require_values(args):
 
 
 def cmd_constants(args) -> int:
-    _require_at_least("constants", 1, h=args.h)
     _grid_guard(args.k, args.l, args.h)
     gammas = stieltjes_table(args.stieltjes_terms, args.digits)
     results = []
@@ -244,7 +247,6 @@ def cmd_constants(args) -> int:
 
 
 def cmd_polynomial(args) -> int:
-    _require_at_least("polynomial", 1, h=args.h)
     _grid_guard(args.k, args.l, args.h, args.A)
     payloads = []
     csv_lines = ["k,l,h,A,degree," +
@@ -276,7 +278,6 @@ def cmd_polynomial(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _require_at_least("predict", 1, h=args.h)
     rows = []
     for k in args.k:
         for l in args.l:
@@ -302,123 +303,93 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _verify_theorem23(args) -> list:
-    if ONE in args.A and (set(args.k), set(args.l)) != ({2}, {2}):
-        raise ValueError("verify theorem23 at A = 1 predicts only k = l = 2, "
-                         "by Estermann's polynomial")
-    reports = []
-    for k in args.k:
-        for l in args.l:
-            sweep = oracle.brute_correlation_decades(args.h, k, l, [ONE], args.A, args.x)
-            for h in args.h:
-                ctx = asympt.coefficient_context(h, k, l, source="euler")
-                for A in args.A:
-                    poly = asympt.main_polynomial(A, h, k, l, ctx=ctx)
-                    predict, extra = poly, {}
-                    if A == ONE:  # the full sum, whose main term is not poly's A -> 1 limit
-                        predict = partial(mp.polyval, asympt.estermann_closed_forms(h))
-                        extra = {"prediction": "estermann"}
-                    rep = oracle.ComparisonReport(
-                        title=f"theorem23_k{k}_l{l}_h{h}_A{A.a}d{A.b}",
-                        meta=_meta(args, mode="theorem23", k=k, l=l, h=h, A=str(A),
-                                   in_proven_range=poly.in_proven_range, **extra),
-                    )
-                    for r in sweep[h, ONE, A]:
-                        rep.add(r.x, r.value, mp.mpf(r.x) * predict(mp.log(r.x)))
-                    reports.append(rep)
-    return reports
-
-
-def _correlation_grid(args, *extra):
+def _correlation_grid(args, As, Bs, swept=()):
     """(k, l, h, A, B, sweep) in report order, with one brute pass per (k, l)
-    for every h, A and B, and for each B in `extra` too."""
+    for every h, A in `As` and B in `Bs`, and for each B in `swept` too."""
     for k in args.k:
         for l in args.l:
-            sweep = oracle.brute_correlation_decades(args.h, k, l, args.A, [*extra, *args.B],
-                                                     args.x)
+            sweep = oracle.brute_correlation_decades(args.h, k, l, As, [*swept, *Bs], args.x)
             for h in args.h:
-                for A in args.A:
-                    for B in args.B:
+                for A in As:
+                    for B in Bs:
                         yield k, l, h, A, B, sweep
 
 
-def _verify_theorem22(args) -> list:
+def _verify_theorem23(args):
+    if ONE in args.A and (set(args.k), set(args.l)) != ({2}, {2}):
+        raise ValueError("verify theorem23 at A = 1 predicts only k = l = 2, "
+                         "by Estermann's polynomial")
+    context = cache(partial(asympt.coefficient_context, source="euler"))  # one per (h, k, l)
+    for k, l, h, _, A, sweep in _correlation_grid(args, [ONE], args.A):
+        poly = asympt.main_polynomial(A, h, k, l, ctx=context(h, k, l))
+        predict, extra = poly, {}
+        if A == ONE:  # the full sum, whose main term is not poly's A -> 1 limit
+            predict = partial(mp.polyval, asympt.estermann_closed_forms(h))
+            extra = {"prediction": "estermann"}
+        yield (dict(k=k, l=l, h=h, A=A), dict(in_proven_range=poly.in_proven_range, **extra),
+               [(r.x, r.value, mp.mpf(r.x) * predict(mp.log(r.x))) for r in sweep[h, ONE, A]])
+
+
+def _verify_theorem22(args):
     _require_at_least("verify theorem22", 2, k=args.k, l=args.l)
-    reports = []
-    for k, l, h, A, B, sweep in _correlation_grid(args):
+    for k, l, h, A, B, sweep in _correlation_grid(args, args.A, args.B):
         lead = asympt.correlation_leading(h, k, l, A, B)
-        rep = oracle.ComparisonReport(
-            title=f"theorem22_k{k}_l{l}_h{h}_A{A.a}d{A.b}_B{B.a}d{B.b}",
-            meta=_meta(args, mode="theorem22", k=k, l=l, h=h, A=str(A), B=str(B),
-                       in_proven_range=asympt.correlation_validity(k, l, A, B)),
-        )
-        for r in sweep[h, A, B]:
-            rep.add(r.x, r.value, lead * r.x * mp.log(r.x) ** (k + l - 2))
-        reports.append(rep)
-    return reports
+        yield (dict(k=k, l=l, h=h, A=A, B=B),
+               dict(in_proven_range=asympt.correlation_validity(k, l, A, B)),
+               [(r.x, r.value, lead * r.x * mp.log(r.x) ** (k + l - 2)) for r in sweep[h, A, B]])
 
 
-def _verify_theorem21(args) -> list:
-    reports = []
+def _verify_theorem21(args):
     for k in args.k:
         for A in args.A:
             # one stream of d_k(n, A) for every q, h and x
             sums = oracle.brute_ap_sweep(k, A, [(q, h) for q in args.q for h in args.h], args.x)
             for q in args.q:
                 for h in args.h:
-                    rep = oracle.ComparisonReport(
-                        title=f"theorem21_k{k}_q{q}_h{h}_A{A.a}d{A.b}",
-                        meta=_meta(args, mode="theorem21", k=k, q=q, h=h, A=str(A),
-                                   residue_class_ok=(h % q != 0)),
-                    )
-                    for x, obs in zip(args.x, sums[q, h]):
-                        pred = asympt.ap_main_term(x, q, h, k, A).value
-                        rep.add(x, obs, pred)
-                    reports.append(rep)
-    return reports
+                    terms = [asympt.ap_main_term(x, q, h, k, A) for x in args.x]
+                    yield (dict(k=k, q=q, h=h, A=A), dict(residue_class_ok=terms[0].residue_ok),
+                           [(t.x, obs, t.value) for t, obs in zip(terms, sums[q, h])])
 
 
-def _verify_corollary3(args) -> list:
+def _verify_corollary3(args):
     if any(B.a == 0 for B in args.B):
         raise ValueError("corollary3 requires B > 0")
     _require_at_least("verify corollary3", 2, k=args.k, l=args.l)
-    reports = []
-    for k, l, h, A, B, sweep in _correlation_grid(args, ONE):
+    for k, l, h, A, B, sweep in _correlation_grid(args, args.A, args.B, [ONE]):
         gap = asympt.partial_vs_full_leading_gap(h, k, l, A, B)
-        rep = oracle.ComparisonReport(
-            title=f"corollary3_k{k}_l{l}_h{h}_A{A.a}d{A.b}_B{B.a}d{B.b}",
-            meta=_meta(args, mode="corollary3", k=k, l=l, h=h, A=str(A), B=str(B),
-                       leading_gap=mp.nstr(abs(gap), 6),
-                       note="predicted column is the x log^(k+l-3) x scale"),
-        )
-        Bf = B.as_fraction()
+        rows, Bf = [], B.as_fraction()
         for rf, rp in zip(sweep[h, A, ONE], sweep[h, A, B]):
             observed = Fraction(rf.value) - Fraction(rp.value) / Bf ** (l - 1)
             scale = rf.x * mp.log(rf.x) ** (k + l - 3)
-            rep.add(rf.x, mp.mpf(observed.numerator) / observed.denominator, scale)
-        reports.append(rep)
-    return reports
+            rows.append((rf.x, mp.mpf(observed.numerator) / observed.denominator, scale))
+        yield (dict(k=k, l=l, h=h, A=A, B=B),
+               dict(leading_gap=mp.nstr(abs(gap), 6),
+                    note="predicted column is the x log^(k+l-3) x scale"), rows)
+
+
+_VERIFY_TARGETS = {"theorem21": _verify_theorem21, "theorem22": _verify_theorem22,
+                   "theorem23": _verify_theorem23, "corollary3": _verify_corollary3}
 
 
 def cmd_verify(args) -> int:
-    runner = {
-        "theorem21": _verify_theorem21,
-        "theorem22": _verify_theorem22,
-        "theorem23": _verify_theorem23,
-        "corollary3": _verify_corollary3,
-    }[args.target]
-    if args.target != "theorem21":  # there h is a residue class mod q
-        _require_at_least(f"verify {args.target}", 1, h=args.h)
-    reports = runner(args)
+    """Each target yields, per report, the grid values that name it (a
+    rational a/b written adb), its own header fields and its rows (x,
+    observed, predicted); every report is built before the first is written."""
+    reports = []
+    for params, header, rows in _VERIFY_TARGETS[args.target](args):
+        title = "_".join([args.target, *(f"{name}{value}".replace("/", "d")
+                                         for name, value in params.items())])
+        rep = oracle.ComparisonReport(title, _meta(args, mode=args.target, **params, **header))
+        for row in rows:
+            rep.add(*row)
+        reports.append(rep)
     for rep in reports:
         _write_report(args, rep.title + ".csv", rep.to_csv())
-        last = rep.rows[-1]
-        print(f"{rep.title}: final ratio {mp.nstr(last['ratio'], 8)}")
+        print(f"{rep.title}: final ratio {mp.nstr(rep.rows[-1]['ratio'], 8)}")
     return EXIT_OK
 
 
 def cmd_estermann(args) -> int:
-    _require_at_least("estermann", 1, h=args.h)
     failures = 0
     rows = []
     for h in args.h:
@@ -535,8 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="brute-force vs predicted reports")
     _add_common(p)
-    p.add_argument("target", choices=["theorem21", "theorem22", "theorem23",
-                                      "corollary3"])
+    p.add_argument("target", choices=list(_VERIFY_TARGETS))
     p.add_argument("--k", type=ints, default=[2])
     p.add_argument("--l", type=ints, default=[2])
     p.add_argument("--h", type=ints, default=[1])
@@ -582,9 +552,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(
             _with_config_flags(sys.argv[1:] if argv is None else list(argv)))
         _require_values(args)
+        command = " ".join(filter(None, [args.command, getattr(args, "target", None)]))
+        if hasattr(args, "h") and command != "verify theorem21":  # there h is a residue class
+            _require_at_least(command, 1, h=args.h)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
-    except (ValueError, OSError) as exc:  # an unreadable config file
+    except (ValueError, OSError) as exc:  # a refused value, an unreadable config file
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

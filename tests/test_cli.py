@@ -1,6 +1,7 @@
 """CLI surface: subcommands, config files, exit codes, determinism."""
 
 import csv
+import hashlib
 import importlib.util
 import json
 import os
@@ -305,6 +306,45 @@ def test_verify_theorem23(tmp_path):
     assert len(lines) == 3  # two decades
 
 
+# SHA-256 of every report (name, then bytes, sorted by name) and of stdout;
+# the stdout names the reports under a relative --out-dir, so it is stable
+VERIFY_PINS = [
+    ("theorem23 --k 2,3 --l 2 --A 1/3,1/2 --h 1,2 --x 1e3..1e5", 8,
+     "59041a880f55f48e8871ea06c1c9f72c98a91e31fed2fbb6b6e3abebeeabcce8",
+     "5377db3951dc31c6b424e9ec72b1f9db96e3cbd8949b5ba562888214b131b3e3"),
+    ("theorem23 --k 2 --l 2 --A 1 --h 1,6 --x 1e4,1e5", 2,
+     "88543ca893c6d8db38005e8b4a4d81c2230648c746dd17ffef542d1b0ddfd03d",
+     "a6c81b6051d182a5ee313b3a15d3227c6a67e3f5fc6bf893140efdd8dd871d4d"),
+    ("theorem22 --k 2,3 --l 2 --A 2/3 --B 1/4 --h 1,2 --x 1e3..1e5", 4,
+     "7f2de9ec9035e9c38bbe4aaea8637d3b987efc4a624b38732502ec8e0eacd01d",
+     "82b4db86fada337f78fff5750ffd40869a26b14cc4a7ed6f338da347b5c41a66"),
+    ("theorem21 --k 2,3 --A 1/2,2/3 --q 1,3,7 --h 0,1,2 --x 1e3..1e5", 36,
+     "c7a8d7a38d185c314cd662269b65db2c53655154521f452ce38a240be4e746ed",
+     "dce425926e91622991b75d899a18a6c1bb99e81379b213bdc5589c683b3afaa3"),
+    ("corollary3 --k 2 --l 2,3 --h 1 --A 2/3 --B 1/4,1/3 --x 1e3..1e5", 4,
+     "95f3777c313e0823240fb233153ed60ac8539dc66f1cedc2e158f9f384685e55",
+     "adbb999c96a65d9667af1da2829ee1e6e8fe2ea501701956a496819e11f238e9"),
+]
+
+
+@pytest.mark.parametrize("argv, count, reports_sha, stdout_sha", VERIFY_PINS,
+                         ids=[pin[0].split()[0] + f"-{i}" for i, pin in enumerate(VERIFY_PINS)])
+def test_verify_reports_are_pinned(tmp_path, capsys, monkeypatch, argv, count, reports_sha,
+                                   stdout_sha):
+    """Every verify report and stdout line, byte for byte: the title, the
+    header fields in their order and every digit of every row."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", *argv.split(), "--out-dir", "reports"]) == 0
+    files = sorted(Path("reports").iterdir())
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert len(files) == count
+    assert digest.hexdigest() == reports_sha
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+
+
 def test_verify_theorem23_at_A_1_predicts_estermann(tmp_path, capsys):
     """At A = 1 the sum is sum d(n+h) d(n), whose main term is Estermann's
     polynomial, not the A -> 1 limit of the partial one: that limit read
@@ -470,6 +510,16 @@ def test_empty_list_flag_exits_2(tmp_path, capsys, argv, flag):
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["constants", "polynomial"])
+def test_grid_past_its_limit_exits_2(tmp_path, capsys, command):
+    """A (k, l, h[, A]) grid of more than MAX_GRID_POINTS points is refused
+    before any evaluation, and no report is written."""
+    code, out = run(tmp_path, command, "--h", "1..1001")
+    assert code == 2
+    assert "parameter grid of 1001 points exceeds the limit 1000" in capsys.readouterr().err
     assert not out.exists()
 
 
