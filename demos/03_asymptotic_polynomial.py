@@ -20,7 +20,7 @@ from divcorr import coefficient_context, estermann_coefficients, main_polynomial
 mp.mp.dps = 40
 
 ctx = coefficient_context(1, 2, 2, source="euler")
-poly = main_polynomial("1/2", 1, 2, 2, ctx=ctx)
+poly = main_polynomial("1/2", ctx)
 print("P(L) for (h, k, l, A) = (1, 2, 2, 1/2):")
 for d in range(poly.degree, -1, -1):
     print(f"  L^{d}: {mp.nstr(poly.coeffs[d], 20)}")
@@ -39,7 +39,7 @@ for d, contribs in enumerate(poly.provenance):
 # Two-route check of the classical degree-2 coefficients for shifts 1..8.
 print("\nclassical closed forms vs ledger assembly (max |diff| per shift):")
 for h in range(1, 9):
-    chk = estermann_coefficients(h, ctx=coefficient_context(h, 2, 2, source="euler"))
+    chk = estermann_coefficients(coefficient_context(h, 2, 2, source="euler"))
     print(f"  h = {h}: [x log^2 x] = {mp.nstr(chk.assembled[0], 14)},  "
           f"max diff = {mp.nstr(chk.max_diff, 3)}")
 

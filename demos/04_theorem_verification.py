@@ -14,6 +14,7 @@ from divcorr import (
     ap_main_term,
     brute_ap_sweep,
     brute_correlation_decades,
+    coefficient_context,
     correlation_leading,
     main_polynomial,
 )
@@ -22,7 +23,7 @@ from divcorr.oracle import ComparisonReport
 mp.mp.dps = 40
 
 print("1) correlation vs full polynomial, (h, k, l, A) = (1, 2, 2, 1/2)")
-poly = main_polynomial("1/2", 1, 2, 2, source="euler")
+poly = main_polynomial("1/2", coefficient_context(1, 2, 2, source="euler"))
 rep = ComparisonReport(title="demo", meta={"mode": "theorem-2.3-style"})
 xs = [10**3, 10**4, 10**5, 10**6]
 [sums] = brute_correlation_decades([1], 2, 2, [1], ["1/2"], xs).values()

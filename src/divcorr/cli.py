@@ -214,7 +214,8 @@ def _require_values(args):
 
 def cmd_constants(args) -> int:
     _grid_guard(args.k, args.l, args.h)
-    gammas = stieltjes_table(args.stieltjes_terms, args.digits)
+    with mp.workdps(args.digits):  # the table reads its digits from the context
+        gammas = stieltjes_table(args.stieltjes_terms)
     results = []
     with mp.workdps(max(args.dps, args.digits)):  # every printed digit computed
         for k in args.k:
@@ -256,7 +257,7 @@ def cmd_polynomial(args) -> int:
             for h in args.h:
                 ctx = asympt.coefficient_context(h, k, l, source=args.source, Q=args.Q)
                 for A in args.A:
-                    poly = asympt.main_polynomial(A, h, k, l, ctx=ctx)
+                    poly = asympt.main_polynomial(A, ctx)
                     payloads.append(json.loads(poly.to_json()))
                     coeffs = [mp.nstr(c, 17) for c in poly.coeffs]
                     coeffs += [""] * (9 - len(coeffs))
@@ -321,7 +322,7 @@ def _verify_theorem23(args):
                          "by Estermann's polynomial")
     context = cache(partial(asympt.coefficient_context, source="euler"))  # one per (h, k, l)
     for k, l, h, _, A, sweep in _correlation_grid(args, [ONE], args.A):
-        poly = asympt.main_polynomial(A, h, k, l, ctx=context(h, k, l))
+        poly = asympt.main_polynomial(A, context(h, k, l))
         predict, extra = poly, {}
         if A == ONE:  # the full sum, whose main term is not poly's A -> 1 limit
             predict = partial(mp.polyval, asympt.estermann_closed_forms(h))
@@ -393,8 +394,8 @@ def cmd_estermann(args) -> int:
     failures = 0
     rows = []
     for h in args.h:
-        chk = asympt.estermann_coefficients(
-            h, source=args.source, Q=args.Q, tol=args.tol, raise_on_fail=False)
+        ctx = asympt.coefficient_context(h, 2, 2, source=args.source, Q=args.Q)
+        chk = asympt.estermann_coefficients(ctx, tol=args.tol)
         rows.append({
             "h": h,
             "closed": [mp.nstr(c, 20) for c in chk.closed],

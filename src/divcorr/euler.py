@@ -52,11 +52,12 @@ from .arith import (
 )
 from .errors import PrecisionError, ResourceBudgetError
 from .jets import Jet2
-from .zeta_series import _zeta_taylor, log_powers, mobius_sieve
+from .zeta_series import _working_dps, _zeta_taylor, log_powers, mobius_sieve
 
 DEFAULT_PRIME_CUTOFF = 1_000
 _SERIES_DEGREE = 14  # total degree kept in local log-factor expansions
 _MAX_SCALAR_ORDER = 42  # singular_constant's series degree grows to this
+_SCALAR_TOL = 1e-25  # singular_constant refuses a stated bound above this
 
 MAX_DIRICHLET_Q = 4 * 10**6
 
@@ -92,7 +93,7 @@ class PrimeTailMoments:
     for the d! and the recurrence's growth (the |f_r| are under 1).
     """
 
-    def __init__(self, prime_cutoff: int, m_max: int, d_max: int, dps: int = 40):
+    def __init__(self, prime_cutoff: int, m_max: int, d_max: int, dps: int):
         self.prime_cutoff, self.m_max, self.d_max, self.dps = prime_cutoff, m_max, d_max, dps
         primes = primes_up_to(2 * prime_cutoff + 2)
         q = int(primes[np.searchsorted(primes, prime_cutoff, side="right")])
@@ -183,21 +184,19 @@ def _guarded_dps(dps: int, growth: float) -> int:
     return dps + max(0, math.ceil(math.log10(growth)) - 5)
 
 
-def singular_constant(k: int, l: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-                      tol: float = 1e-25, dps: int | None = None) -> tuple[mp.mpf, mp.mpf]:
+def singular_constant(k: int, l: int,
+                      prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> tuple[mp.mpf, mp.mpf]:
     """(C_{k,l}, bound): the constant coefficient of the shift-free Euler jet
     base, _c_euler_base at orders (0, 0), and its stated bound, truncation of
     the tail series plus rounding.  The series' coefficients grow with k and
     l, so its degree is the first from _SERIES_DEGREE on, in steps of two,
-    whose bound is at most 10^-dps; at _MAX_SCALAR_ORDER at most.  A tol
-    below 10^-dps raises dps to one digit past it.  The factor is
-    identically 1 when min(k,l) = 1.
+    whose bound is at most 10^-dps at the working digits; at
+    _MAX_SCALAR_ORDER at most, and a bound still above _SCALAR_TOL there
+    raises.  The factor is identically 1 when min(k,l) = 1.
     """
     if k < 1 or l < 1:
         raise ValueError("singular_constant requires k, l >= 1")
-    dps = dps or max(30, mp.mp.dps)
-    if 0 < tol < 10.0**-dps:
-        dps = math.ceil(-math.log10(tol)) + 1
+    dps = _working_dps()
     if k == 1 or l == 1:
         return mp.mpf(1), mp.mpf(0)
     with mp.workdps(dps + 10):
@@ -206,9 +205,9 @@ def singular_constant(k: int, l: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
         base, bound, _ = _c_euler_base(k, l, 0, 0, prime_cutoff, dps, degree)
         if bound <= target:
             break
-    if bound > tol:
+    if bound > _SCALAR_TOL:
         raise PrecisionError(
-            f"singular_constant({k},{l}): achieved bound {mp.nstr(bound, 5)} > tol {tol}",
+            f"singular_constant({k},{l}): achieved bound {mp.nstr(bound, 5)} > tol {_SCALAR_TOL}",
             achieved=bound,
         )
     return base[0, 0], bound  # unrounded: `+` would cut them to the caller's digits
@@ -558,17 +557,16 @@ def _c_euler_base(k: int, l: int, order_t: int, order_w: int, prime_cutoff: int,
 
 
 def cf_euler_jet(h, k: int, l: int, order_t: int, order_w: int,
-                 prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-                 dps: int | None = None) -> tuple[Jet2, mp.mpf]:
+                 prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> tuple[Jet2, mp.mpf]:
     """(jet of C(s,w) f(s,w) at (1,0), bound): the shift-free C-product (built
     once per process for each set of parameters) as integers over its 2^bits,
     times the local factor N of each p | h over its gamma = 0 form D.  The
     bound adds the rounding, to first order in units (|.| sums |coefficients|):
     one for the base's integers; then err |N| + 2 |R| + 1 for R N, and
     |1/D| (err + 2 |Q| + 1) for Q = R N / D, each factor two units off, with
-    |1/D| <= sum_{r<=order_t+order_w} (|D| / D_00 - 1)^r / D_00; |Q| for the mpfs."""
-    dps = dps or max(30, mp.mp.dps)
-    base, bound, bits = _c_euler_base(k, l, order_t, order_w, prime_cutoff, dps,
+    |1/D| <= sum_{r<=order_t+order_w} (|D| / D_00 - 1)^r / D_00; |Q| for the mpfs.
+    The base is built for the working digits."""
+    base, bound, bits = _c_euler_base(k, l, order_t, order_w, prime_cutoff, _working_dps(),
                                        _SERIES_DEGREE)
     factors = _as_factored(h).factors
     if not factors:

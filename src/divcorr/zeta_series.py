@@ -120,63 +120,70 @@ def log_powers(ns: tuple, d_max: int, bits: int) -> tuple:
     return tuple(rows)
 
 
-def _laurent_taylor(m_max: int, digits: int) -> tuple[int, tuple]:
+def _working_dps() -> int:
+    """The digits every public analytic routine works to: mpmath's working
+    precision, at least 30.  Set it with `mp.mp.dps` or `mp.workdps`."""
+    return max(30, mp.mp.dps)
+
+
+def _laurent_taylor(m_max: int) -> tuple[int, tuple]:
     """(bits, c): c[r] the t^r coefficient of (s-1) zeta(s) at s = 1 + t over
     2^bits, r <= m_max + 1, from one _zeta_taylor pass at y = 1 wide enough
-    that gamma_n = (-1)^n n! c_(n+1) holds to 10^-(digits+6), n <= m_max."""
+    that gamma_n = (-1)^n n! c_(n+1) holds to 10^-(digits+6), n <= m_max, at
+    the working digits."""
+    digits = _working_dps()
     bits = math.ceil((digits + 6) * math.log2(10) + math.log2(math.factorial(m_max))) + 8
     return bits, _zeta_taylor(1, m_max + 1, bits)
 
 
-def stieltjes_table(m_max: int, digits: int = 30) -> list:
-    """Stieltjes constants gamma_0..gamma_m_max with `digits` correct digits."""
+def stieltjes_table(m_max: int) -> list:
+    """Stieltjes constants gamma_0..gamma_m_max to the working digits."""
     if m_max < 0:
         raise ValueError("stieltjes_table requires m_max >= 0")
-    if m_max > STIELTJES_MAX_INDEX or digits > STIELTJES_MAX_DIGITS:
+    if m_max > STIELTJES_MAX_INDEX or _working_dps() > STIELTJES_MAX_DIGITS:
         raise PrecisionError(
             f"stieltjes_table ceilings are m <= {STIELTJES_MAX_INDEX}, "
             f"digits <= {STIELTJES_MAX_DIGITS}"
         )
-    bits, c = _laurent_taylor(m_max, digits)
+    bits, c = _laurent_taylor(m_max)
     return [mp.ldexp((-1) ** n * math.factorial(n) * c[n + 1], -bits) for n in range(m_max + 1)]
 
 
-def euler_gamma(digits: int = 30) -> mp.mpf:
-    """gamma_0 to `digits` digits.  The table's digit ceiling does not apply:
-    the Euler-Maclaurin pass reaches any width."""
-    bits, c = _laurent_taylor(0, digits)
+def euler_gamma() -> mp.mpf:
+    """gamma_0 to the working digits.  The table's digit ceiling does not
+    apply: the Euler-Maclaurin pass reaches any width."""
+    bits, c = _laurent_taylor(0)
     return mp.ldexp(c[1], -bits)
 
 
-def zeta_laurent_jet(order: int, digits: int | None = None) -> Jet2:
+def zeta_laurent_jet(order: int) -> Jet2:
     """Jet of (s-1) * zeta(s) at s = 1: 1 + sum (-1)^n gamma_n t^(n+1) / n!,
     every coefficient read exactly from the integer jet."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    bits, c = _laurent_taylor(max(order - 1, 0), digits or max(30, mp.mp.dps))
+    bits, c = _laurent_taylor(max(order - 1, 0))
     return Jet2([[mp.ldexp(x, -bits)] for x in c[: order + 1]])
 
 
-def zeta_power_jet(j: int, order: int, digits: int | None = None) -> Jet2:
+def zeta_power_jet(j: int, order: int) -> Jet2:
     """Jet of (s-1)^j zeta(s)^j at s = 1."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    base = zeta_laurent_jet(order, digits)
-    return base**j
+    return zeta_laurent_jet(order) ** j
 
 
-def zeta_power_coeffs(j: int, r_max: int, digits: int | None = None) -> list[mp.mpf]:
+def zeta_power_coeffs(j: int, r_max: int) -> list[mp.mpf]:
     """a_r(j) for r = 0..r_max, where (s-1)^j zeta^j(s) = sum a_r(j) t^r / r!."""
-    jet = zeta_power_jet(j, r_max, digits)
+    jet = zeta_power_jet(j, r_max)
     return [jet.partial(r, 0) for r in range(r_max + 1)]
 
 
-def c_coeffs(j: int, n_max: int, digits: int | None = None) -> list[mp.mpf]:
+def c_coeffs(j: int, n_max: int) -> list[mp.mpf]:
     """c_n(j) = sum_{r<=n} (-1)^(n-r) a_r(j) / r!, n = 0..n_max.
 
     These are the Taylor coefficients of (s-1)^j zeta^j(s) / s at s = 1.
     """
-    a = zeta_power_coeffs(j, n_max, digits)
+    a = zeta_power_coeffs(j, n_max)
     out = []
     for n in range(n_max + 1):
         acc = mp.mpf(0)
@@ -256,10 +263,11 @@ def _zeta_taylor(y: int, order: int, bits: int) -> tuple:
     return tuple(v >> guard for v in jet)
 
 
-def zeta_jet(y: int, order: int, dps: int = 40) -> Jet2:
+def zeta_jet(y: int, order: int) -> Jet2:
     """zeta(y + tau) as a jet in tau (coefficients zeta^(r)(y) / r!), to
-    about 10^-(dps+2), at an integer y >= 2; a fresh jet on every call."""
-    bits = math.ceil((dps + 3) * math.log2(10))
+    about 10^-(digits+2) at the working digits, at an integer y >= 2; a fresh
+    jet on every call."""
+    bits = math.ceil((_working_dps() + 3) * math.log2(10))
     return Jet2([[mp.ldexp(c, -bits)] for c in _zeta_taylor(y, order, bits)])
 
 
@@ -280,22 +288,19 @@ def mobius_sieve(n: int) -> np.ndarray:
     return mu
 
 
-@lru_cache(maxsize=None)
-def inverse_zeta_jet_at_2(order: int = 2, dps: int = 40) -> Jet2:
-    """Jet of 1/zeta(2 + tau): the reciprocal of the Euler-Maclaurin jet of
-    zeta at 2."""
-    with mp.workdps(dps + 8):
-        return zeta_jet(2, order, dps + 8).reciprocal()
+def inverse_zeta_jet_at_2() -> Jet2:
+    """Jet of 1/zeta(2 + tau) to order 2: the reciprocal of the
+    Euler-Maclaurin jet of zeta at 2, taken 8 digits past the working ones."""
+    with mp.workdps(_working_dps() + 8):
+        return zeta_jet(2, 2).reciprocal()
 
 
-def estermann_a_constants(dps: int = 40) -> tuple[mp.mpf, mp.mpf]:
+def estermann_a_constants() -> tuple[mp.mpf, mp.mpf]:
     """(a', a'') with a' = -sum mu(n) log n / n^2, a'' = sum mu(n) log^2 n / n^2.
 
     Computed from the reciprocal-zeta jet at s = 2 (a' and a'' are its first
     and second derivatives); the direct Moebius sums serve as the
     independent cross-check in the tests.
     """
-    jet = inverse_zeta_jet_at_2(2, dps)
-    a1 = jet.partial(1, 0)
-    a2 = jet.partial(2, 0)
-    return a1, a2
+    jet = inverse_zeta_jet_at_2()
+    return jet.partial(1, 0), jet.partial(2, 0)

@@ -500,7 +500,7 @@ def strided_dk_segment(k: int, lo: int, hi: int, primes: np.ndarray) -> np.ndarr
     return val
 
 
-def bareikis_cdf_quadrature(k: int, A, dps: int | None = None) -> mp.mpf:
+def bareikis_cdf_quadrature(k: int, A) -> mp.mpf:
     """Independent route: adaptive quadrature with endpoint substitution
     u = v^k to absorb the u^(-1/k) singularity at 0."""
     if k < 2:
@@ -519,10 +519,10 @@ def bareikis_cdf_quadrature(k: int, A, dps: int | None = None) -> mp.mpf:
     return val * mp.sin(mp.pi / k) / mp.pi
 
 
-def c_coeffs_via_division(j: int, n_max: int, digits: int | None = None) -> list[mp.mpf]:
+def c_coeffs_via_division(j: int, n_max: int) -> list[mp.mpf]:
     """Same coefficients as zeta_series.c_coeffs via jet division by
     s = 1 + t; independent route."""
-    jet = zeta_power_jet(j, n_max, digits)
+    jet = zeta_power_jet(j, n_max)
     one_plus_t = Jet2([[1 if r < 2 else 0] for r in range(n_max + 1)])
     quotient = jet / one_plus_t
     return [quotient[n, 0] for n in range(n_max + 1)]

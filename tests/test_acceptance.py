@@ -35,6 +35,7 @@ from divcorr.asympt import (
     ap_main_term,
     b_coefficient,
     bareikis_cdf,
+    coefficient_context,
     conjecture_leading,
     correlation_leading,
     estermann_coefficients,
@@ -123,7 +124,8 @@ def test_criterion_2_zeta_power_ledger():
         for j in range(7):
             ok &= zeta_power_coeffs(j, 0)[0] == 1
             ok &= c_coeffs(j, 0)[0] == 1
-        g = euler_gamma(30)
+        with mp.workdps(30):
+            g = euler_gamma()
         c12_gap = abs(c_coeffs(2, 1)[1] - (2 * g - 1))
         ok &= c12_gap < mp.mpf(10) ** -12
         worst = mp.mpf(0)
@@ -149,8 +151,7 @@ def test_criterion_3_estermann_two_route():
         relaxed_any = False
         worst = mp.mpf(0)
         for h in range(1, 21):
-            chk = estermann_coefficients(h, source="dirichlet", Q=Q,
-                                         raise_on_fail=False)
+            chk = estermann_coefficients(coefficient_context(h, 2, 2, source="dirichlet", Q=Q))
             ok &= chk.ok
             relaxed_any |= chk.relaxed
             worst = max(worst, chk.max_diff)
@@ -167,7 +168,7 @@ def test_criterion_4_decade_trend(d2_big, d2_half_big):
     """Theorem-2.3-type trend: ratios approach 1, |ratio-1| <= 0.05 at 1e7,
     strictly decreasing over the last two decades."""
     with runtime_cap(600) as box:
-        poly = main_polynomial("1/2", 1, 2, 2, source="euler")
+        poly = main_polynomial("1/2", coefficient_context(1, 2, 2, source="euler"))
         prod = d2_big[2 : BIG_X + 2] * d2_half_big[1 : BIG_X + 1]
         gaps = []
         running = 0

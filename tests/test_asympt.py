@@ -25,7 +25,6 @@ from divcorr.asympt import (
     theta_base,
     theta_exponent,
 )
-from divcorr.errors import ConsistencyError
 from divcorr.euler import singular_constant, singular_shift_factor
 from divcorr.zeta_series import euler_gamma
 from second_routes import bareikis_cdf_quadrature
@@ -84,7 +83,8 @@ def test_b_2211_is_sigma():
 
 def test_a_coefficient_classical_values():
     """Hand-derived k = l = 2 specializations of the boundary ledger."""
-    g = euler_gamma(30)
+    with mp.workdps(30):
+        g = euler_gamma()
     for h in (1, 6):
         ctx = ctx_for(h, 2, 2)
         CF = ctx.partials[0, 0]
@@ -112,7 +112,7 @@ def test_main_polynomial_leading():
         for Astr in ("1/2", "1/3"):
             for h in (1, 2, 6):
                 A = RationalExponent.parse(Astr)
-                poly = main_polynomial(A, h, k, l, ctx=ctx_for(h, k, l))
+                poly = main_polynomial(A, ctx_for(h, k, l))
                 assert poly.degree == k + l - 2
                 want = A.mpf() ** (l - 1) * conjecture_leading(h, k, l)
                 assert abs(poly.leading() - want) < mp.mpf(10) ** -9, (k, l, h, Astr)
@@ -122,8 +122,8 @@ def test_b_block_A_scaling():
     """The (m, n) block scales exactly as A^n between two values of A."""
     h, k, l = 2, 2, 3
     ctx = ctx_for(h, k, l)
-    p1 = main_polynomial(RationalExponent(1, 2), h, k, l, ctx=ctx)
-    p2 = main_polynomial(RationalExponent(1, 3), h, k, l, ctx=ctx)
+    p1 = main_polynomial(RationalExponent(1, 2), ctx)
+    p2 = main_polynomial(RationalExponent(1, 3), ctx)
 
     def b_parts(poly):
         out = {}
@@ -143,14 +143,14 @@ def test_b_block_A_scaling():
 
 
 def test_polynomial_validity_flag():
-    inside = main_polynomial(RationalExponent(1, 2), 1, 2, 2, ctx=ctx_for(1, 2, 2))
+    inside = main_polynomial(RationalExponent(1, 2), ctx_for(1, 2, 2))
     assert inside.in_proven_range  # 1/2 < theta_2 = 2/3
-    outside = main_polynomial(RationalExponent(3, 4), 1, 2, 2, ctx=ctx_for(1, 2, 2))
+    outside = main_polynomial(RationalExponent(3, 4), ctx_for(1, 2, 2))
     assert not outside.in_proven_range
 
 
 def test_polynomial_json_provenance():
-    poly = main_polynomial(RationalExponent(1, 2), 1, 2, 2, ctx=ctx_for(1, 2, 2))
+    poly = main_polynomial(RationalExponent(1, 2), ctx_for(1, 2, 2))
     data = json.loads(poly.to_json())
     assert data["degree"] == 2
     assert data["A"] == "1/2"
@@ -178,14 +178,15 @@ def test_corollary_lower_bound():
 def test_estermann_two_routes_tight():
     """Euler-product partials: both routes to 1e-9 (far tighter than the gate)."""
     for h in range(1, 21):
-        chk = estermann_coefficients(h, ctx=ctx_for(h, 2, 2))
+        chk = estermann_coefficients(ctx_for(h, 2, 2))
         assert chk.max_diff < mp.mpf(10) ** -9, h
         assert chk.ok
 
 
 def test_estermann_closed_form_structure():
     """h-dependence enters the closed forms only through the sigma moments."""
-    g = euler_gamma(30)
+    with mp.workdps(30):
+        g = euler_gamma()
     from divcorr.zeta_series import estermann_a_constants
 
     ap, app = estermann_a_constants()
@@ -204,8 +205,8 @@ def test_estermann_closed_form_structure():
 
 
 def test_estermann_closed_forms_follow_dps():
-    """At 60 digits the closed forms match gamma and zeta(2) derivatives to
-    1e-55, whether the digits come from the context or the argument."""
+    """At 60 working digits the closed forms match gamma and zeta(2)
+    derivatives to 1e-55."""
     from divcorr.arith import sigma_minus1_moments
 
     h = 6
@@ -222,33 +223,28 @@ def test_estermann_closed_forms_follow_dps():
             - (4 * six * (2 * g - 1) + 8 * ap) * s1 + 4 * six * s2,
         )
     with mp.workdps(60):
-        from_context = estermann_closed_forms(h)
-    from_argument = estermann_closed_forms(h, dps=60)
-    for got in (from_context, from_argument):
-        for c, w in zip(got, want):
-            assert abs(c - w) < mp.mpf(10) ** -55
+        got = estermann_closed_forms(h)
+    for c, w in zip(got, want):
+        assert abs(c - w) < mp.mpf(10) ** -55
 
 
 def test_estermann_consistency_error():
+    """A sabotaged partial fails the check, which is returned, not raised:
+    the CLI writes the report, then exits 5."""
     ctx = ctx_for(3, 2, 2)
     ctx.partials.coeffs[0][0] += mp.mpf("1e-3")  # sabotage one partial
-    with pytest.raises(ConsistencyError):
-        estermann_coefficients(3, ctx=ctx)
+    chk = estermann_coefficients(ctx)
+    assert not chk.ok and chk.h == 3
 
 
-def test_context_for_other_h_k_l_is_refused():
-    """A ctx built for another (h, k, l) was read in place of the arguments,
-    and the Estermann routes took one that was not (h, 2, 2)."""
-    ctx = ctx_for(1, 2, 2)
-    for call in (lambda: main_polynomial("1/2", 2, 2, 2, ctx=ctx),
-                 lambda: main_polynomial("1/2", 1, 3, 2, ctx=ctx),
-                 lambda: main_polynomial("1/2", 1, 2, 3, ctx=ctx),
-                 lambda: estermann_assembled(6, ctx=ctx),
-                 lambda: estermann_coefficients(2, ctx=ctx),
-                 lambda: estermann_coefficients(1, ctx=ctx_for(1, 3, 2))):
-        with pytest.raises(ValueError, match="context is for"):
+def test_estermann_refuses_a_context_not_for_2_2():
+    """The routes read (h, k, l) from the context; one built for (3, 2) is
+    refused."""
+    ctx = ctx_for(1, 3, 2)
+    for call in (lambda: estermann_assembled(ctx), lambda: estermann_coefficients(ctx)):
+        with pytest.raises(ValueError, match=r"\(k, l\) = \(2, 2\)"):
             call()
-    assert main_polynomial("1/2", 1, 2, 2, ctx=ctx).h == 1
+    assert main_polynomial("1/2", ctx).h == 1
 
 
 def test_corollary3_cancellation():
@@ -307,3 +303,21 @@ def test_ap_main_term():
             total += Fraction(g, n)  # d_1(n) = 1
     want3 = mp.mpf(100) / 4 * mp.mpf(total.numerator) / total.denominator
     assert abs(mt3.value - want3) < mp.mpf(10) ** -20
+
+
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_ap_main_term_matches_the_exact_sum(k):
+    """The fixed-point n-sum against the exact rational one, with d_{k-1}
+    from factorization: to the working precision."""
+    from math import gcd
+
+    from divcorr.arith import dk_of_factored, factorize
+
+    x, q, h = 10**4, 6, 2
+    total = Fraction(0)
+    for n in range(1, 465):  # n <= x^(2/3)
+        if h % gcd(n, q) == 0:
+            d = dk_of_factored(k - 1, factorize(n)) if k > 1 else int(n == 1)
+            total += Fraction(gcd(n, q) * d, n)
+    want = mp.mpf(x) / q * mp.mpf(total.numerator) / total.denominator
+    assert abs(ap_main_term(x, q, h, k, "2/3").value / want - 1) < mp.mpf(10) ** -38

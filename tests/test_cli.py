@@ -327,14 +327,10 @@ VERIFY_PINS = [
 ]
 
 
-@pytest.mark.parametrize("argv, count, reports_sha, stdout_sha", VERIFY_PINS,
-                         ids=[pin[0].split()[0] + f"-{i}" for i, pin in enumerate(VERIFY_PINS)])
-def test_verify_reports_are_pinned(tmp_path, capsys, monkeypatch, argv, count, reports_sha,
-                                   stdout_sha):
-    """Every verify report and stdout line, byte for byte: the title, the
-    header fields in their order and every digit of every row."""
-    monkeypatch.chdir(tmp_path)
-    assert main(["verify", *argv.split(), "--out-dir", "reports"]) == 0
+def _assert_pinned(argv: str, count: int, reports_sha: str, stdout_sha: str, capsys):
+    """Run `divcorr argv` in the current directory; its report files (names
+    and bytes, sorted) and its stdout must hash to the pinned digests."""
+    assert main([*argv.split(), "--out-dir", "reports"]) == 0
     files = sorted(Path("reports").iterdir())
     digest = hashlib.sha256()
     for path in files:
@@ -343,6 +339,51 @@ def test_verify_reports_are_pinned(tmp_path, capsys, monkeypatch, argv, count, r
     assert len(files) == count
     assert digest.hexdigest() == reports_sha
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+
+
+@pytest.mark.parametrize("argv, count, reports_sha, stdout_sha", VERIFY_PINS,
+                         ids=[pin[0].split()[0] + f"-{i}" for i, pin in enumerate(VERIFY_PINS)])
+def test_verify_reports_are_pinned(tmp_path, capsys, monkeypatch, argv, count, reports_sha,
+                                   stdout_sha):
+    """Every verify report and stdout line, byte for byte: the title, the
+    header fields in their order and every digit of every row."""
+    monkeypatch.chdir(tmp_path)
+    _assert_pinned("verify " + argv, count, reports_sha, stdout_sha, capsys)
+
+
+REPORT_PINS = [
+    ("constants --k 2,3 --l 2 --h 1,6", 1,
+     "87a9a7958a0cc3a97985bf77384042376ad3240a69870588c5a76d8a2d062bb2",
+     "1c2ae6108ce66f15e39f48023715877dcece1b1e6f8a626da1ce8ae6b91e96b6"),
+    ("constants --k 2,3 --l 2 --h 1,6 --digits 10", 1,
+     "7044f6d6c1ec1490d8f2a7c6d7722f44c21889ae80fac2796b639ba1c5793b07",
+     "1c2ae6108ce66f15e39f48023715877dcece1b1e6f8a626da1ce8ae6b91e96b6"),
+    ("constants --k 2,3 --l 2 --h 1,6 --digits 50", 1,
+     "2ca8f802f5987bc7df2847d2fde3c706c5a8bd2a80639a712977e6ce2c306580",
+     "1c2ae6108ce66f15e39f48023715877dcece1b1e6f8a626da1ce8ae6b91e96b6"),
+    ("polynomial --k 3 --l 2 --h 1,6 --A 1/2,2/3 --source euler", 2,
+     "9fc0763b22f6b9224f62ba9b522dd78fa8e2ba9592bdd7739d942957b800365b",
+     "c6b2c832373c93d78767a1a96b2d4de1391e9459dfdca817fd5a7b15d51a217f"),
+    ("polynomial --k 3 --l 2 --h 1,2 --A 1/2 --source dirichlet --Q 1000", 2,
+     "d80ebb82c62c5004aae4e7f399d8250dcd214ef0b13b8a875df9617035948721",
+     "95022f076ad48ed0498fb1fb27af2e2a0832309edd9ef62ca9ad8512ea98091c"),
+    ("estermann --source dirichlet --Q 100000 --h 1,2,3", 1,
+     "fc86301e3a9351f6184d435ef53acf0f776861d4ec25322527902a125e0a6667",
+     "32c766a83a1ff621f2aa1767ab31485049d6b4d5e5526d3b4d1e0b7b88a57d4c"),
+    ("predict --k 2,3 --l 2,3 --h 1,6", 1,
+     "89f6c348789a0917d86ecf3e478b396e3fdb7c8bd18b972fac1f42a87a87f0f1",
+     "8e68a155852c5d6e9b8569b8174aebfcdb636b8ea7e09fd93b8e80c807208de4"),
+]
+
+
+@pytest.mark.parametrize("argv, count, reports_sha, stdout_sha", REPORT_PINS,
+                         ids=[pin[0].split()[0] + f"-{i}" for i, pin in enumerate(REPORT_PINS)])
+def test_analytic_reports_are_pinned(tmp_path, capsys, monkeypatch, argv, count, reports_sha,
+                                     stdout_sha):
+    """Every report and stdout line of the analytic commands, byte for byte,
+    at the default --dps and at --digits below and above it."""
+    monkeypatch.chdir(tmp_path)
+    _assert_pinned(argv, count, reports_sha, stdout_sha, capsys)
 
 
 def test_verify_theorem23_at_A_1_predicts_estermann(tmp_path, capsys):

@@ -81,22 +81,28 @@ def test_singular_constant_closed_forms():
 
 
 def test_singular_constant_keeps_requested_digits():
-    """dps=50 asked for at mpmath's default 15 digits still gives 50 digits."""
+    """50 working digits give 50 digits, and mpmath's default 15 still gives
+    the floor of 30."""
+    with mp.workdps(50):
+        C50, _ = singular_constant(2, 2)
     with mp.workdps(15):
-        C, _ = singular_constant(2, 2, dps=50)
+        C15, _ = singular_constant(2, 2)
     with mp.workdps(60):
-        assert abs(C - 6 / mp.pi**2) < mp.mpf(10) ** -45
+        assert abs(C50 - 6 / mp.pi**2) < mp.mpf(10) ** -45
+        assert abs(C15 - 6 / mp.pi**2) < mp.mpf(10) ** -28
 
 
 def test_singular_constant_meets_a_tol_below_its_digits():
-    """A tol below 10^-dps raises the working digits to meet it, so dps 20
-    with the default tol 1e-25 states a bound under tol and raises no
-    PrecisionError (it raised at (16,16), whose bound met 10^-20 only)."""
+    """At 20 working digits the constant is taken at the floor of 30, so it
+    states a bound under the 1e-25 that _SCALAR_TOL asks and raises no
+    PrecisionError (it raised at (16,16) when its bound met 10^-20 only),
+    and that bound covers the distance to the constant at 40 digits."""
     for k, l in ((2, 2), (16, 16)):
-        C, bound = singular_constant(k, l, dps=20)
+        with mp.workdps(20):
+            C, bound = singular_constant(k, l)
         assert bound <= 1e-25
         with mp.workdps(40):
-            assert abs(C - singular_constant(k, l, dps=30)[0]) <= bound
+            assert abs(C - singular_constant(k, l)[0]) <= bound
 
 
 def test_singular_constant_symmetry():
@@ -357,7 +363,8 @@ def test_euler_tail_bounds_are_honest(k, l):
     dps = 30
     _, old_bound = _prime_tail_log_jet(k, l, order_t, order_w, 10**4, dps, 10)
     for h in (1, 6):
-        got, bound = cf_euler_jet(h, k, l, order_t, order_w, dps=dps)
+        with mp.workdps(dps):
+            got, bound = cf_euler_jet(h, k, l, order_t, order_w)
         ref, ref_bound = _reference_cf_jet(h, k, l, order_t, order_w, dps)
         assert 0 < ref_bound < bound / 1000
         assert bound <= old_bound
@@ -375,7 +382,8 @@ def test_shift_patch_holds_the_base_precision(k, l, dps):
     base, base_bound, _ = _c_euler_base(k, l, order_t, order_w, DEFAULT_PRIME_CUTOFF, dps,
                                         _SERIES_DEGREE)
     for h in (6, 12, 2 * 1009, 10007):
-        got, bound = cf_euler_jet(h, k, l, order_t, order_w, dps=dps)
+        with mp.workdps(dps):
+            got, bound = cf_euler_jet(h, k, l, order_t, order_w)
         with mp.workdps(dps + 40):
             want = Jet2(base.coeffs)
             for p, gamma in factorize(h).factors:
@@ -439,14 +447,15 @@ def test_l1_euler_polynomial_matches_dirichlet():
     within the stated bound: those of the classical sum of d_k(n),
     [2 gamma - 1, 1] for k = 2 and [1 - 3 gamma + 3 gamma^2 - 3 gamma_1,
     3 gamma - 1, 1/2] for k = 3."""
-    from divcorr.asympt import main_polynomial
+    from divcorr.asympt import coefficient_context, main_polynomial
 
     g, g1 = mp.euler, mp.stieltjes(1)
     classical = {2: [2 * g - 1, 1], 3: [1 - 3 * g + 3 * g**2 - 3 * g1, 3 * g - 1, mp.mpf(1) / 2]}
     for k, want in classical.items():
         for h in (1, 2, 6):
-            euler = main_polynomial("1/2", h, k, 1, source="euler")
-            dirichlet = main_polynomial("1/2", h, k, 1, source="dirichlet", Q=1000)
+            euler = main_polynomial("1/2", coefficient_context(h, k, 1, source="euler"))
+            dirichlet = main_polynomial("1/2", coefficient_context(h, k, 1, source="dirichlet",
+                                                                  Q=1000))
             bound = euler.tail_bound + dirichlet.tail_bound
             assert len(euler.coeffs) == len(dirichlet.coeffs) == k
             for got, ref in zip(euler.coeffs, dirichlet.coeffs):
@@ -472,9 +481,10 @@ def test_singular_constant_bound_is_honest(k, l, dps):
     for the smaller (k,l) lies above that truncation (5e-35 against 3e-47
     at (2,2))."""
     g = poly_log_series(c_factor_poly(k, l), 30)
+    with mp.workdps(dps):
+        C, bound = singular_constant(k, l)
     # the constant carries more digits than dps: compare it above the reference's
     with mp.workdps(dps + 40):
-        C, bound = singular_constant(k, l, dps=dps)
         ref = c_scalar(k, l, 10**4, 30, dps + 30)
         assert bound <= mp.mpf(10) ** -dps
         if dps == 50:
@@ -732,10 +742,13 @@ def test_euler_integers_pinned():
     for (k, l), digest in want.items():
         jet, bound, _ = _c_euler_base(k, l, k, max(l, k + l - 2), 1000, 40, 14)
         assert _mpf_words_digest([*chain.from_iterable(jet.coeffs), bound]) == digest, (k, l)
-    jet, bound = cf_euler_jet(12, 3, 2, 3, 3, dps=40)
+    with mp.workdps(40):
+        jet, bound = cf_euler_jet(12, 3, 2, 3, 3)
     assert _mpf_words_digest([*chain.from_iterable(jet.coeffs), bound]) == (
         "86865578baead9ff53dc7505338a74efc5b3108126e2a250e4ef5e0d68b1c7ef")
-    assert _mpf_words_digest(singular_constant(6, 5, dps=30)) == (
+    with mp.workdps(30):
+        constant = singular_constant(6, 5)
+    assert _mpf_words_digest(constant) == (
         "d8952e34eb34266dbd5f1c6e2902e4e766121c64f0a4e6cd1f20f223a700240d")
 
 def test_varphi_mp_table_follows_precision():

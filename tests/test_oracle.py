@@ -475,7 +475,7 @@ def test_residue_routes_agree_with_ledgers():
             ctx = fixed_context(h, k, l, 2000)
             for A in ("1/3", "1/2", "2/3", "1"):
                 rr = residue_polynomial_routes(h, k, l, A, 2000, ctx=ctx)
-                poly = main_polynomial(A, h, k, l, ctx=ctx)
+                poly = main_polynomial(A, ctx)
                 secondary = rr.secondary + [mp.mpf(0)]  # no a-term at the top degree
                 for d, terms in enumerate(poly.provenance):
                     b = sum(t[3] for t in terms if t[0] == "b")
@@ -557,9 +557,8 @@ def test_theorem23_decade_stability():
     """Ratios approach 1 across decades (one non-monotone decade allowed)."""
     from divcorr.asympt import main_polynomial
 
-    poly = main_polynomial("1/2", 1, 2, 2,
-                           ctx=coefficient_context(1, 2, 2, source="euler",
-                                                   prime_cutoff=2000))
+    poly = main_polynomial("1/2", coefficient_context(1, 2, 2, source="euler",
+                                                      prime_cutoff=2000))
     rs = _one(1, 2, 2, 1, "1/2", [10**3, 10**4, 10**5, 10**6])
     gaps = [abs(mp.mpf(r.value) / (r.x * poly(mp.log(r.x))) - 1) for r in rs]
     violations = sum(1 for a, b in zip(gaps, gaps[1:]) if b >= a)

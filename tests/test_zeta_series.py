@@ -47,31 +47,35 @@ GAMMA_FIXTURE = [
 
 
 def test_stieltjes_fixture():
-    table = stieltjes_table(5, 30)
+    with mp.workdps(30):
+        table = stieltjes_table(5)
     for got, want in zip(table, GAMMA_FIXTURE):
         assert abs(got - mp.mpf(want)) < mp.mpf(10) ** -29
 
 
 def test_stieltjes_against_independent_oracle():
     """Euler-Maclaurin values vs mpmath's own algorithm at doubled precision."""
+    with mp.workdps(35):
+        table = stieltjes_table(12)
     with mp.workdps(80):
-        table = stieltjes_table(12, 35)
         for m, got in enumerate(table):
             want = mp.stieltjes(m)
             assert abs(got - want) < mp.mpf(10) ** -34, m
 
 
 def test_stieltjes_shape_and_ceilings():
-    assert len(stieltjes_table(0, 20)) == 1
-    with pytest.raises(PrecisionError):
-        stieltjes_table(31, 30)
-    with pytest.raises(PrecisionError):
-        stieltjes_table(3, 101)
+    with mp.workdps(20):
+        assert len(stieltjes_table(0)) == 1
+    with mp.workdps(30), pytest.raises(PrecisionError):
+        stieltjes_table(31)
+    with mp.workdps(101), pytest.raises(PrecisionError):
+        stieltjes_table(3)
 
 
 def test_stieltjes_at_the_digit_ceiling():
     """gamma_0..gamma_6 at 100 digits, as `--dps` up to 100 asks for."""
-    table = stieltjes_table(6, 100)
+    with mp.workdps(100):
+        table = stieltjes_table(6)
     with mp.workdps(110):
         for m, got in enumerate(table):
             assert abs(got - mp.stieltjes(m)) < mp.mpf(10) ** -99, m
@@ -82,13 +86,34 @@ def test_stieltjes_high_index_at_the_digit_ceiling(m):
     """gamma_11..gamma_30 at 100 digits, the table's ceilings: gamma_n is
     (-1)^n n! times the t^(n+1) coefficient of (s-1) zeta(s), so the y = 1
     pass is taken log2 n! bits wider than the digits ask."""
-    got = stieltjes_table(m, 100)[m]
+    with mp.workdps(100):
+        got = stieltjes_table(m)[m]
     with mp.workdps(110):
         assert abs(got - mp.stieltjes(m)) < mp.mpf(10) ** -99
 
 
 def test_euler_gamma_matches_mpmath():
-    assert abs(euler_gamma(30) - mp.euler) < mp.mpf(10) ** -29
+    with mp.workdps(30):
+        g = euler_gamma()
+    assert abs(g - mp.euler) < mp.mpf(10) ** -29
+
+
+def test_bare_calls_follow_the_working_precision():
+    """At 60 working digits every bare call gives 60 digits: against mpmath's
+    gamma, Stieltjes constants and zeta(2) derivatives, and c_coeffs against
+    its own evaluation at 70 digits, all to 1e-55."""
+    with mp.workdps(70):
+        c_ref = c_coeffs(2, 3)
+    with mp.workdps(60):
+        got = {"gamma": [euler_gamma()], "stieltjes": stieltjes_table(2),
+               "a": list(estermann_a_constants()), "c": c_coeffs(2, 3)}
+    with mp.workdps(80):
+        z, z1, z2 = mp.zeta(2), mp.zeta(2, derivative=1), mp.zeta(2, derivative=2)
+        want = {"gamma": [mp.euler], "stieltjes": [mp.stieltjes(n) for n in range(3)],
+                "a": [-z1 / z**2, (2 * z1**2 - z2 * z) / z**3], "c": c_ref}
+        for name, values in got.items():
+            for n, (g, w) in enumerate(zip(values, want[name], strict=True)):
+                assert abs(g - w) < mp.mpf(10) ** -55, (name, n)
 
 
 def test_zeta_laurent_jet_values():
@@ -102,7 +127,8 @@ def test_zeta_laurent_jet_values():
 
 
 def test_zeta_power_coeffs():
-    g = euler_gamma(30)
+    with mp.workdps(30):
+        g = euler_gamma()
     for j in range(7):
         a = zeta_power_coeffs(j, 4)
         assert a[0] == 1
@@ -113,7 +139,8 @@ def test_zeta_power_coeffs():
 
 
 def test_c_coeffs_values():
-    g = euler_gamma(30)
+    with mp.workdps(30):
+        g = euler_gamma()
     for j in range(7):
         assert c_coeffs(j, 0)[0] == 1
     c = c_coeffs(2, 1)
@@ -147,7 +174,7 @@ def prime_power_log_moments(m: int, d_max: int, dps: int = 40) -> tuple:
                 continue
             if n * m > cutoff:
                 break
-            ljet = jet_log(zeta_jet(n * m, d_max, dps + 10))
+            ljet = jet_log(zeta_jet(n * m, d_max))
             for d in range(d_max + 1):
                 coeffs[d] += int(mob[n]) * ljet[d, 0] * n**d / n
             if abs(ljet[0, 0]) / n < eps and n > 4:
@@ -228,7 +255,8 @@ def test_zeta_jet_matches_mpmath(dps):
     head sum does."""
     order = 6
     for y in (2, 3, 5, 10, 22, 40, 100):
-        got = zeta_jet(y, order, dps)
+        with mp.workdps(dps):
+            got = zeta_jet(y, order)
         with mp.workdps(dps + 15):
             for r in range(order + 1):
                 want = mp.zeta(y, derivative=r) / mp.factorial(r)
@@ -236,7 +264,8 @@ def test_zeta_jet_matches_mpmath(dps):
 
 
 def test_inverse_zeta_jet():
-    jet = inverse_zeta_jet_at_2(2, 40)
+    with mp.workdps(40):
+        jet = inverse_zeta_jet_at_2()
     assert abs(jet[0, 0] - 1 / mp.zeta(2)) < mp.mpf(10) ** -35
     a1 = jet.partial(1, 0)
     want = -mp.zeta(2, derivative=1) / mp.zeta(2) ** 2
